@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import ratgeom
-from .chambers import is_feasible, region_system
+from .chambers import region_system, require_chamber
 from .cone import ConeSpec
 from .errors import InputError, InternalInvariantError
 from .ratgeom import EQ, LE, IntVec, RatVec, dot, intvec, sub
@@ -89,10 +89,7 @@ def enumerate_cells(spec: ConeSpec, c, max_normals: int | None = None) -> tuple[
         raise InputError(
             f"{len(spec.normals)} normals exceeds the cell enumeration cap "
             f"{cap}; pass max_normals to override")
-    cc = intvec(c)
-    if not is_feasible(spec, cc):
-        raise InputError(f"not a chamber: {cc} is infeasible")
-    return _enumerate(spec, cc)
+    return _enumerate(spec, require_chamber(spec, c))
 
 
 def open_conic(cell: Cell) -> IntVec:

@@ -48,7 +48,7 @@ from .frobenius import decompose_root, dmodule_report, minimal_complete_q
 from .ratgeom import intvec
 from .svg import render_svg_2d
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -168,48 +168,26 @@ def analyze(spec: ConeSpec, options: AnalyzeOptions = AnalyzeOptions()) -> dict:
         warnings.append(
             "WARNING: nontrivial Smith invariants found; homology ranks "
             "may depend on the field characteristic")
-    verdict = nccr_verdict(spec)
     report = {
         "schema_version": SCHEMA_VERSION,
         "content_hash": content_hash(spec),
         "cone": {
             "rank": spec.rank,
             "normals": [list(n) for n in spec.normals],
-            "simplicial": len(spec.normals) == spec.rank,
+            "simplicial": spec.simplicial,
         },
         "classes": class_rows,
-        "class_count": classes.bfs_count,
-        "grid_class_count": classes.grid_count,
+        "class_count": len(classes.reps),
         "global_dimension": global_dimension(spec),
         "smith": {
             "all_trivial": not nontrivial,
             "nontrivial": nontrivial,
         },
-        "nccr": {
-            "verdict": verdict.verdict,
-            "support": [classes.label_of(r) for r in verdict.support],
-            "complete": verdict.complete,
-            "witness": (None if verdict.witness is None
-                        else classes.label_of(verdict.witness)),
-            "reasons": list(verdict.reasons),
-        },
+        "nccr": _nccr_block(spec, classes),
         "warnings": warnings,
     }
     if options.acyclicity_radius is not None:
-        pairs = []
-        for a in classes.reps:
-            for b in classes.reps:
-                rpt = verify_acyclicity(
-                    spec, a, b, window=options.acyclicity_radius)
-                pairs.append({
-                    "chamber": classes.label_of(a),
-                    "other": classes.label_of(b),
-                    "radius": rpt.radius,
-                    "checked": rpt.checked,
-                    "hits": len(rpt.hits),
-                    "failures": len(rpt.failures),
-                    "passed": rpt.passed,
-                })
+        pairs = _acyclicity_rows(spec, classes, options.acyclicity_radius)
         report["acyclicity"] = {
             "radius": options.acyclicity_radius,
             "pairs": pairs,
@@ -223,31 +201,54 @@ def analyze(spec: ConeSpec, options: AnalyzeOptions = AnalyzeOptions()) -> dict:
         frob["minimal_complete_q"] = qmin
         frob["at_minimal_q"] = _root_block(spec, classes, qmin)
     if options.dmodule_prime is not None:
-        rpt = dmodule_report(spec, options.dmodule_prime)
-        frob["dmodule"] = {
-            "p": rpt.p,
-            "minimal_e": rpt.minimal_e,
-            "q_at_e": rpt.q_at_e,
-            "bounds": [rpt.bound_low, rpt.bound_high],
-            "note": rpt.note,
-        }
+        frob["dmodule"] = _dmodule_block(spec, options.dmodule_prime)
     if frob:
         report["frobenius"] = frob
     if options.supports:
-        rows = []
-        for sup in options.supports:
-            reps = tuple(_parse_class(spec, classes, s) for s in sup)
-            v = nccr_verdict(spec, support=reps)
-            rows.append({
-                "support": [classes.label_of(r) for r in v.support],
-                "verdict": v.verdict,
-                "complete": v.complete,
-                "witness": (None if v.witness is None
-                            else classes.label_of(v.witness)),
-                "reasons": list(v.reasons),
-            })
-        report["partial_supports"] = rows
+        report["partial_supports"] = [
+            _nccr_block(spec, classes,
+                        tuple(_parse_class(spec, classes, s) for s in sup))
+            for sup in options.supports]
     return report
+
+
+def _nccr_block(spec: ConeSpec, classes, support=None) -> dict:
+    v = nccr_verdict(spec, support=support)
+    return {
+        "verdict": v.verdict,
+        "support": [classes.label_of(r) for r in v.support],
+        "complete": v.complete,
+        "witness": None if v.witness is None else classes.label_of(v.witness),
+        "reasons": list(v.reasons),
+    }
+
+
+def _acyclicity_rows(spec: ConeSpec, classes, window) -> list:
+    rows = []
+    for a in classes.reps:
+        for b in classes.reps:
+            rpt = verify_acyclicity(spec, a, b, window=window)
+            rows.append({
+                "chamber": classes.label_of(a),
+                "other": classes.label_of(b),
+                "radius": rpt.radius,
+                "checked": rpt.checked,
+                "hits": len(rpt.hits),
+                "failures": len(rpt.failures),
+                "passed": rpt.passed,
+            })
+    return rows
+
+
+def _dmodule_block(spec: ConeSpec, p: int) -> dict:
+    rpt = dmodule_report(spec, p)
+    return {
+        "p": rpt.p,
+        "minimal_e": rpt.minimal_e,
+        "q_at_e": rpt.q_at_e,
+        "bounds": [rpt.bound_low, rpt.bound_high],
+        "note": rpt.note,
+    }
 
 
 def _root_block(spec: ConeSpec, classes, q: int) -> dict:
@@ -324,8 +325,7 @@ def _cmd_analyze(args) -> str:
                  f"{len(cone['normals'])} facet normals"
                  + (" (simplicial)" if cone["simplicial"] else ""))
     lines.append(f"content hash {report['content_hash'][:16]}")
-    lines.append(f"classes: {report['class_count']} "
-                 f"(grid check {report['grid_class_count']})")
+    lines.append(f"classes: {report['class_count']}")
     for row in report["classes"]:
         census = " ".join(
             f"{k}:{v}" for k, v in sorted(row["cell_census"].items(),
@@ -380,9 +380,7 @@ def _cmd_chambers(args) -> str:
         "ceiling": list(rep),
         "degree": degree(rep),
     } for rep in classes.reps]
-    report = _wrap(spec, {"classes": rows,
-                          "class_count": classes.bfs_count,
-                          "grid_class_count": classes.grid_count})
+    report = _wrap(spec, {"classes": rows, "class_count": len(rows)})
     text = "".join(
         f"{r['label']} ceiling {tuple(r['ceiling'])} degree {r['degree']}\n"
         for r in rows)
@@ -470,20 +468,7 @@ def _cmd_resolution(args) -> str:
 
 def _cmd_acyclicity(args) -> str:
     spec = _load_spec(args)
-    classes = enumerate_classes(spec)
-    rows = []
-    for a in classes.reps:
-        for b in classes.reps:
-            rpt = verify_acyclicity(spec, a, b, window=args.window)
-            rows.append({
-                "chamber": classes.label_of(a),
-                "other": classes.label_of(b),
-                "radius": rpt.radius,
-                "checked": rpt.checked,
-                "hits": len(rpt.hits),
-                "failures": len(rpt.failures),
-                "passed": rpt.passed,
-            })
+    rows = _acyclicity_rows(spec, enumerate_classes(spec), args.window)
     report = _wrap(spec, {
         "pairs": rows, "all_passed": all(r["passed"] for r in rows)})
     text = "".join(
@@ -499,18 +484,12 @@ def _cmd_nccr(args) -> str:
     classes = enumerate_classes(spec)
     support = (None if args.support is None
                else _parse_support(spec, classes, args.support))
-    v = nccr_verdict(spec, support=support)
-    report = _wrap(spec, {
-        "verdict": v.verdict,
-        "support": [classes.label_of(r) for r in v.support],
-        "complete": v.complete,
-        "witness": None if v.witness is None else classes.label_of(v.witness),
-        "reasons": list(v.reasons),
-    })
-    lines = [f"verdict: {v.verdict}"]
-    if v.witness is not None:
-        lines.append(f"witness: {classes.label_of(v.witness)}")
-    lines.extend(f"  {r}" for r in v.reasons)
+    body = _nccr_block(spec, classes, support)
+    report = _wrap(spec, body)
+    lines = [f"verdict: {body['verdict']}"]
+    if body["witness"] is not None:
+        lines.append(f"witness: {body['witness']}")
+    lines.extend(f"  {r}" for r in body["reasons"])
     return _emit(args, report, "\n".join(lines) + "\n")
 
 
@@ -530,19 +509,12 @@ def _cmd_frobenius(args) -> str:
         lines.append(f"q={qmin}: "
                      + _counts_text(body["at_minimal_q"]["counts"]))
     if args.dmodule is not None:
-        rpt = dmodule_report(spec, args.dmodule)
-        body["dmodule"] = {
-            "p": rpt.p,
-            "minimal_e": rpt.minimal_e,
-            "q_at_e": rpt.q_at_e,
-            "bounds": [rpt.bound_low, rpt.bound_high],
-            "note": rpt.note,
-        }
+        dm = body["dmodule"] = _dmodule_block(spec, args.dmodule)
         lines.append(
-            f"p={rpt.p}: minimal e with p^e complete is {rpt.minimal_e} "
-            f"(q={rpt.q_at_e}); differential operator global dimension "
-            f"in [{rpt.bound_low}, {rpt.bound_high}]")
-        lines.append(rpt.note)
+            f"p={dm['p']}: minimal e with p^e complete is {dm['minimal_e']} "
+            f"(q={dm['q_at_e']}); differential operator global dimension "
+            f"in [{dm['bounds'][0]}, {dm['bounds'][1]}]")
+        lines.append(dm["note"])
     report = _wrap(spec, body)
     return _emit(args, report, "\n".join(lines) + "\n")
 

@@ -17,15 +17,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from . import cone as cone_mod
 from . import ratgeom
 from .cells import Cell, enumerate_cells, incidence_sign, is_facet_pair, open_conic
 from .chambers import (
     canonical_class,
     enumerate_classes,
-    is_feasible,
     iso_witness,
     nhat,
+    require_chamber,
 )
 from .cone import ConeSpec
 from .errors import (
@@ -196,13 +195,6 @@ def default_window(c, cp) -> int:
     return 2 * (1 + max(abs(a - b) for a, b in zip(intvec(c), intvec(cp))))
 
 
-def _require_chamber(spec: ConeSpec, c) -> IntVec:
-    cc = intvec(c)
-    if not is_feasible(spec, cc):
-        raise InputError(f"not a chamber: {cc} is infeasible")
-    return cc
-
-
 def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int) -> AcyclicityReport:
     c = cx.chamber
     witness = iso_witness(spec, c, cp)
@@ -237,8 +229,8 @@ def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> Acycl
     rank-one slot in degree zero at the lattice point translating cp
     onto c, when that point exists and lies inside the window.
     """
-    cc = _require_chamber(spec, c)
-    cpp = _require_chamber(spec, cp)
+    cc = require_chamber(spec, c)
+    cpp = require_chamber(spec, cp)
     radius = default_window(cc, cpp) if window is None else window
     if radius < 0:
         raise InputError("window radius must be nonnegative")
@@ -247,7 +239,7 @@ def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> Acycl
 
 def pdim_simple(spec: ConeSpec, c) -> int:
     """Projective dimension of the graded simple of a chamber: top codim."""
-    cc = _require_chamber(spec, c)
+    cc = require_chamber(spec, c)
     return len(conic_complex(spec, cc).terms) - 1
 
 
@@ -268,7 +260,7 @@ def ext_dims(spec: ConeSpec, c, cp) -> tuple[int, ...]:
     class of cp: the hom-complex differentials are radical, so they
     vanish on simples and the count is the whole answer.
     """
-    cc = _require_chamber(spec, c)
+    cc = require_chamber(spec, c)
     rep = canonical_class(spec, cp)
     cx = conic_complex(spec, cc)
     return tuple(
@@ -278,7 +270,7 @@ def ext_dims(spec: ConeSpec, c, cp) -> tuple[int, ...]:
 
 def smith_invariants(spec: ConeSpec, c) -> tuple[tuple[int, ...], ...]:
     """Elementary divisors of each differential of a chamber complex."""
-    cc = _require_chamber(spec, c)
+    cc = require_chamber(spec, c)
     return tuple(
         ratgeom.smith_normal_form(m) for m in conic_complex(spec, cc).mats)
 
@@ -372,7 +364,7 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
     offending cells are reported.  Every spliced resolution is validated
     by window acyclicity before it is returned.
     """
-    cc = _require_chamber(spec, c)
+    cc = require_chamber(spec, c)
     reps = _canonical_support(spec, support)
     sup = set(reps)
     if canonical_class(spec, cc) not in sup:
@@ -570,8 +562,7 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
         reps = _canonical_support(spec, support)
     complete = set(reps) == set(all_reps)
     if complete:
-        checks = cone_mod.validate(spec)
-        if checks.simplicial:
+        if spec.simplicial:
             return NccrVerdict(
                 verdict="NCCR", support=reps, complete=True, witness=None,
                 reasons=("simplicial: every class has a zero cell",))

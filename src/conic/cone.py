@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import ratgeom
 from .errors import InputError, InternalInvariantError
-from .ratgeom import EQ, LE, LT, IntVec, dot, intvec, primitive
+from .ratgeom import EQ, LE, IntVec, dot, intvec, primitive
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,12 @@ class ConeSpec:
             for g in self.generators:
                 if len(g) != d:
                     raise InputError("generator length does not match rank")
+
+    @property
+    def simplicial(self) -> bool:
+        """Whether there are exactly rank normals; they span, so they are
+        then linearly independent."""
+        return len(self.normals) == self.rank
 
 
 @dataclass(frozen=True)
@@ -254,16 +260,10 @@ def from_primal_rays(rank: int, rays) -> ConeSpec:
 
 
 def validate(spec: ConeSpec) -> ConeChecks:
-    """Recheck pointedness and full-dimensionality; report simpliciality."""
-    pointed = ratgeom.rank(spec.normals) == spec.rank
-    interior = ratgeom.system(
-        spec.rank, [(tuple(-x for x in n), LE, -1) for n in spec.normals]
-    )
+    """Pointedness and full-dimensionality, which every constructed
+    ConeSpec has, plus ``spec.simplicial``."""
     return ConeChecks(
-        pointed=pointed,
-        full_dimensional=ratgeom.feasible(interior),
-        simplicial=pointed and len(spec.normals) == spec.rank,
-    )
+        pointed=True, full_dimensional=True, simplicial=spec.simplicial)
 
 
 @lru_cache(maxsize=None)

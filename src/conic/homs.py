@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cone as cone_mod
-from .chambers import is_feasible, leq, nhat
+from .chambers import is_feasible, leq, nhat, require_chamber
 from .cone import ConeSpec
 from .errors import InputError, InternalInvariantError, UnsupportedOperationError
-from .ratgeom import IntVec, add, intvec, sub
+from .ratgeom import IntVec, add, sub
 
 
 @dataclass(frozen=True)
@@ -26,17 +25,10 @@ class MonomialSupport:
     bound: IntVec
 
 
-def _chamber(spec: ConeSpec, c) -> IntVec:
-    cc = intvec(c)
-    if not is_feasible(spec, cc):
-        raise InputError(f"not a chamber: {cc} is infeasible")
-    return cc
-
-
 def hom_support(spec: ConeSpec, c, cp) -> MonomialSupport:
     """Monomial support of the hom space from the module of c to cp."""
-    a = _chamber(spec, c)
-    b = _chamber(spec, cp)
+    a = require_chamber(spec, c)
+    b = require_chamber(spec, cp)
     return MonomialSupport(bound=sub(b, a))
 
 
@@ -56,8 +48,8 @@ def is_radical_monomial(spec: ConeSpec, c, cp, m) -> bool:
     ceiling vector of c onto cp; everything else in the support is
     radical.
     """
-    a = _chamber(spec, c)
-    b = _chamber(spec, cp)
+    a = require_chamber(spec, c)
+    b = require_chamber(spec, cp)
     if not supports_monomial(spec, hom_support(spec, a, b), m):
         raise InputError(f"monomial {tuple(m)} is not in the hom support")
     return add(a, nhat(spec, m)) != b
@@ -70,19 +62,19 @@ def hom_is_conic(spec: ConeSpec, c, cp) -> bool:
     irredundant, so every bound is attained on lattice points), hence it
     is conic exactly when the difference vector is itself feasible.
     """
-    a = _chamber(spec, c)
-    b = _chamber(spec, cp)
+    a = require_chamber(spec, c)
+    b = require_chamber(spec, cp)
     return is_feasible(spec, sub(b, a))
 
 
 def simplicial_hom_form(spec: ConeSpec, c, cp) -> IntVec:
     """Closed form for simplicial cones: the hom support bound is always
     a chamber, namely the difference of ceiling vectors."""
-    if not cone_mod.validate(spec).simplicial:
+    if not spec.simplicial:
         raise UnsupportedOperationError(
             "closed hom form requires a simplicial cone")
-    a = _chamber(spec, c)
-    b = _chamber(spec, cp)
+    a = require_chamber(spec, c)
+    b = require_chamber(spec, cp)
     diff = sub(b, a)
     # independent normals make every integer vector a chamber
     if not is_feasible(spec, diff):

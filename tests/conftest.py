@@ -1,6 +1,6 @@
 import pytest
 
-from conic import from_normals
+from conic import from_normals, from_primal_rays
 
 
 def make_orthant(d):
@@ -34,3 +34,18 @@ def orthant2():
 @pytest.fixture(scope="session")
 def orthant3():
     return make_orthant(3)
+
+
+@pytest.fixture(scope="session")
+def pentagon():
+    # cone over a reflexive pentagon; 19 conic classes
+    return from_primal_rays(
+        3, [(-2, -1, 1), (-1, -1, 1), (1, 0, 1), (1, 1, 1), (-1, 0, 1)])
+
+
+@pytest.fixture(scope="session")
+def hexagon():
+    # cone over the reflexive hexagon; 23 conic classes
+    return from_primal_rays(
+        3, [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1),
+            (1, -1, 1)])

@@ -31,6 +31,7 @@ from conic import (
 )
 from conic.ratgeom import EQ, LE, LT, feasible, rank, system
 
+from box_census import box_census
 from conftest import make_orthant
 
 FREE, X, Y = (0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 1)
@@ -132,7 +133,9 @@ def test_criterion_5_structural_invariants(quadric, square, cyclic):
     def body():
         for spec in specs:
             cl = enumerate_classes(spec)
-            assert cl.bfs_count == cl.grid_count
+            census = box_census(spec)
+            assert len(census) == len(cl.reps)
+            assert {canonical_class(spec, c) for c in census} == set(cl.reps)
             for rep in cl.reps:
                 mats = conic_complex(spec, rep).mats
                 for a, b in zip(mats, mats[1:]):

@@ -20,6 +20,8 @@ from conic.chambers import nhat, pairings
 from conic.errors import InputError
 from conic.ratgeom import add, dot
 
+from box_census import box_census
+
 ceil2 = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 
 
@@ -64,9 +66,19 @@ def test_class_counts(quadric, square, cyclic, orthant2):
         (0, 0, 0, -1), (0, 0, 0, 0), (0, 0, 0, 1))
     assert enumerate_classes(cyclic).reps == ((0, 0), (0, 1), (0, 2))
     assert enumerate_classes(orthant2).reps == ((0, 0),)
-    for spec in (quadric, square, cyclic, orthant2):
-        cl = enumerate_classes(spec)
-        assert cl.bfs_count == cl.grid_count == len(cl.reps)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("quadric", 2), ("square", 3), ("cyclic", 3), ("orthant2", 1),
+    ("orthant3", 1), ("pentagon", 19), ("hexagon", 23)])
+def test_classes_match_box_census(request, name, count):
+    # the census meets every class on its own, so the BFS must find
+    # exactly its classes
+    spec = request.getfixturevalue(name)
+    census = box_census(spec)
+    reps = enumerate_classes(spec).reps
+    assert len(census) == len(reps) == count
+    assert {canonical_class(spec, c) for c in census} == set(reps)
 
 
 def test_labels_free_class_is_a0(square):

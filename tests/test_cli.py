@@ -12,9 +12,13 @@ from conic.cli_io import (
 )
 from conic.errors import InputError
 
+from box_census import box_census
+
 SQUARE = '{"rank":3,"normals":[[1,0,0],[0,1,0],[-1,0,1],[0,-1,1]]}'
 QUADRIC = '{"rank":2,"dual_rays":[[1,1],[-1,1]]}'
 CYCLIC = '{"rank":2,"normals":[[0,1],[3,-2]]}'
+HEXAGON = ('{"rank":3,"primal_rays":[[1,0,1],[0,1,1],[-1,1,1],'
+           '[-1,0,1],[0,-1,1],[1,-1,1]]}')
 
 
 @pytest.fixture
@@ -61,9 +65,9 @@ def test_parse_input_rejections():
 def test_analyze_report_square():
     spec = build_cone(parse_input(SQUARE))
     report = analyze(spec)
-    assert report["schema_version"] == 1
-    assert report["class_count"] == 3
-    assert report["grid_class_count"] == 3
+    assert report["schema_version"] == 2
+    assert "grid_class_count" not in report
+    assert report["class_count"] == len(box_census(spec)) == 3
     assert report["global_dimension"] == 3
     assert report["nccr"]["verdict"] == "NotNCCR"
     assert report["smith"]["all_trivial"]
@@ -117,6 +121,20 @@ def test_main_reads_stdin(capsys, monkeypatch):
     assert main(["chambers"]) == 0
     out = capsys.readouterr().out
     assert "A0" in out and "A1" in out
+
+
+def test_main_chambers_hexagon(tmp_path, capsys):
+    # a valid cone that the retired grid cross-check refused with exit 2
+    path = tmp_path / "hexagon.json"
+    path.write_text(HEXAGON)
+    assert main(["chambers", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 23
+    assert lines[0].startswith("A")
+    assert main(["chambers", "--input", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["class_count"] == 23
+    assert "grid_class_count" not in report
 
 
 def test_main_subcommands_run(square_file, capsys):

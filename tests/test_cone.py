@@ -10,7 +10,6 @@ from conic import (
     from_primal_rays,
     primal_generators,
     restrict_to_facet,
-    validate,
 )
 from conic.cone import content_hash
 from conic.errors import InputError
@@ -20,14 +19,13 @@ from conic.ratgeom import dot, rank
 def test_quadric_from_dual_rays():
     spec = from_dual_rays(2, [(1, 1), (-1, 1)])
     assert set(spec.normals) == {(1, 1), (-1, 1)}
-    checks = validate(spec)
-    assert checks.pointed and checks.full_dimensional and checks.simplicial
+    assert spec.simplicial
 
 
 def test_square_from_primal_rays():
     spec = from_primal_rays(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
     assert len(spec.normals) == 4
-    assert not validate(spec).simplicial
+    assert not spec.simplicial
     # every input ray satisfies every normal
     for ray in [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]:
         assert all(dot(ray, n) >= 0 for n in spec.normals)
