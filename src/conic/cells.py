@@ -127,7 +127,7 @@ def _frame(spec: ConeSpec, active: tuple[int, ...]) -> tuple[IntVec, ...]:
 @lru_cache(maxsize=None)
 def _free_columns(spec: ConeSpec, active: tuple[int, ...]) -> tuple[int, ...]:
     rows = [spec.normals[i] for i in active]
-    pivots = set(ratgeom.rref_pivot_columns(rows, spec.rank))
+    pivots = ratgeom.echelon(rows, spec.rank)[1]
     return tuple(j for j in range(spec.rank) if j not in pivots)
 
 
@@ -168,27 +168,9 @@ def incidence_sign(spec: ConeSpec, inner: Cell, outer: Cell) -> int:
     fi = orientation_frame(spec, inner)
     mat_a = [[u[j] for j in cols]] + [[v[j] for j in cols] for v in fi]
     mat_b = [[v[j] for j in cols] for v in fo]
-    det_a = _qdet(mat_a)
-    det_b = _qdet(mat_b)
+    det_a = ratgeom.det(mat_a)
+    det_b = ratgeom.det(mat_b)
     if det_a == 0 or det_b == 0:
         raise InternalInvariantError("degenerate orientation frames")
     return 1 if (det_a > 0) == (det_b > 0) else -1
 
-
-def _qdet(mat):
-    # Fraction-valued determinant by expansion along the first column;
-    # frames are tiny, so this stays cheap.
-    n = len(mat)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in mat):
-        raise InternalInvariantError("orientation matrix is not square")
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for i in range(n):
-        if not mat[i][0]:
-            continue
-        minor = [row[1:] for k, row in enumerate(mat) if k != i]
-        total += (-1) ** i * mat[i][0] * _qdet(minor)
-    return total

@@ -154,7 +154,7 @@ def conic_complex(spec: ConeSpec, c: IntVec) -> ConicComplex:
 
 def homology_ranks(sc: ScalarComplex) -> tuple[int, ...]:
     """Rank of the homology at each degree of a scalar complex."""
-    ranks = [ratgeom.qrank(m) if m and m[0] else 0 for m in sc.mats]
+    ranks = [ratgeom.rank(m) for m in sc.mats]
     out = []
     for i, dim in enumerate(sc.dims):
         r_out = ranks[i - 1] if i >= 1 else 0
@@ -311,43 +311,12 @@ def _solve_columns(nrows, ncols, prescribed, unknown, equations):
                 for r in range(nrows) if (r, col) not in unknown)
             rows.append([coeff.get(r, Fraction(0)) for r in vars_])
             rhss.append(Fraction(rhs_fn(col)) - const)
-        sol = _linear_solve(rows, rhss)
+        sol = ratgeom.linear_solve(rows, rhss, len(vars_))
         if sol is None:
             raise InternalInvariantError("splice lift system is inconsistent")
         for r, val in zip(vars_, sol):
             mat[r][col] = val
     return tuple(tuple(row) for row in mat)
-
-
-def _linear_solve(rows, rhss):
-    """Any exact solution of rows * x = rhss, free variables set to zero."""
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhss[i])] for i in range(nr)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, nr):
-        if aug[i][nc]:
-            return None
-    sol = [Fraction(0)] * nc
-    for ri, ci in pivots:
-        sol[ci] = aug[ri][nc]
-    return sol
 
 
 def _entrywise_geq(a, b) -> bool:

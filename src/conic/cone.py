@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import ratgeom
 from .errors import InputError, InternalInvariantError
-from .ratgeom import EQ, LE, IntVec, dot, intvec, primitive
+from .ratgeom import EQ, LE, IntVec, dot, intvec, neg, primitive
 
 
 @dataclass(frozen=True)
@@ -135,24 +135,18 @@ def _minimal_generators(rays: list[IntVec]) -> tuple[tuple[int, ...], tuple[IntV
 
 
 def _adjugate_rays(base: list[IntVec]) -> list[IntVec]:
-    """Rays pairing positively with one base row and zero with the rest."""
-    d = len(base)
-    det = ratgeom.det(base)
-    if det == 0:
-        raise InternalInvariantError("base rows are singular")
-    sign = 1 if det > 0 else -1
+    """Rays pairing positively with one base row and zero with the rest.
+
+    Ray j spans the kernel of the other base rows; it is the primitive
+    kernel vector, oriented to pair positively with row j.
+    """
     rays = []
-    for j in range(d):
-        col = []
-        for i in range(d):
-            minor = [
-                tuple(base[r][c] for c in range(d) if c != i)
-                for r in range(d)
-                if r != j
-            ]
-            cof = ratgeom.det(minor) if minor else 1
-            col.append(sign * (-1) ** (i + j) * cof)
-        rays.append(primitive(tuple(col)))
+    for j, row in enumerate(base):
+        ker = ratgeom.rref_kernel_basis(base[:j] + base[j + 1:], len(base))
+        side = dot(ker[0], row) if len(ker) == 1 else 0
+        if side == 0:
+            raise InternalInvariantError("base rows are singular")
+        rays.append(ker[0] if side > 0 else neg(ker[0]))
     return rays
 
 

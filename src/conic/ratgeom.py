@@ -6,7 +6,9 @@ mixing weak (<=) and strict (<) inequalities is decided by Fourier-Motzkin
 elimination that carries a strictness flag per constraint: a derived
 constraint is strict exactly when one of its parents is.  For rational data
 this decides feasibility over the reals, and back-substitution through the
-elimination levels produces an exact rational witness point.
+elimination levels produces an exact rational witness point.  Ranks,
+determinants, linear solves and kernels all read from one fraction-free
+(Bareiss) elimination, ``echelon``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ def ratvec(values: Iterable) -> RatVec:
 def intvec(values: Iterable) -> IntVec:
     out = []
     for v in values:
-        f = Fraction(v)
-        if f.denominator != 1:
-            raise InputError(f"expected integer entry, got {v!r}")
-        out.append(int(f))
+        if type(v) is not int:
+            f = Fraction(v)
+            if f.denominator != 1:
+                raise InputError(f"expected integer entry, got {v!r}")
+            v = int(f)
+        out.append(v)
     return tuple(out)
 
 
@@ -126,20 +130,8 @@ def system(dim: int, rows: Iterable[tuple]) -> LinSystem:
 # integers with overall gcd 1 so that duplicates collide under dedup.
 
 def _scaled(coeffs, rhs, strict):
-    den = 1
-    for q in coeffs:
-        den = den * q.denominator // math.gcd(den, q.denominator)
-    den = den * rhs.denominator // math.gcd(den, rhs.denominator)
-    ints = [int(q * den) for q in coeffs]
-    r = int(rhs * den)
-    g = 0
-    for a in ints:
-        g = math.gcd(g, a)
-    g = math.gcd(g, r)
-    if g > 1:
-        ints = [a // g for a in ints]
-        r //= g
-    return tuple(ints), r, strict
+    *ints, r = _integral((*coeffs, rhs))
+    return _renorm(tuple(ints), r, strict)
 
 
 def _renorm(coeffs, rhs, strict):
@@ -276,81 +268,116 @@ def solve(sys: LinSystem) -> Optional[RatVec]:
 
 
 # --------------------------------------------------------------------------
-# ranks, determinants, lattice routines
+# the exact elimination kernel and what reads from it
 
 
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination."""
-    mat = [list(map(int, r)) for r in rows]
-    if not mat or not mat[0]:
-        return 0
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
+def _denominator(row) -> int:
+    """Least common denominator of a row of int or Fraction entries."""
+    return math.lcm(*(x.denominator for x in row))
+
+
+def _integral(row) -> list[int]:
+    """The row scaled by its least common denominator, a positive integer."""
+    den = _denominator(row)
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def echelon(rows: Sequence[Sequence],
+            ncols: int) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Fraction-free row echelon form of a rational matrix (Bareiss, 1968).
+
+    Each row is first scaled by the least common denominator of its
+    entries.  The scale is a positive integer, so the rank, the pivot
+    columns, the solution set and the sign of the determinant are kept.
+    Pivots are sought only in the first ncols columns; further columns,
+    such as an augmented right-hand side, ride along.
+
+    Returns (int_rows, pivots, sign).  Row k < len(pivots) has its
+    leading entry in column pivots[k]; the remaining rows vanish on the
+    first ncols columns; sign is the sign of the row permutation.  Every
+    entry is an exact minor of the scaled matrix, so for a nonsingular
+    square matrix sign * int_rows[-1][-1] is its (scaled) determinant.
+    """
+    mat = [_integral(r) for r in rows]
+    nrows = len(mat)
+    pivots: list[int] = []
+    sign = 1
     prev = 1
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         piv = next((i for i in range(r, nrows) if mat[i][c]), None)
         if piv is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                # Bareiss update; the division is exact.
-                mat[i][j] = (mat[i][j] * mat[r][c] - mat[i][c] * mat[r][j]) // prev
-            mat[i][c] = 0
-        prev = mat[r][c]
-        r += 1
-    return r
-
-
-def det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InputError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    mat = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mat[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
             sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                mat[i][j] = (mat[i][j] * mat[c][c] - mat[i][c] * mat[c][j]) // prev
-            mat[i][c] = 0
-        prev = mat[c][c]
-    return sign * mat[n - 1][n - 1]
+        top = mat[r]
+        p = top[c]
+        for i in range(r + 1, nrows):
+            f = mat[i][c]
+            # Sylvester's identity makes the division exact.
+            mat[i] = [(a * p - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = p
+        pivots.append(c)
+    return mat, tuple(pivots), sign
+
+
+def _back_substitute(ech, pivots, rhs, ncols: int) -> list[Fraction]:
+    """Solution of the echelon rows against rhs with every free variable zero."""
+    x = [Fraction(0)] * ncols
+    for k in reversed(range(len(pivots))):
+        row = ech[k]
+        rest = rhs[k] - sum(row[j] * x[j] for j in pivots[k + 1:])
+        x[pivots[k]] = Fraction(rest, row[pivots[k]])
+    return x
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q of a matrix with int or Fraction entries."""
+    return len(echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
 def qrank(rows) -> int:
-    """Rank of a matrix with Fraction/int entries (plain Gaussian elimination)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat or not mat[0]:
+    """Same as rank; the name stays because the benchmark tracer wraps it."""
+    return len(echelon(rows, len(rows[0]) if rows else 0)[1])
+
+
+def det(rows: Sequence[Sequence]):
+    """Exact determinant of a square matrix with int or Fraction entries.
+
+    The result is an int when every entry is an integer.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InputError("determinant of a non-square matrix")
+    ech, pivots, sign = echelon(rows, n)
+    if len(pivots) < n:
         return 0
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-    return r
+    value = sign * ech[-1][-1] if n else 1
+    den = math.prod(_denominator(r) for r in rows)
+    return value if den == 1 else Fraction(value, den)
+
+
+def _solve(rows, rhs, ncols: int):
+    """(pivots, solution with free variables zero), or (pivots, None) if inconsistent."""
+    if len(rhs) != len(rows):
+        raise InputError("right-hand side length does not match the matrix")
+    ech, pivots, _ = echelon([list(row) + [b] for row, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in ech[len(pivots):]):
+        return pivots, None
+    return pivots, _back_substitute(ech, pivots, [row[ncols] for row in ech], ncols)
+
+
+def linear_solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optional[RatVec]:
+    """Exact solution of rows . x = rhs in ncols unknowns, or None.
+
+    Free variables are set to zero, which makes the solution unique; None
+    means the system is inconsistent.
+    """
+    sol = _solve(rows, rhs, ncols)[1]
+    return None if sol is None else tuple(sol)
 
 
 def lattice_solve(rows: Sequence[IntVec], rhs: Sequence[int]) -> Optional[IntVec]:
@@ -359,39 +386,52 @@ def lattice_solve(rows: Sequence[IntVec], rhs: Sequence[int]) -> Optional[IntVec
     Returns the unique solution when it is rational and integral, otherwise
     None (also when no rational solution exists at all).
     """
-    nr = len(rows)
     nc = len(rows[0]) if rows else 0
-    if len(rhs) != nr:
-        raise InputError("right-hand side length does not match the matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                f = aug[i][c] / aug[r][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
+    pivots, sol = _solve(rows, rhs, nc)
     if len(pivots) < nc:
         raise InputError("matrix does not have full column rank")
-    for i in range(r, nr):
-        if aug[i][nc]:
-            return None
-    sol = [Fraction(0)] * nc
-    for ri, ci in pivots:
-        sol[ci] = aug[ri][nc] / aug[ri][ci]
-    if any(s.denominator != 1 for s in sol):
+    if sol is None or any(s.denominator != 1 for s in sol):
         return None
     return tuple(int(s) for s in sol)
 
 
+def rref_kernel_basis(rows: Sequence[Sequence], ncols: int) -> tuple[IntVec, ...]:
+    """Kernel basis from the reduced row echelon form, scaled to integers.
+
+    One basis vector per free column (ascending), each scaled to a primitive
+    integer vector whose free coordinate is positive.  This is a deterministic
+    basis of the rational kernel; it is not in general a basis of the integer
+    kernel lattice.
+    """
+    ech, pivots, _ = echelon(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = _back_substitute(ech, pivots, [-row[fc] for row in ech], ncols)
+        vec[fc] = Fraction(1)
+        basis.append(primitive(_integral(vec)))
+    return tuple(basis)
+
+
 # --------------------------------------------------------------------------
 # Hermite / Smith normal forms and kernels
+
+
+def _gcd_combine(u: list[int], v: list[int], a: int, b: int) -> tuple[list[int], list[int]]:
+    """Unimodular combination of u and v that clears v's entry b against u's a.
+
+    a and b sit at the same position of u and v.  When a divides b, v
+    loses b/a times u; otherwise the xgcd pair moves gcd(a, b) into u.
+    Either way the new v is zero at that position.
+    """
+    if a and b % a == 0:
+        q = b // a
+        return u, [y - q * x for x, y in zip(u, v)]
+    g, x, y = xgcd(a, b)
+    ag, bg = a // g, b // g
+    return ([x * p + y * q for p, q in zip(u, v)],
+            [-bg * p + ag * q for p, q in zip(u, v)])
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
@@ -401,7 +441,7 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     and zero rows are dropped; the result is a canonical basis of the row
     lattice.
     """
-    mat = [list(map(int, r)) for r in rows if any(r)]
+    mat = [list(intvec(r)) for r in rows if any(r)]
     if not mat:
         return ()
     ncols = len(mat[0])
@@ -416,17 +456,9 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
             continue
         mat[top], mat[piv] = mat[piv], mat[top]
         for i in range(top + 1, len(mat)):
-            while mat[i][col]:
-                a, b = mat[top][col], mat[i][col]
-                if a and b % a == 0:
-                    q = b // a
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[top])]
-                else:
-                    g, x, y = xgcd(a, b)
-                    ag, bg = a // g, b // g
-                    rt, ri = mat[top], mat[i]
-                    mat[top] = [x * p + y * q for p, q in zip(rt, ri)]
-                    mat[i] = [-bg * p + ag * q for p, q in zip(rt, ri)]
+            if mat[i][col]:
+                mat[top], mat[i] = _gcd_combine(
+                    mat[top], mat[i], mat[top][col], mat[i][col])
         if mat[top][col] < 0:
             mat[top] = [-x for x in mat[top]]
         for i in range(top):
@@ -450,74 +482,12 @@ def hnf_pivots(basis: Sequence[IntVec]) -> tuple[tuple[int, int], ...]:
 
 def reduce_mod_hnf(v: Sequence[int], basis: Sequence[IntVec]) -> IntVec:
     """Canonical representative of v modulo the row lattice of an HNF basis."""
-    w = list(map(int, v))
+    w = list(intvec(v))
     for i, col in hnf_pivots(basis):
         q = w[col] // basis[i][col]
         if q:
             w = [x - q * y for x, y in zip(w, basis[i])]
     return tuple(w)
-
-
-def rref_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVec, ...]:
-    """Kernel basis from the reduced row echelon form, scaled to integers.
-
-    One basis vector per free column (ascending), each scaled to a primitive
-    integer vector whose free coordinate is positive.  This is a deterministic
-    basis of the rational kernel; it is not in general a basis of the integer
-    kernel lattice.
-    """
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        den = 1
-        for x in vec:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = [int(x * den) for x in vec]
-        basis.append(primitive(ints))
-    return tuple(basis)
-
-
-def rref_pivot_columns(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
-    """Pivot columns of the reduced row echelon form of the rows."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, len(mat)):
-            if mat[i][c]:
-                f = mat[i][c] / mat[r][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(pivots)
 
 
 def functional_kernel_basis(n: Sequence[int]) -> tuple[IntVec, ...]:
@@ -545,7 +515,7 @@ def functional_kernel_basis(n: Sequence[int]) -> tuple[IntVec, ...]:
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Nonzero elementary divisors, positive, each dividing the next."""
-    mat = [list(map(int, r)) for r in rows]
+    mat = [list(intvec(r)) for r in rows]
     if not mat or not mat[0]:
         return ()
     nr, nc = len(mat), len(mat[0])
@@ -568,31 +538,14 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
             row[t], row[j0] = row[j0], row[t]
         while True:
             for i in range(t + 1, nr):
-                while mat[i][t]:
-                    a, b = mat[t][t], mat[i][t]
-                    if a and b % a == 0:
-                        q = b // a
-                        mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
-                    else:
-                        g, x, y = xgcd(a, b)
-                        ag, bg = a // g, b // g
-                        rt, ri = mat[t], mat[i]
-                        mat[t] = [x * p + y * q for p, q in zip(rt, ri)]
-                        mat[i] = [-bg * p + ag * q for p, q in zip(rt, ri)]
+                if mat[i][t]:
+                    mat[t], mat[i] = _gcd_combine(mat[t], mat[i], mat[t][t], mat[i][t])
             for j in range(t + 1, nc):
-                while mat[t][j]:
-                    a, b = mat[t][t], mat[t][j]
-                    if a and b % a == 0:
-                        q = b // a
-                        for row in mat:
-                            row[j] -= q * row[t]
-                    else:
-                        g, x, y = xgcd(a, b)
-                        ag, bg = a // g, b // g
-                        for row in mat:
-                            p, q_ = row[t], row[j]
-                            row[t] = x * p + y * q_
-                            row[j] = -bg * p + ag * q_
+                if mat[t][j]:
+                    ct, cj = _gcd_combine([row[t] for row in mat],
+                                          [row[j] for row in mat], mat[t][t], mat[t][j])
+                    for row, p, q in zip(mat, ct, cj):
+                        row[t], row[j] = p, q
             if all(mat[i][t] == 0 for i in range(t + 1, nr)) and \
                all(mat[t][j] == 0 for j in range(t + 1, nc)):
                 break

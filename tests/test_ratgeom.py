@@ -3,7 +3,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conic.errors import InputError
@@ -17,6 +17,7 @@ from conic.ratgeom import (
     functional_kernel_basis,
     hermite_normal_form,
     lattice_solve,
+    linear_solve,
     primitive,
     qrank,
     rank,
@@ -29,6 +30,7 @@ from conic.ratgeom import (
 )
 
 ints = st.integers(min_value=-30, max_value=30)
+rats = ints | st.fractions(min_value=-30, max_value=30, max_denominator=6)
 
 
 def expansion_det(sub):
@@ -58,12 +60,14 @@ def minor_rank(rows):
     return 0
 
 
-@given(st.lists(st.lists(ints, min_size=3, max_size=3), min_size=1, max_size=4))
+@given(st.lists(st.lists(rats, min_size=3, max_size=3), min_size=1, max_size=4))
+@example([[Fraction(1, 2), 1, 0], [1, 2, 0]])
+@example([[Fraction(1, 2), 1, 0], [1, 1, 0]])
 def test_rank_matches_minor_oracle(rows):
-    assert rank(rows) == minor_rank(rows)
+    assert rank(rows) == qrank(rows) == minor_rank(rows)
 
 
-@given(st.lists(st.lists(ints, min_size=3, max_size=3), min_size=3, max_size=3))
+@given(st.lists(st.lists(rats, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_det_matches_expansion_and_alternates(rows):
     assert det(rows) == expansion_det(rows)
     swapped = [rows[1], rows[0], rows[2]]
@@ -128,6 +132,21 @@ def test_lattice_solve_round_trip(rows, target):
     assert tuple(dot(r, x) for r in rows) == rhs
 
 
+@given(st.lists(st.lists(rats, min_size=3, max_size=3), max_size=4),
+       st.lists(rats, min_size=3, max_size=3))
+@example(rows=[], x=[1, 2, 3])
+def test_linear_solve_consistent_and_inconsistent(rows, x):
+    rhs = [dot(r, x) for r in rows]
+    sol = linear_solve(rows, rhs, 3)
+    assert [dot(r, sol) for r in rows] == rhs
+    # column j is a pivot exactly when it raises the rank of columns 0..j-1
+    pivots = [j for j in range(3)
+              if minor_rank([r[:j + 1] for r in rows]) > minor_rank([r[:j] for r in rows])]
+    assert all(sol[j] == 0 for j in range(3) if j not in pivots)
+    if rows:
+        assert linear_solve(rows + [rows[0]], rhs + [rhs[0] + 1], 3) is None
+
+
 def test_lattice_solve_detects_non_integral():
     # 2x = 1 has no integer solution
     assert lattice_solve(((2,),), (1,)) is None
@@ -161,7 +180,7 @@ def test_reduce_mod_hnf_canonical_on_cosets(v, rows):
     assert reduce_mod_hnf(shifted, h) == red
 
 
-@given(st.lists(st.lists(ints, min_size=4, max_size=4), min_size=1, max_size=3))
+@given(st.lists(st.lists(rats, min_size=4, max_size=4), min_size=1, max_size=3))
 def test_rref_kernel_orthogonal_and_full(rows):
     ker = rref_kernel_basis(rows, 4)
     for k in ker:
@@ -204,6 +223,6 @@ def test_smith_known_examples():
     assert smith_normal_form([(2, 0), (0, 3)]) == (1, 6)
 
 
-def test_qrank_fraction_entries():
-    assert qrank(((Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(2)))) == 1
-    assert qrank(((Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(1)))) == 2
+def test_integer_routines_reject_fractions():
+    with pytest.raises(InputError):
+        hermite_normal_form([[Fraction(1, 2), 1]])
