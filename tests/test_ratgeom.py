@@ -226,3 +226,8 @@ def test_smith_known_examples():
 def test_integer_routines_reject_fractions():
     with pytest.raises(InputError):
         hermite_normal_form([[Fraction(1, 2), 1]])
+
+
+def test_qrank_fraction_entries():
+    assert qrank(((Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(2)))) == 1
+    assert qrank(((Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(1)))) == 2
