@@ -124,13 +124,6 @@ def _frame(spec: ConeSpec, active: tuple[int, ...]) -> tuple[IntVec, ...]:
     return ratgeom.rref_kernel_basis(rows, spec.rank)
 
 
-@lru_cache(maxsize=None)
-def _free_columns(spec: ConeSpec, active: tuple[int, ...]) -> tuple[int, ...]:
-    rows = [spec.normals[i] for i in active]
-    pivots = ratgeom.echelon(rows, spec.rank)[1]
-    return tuple(j for j in range(spec.rank) if j not in pivots)
-
-
 def _active(spec: ConeSpec, cell: Cell) -> tuple[int, ...]:
     return tuple(i for i in range(len(spec.normals)) if i not in cell.omega)
 
@@ -163,8 +156,10 @@ def incidence_sign(spec: ConeSpec, inner: Cell, outer: Cell) -> int:
     for i in _active(spec, outer):
         if dot(u, spec.normals[i]) != 0:
             raise InternalInvariantError("outward vector leaves the outer cell")
-    cols = _free_columns(spec, _active(spec, outer))
     fo = orientation_frame(spec, outer)
+    # An RREF kernel vector is zero after its own free column, so each
+    # frame vector's last nonzero entry names that column.
+    cols = [max(j for j, x in enumerate(v) if x != 0) for v in fo]
     fi = orientation_frame(spec, inner)
     mat_a = [[u[j] for j in cols]] + [[v[j] for j in cols] for v in fi]
     mat_b = [[v[j] for j in cols] for v in fo]

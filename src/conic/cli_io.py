@@ -519,19 +519,9 @@ def _cmd_frobenius(args) -> str:
     return _emit(args, report, "\n".join(lines) + "\n")
 
 
-def _parse_window_box(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise InputError("svg window must be x0,x1,y0,y1")
-    try:
-        return tuple(Fraction(p.strip()) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"bad window value in {text!r}") from None
-
-
 def _cmd_svg(args) -> str:
     spec = _load_spec(args)
-    doc = render_svg_2d(spec, _parse_window_box(args.window))
+    doc = render_svg_2d(spec, args.window.split(","))
     if args.out is not None:
         Path(args.out).write_text(doc, encoding="utf-8")
         return f"wrote {args.out}\n"

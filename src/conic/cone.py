@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import ratgeom
 from .errors import InputError, InternalInvariantError
@@ -260,7 +259,6 @@ def validate(spec: ConeSpec) -> ConeChecks:
         pointed=True, full_dimensional=True, simplicial=spec.simplicial)
 
 
-@lru_cache(maxsize=None)
 def primal_generators(spec: ConeSpec) -> tuple[IntVec, ...]:
     """Primitive extreme rays of the cone, lex sorted when computed."""
     if spec.generators is not None:
@@ -268,7 +266,6 @@ def primal_generators(spec: ConeSpec) -> tuple[IntVec, ...]:
     return dual_extreme_rays(spec.normals, spec.rank)
 
 
-@lru_cache(maxsize=None)
 def restrict_to_facet(spec: ConeSpec, index: int) -> FacetRestriction:
     """Restrict the cone to the hyperplane of one facet normal.
 

@@ -14,9 +14,8 @@ import json
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
 
-from .chambers import canonical_class, is_feasible
+from .chambers import canonical_class
 from .cone import ConeSpec
 from .errors import InputError, UnsupportedOperationError
 from .ratgeom import IntVec, dot
@@ -38,31 +37,23 @@ def _corners(window):
     return ((x0, y0), (x0, y1), (x1, y0), (x1, y1))
 
 
-def _line_point(a, b, ka, kb):
-    # Intersection of a.x = ka with b.x = kb, or None when parallel.
-    den = a[0] * b[1] - a[1] * b[0]
-    if den == 0:
-        return None
-    x = Fraction(ka * b[1] - kb * a[1], den)
-    y = Fraction(a[0] * kb - b[0] * ka, den)
-    return (x, y)
-
-
-def _inside(spec: ConeSpec, c, window, pt) -> bool:
-    x0, x1, y0, y1 = window
-    if not (x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1):
-        return False
-    for n, ci in zip(spec.normals, c):
-        v = dot(pt, n)
-        if v > ci or v < ci - 1:
-            return False
-    return True
+def _clip(poly, n, k):
+    # Sutherland-Hodgman: the part of a convex polygon where <x, n> <= k.
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        vp, vq = dot(p, n) - k, dot(q, n) - k
+        if vp <= 0:
+            out.append(p)
+        if (vp < 0 < vq) or (vq < 0 < vp):
+            t = Fraction(vq, vq - vp)
+            out.append((q[0] + t * (p[0] - q[0]), q[1] + t * (p[1] - q[1])))
+    return out
 
 
 def _ccw_sorted(points):
     n = len(points)
-    cx = sum(p[0] for p in points) / n
-    cy = sum(p[1] for p in points) / n
+    cx = Fraction(sum(p[0] for p in points), n)
+    cy = Fraction(sum(p[1] for p in points), n)
 
     def quad(dx, dy):
         if dx > 0 and dy >= 0:
@@ -103,36 +94,26 @@ def drawn_chambers(spec: ConeSpec, window):
     """Chambers whose closure meets the window, with clipped polygons.
 
     Returns a lex-sorted list of (ceiling vector, vertex list); vertices
-    are exact and counterclockwise.
+    are exact and counterclockwise.  The window is cut by one normal's
+    closed strips c - 1 <= <x, n> <= c at a time.  A piece of positive
+    area has interior points, all with ceiling vector c, so c is a
+    chamber; and a point of the piece on two non-parallel bounding lines
+    is a vertex, so the vertex set is the closure's.
     """
     x0, x1, y0, y1 = window
-    ranges = []
+    pieces = [((), [(x0, y0), (x1, y0), (x1, y1), (x0, y1)])]
     for n in spec.normals:
-        vals = [dot(pt, n) for pt in _corners(window)]
-        ranges.append(range(math.ceil(min(vals)), math.ceil(max(vals)) + 1))
-    box_lines = (
-        ((1, 0), x0), ((1, 0), x1), ((0, 1), y0), ((0, 1), y1))
-    out = []
-    for c in product(*ranges):
-        if not is_feasible(spec, c):
-            continue
-        lines = list(box_lines)
-        for n, ci in zip(spec.normals, c):
-            lines.append((n, Fraction(ci)))
-            lines.append((n, Fraction(ci - 1)))
-        pts = set()
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                pt = _line_point(lines[i][0], lines[j][0],
-                                 lines[i][1], lines[j][1])
-                if pt is not None and _inside(spec, c, window, pt):
-                    pts.add(pt)
-        if len(pts) < 3:
-            continue
-        poly = _ccw_sorted(list(pts))
-        if _area2(poly) == 0:
-            continue
-        out.append((c, poly))
+        neg = tuple(-a for a in n)
+        split = []
+        for c, poly in pieces:
+            vals = [dot(p, n) for p in poly]
+            for ci in range(math.floor(min(vals)) + 1, math.ceil(max(vals)) + 1):
+                piece = _clip(_clip(poly, n, ci), neg, 1 - ci)
+                if len(set(piece)) >= 3:
+                    split.append((c + (ci,), piece))
+        pieces = split
+    out = [(c, _ccw_sorted(list(set(poly))))
+           for c, poly in pieces if _area2(poly) != 0]
     return sorted(out, key=lambda item: item[0])
 
 
@@ -164,9 +145,12 @@ def render_svg_2d(spec: ConeSpec, window) -> str:
     """
     if spec.rank != 2:
         raise UnsupportedOperationError("SVG rendering needs a rank-2 cone")
-    if len(window) != 4:
-        raise InputError("window must be x0, x1, y0, y1")
-    x0, x1, y0, y1 = (Fraction(w) for w in window)
+    try:
+        x0, x1, y0, y1 = (Fraction(w) for w in window)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(
+            f"window must be four rationals x0, x1, y0, y1, not {window!r}"
+        ) from None
     if x0 >= x1 or y0 >= y1:
         raise InputError("window must have positive width and height")
     window = (x0, x1, y0, y1)

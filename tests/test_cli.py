@@ -187,3 +187,6 @@ def test_main_svg(tmp_path, quadric_file, capsys):
     doc = out_file.read_text()
     assert doc.startswith("<svg")
     assert doc.rstrip().endswith("</svg>")
+    for bad in ("a,1,-1,1", "1/0,1,-1,1", "-1,1,-1", "1,-1,-1,1"):
+        assert main(["svg", f"--window={bad}", "--input", quadric_file]) == 1
+    assert "window" in capsys.readouterr().err
