@@ -11,20 +11,23 @@ incidence sign computed from exact orientation frames.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from . import ratgeom
-from .chambers import region_system, require_chamber
-from .cone import ConeSpec
+from .chambers import ceiling_vector
+from .cone import ConeSpec, dual_extreme_rays
 from .errors import InputError, InternalInvariantError
-from .ratgeom import EQ, LE, IntVec, RatVec, dot, intvec, sub
-
-DEFAULT_MAX_NORMALS = 12
+from .ratgeom import IntVec, RatVec, dot, neg, sub
 
 
 @dataclass(frozen=True)
 class Cell:
-    """One cell of a chamber: strip indices, codimension, interior point."""
+    """One cell of a chamber: strip indices, codimension, interior point.
+
+    The witness is the exact barycenter of the vertices of the cell's
+    closure, a canonical point of its relative interior.
+    """
 
     chamber: IntVec
     omega: tuple[int, ...]
@@ -32,64 +35,57 @@ class Cell:
     witness: RatVec = field(compare=False)
 
 
-def _weak_system(spec: ConeSpec, c: IntVec, omega) -> ratgeom.LinSystem:
-    # Closure of the cell: equalities off omega, closed strips on omega.
-    rows = []
-    for i, n in enumerate(spec.normals):
-        if i in omega:
-            rows.append((n, LE, c[i]))
-            rows.append((tuple(-x for x in n), LE, 1 - c[i]))
-        else:
-            rows.append((n, EQ, c[i]))
-    return ratgeom.system(spec.rank, rows)
-
-
-def cell_system(spec: ConeSpec, c, omega) -> ratgeom.LinSystem:
-    """The locally closed system of one cell."""
-    cc = intvec(c)
-    om = tuple(sorted(omega))
-    return region_system(spec, cc, eq=tuple(i for i in range(len(cc)) if i not in om),
-                         open_=om)
-
-
 @lru_cache(maxsize=None)
 def _enumerate(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
-    t = len(spec.normals)
+    # The closed box c_i - 1 <= <x, n_i> <= c_i is a polytope.  Its
+    # vertices are x / s for the extreme rays (x, s) of the homogenised
+    # cone s >= 0, <x, n_i> <= c_i s, <x, n_i> >= (c_i - 1) s.  Bound
+    # 2i is the upper bound of normal i, bound 2i + 1 its lower bound.
+    d, t = spec.rank, len(spec.normals)
+    bounds = []
+    for n, ci in zip(spec.normals, c):
+        bounds += [neg(n) + (ci,), n + (1 - ci,)]
+    vertices = []
+    for ray in dual_extreme_rays(tuple([(0,) * d + (1,)] + bounds), d + 1):
+        tight = frozenset(k for k, b in enumerate(bounds) if dot(ray, b) == 0)
+        vertices.append((tuple(Fraction(x, ray[d]) for x in ray[:d]), tight))
+    # The faces of the box are the intersections of vertex tight sets; a
+    # face is the closure of a cell when only upper bounds are tight on it.
+    faces = {tight for _, tight in vertices}
+    todo = list(faces)
+    while todo:
+        face = todo.pop()
+        for _, tight in vertices:
+            meet = face & tight
+            if meet not in faces:
+                faces.add(meet)
+                todo.append(meet)
     found = []
-
-    def visit(removed: tuple[int, ...]):
-        omega = tuple(i for i in range(t) if i not in removed)
-        if not ratgeom.feasible(_weak_system(spec, c, set(omega))):
-            # The closure is empty, so every cell with a smaller omega
-            # is empty as well: prune the whole subtree.
-            return
-        witness = ratgeom.solve(cell_system(spec, c, omega))
-        if witness is not None:
-            active = [spec.normals[i] for i in removed]
-            found.append(Cell(
-                chamber=c, omega=omega,
-                codim=ratgeom.rank(active) if active else 0,
-                witness=witness))
-        start = removed[-1] + 1 if removed else 0
-        for j in range(start, t):
-            visit(removed + (j,))
-
-    visit(())
+    for face in faces:
+        if any(k % 2 for k in face):
+            continue
+        pinned = [spec.normals[k // 2] for k in face]
+        points = [x for x, tight in vertices if face <= tight]
+        found.append(Cell(
+            chamber=c,
+            omega=tuple(i for i in range(t) if 2 * i not in face),
+            codim=ratgeom.rank(pinned),
+            witness=tuple(sum(xs) / len(points) for xs in zip(*points))))
     return tuple(sorted(found, key=lambda cell: (cell.codim, cell.omega)))
 
 
-def enumerate_cells(spec: ConeSpec, c, max_normals: int | None = None) -> tuple[Cell, ...]:
-    """All cells of a feasible chamber, sorted by (codim, omega).
+def enumerate_cells(spec: ConeSpec, c) -> tuple[Cell, ...]:
+    """All cells of a chamber, sorted by (codim, omega).
 
-    The subset walk is exponential in the number of normals, so it is
-    capped at DEFAULT_MAX_NORMALS unless an explicit override is given.
+    One double-description pass finds the vertices of the chamber's
+    closure and their tight bounds; no Fourier-Motzkin call is made.
+    The cells partition the chamber, so none means c is not a chamber.
     """
-    cap = DEFAULT_MAX_NORMALS if max_normals is None else max_normals
-    if len(spec.normals) > cap:
-        raise InputError(
-            f"{len(spec.normals)} normals exceeds the cell enumeration cap "
-            f"{cap}; pass max_normals to override")
-    return _enumerate(spec, require_chamber(spec, c))
+    cc = ceiling_vector(spec, c)
+    cells = _enumerate(spec, cc)
+    if not cells:
+        raise InputError(f"not a chamber: {cc} is infeasible")
+    return cells
 
 
 def open_conic(cell: Cell) -> IntVec:
@@ -102,18 +98,16 @@ def open_conic(cell: Cell) -> IntVec:
         c if i in cell.omega else c + 1 for i, c in enumerate(cell.chamber))
 
 
-def cell_census(spec: ConeSpec, c, max_normals: int | None = None) -> dict[int, int]:
+def cell_census(spec: ConeSpec, c) -> dict[int, int]:
     """Number of cells per codimension."""
     census: dict[int, int] = {}
-    for cell in enumerate_cells(spec, c, max_normals=max_normals):
+    for cell in enumerate_cells(spec, c):
         census[cell.codim] = census.get(cell.codim, 0) + 1
     return census
 
 
-def has_zero_cell(spec: ConeSpec, c, max_normals: int | None = None) -> bool:
-    return any(
-        cell.codim == spec.rank
-        for cell in enumerate_cells(spec, c, max_normals=max_normals))
+def has_zero_cell(spec: ConeSpec, c) -> bool:
+    return any(cell.codim == spec.rank for cell in enumerate_cells(spec, c))
 
 
 @lru_cache(maxsize=None)

@@ -41,6 +41,15 @@ def nhat(spec: ConeSpec, m) -> IntVec:
     return tuple(dot(w, n) for n in spec.normals)
 
 
+def ceiling_vector(spec: ConeSpec, c) -> IntVec:
+    """The ceiling vector as a tuple of ints, one entry per normal."""
+    cc = intvec(c)
+    if len(cc) != len(spec.normals):
+        raise InputError(
+            f"ceiling vector has length {len(cc)}, expected {len(spec.normals)}")
+    return cc
+
+
 def region_system(spec: ConeSpec, c, eq=(), open_=()) -> ratgeom.LinSystem:
     """Half-open chamber system with optional per-index overrides.
 
@@ -48,10 +57,7 @@ def region_system(spec: ConeSpec, c, eq=(), open_=()) -> ratgeom.LinSystem:
     strip c_i - 1 < <x, n_i> < c_i.  Otherwise the half-open default
     c_i - 1 < <x, n_i> <= c_i.
     """
-    cc = intvec(c)
-    if len(cc) != len(spec.normals):
-        raise InputError(
-            f"ceiling vector has length {len(cc)}, expected {len(spec.normals)}")
+    cc = ceiling_vector(spec, c)
     rows = []
     for i, n in enumerate(spec.normals):
         if i in eq:

@@ -282,9 +282,13 @@ def _parse_class(spec: ConeSpec, classes, text: str):
     return canonical_class(spec, vec)
 
 
+def _support_parts(text: str) -> tuple[str, ...]:
+    """The class labels of a --support value; empty parts are dropped."""
+    return tuple(part for part in text.split(",") if part)
+
+
 def _parse_support(spec: ConeSpec, classes, text: str):
-    return tuple(
-        _parse_class(spec, classes, part) for part in text.split(",") if part)
+    return tuple(_parse_class(spec, classes, part) for part in _support_parts(text))
 
 
 # --------------------------------------------------------------------------
@@ -310,7 +314,7 @@ def _emit(args, report: dict, text: str) -> str:
 
 def _cmd_analyze(args) -> str:
     spec = _load_spec(args)
-    supports = tuple(tuple(s.split(",")) for s in args.support or ())
+    supports = tuple(_support_parts(s) for s in args.support or ())
     options = AnalyzeOptions(
         acyclicity_radius=args.window,
         frobenius_q=args.q,

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import ratgeom
 from .errors import InputError, InternalInvariantError
-from .ratgeom import EQ, LE, IntVec, dot, intvec, neg, primitive
+from .ratgeom import LE, IntVec, dot, intvec, neg, primitive
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,10 @@ class ConeSpec:
         )
         if not ratgeom.feasible(interior):
             raise InputError("cone is not full-dimensional")
+        kept, _ = _minimal_generators(self.normals)
         for i, n in enumerate(self.normals):
-            others = self.normals[:i] + self.normals[i + 1 :]
-            if others and _in_cone_of(n, others):
+            # a repeated normal is redundant at each of its occurrences
+            if i not in kept or self.normals.count(n) > 1:
                 raise InputError(f"normal {i} is redundant: {n}")
         if self.generators is not None:
             for g in self.generators:
@@ -95,42 +97,21 @@ class FacetRestriction:
     kept: tuple[tuple[int, int], ...]
 
 
-def _in_cone_of(vec: IntVec, others: tuple[IntVec, ...]) -> bool:
-    """Whether vec is a nonnegative rational combination of others."""
-    k = len(others)
-    rows = []
-    for c in range(len(vec)):
-        rows.append((tuple(o[c] for o in others), EQ, vec[c]))
-    for j in range(k):
-        e = tuple(-1 if i == j else 0 for i in range(k))
-        rows.append((e, LE, 0))
-    return ratgeom.feasible(ratgeom.system(k, rows))
-
-
-def _minimal_generators(rays: list[IntVec]) -> tuple[tuple[int, ...], tuple[IntVec, ...]]:
+def _minimal_generators(rays: Sequence[IntVec]) -> tuple[tuple[int, ...], tuple[IntVec, ...]]:
     """Indices and values of the extremal rays among primitive rays.
 
-    Exact duplicates are removed first, then non-extremal rays one at a
-    time; survivors keep their input order.
+    The rays must generate a pointed full-dimensional cone.  A ray is kept
+    at its first occurrence when the facets of that cone through it,
+    the dual extreme rays vanishing on it, have rank d - 1; survivors
+    keep their input order.
     """
-    seen = {}
-    for i, r in enumerate(rays):
-        if r not in seen:
-            seen[r] = i
-    order = sorted(seen.values())
-    alive = [rays[i] for i in order]
-    idx = list(order)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(alive)):
-            others = tuple(alive[:k] + alive[k + 1 :])
-            if others and _in_cone_of(alive[k], others):
-                del alive[k]
-                del idx[k]
-                changed = True
-                break
-    return tuple(idx), tuple(alive)
+    d = len(rays[0])
+    facets = dual_extreme_rays(tuple(rays), d)
+    idx = tuple(
+        i for i, r in enumerate(rays)
+        if rays.index(r) == i
+        and ratgeom.rank([f for f in facets if dot(f, r) == 0]) == d - 1)
+    return idx, tuple(rays[i] for i in idx)
 
 
 def _adjugate_rays(base: list[IntVec]) -> list[IntVec]:

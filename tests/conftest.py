@@ -49,3 +49,11 @@ def hexagon():
     return from_primal_rays(
         3, [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1),
             (1, -1, 1)])
+
+
+@pytest.fixture(scope="session")
+def octahedron():
+    # rank-4 cone over the octahedron; 200 conic classes
+    return from_primal_rays(
+        4, [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1),
+            (0, 0, 1, 1), (0, 0, -1, 1)])

@@ -5,6 +5,7 @@ per criterion with its runtime.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from time import perf_counter
@@ -29,6 +30,7 @@ from conic import (
     smith_invariants,
     verify_acyclicity,
 )
+from conic.cli_io import analyze
 from conic.ratgeom import EQ, LE, LT, feasible, rank, system
 
 from box_census import box_census
@@ -267,3 +269,20 @@ def test_criterion_7_restriction_oracle(square, orthant3):
         assert set(fiber) == {(0, 0, 0, 0), (0, 0, -1, 0)}
 
     _run(7, "facet restriction correspondence", body, 60.0)
+
+
+def test_criterion_8_cone_over_octahedron(octahedron):
+    # rank 4 and not simplicial: the largest cone analysed end to end here
+    def body():
+        report = analyze(octahedron)
+        assert report["class_count"] == 200
+        shapes = Counter(
+            tuple(row["cell_census"][str(k)] for k in range(len(row["cell_census"])))
+            for row in report["classes"])
+        assert shapes == {(1, 2, 1): 64, (1, 3, 3, 1): 64, (1, 4, 4, 1): 48,
+                          (1, 4, 6, 4, 1): 16, (1, 8, 12, 6, 1): 8}
+        assert report["global_dimension"] == 4
+        assert report["nccr"]["verdict"] == "NotNCCR"
+        assert report["smith"]["all_trivial"]
+
+    _run(8, "cone over the octahedron", body, 60.0)

@@ -7,6 +7,7 @@ from conic import (
     cell_census,
     enumerate_cells,
     from_normals,
+    from_primal_rays,
     has_zero_cell,
     incidence_sign,
     is_facet_pair,
@@ -16,6 +17,8 @@ from conic.cells import orientation_frame
 from conic.chambers import chamber_of, enumerate_classes, pairings
 from conic.errors import InputError
 from conic.ratgeom import dot, rank
+
+from cell_oracle import oracle_cells
 
 
 def test_censuses(quadric, square, cyclic, orthant3):
@@ -51,15 +54,47 @@ def test_codim_is_rank_of_pinned_normals(square):
         assert cell.codim == (rank(pinned) if pinned else 0)
 
 
-def test_cell_witnesses_lie_in_their_cell(square):
-    c = (0, 0, 0, -1)
-    for cell in enumerate_cells(square, c):
-        prs = pairings(square, cell.witness)
-        for i, (p, ci) in enumerate(zip(prs, c)):
-            if i in cell.omega:
-                assert ci - 1 < p < ci
-            else:
-                assert p == ci
+SMALL_CONES = ("quadric", "square", "cyclic", "orthant2", "orthant3",
+               "pentagon", "hexagon")
+
+
+def _octahedron_classes(octahedron):
+    # one class of each of the five cell censuses
+    by_census = {}
+    for rep in enumerate_classes(octahedron).reps:
+        census = tuple(sorted(cell_census(octahedron, rep).items()))
+        by_census.setdefault(census, rep)
+    return sorted(by_census.values())
+
+
+def _cones_and_classes(request, name):
+    spec = request.getfixturevalue(name)
+    if name == "octahedron":
+        return spec, _octahedron_classes(spec)
+    return spec, enumerate_classes(spec).reps
+
+
+@pytest.mark.parametrize("name", SMALL_CONES + ("octahedron",))
+def test_cells_match_subset_oracle(request, name):
+    # every class of the small cones, one class per census shape of the
+    # octahedron: the (omega, codim) list equals the 2^t FM walk
+    spec, reps = _cones_and_classes(request, name)
+    for rep in reps:
+        got = [(cell.omega, cell.codim) for cell in enumerate_cells(spec, rep)]
+        assert got == oracle_cells(spec, rep), rep
+
+
+def test_cell_witnesses_lie_in_their_cell(request):
+    for name in SMALL_CONES + ("octahedron",):
+        spec, reps = _cones_and_classes(request, name)
+        for c in reps:
+            for cell in enumerate_cells(spec, c):
+                prs = pairings(spec, cell.witness)
+                for i, (p, ci) in enumerate(zip(prs, c)):
+                    if i in cell.omega:
+                        assert ci - 1 < p < ci
+                    else:
+                        assert p == ci
 
 
 def test_cells_partition_the_chamber(quadric, square):
@@ -132,9 +167,13 @@ def test_facet_pair_rejects_mixed_chambers(square):
         is_facet_pair(square, b, a)
 
 
-def test_enumeration_cap(square):
-    with pytest.raises(InputError):
-        enumerate_cells(square, (0, 0, 0, 0), max_normals=2)
+@pytest.mark.parametrize("t", [13, 20])
+def test_free_chamber_of_polygon_cones(t):
+    # cones over t-gons with vertices on a parabola; t normals, which is
+    # past what a walk over the 2^t pinned sets can afford
+    spec = from_primal_rays(3, [(k, k * k, 1) for k in range(t)])
+    assert len(spec.normals) == t
+    assert cell_census(spec, (0,) * t) == {0: 1, 1: t, 2: t, 3: 1}
 
 
 def test_infeasible_chamber_rejected(square):

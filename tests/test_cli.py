@@ -190,3 +190,19 @@ def test_main_svg(tmp_path, quadric_file, capsys):
     for bad in ("a,1,-1,1", "1/0,1,-1,1", "-1,1,-1", "1,-1,-1,1"):
         assert main(["svg", f"--window={bad}", "--input", quadric_file]) == 1
     assert "window" in capsys.readouterr().err
+
+
+def test_main_support_trailing_comma(square_file, capsys):
+    # analyze, nccr and resolution split --support alike: a trailing
+    # comma adds no class
+    for argv in (["analyze", "--json", "--support"], ["nccr", "--support"],
+                 ["resolution", "A1", "--support"]):
+        outs = []
+        for support in ("A0,A1", "A0,A1,"):
+            assert main(argv + [support, "--input", square_file]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+    assert main(["analyze", "--json", "--support", "A0,",
+                 "--input", square_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["partial_supports"][0]["support"] == ["A0"]

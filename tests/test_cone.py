@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conic import (
@@ -13,7 +13,29 @@ from conic import (
 )
 from conic.cone import content_hash
 from conic.errors import InputError
-from conic.ratgeom import dot, rank
+from conic.ratgeom import EQ, LE, dot, feasible, primitive, rank, system
+
+# a rank-4 cone with five extreme rays and six facets
+FIVE_RAYS = ((1, -1, -3, 2), (-2, 1, 0, 2), (0, -1, 3, 1), (-1, 2, -2, 3),
+             (-3, -3, 0, 1))
+
+
+def _in_cone_of(vec, others):
+    """FM oracle: whether vec is a nonnegative combination of others."""
+    if not others:
+        return False
+    k = len(others)
+    rows = [(tuple(o[j] for o in others), EQ, x) for j, x in enumerate(vec)]
+    rows += [(tuple(-1 if i == j else 0 for i in range(k)), LE, 0)
+             for j in range(k)]
+    return feasible(system(k, rows))
+
+
+def _extremal(rays):
+    """First occurrences that the other distinct rays do not generate."""
+    return tuple(r for i, r in enumerate(rays)
+                 if rays.index(r) == i
+                 and not _in_cone_of(r, [o for o in rays if o != r]))
 
 
 def test_quadric_from_dual_rays():
@@ -149,3 +171,74 @@ def test_spec_is_hashable_and_frozen(square):
     assert d[square] == 1
     with pytest.raises(Exception):
         square.rank = 5
+
+
+def _random_rays():
+    return st.integers(2, 4).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d).filter(any),
+        min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_rays())
+@example([(1, 0), (0, 1), (1, 1)])
+@example([(1, 0), (0, 1), (1, 0)])
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, 2, 0)])
+def test_kept_rays_and_refusals_match_fm_oracle(rays):
+    d = len(rays[0])
+    prims = [primitive(r) for r in rays]
+    keep = _extremal(prims)
+    try:
+        spec = from_dual_rays(d, rays)
+    except InputError:
+        pass
+    else:
+        assert spec.normals == keep
+        for i in range(len(spec.normals) if d > 1 else 0):
+            fr = restrict_to_facet(spec, i)
+            raw = [primitive(g) for _, g in fr.functionals]
+            assert fr.cone.normals == _extremal(raw)
+    try:
+        spec = from_primal_rays(d, rays)
+    except InputError:
+        pass
+    else:
+        assert spec.generators == keep
+    redundant = [i for i, n in enumerate(prims)
+                 if _in_cone_of(n, prims[:i] + prims[i + 1:])]
+    try:
+        from_normals(d, prims)
+    except InputError as err:
+        if "redundant" in str(err):
+            i = redundant[0]
+            assert str(err) == f"normal {i} is redundant: {prims[i]}"
+    else:
+        assert not redundant
+
+
+@pytest.mark.parametrize("t", [13, 20])
+def test_polygon_cones_build_every_way(t):
+    # cone over a t-gon with vertices on a parabola, plus an interior ray
+    # and a repeated one
+    rays = [(k, k * k, 1) for k in range(t)]
+    spec = from_primal_rays(3, rays + [(2, 6, 1), (0, 0, 1)])
+    assert spec.generators == tuple(rays)
+    assert len(spec.normals) == t
+    for ray in rays:
+        assert rank([n for n in spec.normals if dot(n, ray) == 0]) == 2
+    assert from_normals(3, spec.normals).normals == spec.normals
+    inner = tuple(a + b for a, b in zip(spec.normals[0], spec.normals[1]))
+    again = from_dual_rays(3, spec.normals + (inner,))
+    assert again.normals == spec.normals
+    with pytest.raises(InputError, match=f"normal {t} is redundant"):
+        from_normals(3, spec.normals + (primitive(inner),))
+
+
+def test_rank4_five_rays_build():
+    spec = from_primal_rays(4, FIVE_RAYS)
+    assert len(spec.normals) == 6
+    assert spec.generators == FIVE_RAYS
+    for ray in FIVE_RAYS:
+        assert all(dot(ray, n) >= 0 for n in spec.normals)
+    for n in spec.normals:
+        assert rank([r for r in FIVE_RAYS if dot(n, r) == 0]) == 3
