@@ -15,10 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ratgeom
-from .chambers import ceiling_vector
 from .cone import ConeSpec, dual_extreme_rays
 from .errors import InputError, InternalInvariantError
-from .ratgeom import IntVec, RatVec, dot, neg, sub
+from .ratgeom import IntVec, RatVec, dot, intvec, neg, sub
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,19 @@ class Cell:
     witness: RatVec = field(compare=False)
 
 
+def ceiling_vector(spec: ConeSpec, c) -> IntVec:
+    """The ceiling vector as a tuple of ints, one entry per normal."""
+    cc = intvec(c)
+    if len(cc) != len(spec.normals):
+        raise InputError(
+            f"ceiling vector has length {len(cc)}, expected {len(spec.normals)}")
+    return cc
+
+
 @lru_cache(maxsize=None)
-def _enumerate(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
+def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
+    """Cells of the chamber of a ceiling vector tuple, sorted by (codim,
+    omega), so a chamber's open cell comes first; none when c is not one."""
     # The closed box c_i - 1 <= <x, n_i> <= c_i is a polytope.  Its
     # vertices are x / s for the extreme rays (x, s) of the homogenised
     # cone s >= 0, <x, n_i> <= c_i s, <x, n_i> >= (c_i - 1) s.  Bound
@@ -78,11 +88,11 @@ def enumerate_cells(spec: ConeSpec, c) -> tuple[Cell, ...]:
     """All cells of a chamber, sorted by (codim, omega).
 
     One double-description pass finds the vertices of the chamber's
-    closure and their tight bounds; no Fourier-Motzkin call is made.
-    The cells partition the chamber, so none means c is not a chamber.
+    closure and their tight bounds.  The cells partition the chamber, so
+    none means c is not a chamber.
     """
     cc = ceiling_vector(spec, c)
-    cells = _enumerate(spec, cc)
+    cells = chamber_cells(spec, cc)
     if not cells:
         raise InputError(f"not a chamber: {cc} is infeasible")
     return cells

@@ -6,7 +6,8 @@ c_i = ceil(<v, n_i>).  The set of points sharing a ceiling vector is the
 chamber of c: the half-open box system c_i - 1 < <x, n_i> <= c_i.  Two
 chambers give isomorphic modules exactly when their ceiling vectors
 differ by an element of the pairing lattice, the image of the lattice
-under m |-> (<m, n_i>)_i.
+under m |-> (<m, n_i>)_i.  Every question about a chamber is read off
+its cells (``cells.chamber_cells``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ratgeom
+from .cells import ceiling_vector, chamber_cells
 from .cone import ConeSpec
 from .errors import InputError
 from .ratgeom import EQ, LE, LT, IntVec, RatVec, dot, intvec, sub
@@ -41,21 +43,13 @@ def nhat(spec: ConeSpec, m) -> IntVec:
     return tuple(dot(w, n) for n in spec.normals)
 
 
-def ceiling_vector(spec: ConeSpec, c) -> IntVec:
-    """The ceiling vector as a tuple of ints, one entry per normal."""
-    cc = intvec(c)
-    if len(cc) != len(spec.normals):
-        raise InputError(
-            f"ceiling vector has length {len(cc)}, expected {len(spec.normals)}")
-    return cc
-
-
 def region_system(spec: ConeSpec, c, eq=(), open_=()) -> ratgeom.LinSystem:
     """Half-open chamber system with optional per-index overrides.
 
     Index in ``eq``: equality <x, n_i> = c_i.  Index in ``open_``: open
     strip c_i - 1 < <x, n_i> < c_i.  Otherwise the half-open default
-    c_i - 1 < <x, n_i> <= c_i.
+    c_i - 1 < <x, n_i> <= c_i.  The Fourier-Motzkin reference the tests
+    check the cell-based answers against; nothing in the package calls it.
     """
     cc = ceiling_vector(spec, c)
     rows = []
@@ -68,15 +62,16 @@ def region_system(spec: ConeSpec, c, eq=(), open_=()) -> ratgeom.LinSystem:
     return ratgeom.system(spec.rank, rows)
 
 
-@lru_cache(maxsize=None)
-def is_feasible(spec: ConeSpec, c: IntVec) -> bool:
-    """Whether any point has this ceiling vector."""
-    return ratgeom.feasible(region_system(spec, c))
+def is_feasible(spec: ConeSpec, c) -> bool:
+    """Whether any point has this ceiling vector.  Lattice translation
+    keeps cells, so the canonical representative decides: it has a cell."""
+    return bool(chamber_cells(spec, _reduce(spec, ceiling_vector(spec, c))))
 
 
-def chamber_witness(spec: ConeSpec, c: IntVec) -> RatVec | None:
-    """An exact rational point of the chamber, or None when infeasible."""
-    return ratgeom.solve(region_system(spec, c))
+def chamber_witness(spec: ConeSpec, c) -> RatVec | None:
+    """An interior point of the chamber (its open cell's witness), or None."""
+    cells = chamber_cells(spec, ceiling_vector(spec, c))
+    return cells[0].witness if cells else None
 
 
 def degree(c) -> int:
@@ -86,7 +81,7 @@ def degree(c) -> int:
 
 def require_chamber(spec: ConeSpec, c) -> IntVec:
     """The ceiling vector as a tuple; InputError unless it is a chamber."""
-    cc = intvec(c)
+    cc = ceiling_vector(spec, c)
     if not is_feasible(spec, cc):
         raise InputError(f"not a chamber: {cc} is infeasible")
     return cc
@@ -110,10 +105,13 @@ def translation_lattice(spec: ConeSpec) -> tuple[IntVec, ...]:
     return ratgeom.hermite_normal_form(cols)
 
 
+def _reduce(spec: ConeSpec, cc: IntVec) -> IntVec:
+    return ratgeom.reduce_mod_hnf(cc, translation_lattice(spec))
+
+
 def canonical_class(spec: ConeSpec, c) -> IntVec:
     """Canonical representative of the chamber's isomorphism class."""
-    cc = require_chamber(spec, c)
-    return ratgeom.reduce_mod_hnf(cc, translation_lattice(spec))
+    return _reduce(spec, require_chamber(spec, c))
 
 
 def iso_witness(spec: ConeSpec, c, cp) -> IntVec | None:
@@ -126,20 +124,17 @@ def iso_witness(spec: ConeSpec, c, cp) -> IntVec | None:
 def is_adjacent(spec: ConeSpec, c, cp) -> bool:
     """Whether two chambers share a wall.
 
-    The ceiling vectors must differ by one in exactly one coordinate,
-    and the shared wall (pairing i pinned at the smaller ceiling, all
-    other pairings in open strips) must be nonempty.
+    The ceiling vectors must differ by one in exactly one coordinate i,
+    and the lower one, min(a, b), must have the cell pinning i alone.
     """
     a = require_chamber(spec, c)
     b = require_chamber(spec, cp)
     diffs = [i for i in range(len(a)) if a[i] != b[i]]
     if len(diffs) != 1 or abs(a[diffs[0]] - b[diffs[0]]) != 1:
         return False
-    i = diffs[0]
-    wall = tuple(min(x, y) for x, y in zip(a, b))
-    sys = region_system(
-        spec, wall, eq=(i,), open_=tuple(j for j in range(len(a)) if j != i))
-    return ratgeom.feasible(sys)
+    omega = tuple(j for j in range(len(a)) if j != diffs[0])
+    cells = chamber_cells(spec, _reduce(spec, min(a, b)))
+    return any(cell.omega == omega for cell in cells)
 
 
 @dataclass(frozen=True)
@@ -165,35 +160,38 @@ class ClassList:
 
 @lru_cache(maxsize=None)
 def enumerate_classes(spec: ConeSpec) -> ClassList:
-    """All isomorphism classes, by breadth-first search over +-e_i steps.
+    """All isomorphism classes, by breadth-first search over +e_i steps.
 
-    The search is complete.  A generic segment between interior points
-    crosses one hyperplane <x, n_i> = k at a time, so the
-    full-dimensional chambers are linked by +-e_i steps.  A
-    lower-dimensional chamber c lies one step -e_i from a
-    full-dimensional one: the normals tight at a point of c generate a
-    pointed cone, so one of them, n_i, is extreme, and a small move that
-    raises <x, n_i> and lowers the other tight pairings enters the
-    interior of c + e_i.  Lattice translation commutes with steps, so
-    walking over canonical representatives misses no class.
+    c + e_i is a chamber exactly when a cell of c pins i.  If x in c has
+    <x, n_i> = c_i, then n_i, being irredundant, is not in the cone of
+    the other normals pinned at x, so by Farkas a small move raising
+    <x, n_i> and lowering none of those enters c + e_i.  Conversely, a
+    segment from c to c + e_i stays in the convex strip of the other
+    indices and meets <x, n_i> = c_i inside c.
+
+    The search is complete.  A chamber holds x - eps u for x in it and u
+    in the interior of the cone, so it has interior points p.  Pick u
+    with coordinates independent over Q: p + s u crosses walls only
+    upward, one at a time for generic p, each at a point of the lower
+    chamber pinning the crossed index, and it is dense modulo Z^d, so for
+    some s < 0 it lies inside a translate of the free chamber.  Lattice
+    translation commutes with steps and keeps cells, so walking over
+    canonical representatives from the free class misses no class.
     """
     t = len(spec.normals)
-    zero = tuple(0 for _ in range(t))
-    start = canonical_class(spec, zero)
+    start = canonical_class(spec, tuple(0 for _ in range(t)))
     seen = {start}
     queue = [start]
     while queue:
         cur = queue.pop(0)
+        cells = chamber_cells(spec, cur)
         for i in range(t):
-            for step in (1, -1):
-                nxt = tuple(
-                    x + step if j == i else x for j, x in enumerate(cur))
-                if not is_feasible(spec, nxt):
-                    continue
-                rep = canonical_class(spec, nxt)
-                if rep not in seen:
-                    seen.add(rep)
-                    queue.append(rep)
+            if all(i in cell.omega for cell in cells):
+                continue
+            rep = _reduce(spec, tuple(x + (j == i) for j, x in enumerate(cur)))
+            if rep not in seen:
+                seen.add(rep)
+                queue.append(rep)
     reps = tuple(sorted(seen))
     labels = [""] * len(reps)
     labels[reps.index(start)] = "A0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import ratgeom
 from .errors import InputError, InternalInvariantError
-from .ratgeom import LE, IntVec, dot, intvec, neg, primitive
+from .ratgeom import IntVec, dot, intvec, neg, primitive
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,9 @@ class ConeSpec:
                 raise InputError(f"normal {i} is not primitive: {n}")
         if ratgeom.rank(self.normals) < d:
             raise InputError("cone is not pointed: normals do not span the dual space")
-        # interior point pairing >= 1 with every normal, scale-invariant test
-        interior = ratgeom.system(
-            d, [(tuple(-x for x in n), LE, -1) for n in self.normals]
-        )
-        if not ratgeom.feasible(interior):
+        kept, _, rays = _minimal_generators(self.normals)
+        if ratgeom.rank(rays) < d:
             raise InputError("cone is not full-dimensional")
-        kept, _ = _minimal_generators(self.normals)
         for i, n in enumerate(self.normals):
             # a repeated normal is redundant at each of its occurrences
             if i not in kept or self.normals.count(n) > 1:
@@ -97,13 +93,14 @@ class FacetRestriction:
     kept: tuple[tuple[int, int], ...]
 
 
-def _minimal_generators(rays: Sequence[IntVec]) -> tuple[tuple[int, ...], tuple[IntVec, ...]]:
-    """Indices and values of the extremal rays among primitive rays.
+def _minimal_generators(rays: Sequence[IntVec]) -> tuple[tuple[int, ...], tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """Indices and values of the extremal rays among spanning primitive
+    rays, and the dual extreme rays.
 
-    The rays must generate a pointed full-dimensional cone.  A ray is kept
-    at its first occurrence when the facets of that cone through it,
-    the dual extreme rays vanishing on it, have rank d - 1; survivors
-    keep their input order.
+    The rays generate a pointed cone exactly when the dual extreme rays
+    span too.  A ray is then kept at its first occurrence when the facets
+    through it, the dual extreme rays vanishing on it, have rank d - 1;
+    survivors keep their input order.
     """
     d = len(rays[0])
     facets = dual_extreme_rays(tuple(rays), d)
@@ -111,7 +108,7 @@ def _minimal_generators(rays: Sequence[IntVec]) -> tuple[tuple[int, ...], tuple[
         i for i, r in enumerate(rays)
         if rays.index(r) == i
         and ratgeom.rank([f for f in facets if dot(f, r) == 0]) == d - 1)
-    return idx, tuple(rays[i] for i in idx)
+    return idx, tuple(rays[i] for i in idx), facets
 
 
 def _adjugate_rays(base: list[IntVec]) -> list[IntVec]:
@@ -202,12 +199,9 @@ def from_dual_rays(rank: int, rays) -> ConeSpec:
         rows.append(primitive(v))
     if ratgeom.rank(rows) < rank:
         raise InputError("cone is not pointed: dual rays do not span")
-    strict = ratgeom.system(
-        rank, [(tuple(-x for x in r), LE, -1) for r in rows]
-    )
-    if not ratgeom.feasible(strict):
+    _, normals, rays = _minimal_generators(rows)
+    if ratgeom.rank(rays) < rank:
         raise InputError("cone is not full-dimensional: dual rays contain a line")
-    _, normals = _minimal_generators(rows)
     return ConeSpec(rank=rank, normals=normals)
 
 
@@ -223,13 +217,9 @@ def from_primal_rays(rank: int, rays) -> ConeSpec:
         rows.append(primitive(v))
     if ratgeom.rank(rows) < rank:
         raise InputError("cone is not full-dimensional")
-    strict = ratgeom.system(
-        rank, [(tuple(-x for x in r), LE, -1) for r in rows]
-    )
-    if not ratgeom.feasible(strict):
+    _, gens, normals = _minimal_generators(rows)
+    if ratgeom.rank(normals) < rank:
         raise InputError("cone is not pointed")
-    normals = dual_extreme_rays(tuple(rows), rank)
-    _, gens = _minimal_generators(rows)
     return ConeSpec(rank=rank, normals=normals, generators=gens)
 
 
@@ -276,7 +266,7 @@ def restrict_to_facet(spec: ConeSpec, index: int) -> FacetRestriction:
     prims = [primitive(g) for _, g in raw]
     if ratgeom.rank(prims) < d - 1:
         raise InternalInvariantError("restricted functionals do not span")
-    pos, normals = _minimal_generators(prims)
+    pos, normals, _ = _minimal_generators(prims)
     kept = []
     for p, nrm in zip(pos, normals):
         j, g = raw[p]

@@ -6,9 +6,10 @@ mixing weak (<=) and strict (<) inequalities is decided by Fourier-Motzkin
 elimination that carries a strictness flag per constraint: a derived
 constraint is strict exactly when one of its parents is.  For rational data
 this decides feasibility over the reals, and back-substitution through the
-elimination levels produces an exact rational witness point.  Ranks,
-determinants, linear solves and kernels all read from one fraction-free
-(Bareiss) elimination, ``echelon``.
+elimination levels produces an exact rational witness point; the tests
+use it as the exact reference, and nothing in the package calls it.
+Ranks, determinants, linear solves and kernels all read from one
+fraction-free (Bareiss) elimination, ``echelon``.
 """
 
 from __future__ import annotations

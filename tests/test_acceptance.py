@@ -17,6 +17,7 @@ from conic import (
     degree,
     enumerate_cells,
     enumerate_classes,
+    from_normals,
     global_dimension,
     has_zero_cell,
     is_adjacent,
@@ -286,3 +287,20 @@ def test_criterion_8_cone_over_octahedron(octahedron):
         assert report["smith"]["all_trivial"]
 
     _run(8, "cone over the octahedron", body, 60.0)
+
+
+def test_criterion_9_eight_facet_cone_over_a_polytope():
+    # a rank-4 cone over a lattice polytope with vertices in {-1, 0, 1}^3
+    # and eight facets; its class search alone took minutes on one
+    # Fourier-Motzkin call per step, and 862 is the class count found then
+    spec = from_normals(4, ((-4, -2, 1, 1), (-1, 3, 2, 2), (0, 0, -1, 1),
+                            (0, 1, 0, 1), (1, -2, 1, 1), (1, 0, 0, 1),
+                            (1, 0, 1, 1), (2, -1, -1, 2)))
+
+    def body():
+        report = analyze(spec)
+        assert report["class_count"] == 862
+        assert report["global_dimension"] == 4
+        assert report["nccr"]["verdict"] == "NotNCCR"
+
+    _run(9, "eight-facet cone over a polytope", body, 60.0)

@@ -14,7 +14,8 @@ from conic import (
     open_conic,
 )
 from conic.cells import orientation_frame
-from conic.chambers import chamber_of, enumerate_classes, pairings
+from conic.chambers import (
+    chamber_of, chamber_witness, enumerate_classes, is_feasible, pairings)
 from conic.errors import InputError
 from conic.ratgeom import dot, rank
 
@@ -173,7 +174,10 @@ def test_free_chamber_of_polygon_cones(t):
     # past what a walk over the 2^t pinned sets can afford
     spec = from_primal_rays(3, [(k, k * k, 1) for k in range(t)])
     assert len(spec.normals) == t
-    assert cell_census(spec, (0,) * t) == {0: 1, 1: t, 2: t, 3: 1}
+    zero = (0,) * t
+    assert cell_census(spec, zero) == {0: 1, 1: t, 2: t, 3: 1}
+    assert is_feasible(spec, zero)
+    assert chamber_of(spec, chamber_witness(spec, zero)) == zero
 
 
 def test_infeasible_chamber_rejected(square):

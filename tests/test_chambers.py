@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,6 +11,7 @@ from conic import (
     chamber_of,
     chamber_witness,
     degree,
+    enumerate_cells,
     enumerate_classes,
     is_adjacent,
     is_feasible,
@@ -16,9 +19,9 @@ from conic import (
     leq,
     translation_lattice,
 )
-from conic.chambers import nhat, pairings
+from conic.chambers import nhat, pairings, region_system
 from conic.errors import InputError
-from conic.ratgeom import add, dot
+from conic.ratgeom import add, dot, feasible
 
 from box_census import box_census
 
@@ -37,7 +40,6 @@ def members(spec, c, radius):
 def test_chamber_of_examples(quadric):
     assert chamber_of(quadric, (0, 0)) == (0, 0)
     # v = (1/3, 1/2): pairings 5/6 and 1/6 round up to 1 and 1
-    from fractions import Fraction
     v = (Fraction(1, 3), Fraction(1, 2))
     assert chamber_of(quadric, v) == (1, 1)
 
@@ -58,6 +60,72 @@ def test_square_corrected_feasibility(square):
 def test_square_infeasible_example(square):
     # strips x1 <= 0 and 1 < x1 + x3 <= 2 with x3 <= 0, x2 <= 0 < x2 + x3
     assert not is_feasible(square, (0, 0, 2, 0))
+
+
+def test_chamber_entry_points_accept_lists(square):
+    c = (1, 0, 0, 0)
+    assert is_feasible(square, list(c))
+    assert not is_feasible(square, [0, 0, 2, 0])
+    assert chamber_of(square, chamber_witness(square, list(c))) == c
+    assert enumerate_cells(square, list(c)) == enumerate_cells(square, c)
+    assert canonical_class(square, list(c)) == canonical_class(square, c)
+    assert is_adjacent(square, [0, 0, 0, 0], list(c))
+    with pytest.raises(InputError):
+        is_feasible(square, [0, 0, 0])
+
+
+def check_against_fm(spec, c):
+    """Compare the cell-based chamber answers on c with Fourier-Motzkin;
+    return whether c is a chamber."""
+    t = len(spec.normals)
+    chamber = feasible(region_system(spec, c))
+    assert is_feasible(spec, c) == chamber, c
+    if not chamber:
+        assert chamber_witness(spec, c) is None
+        return False
+    # the witness lies inside the chamber, off every wall
+    w = chamber_witness(spec, c)
+    assert all(ci - 1 < p < ci for p, ci in zip(pairings(spec, w), c))
+    for i in range(t):
+        up = tuple(x + (j == i) for j, x in enumerate(c))
+        rest = tuple(j for j in range(t) if j != i)
+        wall = feasible(region_system(spec, c, eq=(i,), open_=rest))
+        if is_feasible(spec, up):
+            assert is_adjacent(spec, c, up) == wall, (c, i)
+        else:
+            # the step rule: a wall of c on normal i opens onto c + e_i
+            assert not wall, (c, i)
+    return True
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("quadric", 2), ("square", 1), ("cyclic", 2), ("orthant2", 2),
+    ("pentagon", 1), ("hexagon", 1)])
+def test_chamber_answers_match_fm_on_a_box(request, name, radius):
+    spec = request.getfixturevalue(name)
+    box = range(-radius, radius + 1)
+    found = {check_against_fm(spec, c)
+             for c in product(box, repeat=len(spec.normals))}
+    # on a simplicial cone every integer vector is a chamber
+    assert found == ({True} if spec.simplicial else {False, True})
+
+
+def test_chamber_answers_match_fm_on_octahedron(octahedron):
+    # chambers of random rational points, one coordinate moved by one,
+    # and lattice translates of both
+    rng = random.Random(8)
+    found = set()
+    for _ in range(12):
+        point = [Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+                 for _ in range(4)]
+        c = chamber_of(octahedron, point)
+        k = rng.randrange(len(c))
+        moved = tuple(x + (j == k) * rng.choice((-1, 1)) for j, x in enumerate(c))
+        shift = nhat(octahedron, [rng.randint(-2, 2) for _ in range(4)])
+        for vec in (c, moved):
+            found.add(check_against_fm(octahedron, vec))
+            found.add(check_against_fm(octahedron, add(vec, shift)))
+    assert found == {False, True}
 
 
 def test_class_counts(quadric, square, cyclic, orthant2):

@@ -184,10 +184,27 @@ def _random_rays():
 @example([(1, 0), (0, 1), (1, 1)])
 @example([(1, 0), (0, 1), (1, 0)])
 @example([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, 2, 0)])
+@example([(1, 0), (-1, 0), (0, 1)])
+@example([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)])
 def test_kept_rays_and_refusals_match_fm_oracle(rays):
     d = len(rays[0])
     prims = [primitive(r) for r in rays]
     keep = _extremal(prims)
+    # spanning rows that no point pairs >= 1 with are refused for their
+    # dimension, each builder with its own message
+    spans = rank(prims) == d
+    interior = spans and feasible(
+        system(d, [(tuple(-x for x in r), LE, -1) for r in prims]))
+    for build, flat in (
+            (from_normals, "cone is not full-dimensional"),
+            (from_dual_rays, "cone is not full-dimensional: dual rays contain a line"),
+            (from_primal_rays, "cone is not pointed")):
+        try:
+            build(d, prims)
+        except InputError as err:
+            assert (str(err) == flat) == (spans and not interior)
+        else:
+            assert interior
     try:
         spec = from_dual_rays(d, rays)
     except InputError:
