@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ratgeom
-from .cone import ConeSpec, dual_extreme_rays
+from .cone import ConeSpec, double_description
 from .errors import InputError, InternalInvariantError
 from .ratgeom import IntVec, RatVec, dot, intvec, neg, sub
 
@@ -50,15 +50,16 @@ def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
     # The closed box c_i - 1 <= <x, n_i> <= c_i is a polytope.  Its
     # vertices are x / s for the extreme rays (x, s) of the homogenised
     # cone s >= 0, <x, n_i> <= c_i s, <x, n_i> >= (c_i - 1) s.  Bound
-    # 2i is the upper bound of normal i, bound 2i + 1 its lower bound.
+    # 2i is the upper bound of normal i, bound 2i + 1 its lower bound;
+    # row 0 of the pass is s >= 0, so row k + 1 is bound k.
     d, t = spec.rank, len(spec.normals)
     bounds = []
     for n, ci in zip(spec.normals, c):
         bounds += [neg(n) + (ci,), n + (1 - ci,)]
     vertices = []
-    for ray in dual_extreme_rays(tuple([(0,) * d + (1,)] + bounds), d + 1):
-        tight = frozenset(k for k, b in enumerate(bounds) if dot(ray, b) == 0)
-        vertices.append((tuple(Fraction(x, ray[d]) for x in ray[:d]), tight))
+    for ray, tight in double_description(tuple([(0,) * d + (1,)] + bounds), d + 1):
+        vertices.append((tuple(Fraction(x, ray[d]) for x in ray[:d]),
+                         frozenset(k - 1 for k in tight if k)))
     # The faces of the box are the intersections of vertex tight sets; a
     # face is the closure of a cell when only upper bounds are tight on it.
     faces = {tight for _, tight in vertices}

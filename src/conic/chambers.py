@@ -182,8 +182,7 @@ def enumerate_classes(spec: ConeSpec) -> ClassList:
     start = canonical_class(spec, tuple(0 for _ in range(t)))
     seen = {start}
     queue = [start]
-    while queue:
-        cur = queue.pop(0)
+    for cur in queue:
         cells = chamber_cells(spec, cur)
         for i in range(t):
             if all(i in cell.omega for cell in cells):

@@ -193,15 +193,8 @@ def analyze(spec: ConeSpec, options: AnalyzeOptions = AnalyzeOptions()) -> dict:
             "pairs": pairs,
             "all_passed": all(p["passed"] for p in pairs),
         }
-    frob = {}
-    if options.frobenius_q is not None:
-        frob["q"] = _root_block(spec, classes, options.frobenius_q)
-    if options.frobenius_minimal:
-        qmin = minimal_complete_q(spec)
-        frob["minimal_complete_q"] = qmin
-        frob["at_minimal_q"] = _root_block(spec, classes, qmin)
-    if options.dmodule_prime is not None:
-        frob["dmodule"] = _dmodule_block(spec, options.dmodule_prime)
+    frob = _frobenius_block(spec, classes, options.frobenius_q,
+                            options.frobenius_minimal, options.dmodule_prime)
     if frob:
         report["frobenius"] = frob
     if options.supports:
@@ -240,15 +233,24 @@ def _acyclicity_rows(spec: ConeSpec, classes, window) -> list:
     return rows
 
 
-def _dmodule_block(spec: ConeSpec, p: int) -> dict:
-    rpt = dmodule_report(spec, p)
-    return {
-        "p": rpt.p,
-        "minimal_e": rpt.minimal_e,
-        "q_at_e": rpt.q_at_e,
-        "bounds": [rpt.bound_low, rpt.bound_high],
-        "note": rpt.note,
-    }
+def _frobenius_block(spec: ConeSpec, classes, q, minimal: bool, prime) -> dict:
+    frob = {}
+    if q is not None:
+        frob["q"] = _root_block(spec, classes, q)
+    if minimal:
+        qmin = minimal_complete_q(spec)
+        frob["minimal_complete_q"] = qmin
+        frob["at_minimal_q"] = _root_block(spec, classes, qmin)
+    if prime is not None:
+        rpt = dmodule_report(spec, prime)
+        frob["dmodule"] = {
+            "p": rpt.p,
+            "minimal_e": rpt.minimal_e,
+            "q_at_e": rpt.q_at_e,
+            "bounds": [rpt.bound_low, rpt.bound_high],
+            "note": rpt.note,
+        }
+    return frob
 
 
 def _root_block(spec: ConeSpec, classes, q: int) -> dict:
@@ -499,21 +501,18 @@ def _cmd_nccr(args) -> str:
 
 def _cmd_frobenius(args) -> str:
     spec = _load_spec(args)
-    classes = enumerate_classes(spec)
-    body = {}
+    body = _frobenius_block(spec, enumerate_classes(spec), args.q,
+                            args.minimal, args.dmodule)
     lines = []
-    if args.q is not None:
-        body["q"] = _root_block(spec, classes, args.q)
-        lines.append(f"q={args.q}: " + _counts_text(body["q"]["counts"]))
-    if args.minimal:
-        qmin = minimal_complete_q(spec)
-        body["minimal_complete_q"] = qmin
-        body["at_minimal_q"] = _root_block(spec, classes, qmin)
-        lines.append(f"minimal complete q: {qmin}")
-        lines.append(f"q={qmin}: "
+    if "q" in body:
+        lines.append(f"q={body['q']['q']}: "
+                     + _counts_text(body["q"]["counts"]))
+    if "minimal_complete_q" in body:
+        lines.append(f"minimal complete q: {body['minimal_complete_q']}")
+        lines.append(f"q={body['minimal_complete_q']}: "
                      + _counts_text(body["at_minimal_q"]["counts"]))
-    if args.dmodule is not None:
-        dm = body["dmodule"] = _dmodule_block(spec, args.dmodule)
+    if "dmodule" in body:
+        dm = body["dmodule"]
         lines.append(
             f"p={dm['p']}: minimal e with p^e complete is {dm['minimal_e']} "
             f"(q={dm['q_at_e']}); differential operator global dimension "

@@ -103,12 +103,12 @@ def _minimal_generators(rays: Sequence[IntVec]) -> tuple[tuple[int, ...], tuple[
     survivors keep their input order.
     """
     d = len(rays[0])
-    facets = dual_extreme_rays(tuple(rays), d)
+    facets = double_description(tuple(rays), d)
     idx = tuple(
         i for i, r in enumerate(rays)
         if rays.index(r) == i
-        and ratgeom.rank([f for f in facets if dot(f, r) == 0]) == d - 1)
-    return idx, tuple(rays[i] for i in idx), facets
+        and ratgeom.rank([f for f, tight in facets if i in tight]) == d - 1)
+    return idx, tuple(rays[i] for i in idx), tuple(f for f, _ in facets)
 
 
 def _adjugate_rays(base: list[IntVec]) -> list[IntVec]:
@@ -127,51 +127,53 @@ def _adjugate_rays(base: list[IntVec]) -> list[IntVec]:
     return rays
 
 
-def dual_extreme_rays(rows: tuple[IntVec, ...], dim: int) -> tuple[IntVec, ...]:
-    """Extreme rays of {x : <x, r> >= 0 for all r in rows}, lex sorted.
+def double_description(rows: tuple[IntVec, ...],
+                       dim: int) -> tuple[tuple[IntVec, frozenset[int]], ...]:
+    """Extreme rays of {x : <x, r> >= 0 for all r in rows}, each with the
+    indices k of its tight rows, <ray, rows[k]> = 0; sorted by ray.
 
-    rows must have rank == dim so the solution cone is pointed.  Double
-    description: seed with a full-rank row subset, then add the
-    remaining rows; new rays come from adjacent positive/negative pairs,
-    adjacency tested by the rank of the common tight rows.
+    rows must have rank == dim so the solution cone is pointed.  Seed
+    with the first dim independent rows, then add the others one at a
+    time; each ray carries its tight set over the rows added so far.  A
+    new ray comes from an adjacent pair p, q on either side of the new
+    row i and is tight on their common rows and on i.
+
+    Adjacency is combinatorial (Fukuda & Prodon, 1996): p and q are
+    adjacent iff no other ray r has tight[p] & tight[q] <= tight[r].
+    The smallest face holding p and q is cut out by their common tight
+    rows, and its extreme rays are the rays whose tight sets contain
+    that set.  It is 2-dimensional, that is p and q are adjacent, iff p
+    and q are its only extreme rays.
     """
-    if ratgeom.rank(rows) < dim:
+    # Pivot columns of the transpose are the greedily chosen base rows.
+    base = ratgeom.echelon([[r[j] for r in rows] for j in range(dim)], len(rows))[1]
+    if len(base) < dim:
         raise InputError("rows do not span: solution cone is not pointed")
-    base_idx: list[int] = []
+    seeds = _adjugate_rays([rows[i] for i in base])
+    tight = {r: frozenset(base) - {i} for i, r in zip(base, seeds)}
     for i in range(len(rows)):
-        if ratgeom.rank([rows[j] for j in base_idx] + [rows[i]]) > len(base_idx):
-            base_idx.append(i)
-        if len(base_idx) == dim:
-            break
-    rest = [i for i in range(len(rows)) if i not in base_idx]
-    processed = list(base_idx)
-    rays = _adjugate_rays([rows[i] for i in base_idx])
-    for i in rest:
-        n = rows[i]
-        vals = {r: dot(r, n) for r in rays}
-        pos = [r for r in rays if vals[r] > 0]
-        zero = [r for r in rays if vals[r] == 0]
-        neg = [r for r in rays if vals[r] < 0]
-        if neg:
-            tight = {
-                r: [k for k in processed if dot(r, rows[k]) == 0] for r in rays
-            }
-            fresh = []
-            for p in pos:
-                for q in neg:
-                    common = [rows[k] for k in tight[p] if k in set(tight[q])]
-                    if ratgeom.rank(common) != dim - 2:
-                        continue
-                    w = primitive(
-                        tuple(
-                            vals[p] * qc - vals[q] * pc for pc, qc in zip(p, q)
-                        )
-                    )
-                    if w not in fresh:
-                        fresh.append(w)
-            rays = pos + zero + fresh
-        processed.append(i)
-    return tuple(sorted(set(rays)))
+        if i in base:
+            continue
+        vals = {r: dot(r, rows[i]) for r in tight}
+        pos = [r for r in tight if vals[r] > 0]
+        neg = [r for r in tight if vals[r] < 0]
+        fresh = {}
+        for p in pos:
+            for q in neg:
+                common = tight[p] & tight[q]
+                if any(common <= tight[r] for r in tight if r != p and r != q):
+                    continue
+                w = tuple(vals[p] * qc - vals[q] * pc for pc, qc in zip(p, q))
+                fresh[primitive(w)] = common | {i}
+        tight = {r: s | {i} if vals[r] == 0 else s
+                 for r, s in tight.items() if vals[r] >= 0}
+        tight.update(fresh)
+    return tuple(sorted(tight.items()))
+
+
+def dual_extreme_rays(rows: tuple[IntVec, ...], dim: int) -> tuple[IntVec, ...]:
+    """The rays of ``double_description``, lex sorted."""
+    return tuple(ray for ray, _ in double_description(rows, dim))
 
 
 def from_normals(rank: int, normals) -> ConeSpec:

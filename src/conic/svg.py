@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .chambers import canonical_class
 from .cone import ConeSpec
@@ -50,34 +49,26 @@ def _clip(poly, n, k):
     return out
 
 
-def _ccw_sorted(points):
-    n = len(points)
-    cx = Fraction(sum(p[0] for p in points), n)
-    cy = Fraction(sum(p[1] for p in points), n)
+def _from_angle_zero(poly):
+    # poly is convex, counterclockwise and without repeats, so its
+    # vertex centroid is interior; see drawn_chambers.
+    n = len(poly)
+    cx = Fraction(sum(p[0] for p in poly), n)
+    cy = Fraction(sum(p[1] for p in poly), n)
 
-    def quad(dx, dy):
+    def key(p):
+        # (quadrant, tangent of the angle within the quadrant)
+        dx, dy = p[0] - cx, p[1] - cy
         if dx > 0 and dy >= 0:
-            return 0
+            return 0, dy / dx
         if dx <= 0 and dy > 0:
-            return 1
+            return 1, -dx / dy
         if dx < 0 and dy <= 0:
-            return 2
-        return 3
+            return 2, dy / dx
+        return 3, -dx / dy
 
-    def cmp(a, b):
-        da = (a[0] - cx, a[1] - cy)
-        db = (b[0] - cx, b[1] - cy)
-        qa, qb = quad(*da), quad(*db)
-        if qa != qb:
-            return -1 if qa < qb else 1
-        cross = da[0] * db[1] - da[1] * db[0]
-        if cross != 0:
-            return -1 if cross > 0 else 1
-        ra = da[0] * da[0] + da[1] * da[1]
-        rb = db[0] * db[0] + db[1] * db[1]
-        return -1 if ra < rb else (1 if ra > rb else 0)
-
-    return sorted(points, key=cmp_to_key(cmp))
+    k = min(range(n), key=lambda j: key(poly[j]))
+    return poly[k:] + poly[:k]
 
 
 def _area2(points) -> Fraction:
@@ -98,7 +89,10 @@ def drawn_chambers(spec: ConeSpec, window):
     closed strips c - 1 <= <x, n> <= c at a time.  A piece of positive
     area has interior points, all with ceiling vector c, so c is a
     chamber; and a point of the piece on two non-parallel bounding lines
-    is a vertex, so the vertex set is the closure's.
+    is a vertex, so the vertex set is the closure's.  Clipping keeps the
+    window's counterclockwise order and never repeats a vertex, so each
+    piece is only rotated to start at its first vertex counterclockwise
+    from angle 0 about the vertex centroid.
     """
     x0, x1, y0, y1 = window
     pieces = [((), [(x0, y0), (x1, y0), (x1, y1), (x0, y1)])]
@@ -112,7 +106,7 @@ def drawn_chambers(spec: ConeSpec, window):
                 if len(set(piece)) >= 3:
                     split.append((c + (ci,), piece))
         pieces = split
-    out = [(c, _ccw_sorted(list(set(poly))))
+    out = [(c, _from_angle_zero(poly))
            for c, poly in pieces if _area2(poly) != 0]
     return sorted(out, key=lambda item: item[0])
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,7 @@ from conic import (
     primal_generators,
     restrict_to_facet,
 )
-from conic.cone import content_hash
+from conic.cone import content_hash, double_description
 from conic.errors import InputError
 from conic.ratgeom import EQ, LE, dot, feasible, primitive, rank, system
 
@@ -99,6 +102,62 @@ def test_dual_round_trip_square(square):
 def test_dual_extreme_rays_orthant():
     rays = dual_extreme_rays(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
     assert set(rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+
+
+def _laplace_det(mat):
+    if not mat:
+        return 1
+    return sum((-1) ** j * x * _laplace_det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j, x in enumerate(mat[0]) if x)
+
+
+def _brute_force_rays(rows, dim):
+    """Oracle: the extreme rays of {x : <x, r> >= 0} are the nonzero
+    feasible points tight on dim - 1 independent rows.  Those rows' kernel
+    is spanned by their signed maximal minors, and the rows span exactly
+    when some such kernel vector pairs nonzero with a row; None if not."""
+    spans = False
+    found = set()
+    for sub in itertools.combinations(range(len(rows)), dim - 1):
+        mat = [list(rows[k]) for k in sub]
+        v = tuple((-1) ** j * _laplace_det([r[:j] + r[j + 1:] for r in mat])
+                  for j in range(dim))
+        spans = spans or any(dot(v, r) for r in rows)
+        for w in (v, tuple(-x for x in v)):
+            if any(w) and all(dot(w, r) >= 0 for r in rows):
+                found.add(primitive(w))
+    return found if spans else None
+
+
+def test_double_description_matches_brute_force():
+    # Seeded rows of rank 2-5 with 0-6 extra rows; some are repeated,
+    # some are redundant sums, half lean towards (1, ..., 1) so the cone
+    # has many rays.
+    rng = random.Random(7)
+    spanning = 0
+    for case in range(150):
+        dim = rng.randint(2, 5)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                for _ in range(dim + rng.randint(0, 6))]
+        if case % 2:
+            rows = [r[:-1] + (2 + sum(map(abs, r)) - sum(r[:-1]),) for r in rows]
+        if rng.random() < 0.5:
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+        if rng.random() < 0.5:
+            a, b = rng.sample(rows, 2)
+            rows.append(tuple(x + y for x, y in zip(a, b)))
+        rows = tuple(rows)
+        want = _brute_force_rays(rows, dim)
+        if want is None:
+            with pytest.raises(InputError, match="rows do not span"):
+                double_description(rows, dim)
+            continue
+        spanning += 1
+        got = double_description(rows, dim)
+        assert [ray for ray, _ in got] == sorted(want), rows
+        for ray, tight in got:
+            assert tight == {k for k, r in enumerate(rows) if dot(ray, r) == 0}, rows
+    assert spanning > 100
 
 
 @settings(max_examples=40, deadline=None)
