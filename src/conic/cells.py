@@ -5,33 +5,29 @@ of strip indices: pairings with index outside Omega are pinned at the
 ceiling, pairings inside Omega stay in the open strip.  The codimension
 of a cell is the rank of its pinned normals.  Cells of consecutive
 codimension with nested Omega are facet pairs, and each pair carries an
-incidence sign computed from exact orientation frames.
+incidence sign read from exact orientation frames alone.  Interior
+points of cells are computed only on demand (``cell_witnesses``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import ratgeom
 from .cone import ConeSpec, double_description
 from .errors import InputError, InternalInvariantError
-from .ratgeom import IntVec, RatVec, dot, intvec, neg, sub
+from .ratgeom import IntVec, RatVec, dot, intvec, neg
 
 
 @dataclass(frozen=True)
 class Cell:
-    """One cell of a chamber: strip indices, codimension, interior point.
-
-    The witness is the exact barycenter of the vertices of the cell's
-    closure, a canonical point of its relative interior.
-    """
+    """One cell of a chamber: strip indices and codimension."""
 
     chamber: IntVec
     omega: tuple[int, ...]
     codim: int
-    witness: RatVec = field(compare=False)
 
 
 def ceiling_vector(spec: ConeSpec, c) -> IntVec:
@@ -43,30 +39,42 @@ def ceiling_vector(spec: ConeSpec, c) -> IntVec:
     return cc
 
 
+def box_vertices(spec: ConeSpec, c: IntVec) -> tuple[tuple[IntVec, frozenset[int]], ...]:
+    """Vertices of the closed box c_i - 1 <= <x, n_i> <= c_i as (ray, tight).
+
+    The vertex is ray[:d] / ray[d] for an extreme ray of the homogenised
+    cone s >= 0, <x, n_i> <= c_i s, <x, n_i> >= (c_i - 1) s, and tight
+    holds its tight bounds: 2i is the upper bound of normal i, 2i + 1 its
+    lower bound.
+    """
+    d = spec.rank
+    bounds = [(0,) * d + (1,)]
+    for n, ci in zip(spec.normals, c):
+        bounds += [neg(n) + (ci,), n + (1 - ci,)]
+    # Row 0 of the pass is s >= 0, so row k + 1 is bound k.
+    return tuple((ray, frozenset(k - 1 for k in tight if k))
+                 for ray, tight in double_description(tuple(bounds), d + 1))
+
+
+def vertex_barycenter(spec: ConeSpec, vertices) -> RatVec:
+    """Exact barycenter of box vertices given as (ray, tight) pairs."""
+    d = spec.rank
+    return tuple(sum(Fraction(ray[j], ray[d]) for ray, _ in vertices)
+                 / len(vertices) for j in range(d))
+
+
 @lru_cache(maxsize=None)
 def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
     """Cells of the chamber of a ceiling vector tuple, sorted by (codim,
     omega), so a chamber's open cell comes first; none when c is not one."""
-    # The closed box c_i - 1 <= <x, n_i> <= c_i is a polytope.  Its
-    # vertices are x / s for the extreme rays (x, s) of the homogenised
-    # cone s >= 0, <x, n_i> <= c_i s, <x, n_i> >= (c_i - 1) s.  Bound
-    # 2i is the upper bound of normal i, bound 2i + 1 its lower bound;
-    # row 0 of the pass is s >= 0, so row k + 1 is bound k.
-    d, t = spec.rank, len(spec.normals)
-    bounds = []
-    for n, ci in zip(spec.normals, c):
-        bounds += [neg(n) + (ci,), n + (1 - ci,)]
-    vertices = []
-    for ray, tight in double_description(tuple([(0,) * d + (1,)] + bounds), d + 1):
-        vertices.append((tuple(Fraction(x, ray[d]) for x in ray[:d]),
-                         frozenset(k - 1 for k in tight if k)))
     # The faces of the box are the intersections of vertex tight sets; a
     # face is the closure of a cell when only upper bounds are tight on it.
-    faces = {tight for _, tight in vertices}
+    tights = {tight for _, tight in box_vertices(spec, c)}
+    faces = set(tights)
     todo = list(faces)
     while todo:
         face = todo.pop()
-        for _, tight in vertices:
+        for tight in tights:
             meet = face & tight
             if meet not in faces:
                 faces.add(meet)
@@ -75,13 +83,10 @@ def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
     for face in faces:
         if any(k % 2 for k in face):
             continue
-        pinned = [spec.normals[k // 2] for k in face]
-        points = [x for x, tight in vertices if face <= tight]
         found.append(Cell(
             chamber=c,
-            omega=tuple(i for i in range(t) if 2 * i not in face),
-            codim=ratgeom.rank(pinned),
-            witness=tuple(sum(xs) / len(points) for xs in zip(*points))))
+            omega=tuple(i for i in range(len(c)) if 2 * i not in face),
+            codim=ratgeom.rank([spec.normals[k // 2] for k in face])))
     return tuple(sorted(found, key=lambda cell: (cell.codim, cell.omega)))
 
 
@@ -97,6 +102,16 @@ def enumerate_cells(spec: ConeSpec, c) -> tuple[Cell, ...]:
     if not cells:
         raise InputError(f"not a chamber: {cc} is infeasible")
     return cells
+
+def cell_witnesses(spec: ConeSpec, c) -> tuple[RatVec, ...]:
+    """A point of each cell, aligned with ``enumerate_cells``: the cell
+    with strip set omega has the closure tight on {2i : i not in omega},
+    and its witness is the barycenter of the box vertices tight there."""
+    cells = enumerate_cells(spec, c)
+    vertices = box_vertices(spec, cells[0].chamber)
+    return tuple(
+        vertex_barycenter(spec, [v for v in vertices if face <= v[1]])
+        for face in ({2 * i for i in _active(spec, cell)} for cell in cells))
 
 
 def open_conic(cell: Cell) -> IntVec:
@@ -148,29 +163,28 @@ def is_facet_pair(spec: ConeSpec, inner: Cell, outer: Cell) -> bool:
 
 
 def incidence_sign(spec: ConeSpec, inner: Cell, outer: Cell) -> int:
-    """Sign of a facet pair: +1 or -1.
+    """Sign of a facet pair: +1 or -1, from orientation frames alone.
 
-    The outward vector u points from the outer cell's witness to the
-    inner cell's witness; it lies in the outer direction space.  The
-    sign compares the orientation of [u, frame(inner)] with
-    frame(outer), by exact determinants on the frame's free columns.
+    Take i strip on the outer cell and pinned on the inner one, and an
+    outer frame vector v with <v, n_i> != 0: the sign is that of
+    det([v; frame(inner)]) on the outer frame's free columns times that
+    of <v, n_i>.  On the outer direction space both are linear with the
+    kernel span(frame(inner)), so they are proportional; the outward
+    vector u from a point of the outer cell to one of the inner cell has
+    <u, n_i> > 0, so this is the sign of det([u; frame(inner)]) against
+    frame(outer), a positive diagonal on its free columns.
     """
     if not is_facet_pair(spec, inner, outer):
         raise InputError("not a facet pair")
-    u = sub(inner.witness, outer.witness)
-    for i in _active(spec, outer):
-        if dot(u, spec.normals[i]) != 0:
-            raise InternalInvariantError("outward vector leaves the outer cell")
+    n = spec.normals[next(i for i in outer.omega if i not in inner.omega)]
     fo = orientation_frame(spec, outer)
+    v = next((v for v in fo if dot(v, n) != 0), None)
     # An RREF kernel vector is zero after its own free column, so each
     # frame vector's last nonzero entry names that column.
-    cols = [max(j for j, x in enumerate(v) if x != 0) for v in fo]
+    cols = [max(j for j, x in enumerate(w) if x != 0) for w in fo]
     fi = orientation_frame(spec, inner)
-    mat_a = [[u[j] for j in cols]] + [[v[j] for j in cols] for v in fi]
-    mat_b = [[v[j] for j in cols] for v in fo]
-    det_a = ratgeom.det(mat_a)
-    det_b = ratgeom.det(mat_b)
-    if det_a == 0 or det_b == 0:
+    sign = 0 if v is None else (
+        ratgeom.det([[w[j] for j in cols] for w in (v,) + fi]) * dot(v, n))
+    if sign == 0:
         raise InternalInvariantError("degenerate orientation frames")
-    return 1 if (det_a > 0) == (det_b > 0) else -1
-
+    return 1 if sign > 0 else -1

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ratgeom
-from .cells import ceiling_vector, chamber_cells
+from .cells import box_vertices, ceiling_vector, chamber_cells, vertex_barycenter
 from .cone import ConeSpec
 from .errors import InputError
-from .ratgeom import EQ, LE, LT, IntVec, RatVec, dot, intvec, sub
+from .ratgeom import IntVec, RatVec, dot, intvec, sub
 
 
 def pairings(spec: ConeSpec, point) -> RatVec:
@@ -43,25 +43,6 @@ def nhat(spec: ConeSpec, m) -> IntVec:
     return tuple(dot(w, n) for n in spec.normals)
 
 
-def region_system(spec: ConeSpec, c, eq=(), open_=()) -> ratgeom.LinSystem:
-    """Half-open chamber system with optional per-index overrides.
-
-    Index in ``eq``: equality <x, n_i> = c_i.  Index in ``open_``: open
-    strip c_i - 1 < <x, n_i> < c_i.  Otherwise the half-open default
-    c_i - 1 < <x, n_i> <= c_i.  The Fourier-Motzkin reference the tests
-    check the cell-based answers against; nothing in the package calls it.
-    """
-    cc = ceiling_vector(spec, c)
-    rows = []
-    for i, n in enumerate(spec.normals):
-        if i in eq:
-            rows.append((n, EQ, cc[i]))
-            continue
-        rows.append((n, LT if i in open_ else LE, cc[i]))
-        rows.append((tuple(-x for x in n), LT, 1 - cc[i]))
-    return ratgeom.system(spec.rank, rows)
-
-
 def is_feasible(spec: ConeSpec, c) -> bool:
     """Whether any point has this ceiling vector.  Lattice translation
     keeps cells, so the canonical representative decides: it has a cell."""
@@ -69,9 +50,12 @@ def is_feasible(spec: ConeSpec, c) -> bool:
 
 
 def chamber_witness(spec: ConeSpec, c) -> RatVec | None:
-    """An interior point of the chamber (its open cell's witness), or None."""
-    cells = chamber_cells(spec, ceiling_vector(spec, c))
-    return cells[0].witness if cells else None
+    """An interior point of the chamber, or None: the barycenter of its
+    closed box, the closure of its open cell."""
+    cc = ceiling_vector(spec, c)
+    if not is_feasible(spec, cc):
+        return None
+    return vertex_barycenter(spec, box_vertices(spec, cc))
 
 
 def degree(c) -> int:

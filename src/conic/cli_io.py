@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .cells import cell_census, enumerate_cells, has_zero_cell, open_conic
+from .cells import cell_census, cell_witnesses, enumerate_cells, has_zero_cell, open_conic
 from .chambers import (
     canonical_class,
     degree,
@@ -237,12 +237,12 @@ def _frobenius_block(spec: ConeSpec, classes, q, minimal: bool, prime) -> dict:
     frob = {}
     if q is not None:
         frob["q"] = _root_block(spec, classes, q)
+    rpt = None if prime is None else dmodule_report(spec, prime)
     if minimal:
-        qmin = minimal_complete_q(spec)
+        qmin = minimal_complete_q(spec) if rpt is None else rpt.minimal_q
         frob["minimal_complete_q"] = qmin
         frob["at_minimal_q"] = _root_block(spec, classes, qmin)
-    if prime is not None:
-        rpt = dmodule_report(spec, prime)
+    if rpt is not None:
         frob["dmodule"] = {
             "p": rpt.p,
             "minimal_e": rpt.minimal_e,
@@ -398,11 +398,11 @@ def _cmd_cells(args) -> str:
     classes = enumerate_classes(spec)
     rep = _parse_class(spec, classes, args.cls)
     rows = []
-    for cell in enumerate_cells(spec, rep):
+    for cell, witness in zip(enumerate_cells(spec, rep), cell_witnesses(spec, rep)):
         rows.append({
             "omega": list(cell.omega),
             "codim": cell.codim,
-            "witness": _vec(cell.witness),
+            "witness": _vec(witness),
             "open_conic": list(open_conic(cell)),
             "class": classes.label_of(
                 canonical_class(spec, open_conic(cell))),

@@ -37,6 +37,7 @@ class RootDecomposition:
 @dataclass(frozen=True)
 class DModuleReport:
     p: int
+    minimal_q: int
     minimal_e: int
     q_at_e: int
     bound_low: int
@@ -89,7 +90,7 @@ def dmodule_report(spec: ConeSpec, p: int) -> DModuleReport:
     while p ** e < qmin:
         e += 1
     return DModuleReport(
-        p=p, minimal_e=e, q_at_e=p ** e,
+        p=p, minimal_q=qmin, minimal_e=e, q_at_e=p ** e,
         bound_low=spec.rank, bound_high=spec.rank + 1,
         note=("the ring of differential operators has global dimension "
               "in this bracket; equality at the lower bound is "

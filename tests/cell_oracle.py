@@ -4,13 +4,35 @@ The cell of chamber c with strip set omega is the set of points with
 <x, n_i> = c_i for i outside omega and c_i - 1 < <x, n_i> < c_i for i in
 omega.  The oracle asks Fourier-Motzkin whether each of the 2^t systems
 has a point, with no pruning, so it shares nothing with the vertex and
-face reading of ``conic.cells`` and is only fit for small t.
+face reading of ``conic.cells`` and is only fit for small t.  The
+incidence sign is read the same way, from a Fourier-Motzkin point of
+each cell of a facet pair.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
-from conic.chambers import region_system
-from conic.ratgeom import feasible, rank
+from conic.cells import ceiling_vector, orientation_frame
+from conic.ratgeom import (
+    EQ, LE, LT, det, dot, feasible, rank, solve, sub, system)
+
+
+def region_system(spec, c, eq=(), open_=()):
+    """Half-open chamber system with optional per-index overrides.
+
+    Index in ``eq``: equality <x, n_i> = c_i.  Index in ``open_``: open
+    strip c_i - 1 < <x, n_i> < c_i.  Otherwise the half-open default
+    c_i - 1 < <x, n_i> <= c_i.
+    """
+    cc = ceiling_vector(spec, c)
+    rows = []
+    for i, n in enumerate(spec.normals):
+        if i in eq:
+            rows.append((n, EQ, cc[i]))
+            continue
+        rows.append((n, LT if i in open_ else LE, cc[i]))
+        rows.append((tuple(-x for x in n), LT, 1 - cc[i]))
+    return system(spec.rank, rows)
 
 
 def oracle_cells(spec, c):
@@ -24,3 +46,29 @@ def oracle_cells(spec, c):
                 found.append(
                     (omega, rank([spec.normals[i] for i in pinned])))
     return sorted(found, key=lambda cell: (cell[1], cell[0]))
+
+
+@lru_cache(maxsize=None)
+def _fm_witness(spec, cell):
+    pinned = tuple(i for i in range(len(spec.normals)) if i not in cell.omega)
+    return solve(region_system(spec, cell.chamber, eq=pinned, open_=cell.omega))
+
+
+def oracle_sign(spec, inner, outer):
+    """Incidence sign of a facet pair from two interior points.
+
+    Fourier-Motzkin finds a point of each cell; their difference u is an
+    outward vector in the outer direction space, and the sign compares
+    [u; frame(inner)] with frame(outer) on the outer frame's free columns.
+    """
+    u = sub(_fm_witness(spec, inner), _fm_witness(spec, outer))
+    t = len(spec.normals)
+    assert all(dot(u, spec.normals[i]) == 0
+               for i in range(t) if i not in outer.omega)
+    fo = orientation_frame(spec, outer)
+    fi = orientation_frame(spec, inner)
+    cols = [max(j for j, x in enumerate(v) if x != 0) for v in fo]
+    det_a = det([[u[j] for j in cols]] + [[v[j] for j in cols] for v in fi])
+    det_b = det([[v[j] for j in cols] for v in fo])
+    assert det_a != 0 and det_b != 0
+    return 1 if (det_a > 0) == (det_b > 0) else -1

@@ -13,13 +13,14 @@ from conic import (
     is_facet_pair,
     open_conic,
 )
-from conic.cells import orientation_frame
+from conic.cells import cell_witnesses, orientation_frame
+from conic.complexes import conic_complex
 from conic.chambers import (
     chamber_of, chamber_witness, enumerate_classes, is_feasible, pairings)
 from conic.errors import InputError
 from conic.ratgeom import dot, rank
 
-from cell_oracle import oracle_cells
+from cell_oracle import oracle_cells, oracle_sign
 
 
 def test_censuses(quadric, square, cyclic, orthant3):
@@ -89,13 +90,39 @@ def test_cell_witnesses_lie_in_their_cell(request):
     for name in SMALL_CONES + ("octahedron",):
         spec, reps = _cones_and_classes(request, name)
         for c in reps:
-            for cell in enumerate_cells(spec, c):
-                prs = pairings(spec, cell.witness)
+            cells = enumerate_cells(spec, c)
+            for cell, witness in zip(cells, cell_witnesses(spec, c)):
+                prs = pairings(spec, witness)
                 for i, (p, ci) in enumerate(zip(prs, c)):
                     if i in cell.omega:
                         assert ci - 1 < p < ci
                     else:
                         assert p == ci
+
+
+@pytest.mark.parametrize("name", SMALL_CONES + ("octahedron",))
+def test_differentials_match_witness_sign_oracle(request, name):
+    # every entry of every differential: the frame-only sign on facet
+    # pairs, 0 elsewhere, against the sign read from FM cell points
+    spec, reps = _cones_and_classes(request, name)
+    for rep in reps:
+        cx = conic_complex(spec, rep)
+        for k, mat in enumerate(cx.mats):
+            for outer, row in zip(cx.cells[k], mat):
+                for inner, entry in zip(cx.cells[k + 1], row):
+                    want = (oracle_sign(spec, inner, outer)
+                            if is_facet_pair(spec, inner, outer) else 0)
+                    assert entry == want, (rep, inner.omega, outer.omega)
+
+
+def test_incidence_sign_rejects_non_facet_pairs(square):
+    by_omega = {cell.omega: cell
+                for cell in enumerate_cells(square, (0, 0, 0, 0))}
+    interior, edge = by_omega[(0, 1, 2, 3)], by_omega[(0, 1)]
+    for inner, outer in [(edge, interior), (interior, edge),
+                         (interior, interior)]:
+        with pytest.raises(InputError):
+            incidence_sign(square, inner, outer)
 
 
 def test_cells_partition_the_chamber(quadric, square):

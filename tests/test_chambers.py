@@ -19,11 +19,13 @@ from conic import (
     leq,
     translation_lattice,
 )
-from conic.chambers import nhat, pairings, region_system
+from conic.cells import chamber_cells
+from conic.chambers import nhat, pairings
 from conic.errors import InputError
 from conic.ratgeom import add, dot, feasible
 
 from box_census import box_census
+from cell_oracle import region_system
 
 ceil2 = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 
@@ -49,6 +51,19 @@ def test_chamber_of_own_witness_round_trip(square):
         w = chamber_witness(square, c)
         assert w is not None
         assert chamber_of(square, w) == c
+
+
+def test_chamber_witness_caches_only_representatives(square):
+    # translates of a chamber and of a non-chamber add nothing to the
+    # cell cache once their representatives are in it
+    reps = [(0, 0, 0, -1), (3, 0, 0, 0)]
+    for c in reps:
+        chamber_witness(square, c)
+    size = chamber_cells.cache_info().currsize
+    chamber, other = (add(c, nhat(square, (1, 2, 3))) for c in reps)
+    assert chamber_of(square, chamber_witness(square, chamber)) == chamber
+    assert chamber_witness(square, other) is None
+    assert chamber_cells.cache_info().currsize == size
 
 
 def test_square_corrected_feasibility(square):

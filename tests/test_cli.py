@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conic import cli_io, frobenius
 from conic.cli_io import (
     AnalyzeOptions,
     analyze,
@@ -78,7 +79,16 @@ def test_analyze_report_square():
     assert pdims == [2, 2, 3]
 
 
-def test_analyze_optional_blocks():
+def test_analyze_optional_blocks(monkeypatch):
+    # --minimal-q and --dmodule share one minimal-q search
+    search, searches = frobenius.minimal_complete_q, []
+
+    def counted(spec, cap=frobenius.SEARCH_CAP):
+        searches.append(spec)
+        return search(spec, cap)
+
+    monkeypatch.setattr(frobenius, "minimal_complete_q", counted)
+    monkeypatch.setattr(cli_io, "minimal_complete_q", counted)
     spec = build_cone(parse_input(QUADRIC))
     report = analyze(spec, AnalyzeOptions(
         acyclicity_radius=1, frobenius_q=2, frobenius_minimal=True,
@@ -89,6 +99,7 @@ def test_analyze_optional_blocks():
     assert report["frobenius"]["minimal_complete_q"] == 2
     assert report["frobenius"]["dmodule"]["bounds"] == [2, 3]
     assert report["partial_supports"][0]["verdict"] == "NCCR"
+    assert len(searches) == 1
 
 
 def test_serialization_is_deterministic():
@@ -155,6 +166,31 @@ def test_main_subcommands_run(square_file, capsys):
     assert "NCCR" in capsys.readouterr().out
     assert main(["frobenius", "--q", "2", "--input", square_file]) == 0
     assert "A0:6" in capsys.readouterr().out
+
+
+def test_cells_json_witnesses_of_the_square(square_file, capsys):
+    # one barycenter per cell closure, in (codim, omega) order
+    want = {
+        "A0": [([0, 1, 2, 3], ["-1/2", "-1/2", -1]),
+               ([0, 1, 2], ["-1/3", "-2/3", "-2/3"]),
+               ([0, 1, 3], ["-2/3", "-1/3", "-2/3"]),
+               ([0, 2, 3], ["-1/3", 0, "-2/3"]),
+               ([1, 2, 3], [0, "-1/3", "-2/3"]),
+               ([0, 1], ["-1/2", "-1/2", "-1/2"]),
+               ([0, 3], ["-1/2", 0, "-1/2"]),
+               ([1, 2], [0, "-1/2", "-1/2"]),
+               ([2, 3], [0, 0, "-1/2"]),
+               ([], [0, 0, 0])],
+        "A1": [([0, 1, 2, 3], ["-3/4", "-1/4", "-3/2"]),
+               ([0, 1, 2], ["-2/3", "-1/3", "-4/3"]),
+               ([0, 2, 3], ["-2/3", 0, "-4/3"]),
+               ([0, 2], ["-1/2", 0, -1])],
+    }
+    for label, rows in want.items():
+        assert main(["cells", label, "--input", square_file, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [(cell["omega"], cell["witness"])
+                for cell in report["cells"]] == rows
 
 
 def test_main_class_argument_forms(square_file, capsys):

@@ -75,7 +75,7 @@ def test_search_cap(quadric):
 
 def test_dmodule_reports(quadric, square, orthant2):
     rpt = dmodule_report(quadric, 3)
-    assert (rpt.minimal_e, rpt.q_at_e) == (1, 3)
+    assert (rpt.minimal_q, rpt.minimal_e, rpt.q_at_e) == (2, 1, 3)
     assert (rpt.bound_low, rpt.bound_high) == (2, 3)
     rpt = dmodule_report(square, 2)
     assert (rpt.minimal_e, rpt.q_at_e) == (1, 2)
