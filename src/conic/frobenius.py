@@ -10,13 +10,12 @@ the roots see the whole category.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from .chambers import canonical_class, chamber_of, enumerate_classes
+from .chambers import canonical_class, enumerate_classes
 from .cone import ConeSpec
 from .errors import InputError, UnsupportedOperationError
-from .ratgeom import IntVec
+from .ratgeom import IntVec, dot
 
 SEARCH_CAP = 64
 
@@ -47,12 +46,13 @@ class DModuleReport:
 
 def decompose_root(spec: ConeSpec, q: int) -> RootDecomposition:
     """Class counts of the chamber summands of the q-th root."""
-    if not isinstance(q, int) or q < 1:
+    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise InputError(f"root index must be a positive integer, got {q!r}")
     counts: dict[IntVec, int] = {}
     for v in product(range(q), repeat=spec.rank):
-        point = tuple(Fraction(-x, q) for x in v)
-        rep = canonical_class(spec, chamber_of(spec, point))
+        # ceil(<-v/q, n>) = -floor(<v, n>/q)
+        c = tuple(-(dot(v, n) // q) for n in spec.normals)
+        rep = canonical_class(spec, c)
         counts[rep] = counts.get(rep, 0) + 1
     return RootDecomposition(
         q=q, counts=tuple(sorted(counts.items())), total=q ** spec.rank)

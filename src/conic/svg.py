@@ -17,7 +17,7 @@ from fractions import Fraction
 from .chambers import canonical_class
 from .cone import ConeSpec
 from .errors import InputError, UnsupportedOperationError
-from .ratgeom import IntVec, dot
+from .ratgeom import IntVec
 
 
 def _fmt(x) -> str:
@@ -31,104 +31,149 @@ def _class_color(rep: IntVec) -> str:
     return f"hsl({h},62%,72%)"
 
 
-def _corners(window):
-    x0, x1, y0, y1 = window
-    return ((x0, y0), (x0, y1), (x1, y0), (x1, y1))
+def _split(poly, a, b, k):
+    """The parts of a convex polygon where a x + b y <= k and >= k.
 
-
-def _clip(poly, n, k):
-    # Sutherland-Hodgman: the part of a convex polygon where <x, n> <= k.
-    out = []
-    for p, q in zip(poly, poly[1:] + poly[:1]):
-        vp, vq = dot(p, n) - k, dot(q, n) - k
-        if vp <= 0:
-            out.append(p)
-        if (vp < 0 < vq) or (vq < 0 < vp):
-            t = Fraction(vq, vq - vp)
-            out.append((q[0] + t * (p[0] - q[0]), q[1] + t * (p[1] - q[1])))
-    return out
+    Vertices are (X, Y, W) for the point (X/W, Y/W), with W > 0 and
+    gcd 1.  L = aX + bY - kW is linear in (X, Y, W) with the sign of
+    a x + b y - k, so where L changes sign strictly along an edge PQ the
+    point L(Q) P - L(P) Q, turned to W > 0, lies on the line.  A vertex
+    on the line goes to both parts, a cut point is strictly inside an
+    edge, and both parts keep the counterclockwise order.
+    """
+    below, above = [], []
+    p = poly[-1]
+    lp = a * p[0] + b * p[1] - k * p[2]
+    for q in poly:
+        lq = a * q[0] + b * q[1] - k * q[2]
+        if lp < 0 < lq or lq < 0 < lp:
+            x = lq * p[0] - lp * q[0]
+            y = lq * p[1] - lp * q[1]
+            w = lq * p[2] - lp * q[2]
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = math.gcd(x, y, w)
+            cut = (x // g, y // g, w // g)
+            below.append(cut)
+            above.append(cut)
+        if lq <= 0:
+            below.append(q)
+        if lq >= 0:
+            above.append(q)
+        p, lp = q, lq
+    return below, above
 
 
 def _from_angle_zero(poly):
-    # poly is convex, counterclockwise and without repeats, so its
-    # vertex centroid is interior; see drawn_chambers.
+    # Rotate to the first vertex counterclockwise from angle 0 about the
+    # vertex centroid, which is interior since poly is convex,
+    # counterclockwise and without repeats; see drawn_chambers.  Offsets
+    # from the centroid are scaled by n times the common denominator.
     n = len(poly)
-    cx = Fraction(sum(p[0] for p in poly), n)
-    cy = Fraction(sum(p[1] for p in poly), n)
-
-    def key(p):
-        # (quadrant, tangent of the angle within the quadrant)
-        dx, dy = p[0] - cx, p[1] - cy
-        if dx > 0 and dy >= 0:
-            return 0, dy / dx
-        if dx <= 0 and dy > 0:
-            return 1, -dx / dy
-        if dx < 0 and dy <= 0:
-            return 2, dy / dx
-        return 3, -dx / dy
-
-    k = min(range(n), key=lambda j: key(poly[j]))
+    den = math.lcm(*(w for _, _, w in poly))
+    xs = [x * (den // w) for x, _, w in poly]
+    ys = [y * (den // w) for _, y, w in poly]
+    sx, sy = sum(xs), sum(ys)
+    best = None
+    for j in range(n):
+        dx, dy = n * xs[j] - sx, n * ys[j] - sy
+        # key (quadrant, dy/dx) after quarter turns clockwise into
+        # dx > 0, dy >= 0
+        for quadrant in range(4):
+            if dx > 0 and dy >= 0:
+                break
+            dx, dy = dy, -dx
+        if best is None or quadrant < best[0] or (
+                quadrant == best[0] and dy * best[1] < best[2] * dx):
+            best, k = (quadrant, dx, dy), j
     return poly[k:] + poly[:k]
 
 
-def _area2(points) -> Fraction:
-    total = Fraction(0)
-    n = len(points)
-    for i in range(n):
-        x0, y0 = points[i]
-        x1, y1 = points[(i + 1) % n]
-        total += x0 * y1 - x1 * y0
-    return total
+def _window_corners(window):
+    """The window's corners, counterclockwise from (x0, y0), keyed by
+    their (X, Y, W) over the window's common denominator."""
+    x0, x1, y0, y1 = window
+    den = math.lcm(*(v.denominator for v in window))
+    corners = {}
+    for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
+        hx = x.numerator * (den // x.denominator)
+        hy = y.numerator * (den // y.denominator)
+        g = math.gcd(hx, hy, den)
+        corners[(hx // g, hy // g, den // g)] = (x, y)
+    return corners
+
+
+def _strip_pieces(spec: ConeSpec, poly):
+    """Cut a convex polygon of (X, Y, W) vertices by one normal's closed
+    strips c - 1 <= <x, n> <= c at a time, sweeping the levels c upward
+    and splitting each strip off what is left.  Returns the (ceiling
+    vector, vertex list) of every piece, lex-sorted since each piece's
+    strips are appended by increasing level."""
+    pieces = [((), poly)]
+    for a, b in spec.normals:
+        split = []
+        for c, rest in pieces:
+            lo = min((a * x + b * y) // w for x, y, w in rest)
+            hi = max(-(-(a * x + b * y) // w) for x, y, w in rest)
+            for ci in range(lo + 1, hi):
+                below, rest = _split(rest, a, b, ci)
+                split.append((c + (ci,), below))
+            split.append((c + (hi,), rest))
+        pieces = split
+    return pieces
 
 
 def drawn_chambers(spec: ConeSpec, window):
     """Chambers whose closure meets the window, with clipped polygons.
 
     Returns a lex-sorted list of (ceiling vector, vertex list); vertices
-    are exact and counterclockwise.  The window is cut by one normal's
-    closed strips c - 1 <= <x, n> <= c at a time.  A piece of positive
-    area has interior points, all with ceiling vector c, so c is a
-    chamber; and a point of the piece on two non-parallel bounding lines
-    is a vertex, so the vertex set is the closure's.  Clipping keeps the
-    window's counterclockwise order and never repeats a vertex, so each
-    piece is only rotated to start at its first vertex counterclockwise
-    from angle 0 about the vertex centroid.
+    are exact and counterclockwise: the window's own values at its
+    corners, Fractions elsewhere.  The window is cut into strip pieces
+    (_strip_pieces).  A piece has positive area: the window does, and a
+    strip is only taken where its open interior meets the open range of
+    <x, n> on the piece.  So it has interior points, all with ceiling
+    vector c, and c is a chamber; and a point of the piece on two
+    non-parallel bounding lines is a vertex, so the vertex set is the
+    closure's.  Splitting keeps the window's counterclockwise order and
+    never repeats a vertex, so each piece is only rotated to start at
+    its first vertex counterclockwise from angle 0 about the vertex
+    centroid.
     """
-    x0, x1, y0, y1 = window
-    pieces = [((), [(x0, y0), (x1, y0), (x1, y1), (x0, y1)])]
-    for n in spec.normals:
-        neg = tuple(-a for a in n)
-        split = []
-        for c, poly in pieces:
-            vals = [dot(p, n) for p in poly]
-            for ci in range(math.floor(min(vals)) + 1, math.ceil(max(vals)) + 1):
-                piece = _clip(_clip(poly, n, ci), neg, 1 - ci)
-                if len(set(piece)) >= 3:
-                    split.append((c + (ci,), piece))
-        pieces = split
-    out = [(c, _from_angle_zero(poly))
-           for c, poly in pieces if _area2(poly) != 0]
-    return sorted(out, key=lambda item: item[0])
+    corners = _window_corners(window)
+    return [(c, [corners[v] if v in corners
+                 else (Fraction(v[0], v[2]), Fraction(v[1], v[2]))
+                 for v in _from_angle_zero(poly)])
+            for c, poly in _strip_pieces(spec, list(corners))]
 
 
-def _level_segment(n, k, window):
-    x0, x1, y0, y1 = window
-    pts = set()
+def _level_segments(n, window):
+    """(first, last, m) for every level line <x, n> = k meeting the
+    window in a segment: its lex first and last points on the window's
+    edges, as integer pairs over the positive denominator m."""
     a, b = n
-    if b != 0:
-        for xe in (x0, x1):
-            y = Fraction(k - a * xe, b)
-            if y0 <= y <= y1:
-                pts.add((Fraction(xe), y))
-    if a != 0:
-        for ye in (y0, y1):
-            x = Fraction(k - b * ye, a)
-            if x0 <= x <= x1:
-                pts.add((x, Fraction(ye)))
-    if len(pts) < 2:
-        return None
-    pts = sorted(pts)
-    return pts[0], pts[-1]
+    den = math.lcm(*(v.denominator for v in window))
+    x0, x1, y0, y1 = (v.numerator * (den // v.denominator) for v in window)
+    # scaled by den, and then by s so that the crossings with the edges
+    # x = const and y = const are integers too
+    s = (abs(a) or 1) * (abs(b) or 1)
+    m = den * s
+    vals = [a * x + b * y for x in (x0, x1) for y in (y0, y1)]
+    out = []
+    for k in range(-(-min(vals) // den), max(vals) // den + 1):
+        pts = set()
+        if b != 0:
+            for xe in (x0, x1):
+                y = (k * den - a * xe) * (s // b)
+                if y0 * s <= y <= y1 * s:
+                    pts.add((xe * s, y))
+        if a != 0:
+            for ye in (y0, y1):
+                x = (k * den - b * ye) * (s // a)
+                if x0 * s <= x <= x1 * s:
+                    pts.add((x, ye * s))
+        if len(pts) >= 2:
+            out.append((min(pts), max(pts), m))
+    return out
 
 
 def render_svg_2d(spec: ConeSpec, window) -> str:
@@ -166,16 +211,12 @@ def render_svg_2d(spec: ConeSpec, window) -> str:
             f'<polygon points="{points}" fill="{_class_color(rep)}" '
             f'stroke="none"/>')
     for n in spec.normals:
-        vals = [dot(pt, n) for pt in _corners(window)]
-        for k in range(math.ceil(min(vals)), math.floor(max(vals)) + 1):
-            seg = _level_segment(n, k, window)
-            if seg is None:
-                continue
-            (ax, ay), (bx, by) = seg
+        # ints over m: true division rounds as float(Fraction) does
+        for (ax, ay), (bx, by), m in _level_segments(n, window):
             parts.append(
-                f'<line x1="{_fmt(ax)}" y1="{_fmt(-ay)}" x2="{_fmt(bx)}" '
-                f'y2="{_fmt(-by)}" stroke="#333333" '
-                f'stroke-width="{_fmt(sw)}"/>')
+                f'<line x1="{_fmt(ax / m)}" y1="{_fmt(-ay / m)}" '
+                f'x2="{_fmt(bx / m)}" y2="{_fmt(-by / m)}" '
+                f'stroke="#333333" stroke-width="{_fmt(sw)}"/>')
     r = width / 120
     for xi in range(math.ceil(x0), math.floor(x1) + 1):
         for yi in range(math.ceil(y0), math.floor(y1) + 1):

@@ -1,3 +1,7 @@
+from collections import Counter
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from conic import (
@@ -6,6 +10,7 @@ from conic import (
     enumerate_classes,
     minimal_complete_q,
 )
+from conic.chambers import canonical_class, chamber_of
 from conic.errors import InputError, UnsupportedOperationError
 
 FREE, X, Y = (0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 1)
@@ -88,7 +93,20 @@ def test_dmodule_reports(quadric, square, orthant2):
 
 
 def test_bad_inputs(quadric):
-    with pytest.raises(InputError):
-        decompose_root(quadric, 0)
+    for bad in (0, True, 2.0):
+        with pytest.raises(InputError, match="root index"):
+            decompose_root(quadric, bad)
     with pytest.raises(InputError):
         dmodule_report(quadric, 4)
+
+
+@pytest.mark.parametrize(
+    "cone", ["quadric", "square", "cyclic", "orthant2", "orthant3", "pentagon"])
+def test_decomposition_matches_definition(cone, request):
+    # one summand per v in {0..q-1}^d: the class of the chamber of -v/q
+    spec = request.getfixturevalue(cone)
+    for q in (1, 2, 3, 4):
+        want = Counter(
+            canonical_class(spec, chamber_of(spec, [Fraction(-x, q) for x in v]))
+            for v in product(range(q), repeat=spec.rank))
+        assert decompose_root(spec, q).counts == tuple(sorted(want.items()))

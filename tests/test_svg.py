@@ -4,11 +4,15 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conic import from_normals, render_svg_2d
 from conic.chambers import canonical_class, chamber_of, chamber_witness
 from conic.errors import InputError, UnsupportedOperationError
-from conic.svg import _class_color, drawn_chambers
+from conic.svg import _class_color, _strip_pieces, _window_corners, drawn_chambers
+
+from svg_oracle import oracle_drawn_chambers
 
 WINDOW = (Fraction(-2), Fraction(2), Fraction(-2), Fraction(2))
 
@@ -129,6 +133,14 @@ PINNED_SVG = [
      "d767f769c4dde17403914708297363fa28c458b506ffd2c3a3e5d344eeeb480a"),
     ([(2, 1), (-1, 2)], (0, 3, -1, 2),
      "38957d52f3c9e00c89a3b6facd38561de43a850438f57af225d903b2a174f3ac"),
+    # recorded with the Fraction strip clip of tests/svg_oracle.py
+    ([(0, 1), (37, -10)], (-1, 1, -1, 1),
+     "fa45302442a40b607f570b377ee00de2579474cff52bed761c852c7524977db6"),
+    ([(0, 1), (16, -13)], (-1, 1, -1, 1),
+     "6178a36f7f0325e744937959e427186e73ac313d5e5fc360942b374da5c3e871"),
+    ([(0, 1), (3, -2)], (10**17 - Fraction(3, 2), 10**17 + Fraction(5, 3),
+                         10**17 - Fraction(1, 2), 10**17 + Fraction(7, 4)),
+     "af9090313a9c7ee308367c3bb80a26309b0c0e43048d0ab7593518ef4b300454"),
 ]
 
 
@@ -136,3 +148,33 @@ PINNED_SVG = [
 def test_svg_bytes_pinned(normals, window, digest):
     doc = render_svg_2d(from_normals(2, normals), window)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def _whole_to_int(v):
+    return v.numerator if v.denominator == 1 else v
+
+
+primitive2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
+    lambda n: math.gcd(*n) == 1)
+window_coord = st.fractions(-5, 5, max_denominator=12)
+window_side = st.fractions(Fraction(1, 12), 4, max_denominator=12)
+window_offset = st.one_of(st.just(0), st.integers(-10**18, 10**18))
+
+
+@settings(max_examples=100, deadline=None)
+@given(primitive2, primitive2, window_coord, window_coord, window_side,
+       window_side, window_offset, window_offset)
+def test_drawn_chambers_match_fraction_oracle(n1, n2, x0, y0, w, h, ox, oy):
+    assume(n1[0] * n2[1] != n1[1] * n2[0])
+    spec = from_normals(2, [n1, n2])
+    window = tuple(_whole_to_int(v) for v in (
+        x0 + ox, x0 + w + ox, y0 + oy, y0 + h + oy))
+    got = drawn_chambers(spec, window)
+    # repr also tells an int corner from a Fraction
+    assert repr(got) == repr(oracle_drawn_chambers(spec, window))
+    # integer vertices stay reduced with W > 0, so they do not grow
+    # from level to level of the sweep
+    for _, poly in _strip_pieces(spec, list(_window_corners(window))):
+        assert len(set(poly)) == len(poly)
+        for hx, hy, hw in poly:
+            assert hw > 0 and math.gcd(hx, hy, hw) == 1
