@@ -94,8 +94,16 @@ def _reduce(spec: ConeSpec, cc: IntVec) -> IntVec:
 
 
 def canonical_class(spec: ConeSpec, c) -> IntVec:
-    """Canonical representative of the chamber's isomorphism class."""
-    return _reduce(spec, require_chamber(spec, c))
+    """Canonical representative of the chamber's isomorphism class.
+
+    The representative is reduced once and decides feasibility too, as in
+    ``is_feasible``; InputError as in ``require_chamber`` if it has no cell.
+    """
+    cc = ceiling_vector(spec, c)
+    rep = _reduce(spec, cc)
+    if not chamber_cells(spec, rep):
+        raise InputError(f"not a chamber: {cc} is infeasible")
+    return rep
 
 
 def iso_witness(spec: ConeSpec, c, cp) -> IntVec | None:

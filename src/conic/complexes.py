@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from . import ratgeom
 from .cells import Cell, enumerate_cells, incidence_sign, is_facet_pair, open_conic
 from .chambers import (
     canonical_class,
     enumerate_classes,
-    iso_witness,
     nhat,
     require_chamber,
 )
@@ -195,23 +195,57 @@ def default_window(c, cp) -> int:
     return 2 * (1 + max(abs(a - b) for a, b in zip(intvec(c), intvec(cp))))
 
 
+def _window_radius(window) -> int:
+    """The window radius as given; InputError unless it is an int >= 0."""
+    if isinstance(window, bool) or not isinstance(window, int) or window < 0:
+        raise InputError(
+            f"window radius must be a nonnegative integer, got {window!r}")
+    return window
+
+
 def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int) -> AcyclicityReport:
+    """Window acyclicity of a complex against the chamber cp.
+
+    Summand vec survives at m iff h = (<m, n_i>)_i >= vec - cp entrywise,
+    so the survivors are the AND over i of the summands whose gap at i is
+    at most h_i; those sets are tabulated per coordinate on first use.
+    ``graded_piece`` reads m only through the kept index sets, so the
+    scalar complex, and with it its homology ranks, is a function of that
+    mask: the ranks are computed once per distinct mask.  What a point
+    adds on its own, the hit h == c - cp and with it the rank wanted in
+    degree zero, is recomputed at every point.
+    """
     c = cx.chamber
-    witness = iso_witness(spec, c, cp)
+    shift = sub(c, cp)
+    witness = ratgeom.lattice_solve(spec.normals, shift)
+    gaps = [sub(vec, cp) for row in cx.terms for vec in row]
+    # below[i][v]: bitmask of the summands whose gap at i is <= v
+    below = [{} for _ in spec.normals]
+    ranks_of: dict[int, tuple[int, ...]] = {}
     hits = []
     failures = []
     checked = 0
     for m in product(range(-radius, radius + 1), repeat=spec.rank):
         checked += 1
-        target = add(cp, nhat(spec, m))
-        sc = graded_piece(spec, cx, cp, m)
-        ranks = homology_ranks(sc)
-        want0 = 1 if target == c else 0
+        h = tuple([sum(map(mul, m, n)) for n in spec.normals])
+        mask = -1
+        for i, v in enumerate(h):
+            bits = below[i].get(v)
+            if bits is None:
+                bits = below[i][v] = sum(
+                    1 << k for k, gap in enumerate(gaps) if gap[i] <= v)
+            mask &= bits
+        ranks = ranks_of.get(mask)
+        if ranks is None:
+            ranks = ranks_of[mask] = homology_ranks(
+                graded_piece(spec, cx, cp, m))
+        hit = h == shift
+        want0 = 1 if hit else 0
         for deg, got in enumerate(ranks):
             want = want0 if deg == 0 else 0
             if got != want:
                 failures.append((m, deg, got, want))
-        if target == c and ranks and ranks[0] == 1:
+        if hit and ranks and ranks[0] == 1:
             hits.append(m)
     in_window = witness is not None and all(abs(x) <= radius for x in witness)
     expected_hits = 1 if in_window else 0
@@ -231,9 +265,8 @@ def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> Acycl
     """
     cc = require_chamber(spec, c)
     cpp = require_chamber(spec, cp)
-    radius = default_window(cc, cpp) if window is None else window
-    if radius < 0:
-        raise InputError("window radius must be nonnegative")
+    radius = (default_window(cc, cpp) if window is None
+              else _window_radius(window))
     return _verify(spec, conic_complex(spec, cc), cpp, radius)
 
 
@@ -334,6 +367,8 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
     by window acyclicity before it is returned.
     """
     cc = require_chamber(spec, c)
+    if window is not None:
+        _window_radius(window)
     reps = _canonical_support(spec, support)
     sup = set(reps)
     if canonical_class(spec, cc) not in sup:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import ratgeom
 from .errors import InputError, InternalInvariantError
-from .ratgeom import IntVec, dot, intvec, neg, primitive
+from .ratgeom import IntVec, dot, intvec, primitive
 
 
 @dataclass(frozen=True)
@@ -111,22 +111,6 @@ def _minimal_generators(rays: Sequence[IntVec]) -> tuple[tuple[int, ...], tuple[
     return idx, tuple(rays[i] for i in idx), tuple(f for f, _ in facets)
 
 
-def _adjugate_rays(base: list[IntVec]) -> list[IntVec]:
-    """Rays pairing positively with one base row and zero with the rest.
-
-    Ray j spans the kernel of the other base rows; it is the primitive
-    kernel vector, oriented to pair positively with row j.
-    """
-    rays = []
-    for j, row in enumerate(base):
-        ker = ratgeom.rref_kernel_basis(base[:j] + base[j + 1:], len(base))
-        side = dot(ker[0], row) if len(ker) == 1 else 0
-        if side == 0:
-            raise InternalInvariantError("base rows are singular")
-        rays.append(ker[0] if side > 0 else neg(ker[0]))
-    return rays
-
-
 def double_description(rows: tuple[IntVec, ...],
                        dim: int) -> tuple[tuple[IntVec, frozenset[int]], ...]:
     """Extreme rays of {x : <x, r> >= 0 for all r in rows}, each with the
@@ -149,7 +133,9 @@ def double_description(rows: tuple[IntVec, ...],
     base = ratgeom.echelon([[r[j] for r in rows] for j in range(dim)], len(rows))[1]
     if len(base) < dim:
         raise InputError("rows do not span: solution cone is not pointed")
-    seeds = _adjugate_rays([rows[i] for i in base])
+    # Seed ray j pairs positively with base row j and to zero with the
+    # other base rows: column j of the base's inverse.
+    seeds = ratgeom.inverse_columns([rows[i] for i in base])
     tight = {r: frozenset(base) - {i} for i, r in zip(base, seeds)}
     for i in range(len(rows)):
         if i in base:

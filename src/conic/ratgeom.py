@@ -415,6 +415,35 @@ def rref_kernel_basis(rows: Sequence[Sequence], ncols: int) -> tuple[IntVec, ...
     return tuple(basis)
 
 
+def inverse_columns(rows: Sequence[Sequence]) -> tuple[IntVec, ...]:
+    """Columns of the inverse of a nonsingular square matrix, each scaled
+    by a positive factor to a primitive integer vector.
+
+    One elimination of [rows | I] serves every column.  Its last pivot d
+    is the determinant of the (scaled, row-permuted) matrix, so d times
+    each column of the inverse is integral, and back-substitution against
+    d times the eliminated identity column finds it with exact integer
+    divisions.  InputError if the matrix is singular.
+    """
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    ech, pivots, _ = echelon(aug, n)
+    if len(pivots) < n:
+        raise InputError("matrix is singular")
+    d = ech[-1][n - 1]
+    cols = []
+    for j in range(n):
+        y = [0] * n
+        for k in reversed(range(n)):
+            row = ech[k]
+            rest = d * row[n + j] - sum(row[l] * y[l] for l in range(k + 1, n))
+            y[k] = rest // row[k]
+        col = primitive(y)
+        cols.append(col if d > 0 else neg(col))
+    return tuple(cols)
+
+
 # --------------------------------------------------------------------------
 # Hermite / Smith normal forms and kernels
 

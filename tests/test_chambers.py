@@ -17,10 +17,11 @@ from conic import (
     is_feasible,
     iso_witness,
     leq,
+    ratgeom,
     translation_lattice,
 )
 from conic.cells import chamber_cells
-from conic.chambers import nhat, pairings
+from conic.chambers import nhat, pairings, require_chamber
 from conic.errors import InputError
 from conic.ratgeom import add, dot, feasible
 
@@ -186,6 +187,27 @@ def test_canonical_class_is_translation_invariant(square):
     for row in lat:
         shifted = add(c, row)
         assert canonical_class(square, shifted) == canonical_class(square, c)
+
+
+def test_canonical_class_reduces_once(square, monkeypatch):
+    # results and refusals are those of reducing require_chamber's vector
+    lattice = translation_lattice(square)
+    real = ratgeom.reduce_mod_hnf
+    calls = []
+    monkeypatch.setattr(ratgeom, "reduce_mod_hnf",
+                        lambda v, basis: calls.append(v) or real(v, basis))
+    for c in [*product(range(-1, 2), repeat=4), (0, 0, 0)]:
+        try:
+            want = real(require_chamber(square, c), lattice)
+        except InputError as err:
+            want = str(err)
+        calls.clear()
+        try:
+            got = canonical_class(square, c)
+        except InputError as err:
+            got = str(err)
+        assert got == want
+        assert len(calls) == (len(c) == 4)
 
 
 def test_iso_witness_round_trip(square):

@@ -242,3 +242,14 @@ def test_main_support_trailing_comma(square_file, capsys):
                  "--input", square_file]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["partial_supports"][0]["support"] == ["A0"]
+
+
+def test_main_negative_window_is_refused(square_file, capsys):
+    # resolution checks no point on an empty window, so it must not
+    # report the complex as validated
+    for argv in (["resolution", "--support", "A0,A1", "A1"],
+                 ["acyclicity"], ["analyze"]):
+        assert main(argv + ["--window=-1", "--input", square_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "window" in captured.err

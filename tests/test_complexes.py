@@ -1,6 +1,10 @@
+from itertools import product
+
 import pytest
 
 from conic import (
+    ConicComplex,
+    complexes,
     conic_complex,
     enumerate_classes,
     ext_dims,
@@ -14,8 +18,12 @@ from conic import (
     smith_invariants,
     verify_acyclicity,
 )
-from conic.chambers import canonical_class
+from conic.chambers import canonical_class, nhat
+from conic.complexes import _verify, default_window
 from conic.errors import InputError, SupportNotClosedError
+from conic.ratgeom import add
+
+from acyclicity_oracle import oracle_verify
 
 FREE, X, Y = (0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 1)
 
@@ -88,6 +96,86 @@ def test_acyclicity_zero_window_is_trivial(quadric):
     rpt = verify_acyclicity(quadric, (0, 0), (0, 1), window=0)
     assert rpt.checked == 1
     assert rpt.passed
+
+
+@pytest.mark.parametrize("window", [-1, True, 2.0, "2"])
+def test_window_must_be_a_nonnegative_int(square, window):
+    with pytest.raises(InputError, match="window"):
+        verify_acyclicity(square, FREE, X, window=window)
+    with pytest.raises(InputError, match="window"):
+        resolution(square, [FREE, X], X, window=window)
+
+
+@pytest.mark.parametrize("name", ["square", "cyclic", "pentagon", "hexagon"])
+def test_acyclicity_matches_per_point_oracle(request, name):
+    # Default windows of every pair cost minutes on the polygons; there
+    # they are checked against the free class only.
+    spec = request.getfixturevalue(name)
+    classes = enumerate_classes(spec)
+    free = classes.rep_of("A0")
+    for a in classes.reps:
+        cx = conic_complex(spec, a)
+        for b in classes.reps:
+            radii = [0, 1, 2, 3]
+            if name in ("square", "cyclic") or free in (a, b):
+                radii.append(default_window(a, b))
+            for radius in radii:
+                assert _verify(spec, cx, b, radius) == oracle_verify(
+                    spec, cx, b, radius), (a, b, radius)
+
+
+@pytest.mark.parametrize("name", ["square", "cyclic", "pentagon"])
+def test_failing_acyclicity_matches_per_point_oracle(request, name):
+    # A truncated complex is not exact, so its reports carry failures and
+    # hits that are not the chamber's own: the hit must be decided per
+    # point even where its survival mask recurs.
+    spec = request.getfixturevalue(name)
+    classes = enumerate_classes(spec)
+    radii = (0, 1, 2) if name == "pentagon" else (0, 1, 2, 3)
+    for a in classes.reps:
+        full = conic_complex(spec, a)
+        for k in range(1, len(full.terms)):
+            cx = ConicComplex(chamber=a, terms=full.terms[:k],
+                              cells=full.cells[:k], mats=full.mats[:k - 1])
+            for b in classes.reps:
+                for radius in radii:
+                    want = oracle_verify(spec, cx, b, radius)
+                    assert _verify(spec, cx, b, radius) == want, (a, b, k)
+
+
+@pytest.mark.parametrize("support", [[FREE, X], [FREE, Y]])
+def test_spliced_acyclicity_matches_per_point_oracle(square, support):
+    reps = enumerate_classes(square).reps
+    for own in support:
+        cx = resolution(square, support, own).complex
+        assert cx.spliced
+        for b in reps:
+            for radius in (0, 1, 2, 3, default_window(own, b)):
+                assert _verify(square, cx, b, radius) == oracle_verify(
+                    square, cx, b, radius), (own, b, radius)
+
+
+def test_homology_once_per_survival_mask(pentagon, monkeypatch):
+    reps = enumerate_classes(pentagon).reps
+    a, b, radius = reps[1], reps[2], 2
+    cx = conic_complex(pentagon, a)
+    masks = set()
+    for m in product(range(-radius, radius + 1), repeat=pentagon.rank):
+        target = add(b, nhat(pentagon, m))
+        masks.add(tuple(
+            tuple(all(x >= y for x, y in zip(target, vec)) for vec in row)
+            for row in cx.terms))
+    calls = []
+    real = complexes.homology_ranks
+
+    def counting(sc):
+        calls.append(sc)
+        return real(sc)
+
+    monkeypatch.setattr(complexes, "homology_ranks", counting)
+    rpt = verify_acyclicity(pentagon, a, b, window=radius)
+    assert rpt.checked == (2 * radius + 1) ** pentagon.rank
+    assert len(calls) == len(masks) < rpt.checked
 
 
 def test_pdims_and_global_dimension(quadric, square, cyclic, orthant2, orthant3):

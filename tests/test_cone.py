@@ -14,9 +14,12 @@ from conic import (
     primal_generators,
     restrict_to_facet,
 )
+from conic import enumerate_classes, ratgeom
+from conic.cells import box_vertices
 from conic.cone import content_hash, double_description
 from conic.errors import InputError
-from conic.ratgeom import EQ, LE, dot, feasible, primitive, rank, system
+from conic.ratgeom import (
+    EQ, LE, dot, feasible, neg, primitive, rank, rref_kernel_basis, system)
 
 # a rank-4 cone with five extreme rays and six facets
 FIVE_RAYS = ((1, -1, -3, 2), (-2, 1, 0, 2), (0, -1, 3, 1), (-1, 2, -2, 3),
@@ -318,3 +321,40 @@ def test_rank4_five_rays_build():
         assert all(dot(ray, n) >= 0 for n in spec.normals)
     for n in spec.normals:
         assert rank([r for r in FIVE_RAYS if dot(n, r) == 0]) == 3
+
+
+def _per_row_seeds(base):
+    """Seed ray j as the kernel of the other base rows, oriented to pair
+    positively with row j: one elimination per row."""
+    rays = []
+    for j, row in enumerate(base):
+        (ker,) = rref_kernel_basis(base[:j] + base[j + 1:], len(base))
+        rays.append(ker if dot(ker, row) > 0 else neg(ker))
+    return rays
+
+
+@pytest.mark.parametrize("name", [
+    "quadric", "square", "cyclic", "orthant2", "orthant3", "pentagon",
+    "hexagon", "octahedron", "gon13", "gon20", "five_rays"])
+def test_inverse_seeds_match_per_row_seeds(request, name, monkeypatch):
+    if name.startswith("gon"):
+        t = int(name[3:])
+        spec = from_primal_rays(3, [(k, k * k, 1) for k in range(t)])
+        reps = [(0,) * t, (1,) * t]
+    elif name == "five_rays":
+        spec = from_primal_rays(4, FIVE_RAYS)
+        reps = [(0,) * 6, (1, 0, 0, 1, 0, 0), (1,) * 6]
+    else:
+        spec = request.getfixturevalue(name)
+        reps = enumerate_classes(spec).reps
+
+    def passes():
+        # the dual and primal passes of the cone, and the box pass of
+        # each chamber's cells
+        return ([double_description(spec.normals, spec.rank),
+                 double_description(primal_generators(spec), spec.rank)]
+                + [box_vertices(spec, rep) for rep in reps])
+
+    got = passes()
+    monkeypatch.setattr(ratgeom, "inverse_columns", _per_row_seeds)
+    assert got == passes()

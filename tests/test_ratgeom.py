@@ -16,6 +16,7 @@ from conic.ratgeom import (
     feasible,
     functional_kernel_basis,
     hermite_normal_form,
+    inverse_columns,
     lattice_solve,
     linear_solve,
     primitive,
@@ -186,6 +187,20 @@ def test_rref_kernel_orthogonal_and_full(rows):
     for k in ker:
         assert all(dot(r, k) == 0 for r in rows)
     assert len(ker) == 4 - rank(rows)
+
+
+@given(st.lists(st.lists(rats, min_size=3, max_size=3), min_size=3, max_size=3))
+def test_inverse_columns_are_scaled_unit_solutions(rows):
+    if det(rows) == 0:
+        with pytest.raises(InputError, match="singular"):
+            inverse_columns(rows)
+        return
+    cols = inverse_columns(rows)
+    for j, col in enumerate(cols):
+        assert primitive(col) == col
+        pairs = [dot(row, col) for row in rows]
+        assert pairs[j] > 0
+        assert all(x == 0 for i, x in enumerate(pairs) if i != j)
 
 
 @given(st.lists(ints, min_size=2, max_size=4))
