@@ -3,20 +3,21 @@
 A chamber decomposes into locally closed cells indexed by the set Omega
 of strip indices: pairings with index outside Omega are pinned at the
 ceiling, pairings inside Omega stay in the open strip.  The codimension
-of a cell is the rank of its pinned normals.  Cells of consecutive
-codimension with nested Omega are facet pairs, and each pair carries an
-incidence sign read from exact orientation frames alone.  Interior
-points of cells are computed only on demand (``cell_witnesses``).
+of a cell is the rank of its pinned normals, read off the orientation
+frame of its direction space, which is kept once per cone and Omega.
+Cells of consecutive codimension with nested Omega are facet pairs, and
+each pair carries an incidence sign read from exact orientation frames
+alone.  Interior points of cells are computed only on demand
+(``cell_witnesses``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import ratgeom
-from .cone import ConeSpec, double_description
+from .cone import ConeSpec, double_description, per_cone
 from .errors import InputError, InternalInvariantError
 from .ratgeom import IntVec, RatVec, dot, intvec, neg
 
@@ -63,7 +64,7 @@ def vertex_barycenter(spec: ConeSpec, vertices) -> RatVec:
                  / len(vertices) for j in range(d))
 
 
-@lru_cache(maxsize=None)
+@per_cone
 def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
     """Cells of the chamber of a ceiling vector tuple, sorted by (codim,
     omega), so a chamber's open cell comes first; none when c is not one."""
@@ -83,10 +84,9 @@ def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
     for face in faces:
         if any(k % 2 for k in face):
             continue
-        found.append(Cell(
-            chamber=c,
-            omega=tuple(i for i in range(len(c)) if 2 * i not in face),
-            codim=ratgeom.rank([spec.normals[k // 2] for k in face])))
+        omega = tuple(i for i in range(len(c)) if 2 * i not in face)
+        found.append(Cell(chamber=c, omega=omega,
+                          codim=spec.rank - len(_frame(spec, omega))))
     return tuple(sorted(found, key=lambda cell: (cell.codim, cell.omega)))
 
 
@@ -103,15 +103,18 @@ def enumerate_cells(spec: ConeSpec, c) -> tuple[Cell, ...]:
         raise InputError(f"not a chamber: {cc} is infeasible")
     return cells
 
+
 def cell_witnesses(spec: ConeSpec, c) -> tuple[RatVec, ...]:
     """A point of each cell, aligned with ``enumerate_cells``: the cell
     with strip set omega has the closure tight on {2i : i not in omega},
     and its witness is the barycenter of the box vertices tight there."""
     cells = enumerate_cells(spec, c)
     vertices = box_vertices(spec, cells[0].chamber)
+    t = len(spec.normals)
     return tuple(
         vertex_barycenter(spec, [v for v in vertices if face <= v[1]])
-        for face in ({2 * i for i in _active(spec, cell)} for cell in cells))
+        for face in ({2 * i for i in range(t) if i not in cell.omega}
+                     for cell in cells))
 
 
 def open_conic(cell: Cell) -> IntVec:
@@ -136,21 +139,18 @@ def has_zero_cell(spec: ConeSpec, c) -> bool:
     return any(cell.codim == spec.rank for cell in enumerate_cells(spec, c))
 
 
-@lru_cache(maxsize=None)
-def _frame(spec: ConeSpec, active: tuple[int, ...]) -> tuple[IntVec, ...]:
+@per_cone
+def _frame(spec: ConeSpec, omega: tuple[int, ...]) -> tuple[IntVec, ...]:
     # Canonical orientation frame of the direction space cut out by the
-    # active normals: RREF kernel basis, primitive, pivot ordered.
-    rows = [spec.normals[i] for i in active]
+    # normals pinned outside omega: RREF kernel basis, primitive, pivot
+    # ordered.  It depends on the cone and omega, not on the chamber.
+    rows = [n for i, n in enumerate(spec.normals) if i not in omega]
     return ratgeom.rref_kernel_basis(rows, spec.rank)
-
-
-def _active(spec: ConeSpec, cell: Cell) -> tuple[int, ...]:
-    return tuple(i for i in range(len(spec.normals)) if i not in cell.omega)
 
 
 def orientation_frame(spec: ConeSpec, cell: Cell) -> tuple[IntVec, ...]:
     """Deterministic basis of the cell's direction space."""
-    return _frame(spec, _active(spec, cell))
+    return _frame(spec, cell.omega)
 
 
 def is_facet_pair(spec: ConeSpec, inner: Cell, outer: Cell) -> bool:

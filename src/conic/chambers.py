@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import ratgeom
 from .cells import box_vertices, ceiling_vector, chamber_cells, vertex_barycenter
-from .cone import ConeSpec
+from .cone import ConeSpec, per_cone
 from .errors import InputError
 from .ratgeom import IntVec, RatVec, dot, intvec, sub
 
@@ -82,7 +81,7 @@ def leq(spec: ConeSpec, c, cp) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
-@lru_cache(maxsize=None)
+@per_cone
 def translation_lattice(spec: ConeSpec) -> tuple[IntVec, ...]:
     """HNF basis of the lattice of pairing vectors of lattice points."""
     cols = [tuple(n[j] for n in spec.normals) for j in range(spec.rank)]
@@ -150,7 +149,7 @@ class ClassList:
         return self.reps[self.labels.index(label)]
 
 
-@lru_cache(maxsize=None)
+@per_cone
 def enumerate_classes(spec: ConeSpec) -> ClassList:
     """All isomorphism classes, by breadth-first search over +e_i steps.
 

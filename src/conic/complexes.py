@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from operator import mul
 
@@ -26,7 +25,7 @@ from .chambers import (
     nhat,
     require_chamber,
 )
-from .cone import ConeSpec
+from .cone import ConeSpec, per_cone
 from .errors import (
     InputError,
     InternalInvariantError,
@@ -121,7 +120,7 @@ def _check_d2(mats) -> None:
                         f"differential does not square to zero at degree {i}")
 
 
-@lru_cache(maxsize=None)
+@per_cone
 def conic_complex(spec: ConeSpec, c: IntVec) -> ConicComplex:
     """The cellular complex of a chamber, with d*d = 0 verified."""
     cells = enumerate_cells(spec, c)

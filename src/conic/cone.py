@@ -7,10 +7,11 @@ nonnegatively with each of them.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import ratgeom
 from .errors import InputError, InternalInvariantError
@@ -24,11 +25,16 @@ class ConeSpec:
     The normal order is part of the data: ceiling vectors, cells, and
     reports all read coordinates in this order.  ``generators`` carries
     primitive extreme rays when they were supplied or computed.
+
+    ``_store`` holds what ``per_cone`` functions computed for this cone.
+    It is no part of the value: equality, hash and repr leave it out.
     """
 
     rank: int
     normals: tuple[IntVec, ...]
     generators: tuple[IntVec, ...] | None = None
+    _store: dict = field(default_factory=dict, init=False, compare=False,
+                         hash=False, repr=False)
 
     def __post_init__(self):
         d = self.rank
@@ -39,7 +45,7 @@ class ConeSpec:
         for i, n in enumerate(self.normals):
             if len(n) != d:
                 raise InputError(f"normal {i} has length {len(n)}, expected {d}")
-            if any(not isinstance(x, int) for x in n):
+            if not _ints(n):
                 raise InputError(f"normal {i} has non-integer entries")
             if all(x == 0 for x in n):
                 raise InputError(f"normal {i} is zero")
@@ -55,15 +61,45 @@ class ConeSpec:
             if i not in kept or self.normals.count(n) > 1:
                 raise InputError(f"normal {i} is redundant: {n}")
         if self.generators is not None:
-            for g in self.generators:
+            for i, g in enumerate(self.generators):
                 if len(g) != d:
                     raise InputError("generator length does not match rank")
+                if not _ints(g):
+                    raise InputError(f"generator {i} has non-integer entries")
 
     @property
     def simplicial(self) -> bool:
         """Whether there are exactly rank normals; they span, so they are
         then linearly independent."""
         return len(self.normals) == self.rank
+
+
+_MISSING = object()
+
+
+def _ints(v) -> bool:
+    # bool is an int subclass, but True would print as true in reports
+    return all(type(x) is int for x in v)
+
+
+def per_cone(func):
+    """Memoise ``func(spec, *args)`` in ``spec._store``, one table per
+    function keyed by args.
+
+    The store is the only cache of per-cone state: an entry lives exactly
+    as long as its cone, so memory is bounded by the cones a caller keeps.
+    Equal cones built separately share nothing.
+    """
+    @functools.wraps(func)
+    def memo(spec: ConeSpec, *args):
+        table = spec._store.get(memo)
+        if table is None:
+            table = spec._store[memo] = {}
+        value = table.get(args, _MISSING)
+        if value is _MISSING:
+            value = table[args] = func(spec, *args)
+        return value
+    return memo
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ from .errors import InputError, UnsupportedOperationError
 from .ratgeom import IntVec, dot
 
 SEARCH_CAP = 64
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,30 @@ def minimal_complete_q(spec: ConeSpec, cap: int = SEARCH_CAP) -> int:
 
 
 def _is_prime(p: int) -> bool:
+    """Miller-Rabin to the prime bases 2..41, which decide every p below
+    PRIME_BOUND exactly (Sorenson & Webster, 2015); InputError above."""
+    if p >= PRIME_BOUND:
+        raise InputError(
+            f"characteristic {p} is at least {PRIME_BOUND}, beyond which "
+            "primality is not decided here")
     if p < 2:
         return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
+    for b in PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 

@@ -56,15 +56,16 @@ def test_chamber_of_own_witness_round_trip(square):
 
 def test_chamber_witness_caches_only_representatives(square):
     # translates of a chamber and of a non-chamber add nothing to the
-    # cell cache once their representatives are in it
+    # cone's stored cells once their representatives are in it
     reps = [(0, 0, 0, -1), (3, 0, 0, 0)]
     for c in reps:
         chamber_witness(square, c)
-    size = chamber_cells.cache_info().currsize
+    stored = square._store[chamber_cells]
+    size = len(stored)
     chamber, other = (add(c, nhat(square, (1, 2, 3))) for c in reps)
     assert chamber_of(square, chamber_witness(square, chamber)) == chamber
     assert chamber_witness(square, other) is None
-    assert chamber_cells.cache_info().currsize == size
+    assert len(stored) == size
 
 
 def test_square_corrected_feasibility(square):

@@ -253,3 +253,16 @@ def test_main_negative_window_is_refused(square_file, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "window" in captured.err
+
+
+def test_main_frobenius_large_prime(tmp_path, capsys):
+    # 2^61 - 1 is prime; the check must not trial-divide up to its root
+    cyclic_file = tmp_path / "cyclic.json"
+    cyclic_file.write_text(CYCLIC)
+    p = 2 ** 61 - 1
+    assert main(["frobenius", "--dmodule", str(p),
+                 "--input", str(cyclic_file)]) == 0
+    assert f"p={p}: minimal e with p^e complete is 1" in capsys.readouterr().out
+    assert main(["frobenius", "--dmodule", str(2 ** 89 - 1),
+                 "--input", str(cyclic_file)]) == 1
+    assert str(frobenius.PRIME_BOUND) in capsys.readouterr().err

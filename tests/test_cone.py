@@ -1,5 +1,9 @@
+import gc
+import importlib
 import itertools
+import pkgutil
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +18,9 @@ from conic import (
     primal_generators,
     restrict_to_facet,
 )
+import conic
 from conic import enumerate_classes, ratgeom
+from conic.cli_io import analyze
 from conic.cells import box_vertices
 from conic.cone import content_hash, double_description
 from conic.errors import InputError
@@ -358,3 +364,47 @@ def test_inverse_seeds_match_per_row_seeds(request, name, monkeypatch):
     got = passes()
     monkeypatch.setattr(ratgeom, "inverse_columns", _per_row_seeds)
     assert got == passes()
+
+
+def test_rejects_bool_and_non_int_entries():
+    # True == 1 and hashes alike, but would print as true in reports
+    for normals in (((True, 0), (0, 1)), ((1, 0), (0, False))):
+        with pytest.raises(InputError, match="non-integer entries"):
+            ConeSpec(2, normals)
+    for gens in (((True, 0), (0, 1)), ((1, 0), (0, 1.0))):
+        with pytest.raises(InputError, match="non-integer entries"):
+            ConeSpec(2, ((1, 0), (0, 1)), generators=gens)
+    assert from_normals(2, [(True, 0), (0, 1)]).normals == ((1, 0), (0, 1))
+
+
+SQUARE = ((1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1))
+
+
+def test_analysis_leaves_the_cone_value_unchanged():
+    spec, twin = from_normals(3, SQUARE), from_normals(3, SQUARE)
+    before = (repr(spec), hash(spec), content_hash(spec))
+    analyze(spec)
+    assert spec._store and not twin._store
+    assert (repr(spec), hash(spec), content_hash(spec)) == before
+    assert spec == twin and hash(spec) == hash(twin)
+    assert repr(spec) == repr(twin)
+
+
+def test_analysis_state_dies_with_its_cone():
+    # a cone no other test builds: a cache shared by equal cones would
+    # hold whichever of them came first
+    spec = from_normals(3, ((1, 0, 0), (0, 1, 0), (-1, 0, 5), (0, -1, 7)))
+    analyze(spec)
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
+def test_no_module_level_caches():
+    # per-cone state lives in the cone's store, not in functools caches
+    modules = [conic] + [importlib.import_module(info.name) for info in
+                         pkgutil.iter_modules(conic.__path__, "conic.")]
+    for module in modules:
+        for name, value in vars(module).items():
+            assert not hasattr(value, "cache_info"), f"{module.__name__}.{name}"

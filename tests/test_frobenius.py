@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ from conic import (
 )
 from conic.chambers import canonical_class, chamber_of
 from conic.errors import InputError, UnsupportedOperationError
+from conic.frobenius import PRIME_BOUND, _is_prime
 
 FREE, X, Y = (0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 1)
 
@@ -110,3 +112,28 @@ def test_decomposition_matches_definition(cone, request):
             canonical_class(spec, chamber_of(spec, [Fraction(-x, q) for x in v]))
             for v in product(range(q), repeat=spec.rank))
         assert decompose_root(spec, q).counts == tuple(sorted(want.items()))
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % k for k in range(2, math.isqrt(p) + 1))
+
+
+def test_primality_matches_trial_division():
+    below = range(10 ** 5)
+    assert ([p for p in below if _is_prime(p)]
+            == [p for p in below if _trial_division(p)])
+    # a Carmichael number, the least strong pseudoprime to the bases 2, 3,
+    # 5 and 7, and 2^61 -+ 1
+    for p in (561, 3215031751):
+        assert not _is_prime(p) and not _trial_division(p)
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime(2 ** 61 + 1)  # divisible by 3
+
+
+def test_primality_refused_past_the_proven_bound(quadric):
+    assert not _is_prime(PRIME_BOUND - 1)  # even
+    for p in (PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(InputError, match=str(PRIME_BOUND)):
+            _is_prime(p)
+        with pytest.raises(InputError, match=str(PRIME_BOUND)):
+            dmodule_report(quadric, p)
