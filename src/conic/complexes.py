@@ -6,13 +6,14 @@ degreewise slices against any other chamber are exact away from a single
 distinguished slot, which is what makes the complexes projective
 resolutions of the graded simples after applying the hom functor.  For
 partial summand supports the excluded summands are spliced out through
-their own complexes, with exact lift and correction blocks solved
-degree by degree.
+their own complexes, and the entries that the chain map to the chamber
+complex does not fix are solved degree by degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -324,7 +325,8 @@ def _solve_columns(nrows, ncols, prescribed, unknown, equations):
     """Fill unknown entries column by column from linear equations.
 
     prescribed: dict (row, col) -> Fraction for fixed entries.
-    unknown: set of (row, col) positions allowed to be nonzero.
+    unknown: set of (row, col) positions allowed to be nonzero; entries
+    in neither are 0.
     equations: list of (coeff_by_row dict, rhs_fn(col) -> Fraction)
     pairs expressing sum_r coeff[r] * M[r][col] = rhs for every col.
     """
@@ -358,12 +360,20 @@ def _entrywise_geq(a, b) -> bool:
 def resolution(spec: ConeSpec, support, c, window: int | None = None) -> ResolutionReport:
     """Resolution of the simple of c over the given summand support.
 
-    With complete support this is the chamber complex itself.  Summands
-    whose class is outside the support are spliced out through their own
-    complexes (one substitution round); if those complexes again contain
-    classes outside the support, the support is not closed and the
-    offending cells are reported.  Every spliced resolution is validated
-    by window acyclicity before it is returned.
+    Summands of the chamber complex K whose class is outside the support
+    are spliced out through their own complexes (one substitution
+    round); if those complexes again contain classes outside the
+    support, the support is not closed and the offending cells are
+    reported.  The spliced complex F maps to K by a chain map phi: a
+    kept summand by 1 onto its own position, a degree-1 summand p of the
+    complex Ks spliced in for s onto s's position by Ks.mats[0][0][p],
+    deeper summands to 0.  So each differential D_i has kept rows
+    d_K phi_{i+1} and, inside one spliced complex, that complex's own
+    differential; every other entry is 0 unless eligible, and eligible
+    ones solve phi_i D_i = d_K phi_{i+1} at the excluded positions of
+    K_i and D_{i-1} D_i = 0.  A complete support excludes nothing, so F
+    is K.  Every spliced resolution is validated by window acyclicity
+    before it is returned.
     """
     cc = require_chamber(spec, c)
     if window is not None:
@@ -373,163 +383,94 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
     if canonical_class(spec, cc) not in sup:
         raise InputError("the chamber's own class must belong to the support")
     K = conic_complex(spec, cc)
-    excluded = []
-    for i in range(1, len(K.terms)):
-        for pos, vec in enumerate(K.terms[i]):
-            if canonical_class(spec, vec) not in sup:
-                excluded.append((i, pos, vec))
-    if not excluded:
-        mats = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in m) for m in K.mats)
-        origins = tuple(
-            tuple(("kept", pos) for pos in range(len(row))) for row in K.terms)
-        cx = SplicedComplex(
-            chamber=cc, support=reps, terms=K.terms, origins=origins,
-            mats=mats, spliced=False)
-        return _report(spec, cx, reps, validated_radius=None)
-
-    subs = []
-    bad_cells = []
-    for s_id, (k, pos, vec) in enumerate(excluded):
-        Ks = conic_complex(spec, vec)
-        for j in range(1, len(Ks.terms)):
-            for p2, vec2 in enumerate(Ks.terms[j]):
-                if canonical_class(spec, vec2) not in sup:
-                    bad_cells.append(Ks.cells[j][p2])
-        subs.append((s_id, k, pos, vec, Ks))
+    excluded = [
+        (k, pos) for k in range(1, len(K.terms))
+        for pos, vec in enumerate(K.terms[k])
+        if canonical_class(spec, vec) not in sup]
+    subs = [conic_complex(spec, K.terms[k][pos]) for k, pos in excluded]
+    bad_cells = [
+        Ks.cells[j][p] for Ks in subs for j in range(1, len(Ks.terms))
+        for p, vec in enumerate(Ks.terms[j])
+        if canonical_class(spec, vec) not in sup]
     if bad_cells:
         raise SupportNotClosedError(
             "support is not closed under one substitution round",
             cells=tuple(bad_cells))
 
-    excl_set = {(k, pos) for k, pos, _ in excluded}
-    top = len(K.terms) - 1
-    for _, k, _, _, Ks in subs:
-        top = max(top, k + len(Ks.terms) - 2)
-    terms = []
-    origins = []
-    for i in range(top + 1):
-        vecs = []
-        tags = []
-        if i < len(K.terms):
-            for pos, vec in enumerate(K.terms[i]):
-                if (i, pos) not in excl_set:
-                    vecs.append(vec)
-                    tags.append(("kept", pos))
-        for s_id, k, pos, svec, Ks in subs:
-            j = i - k + 1
-            if 1 <= j < len(Ks.terms):
-                for p2, vec2 in enumerate(Ks.terms[j]):
-                    vecs.append(vec2)
-                    tags.append(("sub", s_id, j, p2))
-        terms.append(tuple(vecs))
-        origins.append(tuple(tags))
-    while terms and not terms[-1]:
-        terms.pop()
+    # F_i: the kept summands of K_i, then degree i - k + 1 of the complex
+    # spliced in for each excluded summand of degree k
+    origins = [
+        [("kept", pos) for pos in range(len(row)) if (i, pos) not in excluded]
+        for i, row in enumerate(K.terms)]
+    for s, ((k, _), Ks) in enumerate(zip(excluded, subs)):
+        for j in range(1, len(Ks.terms)):
+            if k + j - 1 == len(origins):
+                origins.append([])
+            origins[k + j - 1] += [("sub", s, j, p) for p in range(len(Ks.terms[j]))]
+    while not origins[-1]:
         origins.pop()
+    terms = tuple(
+        tuple(K.terms[i][t[1]] if t[0] == "kept" else subs[t[1]].terms[t[2]][t[3]]
+              for t in row)
+        for i, row in enumerate(origins))
+    # phi_i as {summand of F_i: (position in K_i, coefficient)}
+    phi = [
+        {r: (t[1], 1) if t[0] == "kept"
+         else (excluded[t[1]][1], subs[t[1]].mats[0][0][t[3]])
+         for r, t in enumerate(row) if t[0] == "kept" or t[2] == 1}
+        for row in origins]
 
-    sub_by_id = {s_id: (k, pos, svec, Ks) for s_id, k, pos, svec, Ks in subs}
-
-    def eps(s_id):
-        Ks = sub_by_id[s_id][3]
-        return Ks.mats[0][0]
-
-    def kept_entry(i, rpos, cpos):
-        return Fraction(K.mats[i][rpos][cpos])
+    def dk_phi(i, q, col):
+        # entry (q, col) of d_K phi_{i+1}
+        if col not in phi[i + 1]:
+            return 0
+        p, a = phi[i + 1][col]
+        return K.mats[i][q][p] * a
 
     mats = []
     for i in range(len(terms) - 1):
-        rows = origins[i]
-        cols = origins[i + 1]
-        prescribed = {}
-        unknown = set()
+        rows, cols = origins[i], origins[i + 1]
+        prescribed, unknown = {}, set()
         for ci, ct in enumerate(cols):
             for ri, rt in enumerate(rows):
-                if rt[0] == "kept" and ct[0] == "kept":
-                    if i < len(K.mats):
-                        prescribed[(ri, ci)] = kept_entry(i, rt[1], ct[1])
-                    else:
-                        prescribed[(ri, ci)] = Fraction(0)
-                elif rt[0] == "kept" and ct[0] == "sub":
-                    _, s_id, j, p2 = ct
-                    if j == 1:
-                        k, pos, _, _ = (
-                            sub_by_id[s_id][0], sub_by_id[s_id][1],
-                            None, None)
-                        # source degree of the U_1 block is its parent's
-                        # degree k, so this is the differential out of k
-                        prescribed[(ri, ci)] = (
-                            kept_entry(i, rt[1], pos) * eps(s_id)[p2])
-                    else:
-                        prescribed[(ri, ci)] = Fraction(0)
-                elif rt[0] == "sub" and ct[0] == "sub" and rt[1] == ct[1]:
-                    _, s_id, j, p1 = rt
-                    jc, p2 = ct[2], ct[3]
-                    if jc != j + 1:
-                        raise InternalInvariantError(
-                            "misaligned splice block degrees")
-                    Ks = sub_by_id[s_id][3]
-                    prescribed[(ri, ci)] = Fraction(Ks.mats[j][p1][p2])
-                else:
-                    # lifts of kept columns and cross blocks between
-                    # different substitutions: solved, if eligible
-                    if _entrywise_geq(terms[i + 1][ci], terms[i][ri]):
-                        unknown.add((ri, ci))
-                    else:
-                        prescribed[(ri, ci)] = Fraction(0)
-
-        equations = []
-        for s_id, k, pos, svec, Ks in subs:
-            if k != i:
-                continue
-            coeff = {}
-            for ri, rt in enumerate(rows):
-                if rt[0] == "sub" and rt[1] == s_id and rt[2] == 1:
-                    coeff[ri] = Fraction(eps(s_id)[rt[3]])
-
-            def rhs(ci, s_pos=pos, deg=i):
-                ct = cols[ci]
-                if ct[0] == "kept":
-                    return kept_entry(deg, s_pos, ct[1])
-                _, s2, j2, p2 = ct
-                if j2 == 1:
-                    pos2 = sub_by_id[s2][1]
-                    return kept_entry(deg, s_pos, pos2) * eps(s2)[p2]
-                return Fraction(0)
-
-            equations.append((coeff, rhs))
-        if i >= 1:
-            prev = mats[i - 1]
-            for z in range(len(origins[i - 1])):
-                coeff = {
-                    mid: prev[z][mid]
-                    for mid in range(len(rows)) if prev[z][mid]}
-                if coeff:
-                    equations.append((coeff, lambda ci: Fraction(0)))
+                if rt[0] == "kept":
+                    prescribed[ri, ci] = dk_phi(i, rt[1], ci)
+                elif ct[0] == "sub" and ct[1] == rt[1]:
+                    prescribed[ri, ci] = subs[rt[1]].mats[rt[2]][rt[3]][ct[3]]
+                elif _entrywise_geq(terms[i + 1][ci], terms[i][ri]):
+                    unknown.add((ri, ci))
+        equations = [
+            ({r: a for r, (p, a) in phi[i].items() if p == pos},
+             partial(dk_phi, i, pos))
+            for k, pos in excluded if k == i]
+        if i:
+            equations += [
+                ({mid: x for mid, x in enumerate(row) if x}, lambda ci: 0)
+                for row in mats[i - 1] if any(row)]
         mats.append(_solve_columns(
             len(rows), len(cols), prescribed, unknown, equations))
-
-    for i, mat in enumerate(mats):
-        for ri in range(len(mat)):
-            for ci in range(len(mat[ri]) if mat else 0):
-                if mat[ri][ci] and not _entrywise_geq(
-                        terms[i + 1][ci], terms[i][ri]):
-                    raise InternalInvariantError(
-                        "ineligible nonzero entry in spliced differential")
-    _check_d2(mats)
     cx = SplicedComplex(
-        chamber=cc, support=reps, terms=tuple(terms), origins=tuple(origins),
-        mats=tuple(mats), spliced=True)
+        chamber=cc, support=reps, terms=terms,
+        origins=tuple(map(tuple, origins)), mats=tuple(mats),
+        spliced=bool(excluded))
 
-    radius = window
-    if radius is None:
-        radius = max(default_window(cc, rep) for rep in reps)
-    for rep in reps:
-        rpt = _verify(spec, cx, rep, radius)
-        if not rpt.passed:
+    radius = None
+    if excluded:
+        if any(x and not _entrywise_geq(terms[i + 1][ci], terms[i][ri])
+               for i, mat in enumerate(mats) for ri, row in enumerate(mat)
+               for ci, x in enumerate(row)):
             raise InternalInvariantError(
-                f"spliced complex fails acyclicity against {rep}: "
-                f"{rpt.failures[:3]}")
+                "ineligible nonzero entry in spliced differential")
+        _check_d2(mats)
+        radius = window
+        if radius is None:
+            radius = max(default_window(cc, rep) for rep in reps)
+        for rep in reps:
+            rpt = _verify(spec, cx, rep, radius)
+            if not rpt.passed:
+                raise InternalInvariantError(
+                    f"spliced complex fails acyclicity against {rep}: "
+                    f"{rpt.failures[:3]}")
     return _report(spec, cx, reps, validated_radius=radius)
 
 

@@ -38,6 +38,8 @@ class ConeSpec:
 
     def __post_init__(self):
         d = self.rank
+        if type(d) is not int:
+            raise InputError(f"rank must be an int, got {d!r}")
         if d < 1:
             raise InputError(f"rank must be >= 1, got {d}")
         if not self.normals:

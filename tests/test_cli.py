@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +268,31 @@ def test_main_frobenius_large_prime(tmp_path, capsys):
     assert main(["frobenius", "--dmodule", str(2 ** 89 - 1),
                  "--input", str(cyclic_file)]) == 1
     assert str(frobenius.PRIME_BOUND) in capsys.readouterr().err
+
+
+def test_labels_leave_the_report_bytes_unchanged(tmp_path, capsys):
+    # labels are validated on input but no report prints them
+    labelled = tmp_path / "labelled.json"
+    labelled.write_text(
+        '{"rank":2,"dual_rays":[[1,1],[-1,1]],"labels":["a","b"]}')
+    plain = tmp_path / "plain.json"
+    plain.write_text(QUADRIC)
+    outs = []
+    for path in (plain, labelled):
+        assert main(["analyze", "--json", "--input", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_readme_command_lines_run(tmp_path, quadric_file, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("conic ")]
+    assert len(lines) >= 12
+    for line in lines:
+        args = [quadric_file if a == "cone.json"
+                else str(tmp_path / a) if a == "map.svg" else a
+                for a in shlex.split(line)[1:]]
+        assert main(args) == 0, line
+        capsys.readouterr()

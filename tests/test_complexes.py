@@ -1,4 +1,5 @@
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -8,6 +9,8 @@ from conic import (
     conic_complex,
     enumerate_classes,
     ext_dims,
+    from_normals,
+    from_primal_rays,
     global_dimension,
     graded_piece,
     homology_ranks,
@@ -24,6 +27,7 @@ from conic.errors import InputError, SupportNotClosedError
 from conic.ratgeom import add
 
 from acyclicity_oracle import oracle_verify
+from splice_oracle import oracle_resolution
 
 FREE, X, Y = (0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 1)
 
@@ -237,6 +241,43 @@ def test_spliced_resolution_of_free(square):
     assert rpt.length == 3
     assert rpt.terms == (
         ((FREE, 1),), ((X, 2), (FREE, 4)), ((X, 2), (FREE, 4)), ((FREE, 1),))
+
+
+SPLICE_CONES = {
+    "square": from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)]),
+    "1/5(1,2)": from_normals(2, [(0, 1), (5, -2)]),
+    "1/7(1,3)": from_normals(2, [(0, 1), (7, -3)]),
+    "1/8(1,3)": from_normals(2, [(0, 1), (8, -3)]),
+    "trapezoid": from_primal_rays(
+        3, [(0, 0, 1), (2, 0, 1), (1, 1, 1), (0, 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", SPLICE_CONES)
+def test_resolution_matches_splice_oracle(name):
+    # Every support and every class in it: closed supports give equal
+    # reports, complexes, matrices and origins included, and supports
+    # that are not closed are refused with the same cells.
+    spec = SPLICE_CONES[name]
+    reps = enumerate_classes(spec).reps
+    spliced = complete = 0
+    for k in range(1, len(reps) + 1):
+        for support in combinations(reps, k):
+            for own in support:
+                try:
+                    want = oracle_resolution(spec, support, own)
+                except SupportNotClosedError as err:
+                    with pytest.raises(SupportNotClosedError) as got:
+                        resolution(spec, support, own)
+                    assert got.value.cells == err.cells
+                    continue
+                got = resolution(spec, support, own)
+                assert got == want, (support, own)
+                assert all(type(x) is Fraction for m in got.complex.mats
+                           for row in m for x in row)
+                spliced += got.spliced
+                complete += k == len(reps)
+    assert spliced and complete == len(reps)
 
 
 def test_resolution_requires_own_class(square):

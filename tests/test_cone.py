@@ -375,6 +375,12 @@ def test_rejects_bool_and_non_int_entries():
         with pytest.raises(InputError, match="non-integer entries"):
             ConeSpec(2, ((1, 0), (0, 1)), generators=gens)
     assert from_normals(2, [(True, 0), (0, 1)]).normals == ((1, 0), (0, 1))
+    # a rank of True would equal the rank-1 cone yet hash and print apart
+    for rank, normals in ((True, [(1,)]), (2.0, [(1, 0), (0, 1)])):
+        with pytest.raises(InputError, match="rank must be an int"):
+            from_normals(rank, normals)
+        with pytest.raises(InputError, match="rank must be an int"):
+            ConeSpec(rank, tuple(normals))
 
 
 SQUARE = ((1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1))
