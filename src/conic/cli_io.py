@@ -640,8 +640,9 @@ def main(argv=None) -> int:
     except SupportNotClosedError as err:
         print(f"error: {err}", file=sys.stderr)
         for cell in err.cells:
-            print(f"  outside support: cell with open conic "
-                  f"{tuple(open_conic(cell))}", file=sys.stderr)
+            print(f"  outside support: cell of chamber {cell.chamber}, "
+                  f"omega {cell.omega}, open conic {tuple(open_conic(cell))}",
+                  file=sys.stderr)
         return 1
     except (InputError, UnsupportedOperationError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -209,20 +209,26 @@ def from_normals(rank: int, normals) -> ConeSpec:
     return ConeSpec(rank=rank, normals=rows)
 
 
+def _primitive_generators(rank: int, rays, noun: str) -> list[IntVec]:
+    """The rays as primitive integer vectors; each must be nonzero of length rank."""
+    rows = []
+    for i, r in enumerate(rays):
+        v = intvec(r)
+        if len(v) != rank:
+            raise InputError(f"{noun} {i} has length {len(v)}, expected {rank}")
+        if all(x == 0 for x in v):
+            raise InputError(f"{noun} {i} is zero")
+        rows.append(primitive(v))
+    return rows
+
+
 def from_dual_rays(rank: int, rays) -> ConeSpec:
     """Build a cone from generators of the dual cone.
 
     Rays are primitivized and redundant ones dropped; the survivors, in
     input order, become the facet normals.
     """
-    rows = []
-    for i, r in enumerate(rays):
-        v = intvec(r)
-        if len(v) != rank:
-            raise InputError(f"dual ray {i} has length {len(v)}, expected {rank}")
-        if all(x == 0 for x in v):
-            raise InputError(f"dual ray {i} is zero")
-        rows.append(primitive(v))
+    rows = _primitive_generators(rank, rays, "dual ray")
     if ratgeom.rank(rows) < rank:
         raise InputError("cone is not pointed: dual rays do not span")
     _, normals, rays = _minimal_generators(rows)
@@ -233,14 +239,7 @@ def from_dual_rays(rank: int, rays) -> ConeSpec:
 
 def from_primal_rays(rank: int, rays) -> ConeSpec:
     """Build a cone from its own generating rays via double description."""
-    rows = []
-    for i, r in enumerate(rays):
-        v = intvec(r)
-        if len(v) != rank:
-            raise InputError(f"ray {i} has length {len(v)}, expected {rank}")
-        if all(x == 0 for x in v):
-            raise InputError(f"ray {i} is zero")
-        rows.append(primitive(v))
+    rows = _primitive_generators(rank, rays, "ray")
     if ratgeom.rank(rows) < rank:
         raise InputError("cone is not full-dimensional")
     _, gens, normals = _minimal_generators(rows)

@@ -8,8 +8,10 @@ constraint is strict exactly when one of its parents is.  For rational data
 this decides feasibility over the reals, and back-substitution through the
 elimination levels produces an exact rational witness point; the tests
 use it as the exact reference, and nothing in the package calls it.
-Ranks, determinants, linear solves and kernels all read from one
-fraction-free (Bareiss) elimination, ``echelon``.
+Ranks, determinants, linear solves, kernels and inverse columns all read
+from one fraction-free (Bareiss) elimination, ``echelon``, and one integer
+back-substitution.  Smith normal form alternates Hermite forms of the rows
+and of the columns.
 """
 
 from __future__ import annotations
@@ -325,14 +327,20 @@ def echelon(rows: Sequence[Sequence],
     return mat, tuple(pivots), sign
 
 
-def _back_substitute(ech, pivots, rhs, ncols: int) -> list[Fraction]:
-    """Solution of the echelon rows against rhs with every free variable zero."""
-    x = [Fraction(0)] * ncols
+def _back_substitute(ech, pivots, rhs, ncols: int) -> tuple[int, list[int]]:
+    """(d, y) for the echelon rows of ``echelon`` against an integer rhs.
+
+    d is the last pivot, the determinant of the pivot block, and y is d
+    times the solution with every free variable zero.  By Cramer's rule
+    y is integral, so every division below is exact.
+    """
+    d = ech[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * ncols
     for k in reversed(range(len(pivots))):
         row = ech[k]
-        rest = rhs[k] - sum(row[j] * x[j] for j in pivots[k + 1:])
-        x[pivots[k]] = Fraction(rest, row[pivots[k]])
-    return x
+        rest = d * rhs[k] - sum(row[j] * y[j] for j in pivots[k + 1:])
+        y[pivots[k]] = rest // row[pivots[k]]
+    return d, y
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -362,13 +370,14 @@ def det(rows: Sequence[Sequence]):
 
 
 def _solve(rows, rhs, ncols: int):
-    """(pivots, solution with free variables zero), or (pivots, None) if inconsistent."""
+    """(pivots, d, y) as in ``_back_substitute``; y is None if inconsistent."""
     if len(rhs) != len(rows):
         raise InputError("right-hand side length does not match the matrix")
     ech, pivots, _ = echelon([list(row) + [b] for row, b in zip(rows, rhs)], ncols)
     if any(row[ncols] for row in ech[len(pivots):]):
-        return pivots, None
-    return pivots, _back_substitute(ech, pivots, [row[ncols] for row in ech], ncols)
+        return pivots, None, None
+    return (pivots,
+            *_back_substitute(ech, pivots, [row[ncols] for row in ech], ncols))
 
 
 def linear_solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optional[RatVec]:
@@ -377,8 +386,8 @@ def linear_solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optiona
     Free variables are set to zero, which makes the solution unique; None
     means the system is inconsistent.
     """
-    sol = _solve(rows, rhs, ncols)[1]
-    return None if sol is None else tuple(sol)
+    _, d, y = _solve(rows, rhs, ncols)
+    return None if y is None else tuple(Fraction(v, d) for v in y)
 
 
 def lattice_solve(rows: Sequence[IntVec], rhs: Sequence[int]) -> Optional[IntVec]:
@@ -388,30 +397,31 @@ def lattice_solve(rows: Sequence[IntVec], rhs: Sequence[int]) -> Optional[IntVec
     None (also when no rational solution exists at all).
     """
     nc = len(rows[0]) if rows else 0
-    pivots, sol = _solve(rows, rhs, nc)
+    pivots, d, y = _solve(rows, rhs, nc)
     if len(pivots) < nc:
         raise InputError("matrix does not have full column rank")
-    if sol is None or any(s.denominator != 1 for s in sol):
+    if y is None or any(v % d for v in y):
         return None
-    return tuple(int(s) for s in sol)
+    return tuple(v // d for v in y)
 
 
 def rref_kernel_basis(rows: Sequence[Sequence], ncols: int) -> tuple[IntVec, ...]:
     """Kernel basis from the reduced row echelon form, scaled to integers.
 
     One basis vector per free column (ascending), each scaled to a primitive
-    integer vector whose free coordinate is positive.  This is a deterministic
-    basis of the rational kernel; it is not in general a basis of the integer
-    kernel lattice.
+    integer vector whose free coordinate is positive and whose other free
+    coordinates are zero.  This is a deterministic basis of the rational
+    kernel; it is not in general a basis of the integer kernel lattice.
     """
     ech, pivots, _ = echelon(rows, ncols)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
-        vec = _back_substitute(ech, pivots, [-row[fc] for row in ech], ncols)
-        vec[fc] = Fraction(1)
-        basis.append(primitive(_integral(vec)))
+        d, vec = _back_substitute(ech, pivots, [-row[fc] for row in ech], ncols)
+        vec[fc] = d
+        vec = primitive(vec)
+        basis.append(vec if d > 0 else neg(vec))
     return tuple(basis)
 
 
@@ -419,11 +429,10 @@ def inverse_columns(rows: Sequence[Sequence]) -> tuple[IntVec, ...]:
     """Columns of the inverse of a nonsingular square matrix, each scaled
     by a positive factor to a primitive integer vector.
 
-    One elimination of [rows | I] serves every column.  Its last pivot d
-    is the determinant of the (scaled, row-permuted) matrix, so d times
-    each column of the inverse is integral, and back-substitution against
-    d times the eliminated identity column finds it with exact integer
-    divisions.  InputError if the matrix is singular.
+    One elimination of [rows | I] serves every column: back-substitution
+    against each eliminated identity column gives d times that column of
+    the inverse, where d is the determinant of the (scaled, row-permuted)
+    matrix.  InputError if the matrix is singular.
     """
     n = len(rows)
     aug = [list(row) + [int(i == j) for j in range(n)]
@@ -431,14 +440,9 @@ def inverse_columns(rows: Sequence[Sequence]) -> tuple[IntVec, ...]:
     ech, pivots, _ = echelon(aug, n)
     if len(pivots) < n:
         raise InputError("matrix is singular")
-    d = ech[-1][n - 1]
     cols = []
     for j in range(n):
-        y = [0] * n
-        for k in reversed(range(n)):
-            row = ech[k]
-            rest = d * row[n + j] - sum(row[l] * y[l] for l in range(k + 1, n))
-            y[k] = rest // row[k]
+        d, y = _back_substitute(ech, pivots, [row[n + j] for row in ech], n)
         col = primitive(y)
         cols.append(col if d > 0 else neg(col))
     return tuple(cols)
@@ -544,43 +548,19 @@ def functional_kernel_basis(n: Sequence[int]) -> tuple[IntVec, ...]:
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nonzero elementary divisors, positive, each dividing the next."""
-    mat = [list(intvec(r)) for r in rows]
-    if not mat or not mat[0]:
-        return ()
-    nr, nc = len(mat), len(mat[0])
-    n = min(nr, nc)
-    t = 0
-    while t < n:
-        pos = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if mat[i][j]:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        if pos is None:
-            break
-        i0, j0 = pos
-        mat[t], mat[i0] = mat[i0], mat[t]
-        for row in mat:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            for i in range(t + 1, nr):
-                if mat[i][t]:
-                    mat[t], mat[i] = _gcd_combine(mat[t], mat[i], mat[t][t], mat[i][t])
-            for j in range(t + 1, nc):
-                if mat[t][j]:
-                    ct, cj = _gcd_combine([row[t] for row in mat],
-                                          [row[j] for row in mat], mat[t][t], mat[t][j])
-                    for row, p, q in zip(mat, ct, cj):
-                        row[t], row[j] = p, q
-            if all(mat[i][t] == 0 for i in range(t + 1, nr)) and \
-               all(mat[t][j] == 0 for j in range(t + 1, nc)):
-                break
-        t += 1
-    divs = [abs(mat[i][i]) for i in range(t) if mat[i][i]]
+    """Nonzero elementary divisors, positive, each dividing the next.
+
+    Hermite forms of the rows and of the columns, unimodular changes of
+    basis, alternate until the matrix is diagonal.  This ends: each pass
+    replaces the corner entry by a divisor, the gcd of its column or row,
+    and a pass that keeps it leaves its row and column clear, as do all
+    later passes, which then act on the rest alone.  A gcd/lcm sweep then
+    sorts the diagonal into a divisor chain.
+    """
+    mat = hermite_normal_form(rows)
+    while any(x for i, row in enumerate(mat) for j, x in enumerate(row) if i != j):
+        mat = hermite_normal_form(zip(*mat))
+    divs = [row[i] for i, row in enumerate(mat)]
     changed = True
     while changed:
         changed = False

@@ -1,12 +1,16 @@
-"""Seeded census of rank-3 cones over small lattice polygons.
+"""Seeded censuses of cones over small lattice polytopes.
 
-Thirty cones over polygons with 3 to 6 vertices in [-2, 2]^2, drawn
-from ``random.Random(7)``; a draw whose cone equals an earlier one
-(same normals) is dropped, and a refused draw (collinear vertices) is
-skipped.  On each cone the global dimension is the rank, every simple
-has projective dimension equal to the rank exactly when the cone is
-simplicial, and on cones with at most four facets the class count
-agrees with the independent box census.
+Rank 3: thirty cones over polygons with 3 to 6 vertices in [-2, 2]^2.
+Rank 4: twenty cones over polytopes with 4 to 7 vertices in
+{-1, 0, 1}^3; draws 0 and 3 are the cones B and A of ROADMAP's
+baseline table.  Both are drawn from ``random.Random(7)``; a draw whose cone
+equals an earlier one (same normals) is dropped, and a refused draw
+(vertices in a hyperplane) is skipped.  On each cone the global
+dimension is the rank, and every simple has projective dimension equal
+to the rank exactly when the cone is simplicial.  On rank-3 cones with
+at most four facets the class count also agrees with the independent
+box census; at rank 4 that census costs seconds per cone and is left
+out.
 """
 
 import random
@@ -20,14 +24,14 @@ from conic.errors import InputError
 from box_census import box_census
 
 
-def _census_cones(count=30, seed=7):
+def _census_cones(rank, coords, sizes, count, seed=7):
     rng = random.Random(seed)
-    points = list(product(range(-2, 3), repeat=2))
+    points = list(product(coords, repeat=rank - 1))
     cones, seen = [], set()
     while len(cones) < count:
-        vertices = rng.sample(points, rng.randint(3, 6))
+        vertices = rng.sample(points, rng.randint(*sizes))
         try:
-            spec = from_primal_rays(3, [(x, y, 1) for x, y in vertices])
+            spec = from_primal_rays(rank, [(*p, 1) for p in vertices])
         except InputError:
             continue
         if spec.normals not in seen:
@@ -36,15 +40,28 @@ def _census_cones(count=30, seed=7):
     return cones
 
 
-CONES = _census_cones()
+CONES = _census_cones(3, range(-2, 3), (3, 6), 30)
+RANK4_CONES = _census_cones(4, range(-1, 2), (4, 7), 20)
+
+
+def _check_dimensions(spec, reps):
+    assert global_dimension(spec) == spec.rank
+    full = all(pdim_simple(spec, rep) == spec.rank for rep in reps)
+    assert full == spec.simplicial
 
 
 @pytest.mark.parametrize("index", range(len(CONES)))
 def test_census_cone(index):
     spec = CONES[index]
     reps = enumerate_classes(spec).reps
-    assert global_dimension(spec) == spec.rank == 3
-    full = all(pdim_simple(spec, rep) == spec.rank for rep in reps)
-    assert full == spec.simplicial
+    assert spec.rank == 3
+    _check_dimensions(spec, reps)
     if len(spec.normals) <= 4:
         assert len(reps) == len(box_census(spec))
+
+
+@pytest.mark.parametrize("index", range(len(RANK4_CONES)))
+def test_rank4_census_cone(index):
+    spec = RANK4_CONES[index]
+    assert spec.rank == 4
+    _check_dimensions(spec, enumerate_classes(spec).reps)

@@ -217,6 +217,25 @@ def test_main_exit_codes(square_file, tmp_path, capsys):
     assert main(["nosuchcommand"]) == 1
 
 
+def test_support_not_closed_names_each_cell(tmp_path, capsys):
+    # 1/5(1,2): two different outside cells share the open conic (1, 2)
+    path = tmp_path / "c5.json"
+    path.write_text('{"rank":2,"normals":[[0,1],[5,-2]]}')
+    assert main(["resolution", "--support", "A0,A1", "A1",
+                 "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0] == "error: support is not closed under one substitution round"
+    assert lines[1:] == [
+        "  outside support: cell of chamber (0, 2), omega (0,), open conic (0, 3)",
+        "  outside support: cell of chamber (0, 2), omega (1,), open conic (1, 2)",
+        "  outside support: cell of chamber (1, 1), omega (0,), open conic (1, 2)",
+        "  outside support: cell of chamber (1, 2), omega (), open conic (2, 3)",
+    ]
+    assert len(set(lines)) == len(lines)
+
+
 def test_main_svg(tmp_path, quadric_file, capsys):
     out_file = tmp_path / "img.svg"
     assert main(["svg", "--window=-2,2,-2,2", "--input", quadric_file,

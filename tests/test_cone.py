@@ -94,6 +94,17 @@ def test_rejects_rank_mismatch():
         from_normals(2, [(1, 0, 0), (0, 1, 0)])
 
 
+@pytest.mark.parametrize("build, noun",
+                         [(from_dual_rays, "dual ray"), (from_primal_rays, "ray")])
+def test_generator_refusals_name_the_ray(build, noun):
+    with pytest.raises(InputError) as exc:
+        build(2, [(1, 0), (0, 1, 1)])
+    assert str(exc.value) == f"{noun} 1 has length 3, expected 2"
+    with pytest.raises(InputError) as exc:
+        build(2, [(1, 0), (0, 0)])
+    assert str(exc.value) == f"{noun} 1 is zero"
+
+
 def test_dual_round_trip_quadric():
     spec = from_normals(2, [(1, 1), (-1, 1)])
     rays = primal_generators(spec)

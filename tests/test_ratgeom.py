@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from conic import enumerate_classes, ratgeom
+from conic.complexes import conic_complex
 from conic.errors import InputError
 from conic.ratgeom import (
     EQ,
@@ -26,12 +28,22 @@ from conic.ratgeom import (
     rref_kernel_basis,
     smith_normal_form,
     solve,
+    sub,
     system,
     xgcd,
 )
 
+import lattice_oracle as oracle
+
 ints = st.integers(min_value=-30, max_value=30)
 rats = ints | st.fractions(min_value=-30, max_value=30, max_denominator=6)
+
+
+def matrices(entries, max_rows, max_cols, min_rows=1):
+    """Matrices of min_rows..max_rows rows of one length in 1..max_cols."""
+    return st.tuples(st.integers(min_rows, max_rows), st.integers(1, max_cols)).flatmap(
+        lambda mn: st.lists(st.lists(entries, min_size=mn[1], max_size=mn[1]),
+                            min_size=mn[0], max_size=mn[0]))
 
 
 def expansion_det(sub):
@@ -187,6 +199,15 @@ def test_rref_kernel_orthogonal_and_full(rows):
     for k in ker:
         assert all(dot(r, k) == 0 for r in rows)
     assert len(ker) == 4 - rank(rows)
+    # canonical shape: one primitive vector per free column, ascending,
+    # positive there and zero at every other free column
+    free = [j for j in range(4)
+            if minor_rank([r[:j + 1] for r in rows]) == minor_rank([r[:j] for r in rows])]
+    assert len(free) == len(ker)
+    for fc, k in zip(free, ker):
+        assert primitive(k) == k
+        assert k[fc] > 0
+        assert all(k[j] == 0 for j in free if j != fc)
 
 
 @given(st.lists(st.lists(rats, min_size=3, max_size=3), min_size=3, max_size=3))
@@ -232,6 +253,18 @@ def test_smith_divisibility_chain(rows):
     assert len(invs) == rank(rows)
 
 
+@given(matrices(ints, 4, 5))
+def test_smith_products_are_determinantal_divisors(rows):
+    # d_1 ... d_k is the gcd of the k x k minors, and the minors of size
+    # above the rank all vanish
+    invs = smith_normal_form(rows)
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        minors = [expansion_det([[rows[r][c] for c in cis] for r in ris])
+                  for ris in combinations(range(len(rows)), k)
+                  for cis in combinations(range(len(rows[0])), k)]
+        assert gcd(*minors) == (prod(invs[:k]) if k <= len(invs) else 0)
+
+
 def test_smith_known_examples():
     assert smith_normal_form([(2, 4), (4, 8)]) == (2,)
     assert smith_normal_form([(1, 0), (0, 1)]) == (1, 1)
@@ -246,3 +279,72 @@ def test_integer_routines_reject_fractions():
 def test_qrank_fraction_entries():
     assert qrank(((Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(2)))) == 1
     assert qrank(((Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(1)))) == 2
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InputError as err:
+        return str(err)
+
+
+@given(matrices(ints, 5, 5))
+@example([[2, 4], [4, 8]])
+@example([[0, 0, 6], [0, 4, 0]])
+def test_smith_matches_oracle(rows):
+    assert smith_normal_form(rows) == oracle.smith_normal_form(rows)
+
+
+@given(matrices(rats, 4, 4, min_rows=0), st.lists(rats, min_size=4, max_size=4),
+       st.integers(1, 4))
+def test_rational_back_substitution_matches_oracle(rows, rhs, ncols):
+    rhs = rhs[:len(rows)]
+    ncols = len(rows[0]) if rows else ncols
+    assert ratgeom._solve(rows, rhs, ncols)[0] == oracle._solve(rows, rhs, ncols)[0]
+    sol = linear_solve(rows, rhs, ncols)
+    assert sol == oracle.linear_solve(rows, rhs, ncols)
+    assert sol is None or all(type(x) is Fraction for x in sol)
+    assert rref_kernel_basis(rows, ncols) == oracle.rref_kernel_basis(rows, ncols)
+    k = min(len(rows), ncols)
+    square = [r[:k] for r in rows[:k]]
+    if square:
+        assert _outcome(inverse_columns, square) == _outcome(oracle.inverse_columns, square)
+
+
+@given(matrices(ints, 4, 3), st.lists(ints, min_size=3, max_size=3),
+       st.lists(st.integers(-1, 1), min_size=4, max_size=4))
+def test_lattice_solve_matches_oracle(rows, x, noise):
+    # rhs = rows . x plus a small error, so solvable, non-integral and
+    # inconsistent systems all occur
+    rhs = [dot(r, x[:len(r)]) + e for r, e in zip(rows, noise)]
+    assert _outcome(lattice_solve, rows, rhs) == _outcome(oracle.lattice_solve, rows, rhs)
+
+
+@pytest.mark.parametrize("name", [
+    "quadric", "square", "cyclic", "orthant2", "orthant3", "pentagon",
+    "hexagon", "octahedron"])
+def test_lattice_routines_match_oracle_on_fixtures(request, name):
+    spec = request.getfixturevalue(name)
+    d = spec.rank
+    # orientation frames of every pinned set, and double-description
+    # seeds from every square choice of normals
+    for k in range(len(spec.normals) + 1):
+        for rows in combinations(spec.normals, k):
+            assert rref_kernel_basis(rows, d) == oracle.rref_kernel_basis(rows, d)
+    for base in combinations(spec.normals, d):
+        assert _outcome(inverse_columns, base) == _outcome(oracle.inverse_columns, base)
+    # every differential of every chamber complex, and the lattice
+    # solves that place its summands
+    for c in enumerate_classes(spec).reps:
+        cx = conic_complex(spec, c)
+        for vec in (v for term in cx.terms for v in term):
+            shift = sub(vec, c)
+            assert lattice_solve(spec.normals, shift) == \
+                oracle.lattice_solve(spec.normals, shift)
+        for mat in cx.mats:
+            tr = tuple(zip(*mat))
+            assert smith_normal_form(mat) == oracle.smith_normal_form(mat)
+            assert rref_kernel_basis(mat, len(tr)) == oracle.rref_kernel_basis(mat, len(tr))
+            assert rref_kernel_basis(tr, len(mat)) == oracle.rref_kernel_basis(tr, len(mat))
+            assert linear_solve(mat, tr[0], len(tr)) == \
+                oracle.linear_solve(mat, tr[0], len(tr))
