@@ -7,7 +7,9 @@ of a cell is the rank of its pinned normals, read off the orientation
 frame of its direction space, which is kept once per cone and Omega.
 Cells of consecutive codimension with nested Omega are facet pairs, and
 each pair carries an incidence sign read from exact orientation frames
-alone.  Interior points of cells are computed only on demand
+alone.  The sign depends on the two Omegas and not on the chamber, so
+each cone keeps one sign table keyed on the pair of Omegas, filled on
+first use.  Interior points of cells are computed only on demand
 (``cell_witnesses``).
 """
 
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratgeom
-from .cone import ConeSpec, double_description, per_cone
+from .cone import ConeSpec, _dd_from_seeds, per_cone
 from .errors import InputError, InternalInvariantError
-from .ratgeom import IntVec, RatVec, dot, intvec, neg
+from .ratgeom import IntVec, RatVec, dot, intvec, neg, primitive
 
 
 @dataclass(frozen=True)
@@ -40,21 +42,48 @@ def ceiling_vector(spec: ConeSpec, c) -> IntVec:
     return cc
 
 
-def box_vertices(spec: ConeSpec, c: IntVec) -> tuple[tuple[IntVec, frozenset[int]], ...]:
+def box_vertices(spec: ConeSpec, c: IntVec) -> tuple[tuple[IntVec, int], ...]:
     """Vertices of the closed box c_i - 1 <= <x, n_i> <= c_i as (ray, tight).
 
     The vertex is ray[:d] / ray[d] for an extreme ray of the homogenised
     cone s >= 0, <x, n_i> <= c_i s, <x, n_i> >= (c_i - 1) s, and tight
-    holds its tight bounds: 2i is the upper bound of normal i, 2i + 1 its
-    lower bound.
+    is the int bitmask of its tight bounds: bit 2i is the upper bound
+    of normal i, bit 2i + 1 its lower bound.  The pass starts from seeds
+    kept once per cone (``_box_seeds``): only the seed of s >= 0 depends
+    on c, so a chamber's pass makes no elimination.
     """
     d = spec.rank
+    base, det_b, cols, seeds = _box_seeds(spec)
     bounds = [(0,) * d + (1,)]
     for n, ci in zip(spec.normals, c):
         bounds += [neg(n) + (ci,), n + (1 - ci,)]
+    top = primitive(tuple(sum(c[i] * col[k] for i, col in zip(base, cols))
+                          for k in range(d)) + (det_b,))
     # Row 0 of the pass is s >= 0, so row k + 1 is bound k.
-    return tuple((ray, frozenset(k - 1 for k in tight if k))
-                 for ray, tight in double_description(tuple(bounds), d + 1))
+    return tuple((ray, tight >> 1) for ray, tight in _dd_from_seeds(
+        tuple(bounds), d + 1, (0,) + tuple(2 * i + 1 for i in base),
+        (top,) + seeds))
+
+
+@per_cone
+def _box_seeds(spec: ConeSpec):
+    # The greedy base of the box rows is row 0 (s >= 0) and the rows
+    # (-n_i, c_i) for the greedy base B of the normals, whatever c is:
+    # (n_i, 1 - c_i) is row 0 minus (-n_i, c_i).  With N_B A = D I for
+    # an integer matrix A and D > 0, the seed of row 0 is (A c_B, D) and
+    # that of row (-n_j, c_j) is (-A e_j, 0), both made primitive.  Kept
+    # per cone: (B, D, the columns of A, the seeds of the rows of B).
+    d = spec.rank
+    base = ratgeom.echelon([[n[j] for n in spec.normals] for j in range(d)],
+                           len(spec.normals))[1]
+    ech, pivots, _ = ratgeom.echelon(
+        [list(spec.normals[i]) + [int(i == k) for k in base] for i in base], d)
+    sols = [ratgeom._back_substitute(ech, pivots, [row[d + j] for row in ech], d)
+            for j in range(d)]
+    det_b = sols[0][0]
+    cols = tuple(tuple(x if det_b > 0 else -x for x in y) for _, y in sols)
+    return (base, abs(det_b), cols,
+            tuple(primitive(neg(col) + (0,)) for col in cols))
 
 
 def vertex_barycenter(spec: ConeSpec, vertices) -> RatVec:
@@ -68,23 +97,31 @@ def vertex_barycenter(spec: ConeSpec, vertices) -> RatVec:
 def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
     """Cells of the chamber of a ceiling vector tuple, sorted by (codim,
     omega), so a chamber's open cell comes first; none when c is not one."""
-    # The faces of the box are the intersections of vertex tight sets; a
-    # face is the closure of a cell when only upper bounds are tight on it.
-    tights = {tight for _, tight in box_vertices(spec, c)}
-    faces = set(tights)
+    # The faces of the box are the meets of vertex tight masks, and a
+    # cell's closure is a face on which only upper bounds (even bits) are
+    # tight.  Such a face is the meet of its own vertices' masks, so also
+    # of their even parts: the candidates are the meets of even parts,
+    # and a candidate is a face iff the vertices tight on it meet in it.
+    masks = [tight for _, tight in box_vertices(spec, c)]
+    t = len(c)
+    upper = sum(1 << 2 * i for i in range(t))
+    evens = {m & upper for m in masks}
+    faces = set(evens)
     todo = list(faces)
     while todo:
         face = todo.pop()
-        for tight in tights:
-            meet = face & tight
-            if meet not in faces:
-                faces.add(meet)
-                todo.append(meet)
+        fresh = {face & e for e in evens} - faces
+        faces |= fresh
+        todo += fresh
     found = []
     for face in faces:
-        if any(k % 2 for k in face):
+        meet = -1
+        for m in masks:
+            if m & face == face:
+                meet &= m
+        if meet != face:
             continue
-        omega = tuple(i for i in range(len(c)) if 2 * i not in face)
+        omega = tuple(i for i in range(t) if not face >> 2 * i & 1)
         found.append(Cell(chamber=c, omega=omega,
                           codim=spec.rank - len(_frame(spec, omega))))
     return tuple(sorted(found, key=lambda cell: (cell.codim, cell.omega)))
@@ -112,8 +149,8 @@ def cell_witnesses(spec: ConeSpec, c) -> tuple[RatVec, ...]:
     vertices = box_vertices(spec, cells[0].chamber)
     t = len(spec.normals)
     return tuple(
-        vertex_barycenter(spec, [v for v in vertices if face <= v[1]])
-        for face in ({2 * i for i in range(t) if i not in cell.omega}
+        vertex_barycenter(spec, [v for v in vertices if v[1] & face == face])
+        for face in (sum(1 << 2 * i for i in range(t) if i not in cell.omega)
                      for cell in cells))
 
 
@@ -173,16 +210,25 @@ def incidence_sign(spec: ConeSpec, inner: Cell, outer: Cell) -> int:
     vector u from a point of the outer cell to one of the inner cell has
     <u, n_i> > 0, so this is the sign of det([u; frame(inner)]) against
     frame(outer), a positive diagonal on its free columns.
+
+    The sign reads only the two omegas and the cone, never the chamber,
+    so it is kept in one table per cone keyed on (inner.omega,
+    outer.omega) and computed once per key.
     """
     if not is_facet_pair(spec, inner, outer):
         raise InputError("not a facet pair")
-    n = spec.normals[next(i for i in outer.omega if i not in inner.omega)]
-    fo = orientation_frame(spec, outer)
+    return _sign(spec, inner.omega, outer.omega)
+
+
+@per_cone
+def _sign(spec: ConeSpec, inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
+    n = spec.normals[next(i for i in outer if i not in inner)]
+    fo = _frame(spec, outer)
     v = next((v for v in fo if dot(v, n) != 0), None)
     # An RREF kernel vector is zero after its own free column, so each
     # frame vector's last nonzero entry names that column.
     cols = [max(j for j, x in enumerate(w) if x != 0) for w in fo]
-    fi = orientation_frame(spec, inner)
+    fi = _frame(spec, inner)
     sign = 0 if v is None else (
         ratgeom.det([[w[j] for j in cols] for w in (v,) + fi]) * dot(v, n))
     if sign == 0:

@@ -307,7 +307,9 @@ def _read_input(path: str) -> str:
 
 
 def _load_spec(args) -> ConeSpec:
-    return build_cone(parse_input(_read_input(args.input)))
+    # kept on args, so that an invariant error can name the cone
+    args.spec = build_cone(parse_input(_read_input(args.input)))
+    return args.spec
 
 
 def _emit(args, report: dict, text: str) -> str:
@@ -629,6 +631,7 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = _parser().parse_args(argv)
         if getattr(args, "command", None) == "frobenius" \
@@ -648,7 +651,9 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except InternalInvariantError as err:
-        print(f"internal invariant violated: {err}", file=sys.stderr)
+        spec = getattr(args, "spec", None)
+        where = "" if spec is None else f" (cone {content_hash(spec)})"
+        print(f"internal invariant violated: {err}{where}", file=sys.stderr)
         return 2
     if out:
         sys.stdout.write(out)

@@ -12,6 +12,7 @@ import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import mul
 
 from . import ratgeom
 from .errors import InputError, InternalInvariantError
@@ -145,54 +146,84 @@ def _minimal_generators(rays: Sequence[IntVec]) -> tuple[tuple[int, ...], tuple[
     idx = tuple(
         i for i, r in enumerate(rays)
         if rays.index(r) == i
-        and ratgeom.rank([f for f, tight in facets if i in tight]) == d - 1)
+        and ratgeom.rank([f for f, tight in facets if tight >> i & 1]) == d - 1)
     return idx, tuple(rays[i] for i in idx), tuple(f for f, _ in facets)
 
 
 def double_description(rows: tuple[IntVec, ...],
-                       dim: int) -> tuple[tuple[IntVec, frozenset[int]], ...]:
+                       dim: int) -> tuple[tuple[IntVec, int], ...]:
     """Extreme rays of {x : <x, r> >= 0 for all r in rows}, each with the
-    indices k of its tight rows, <ray, rows[k]> = 0; sorted by ray.
+    int bitmask of its tight rows, bit k set iff <ray, rows[k]> = 0;
+    sorted by ray.
 
-    rows must have rank == dim so the solution cone is pointed.  Seed
-    with the first dim independent rows, then add the others one at a
-    time; each ray carries its tight set over the rows added so far.  A
-    new ray comes from an adjacent pair p, q on either side of the new
-    row i and is tight on their common rows and on i.
+    rows must have rank == dim so the solution cone is pointed.  The
+    seed step takes the first dim independent rows, the pivot columns of
+    one elimination of the transpose; seed ray j pairs positively with
+    base row j and to zero with the other base rows, column j of the
+    base's inverse.  The incremental loop (``_dd_from_seeds``, which the
+    box pass of ``cells.box_vertices`` starts from seeds kept per cone)
+    then adds the other rows one at a time; each ray carries the mask of
+    its tight rows over the rows added so far.  A new ray comes from an
+    adjacent pair p, q on either side of the new row i and is tight on
+    their common rows and on i.
 
     Adjacency is combinatorial (Fukuda & Prodon, 1996): p and q are
     adjacent iff no other ray r has tight[p] & tight[q] <= tight[r].
     The smallest face holding p and q is cut out by their common tight
     rows, and its extreme rays are the rays whose tight sets contain
     that set.  It is 2-dimensional, that is p and q are adjacent, iff p
-    and q are its only extreme rays.
+    and q are its only extreme rays.  A 2-face is cut out by rows of
+    rank dim - 2, so a pair with fewer than dim - 2 common tight rows is
+    skipped before that scan.
     """
-    # Pivot columns of the transpose are the greedily chosen base rows.
     base = ratgeom.echelon([[r[j] for r in rows] for j in range(dim)], len(rows))[1]
     if len(base) < dim:
         raise InputError("rows do not span: solution cone is not pointed")
-    # Seed ray j pairs positively with base row j and to zero with the
-    # other base rows: column j of the base's inverse.
     seeds = ratgeom.inverse_columns([rows[i] for i in base])
-    tight = {r: frozenset(base) - {i} for i, r in zip(base, seeds)}
-    for i in range(len(rows)):
-        if i in base:
+    return _dd_from_seeds(rows, dim, base, seeds)
+
+
+def _dd_from_seeds(rows: tuple[IntVec, ...], dim: int, base: tuple[int, ...],
+                   seeds) -> tuple[tuple[IntVec, int], ...]:
+    # The incremental loop of double_description: base holds dim
+    # independent row indices, and seeds[j] is a primitive ray tight on
+    # every base row but base[j], on which it is positive.
+    full = 0
+    for i in base:
+        full |= 1 << i
+    rays = list(seeds)
+    masks = [full ^ 1 << i for i in base]
+    for i, row in enumerate(rows):
+        if full >> i & 1:
             continue
-        vals = {r: dot(r, rows[i]) for r in tight}
-        pos = [r for r in tight if vals[r] > 0]
-        neg = [r for r in tight if vals[r] < 0]
-        fresh = {}
+        bit = 1 << i
+        vals = [sum(map(mul, r, row)) for r in rays]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        kept_rays, kept_masks = [], []
+        for r, m, v in zip(rays, masks, vals):
+            if v >= 0:
+                kept_rays.append(r)
+                kept_masks.append(m | bit if v == 0 else m)
         for p in pos:
+            mp, rp, vp = masks[p], rays[p], vals[p]
             for q in neg:
-                common = tight[p] & tight[q]
-                if any(common <= tight[r] for r in tight if r != p and r != q):
+                common = mp & masks[q]
+                if common.bit_count() < dim - 2:
                     continue
-                w = tuple(vals[p] * qc - vals[q] * pc for pc, qc in zip(p, q))
-                fresh[primitive(w)] = common | {i}
-        tight = {r: s | {i} if vals[r] == 0 else s
-                 for r, s in tight.items() if vals[r] >= 0}
-        tight.update(fresh)
-    return tuple(sorted(tight.items()))
+                seen = 0
+                for m in masks:
+                    if m & common == common:
+                        seen += 1
+                        if seen > 2:
+                            break
+                else:
+                    vq = vals[q]
+                    kept_rays.append(primitive(
+                        [vp * qc - vq * pc for pc, qc in zip(rp, rays[q])]))
+                    kept_masks.append(common | bit)
+        rays, masks = kept_rays, kept_masks
+    return tuple(sorted(zip(rays, masks)))
 
 
 def dual_extreme_rays(rows: tuple[IntVec, ...], dim: int) -> tuple[IntVec, ...]:

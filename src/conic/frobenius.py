@@ -46,27 +46,46 @@ class DModuleReport:
     note: str
 
 
+def _residue_classes(spec: ConeSpec, q: int, memo: dict):
+    """The class of the chamber of each residue of the q-th root, in
+    product order.  memo maps ceiling vector to class; the residues of
+    one q, and of every q a search tries, share few ceiling vectors."""
+    lasts = [n[-1] for n in spec.normals]
+    for head in product(range(q), repeat=spec.rank - 1):
+        # <v, n> for v = head + (x,), and ceil(<-v/q, n>) = -floor(<v, n>/q)
+        heads = [dot(head, n[:-1]) for n in spec.normals]
+        for x in range(q):
+            c = tuple(-((h + x * m) // q) for h, m in zip(heads, lasts))
+            rep = memo.get(c)
+            if rep is None:
+                rep = memo[c] = canonical_class(spec, c)
+            yield rep
+
+
 def decompose_root(spec: ConeSpec, q: int) -> RootDecomposition:
     """Class counts of the chamber summands of the q-th root."""
     if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise InputError(f"root index must be a positive integer, got {q!r}")
     counts: dict[IntVec, int] = {}
-    for v in product(range(q), repeat=spec.rank):
-        # ceil(<-v/q, n>) = -floor(<v, n>/q)
-        c = tuple(-(dot(v, n) // q) for n in spec.normals)
-        rep = canonical_class(spec, c)
+    for rep in _residue_classes(spec, q, {}):
         counts[rep] = counts.get(rep, 0) + 1
     return RootDecomposition(
         q=q, counts=tuple(sorted(counts.items())), total=q ** spec.rank)
 
 
 def minimal_complete_q(spec: ConeSpec, cap: int = SEARCH_CAP) -> int:
-    """Smallest q whose root decomposition contains every class."""
+    """Smallest q whose root decomposition contains every class.
+
+    One ceiling-vector memo serves every q tried, and a q is accepted as
+    soon as its residues have met every class."""
     wanted = set(enumerate_classes(spec).reps)
+    memo: dict[IntVec, IntVec] = {}
     for q in range(1, cap + 1):
-        seen = {rep for rep, _ in decompose_root(spec, q).counts}
-        if seen == wanted:
-            return q
+        missing = set(wanted)
+        for rep in _residue_classes(spec, q, memo):
+            missing.discard(rep)
+            if not missing:
+                return q
     raise UnsupportedOperationError(
         f"no root up to {cap} hits every class")
 

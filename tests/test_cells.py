@@ -13,7 +13,9 @@ from conic import (
     is_facet_pair,
     open_conic,
 )
+from conic import cells as cells_module, complexes
 from conic.cells import cell_witnesses, orientation_frame
+from conic.cli_io import analyze
 from conic.complexes import conic_complex
 from conic.chambers import (
     chamber_of, chamber_witness, enumerate_classes, is_feasible, pairings)
@@ -113,6 +115,38 @@ def test_differentials_match_witness_sign_oracle(request, name):
                     want = (oracle_sign(spec, inner, outer)
                             if is_facet_pair(spec, inner, outer) else 0)
                     assert entry == want, (rep, inner.omega, outer.omega)
+
+
+@pytest.mark.parametrize("name", SMALL_CONES + ("octahedron",))
+def test_incidence_sign_matches_witness_oracle(request, name):
+    # every facet pair of every class, asked directly: the per-cone sign
+    # table answers later chambers from pairs first met in earlier ones
+    spec = request.getfixturevalue(name)
+    for rep in enumerate_classes(spec).reps:
+        cells = enumerate_cells(spec, rep)
+        for outer in cells:
+            for inner in cells:
+                if is_facet_pair(spec, inner, outer):
+                    assert (incidence_sign(spec, inner, outer)
+                            == oracle_sign(spec, inner, outer)), (rep, inner, outer)
+
+
+def test_sign_table_holds_one_entry_per_omega_pair(monkeypatch):
+    # a hexagon no other test has analysed, so its store starts empty
+    spec = from_primal_rays(
+        3, [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1),
+            (1, -1, 1)])
+    calls = []
+
+    def counted(spec, inner, outer):
+        calls.append((inner.omega, outer.omega))
+        return incidence_sign(spec, inner, outer)
+
+    monkeypatch.setattr(complexes, "incidence_sign", counted)
+    analyze(spec)
+    table = spec._store[cells_module._sign]
+    assert set(table) == set(calls)
+    assert len(table) < len(calls)
 
 
 def test_incidence_sign_rejects_non_facet_pairs(square):

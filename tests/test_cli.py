@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from conic import cli_io, frobenius
+from conic import cli_io, complexes, frobenius
+from conic.cone import content_hash
 from conic.cli_io import (
     AnalyzeOptions,
     analyze,
@@ -13,7 +14,7 @@ from conic.cli_io import (
     parse_input,
     serialize_report,
 )
-from conic.errors import InputError
+from conic.errors import InputError, InternalInvariantError
 
 from box_census import box_census
 
@@ -215,6 +216,19 @@ def test_main_exit_codes(square_file, tmp_path, capsys):
     assert "outside support" in err
     assert main(["frobenius", "--input", square_file]) == 1
     assert main(["nosuchcommand"]) == 1
+
+
+def test_invariant_error_names_the_cone(square_file, capsys, monkeypatch):
+    def broken(mats):
+        raise InternalInvariantError("differential does not square to zero")
+
+    monkeypatch.setattr(complexes, "_check_d2", broken)
+    spec = build_cone(parse_input(SQUARE))
+    assert main(["analyze", "--input", square_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal invariant violated: differential does not "
+                   f"square to zero (cone {content_hash(spec)})\n")
 
 
 def test_support_not_closed_names_each_cell(tmp_path, capsys):

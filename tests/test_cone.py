@@ -27,6 +27,9 @@ from conic.errors import InputError
 from conic.ratgeom import (
     EQ, LE, dot, feasible, neg, primitive, rank, rref_kernel_basis, system)
 
+import dd_oracle
+from dd_oracle import tight_set
+
 # a rank-4 cone with five extreme rays and six facets
 FIVE_RAYS = ((1, -1, -3, 2), (-2, 1, 0, 2), (0, -1, 3, 1), (-1, 2, -2, 3),
              (-3, -3, 0, 1))
@@ -176,8 +179,41 @@ def test_double_description_matches_brute_force():
         got = double_description(rows, dim)
         assert [ray for ray, _ in got] == sorted(want), rows
         for ray, tight in got:
-            assert tight == {k for k, r in enumerate(rows) if dot(ray, r) == 0}, rows
+            assert tight == sum(1 << k for k, r in enumerate(rows)
+                                if dot(ray, r) == 0), rows
+        assert _as_sets(got) == dd_oracle.double_description(rows, dim), rows
     assert spanning > 100
+
+
+def _as_sets(passed):
+    return tuple((ray, tight_set(mask)) for ray, mask in passed)
+
+
+def _box_rows(spec, c):
+    """The rows of the homogenised closed box of c: s >= 0, then the
+    upper and the lower bound of each normal."""
+    rows = [(0,) * spec.rank + (1,)]
+    for n, ci in zip(spec.normals, c):
+        rows += [neg(n) + (ci,), n + (1 - ci,)]
+    return tuple(rows)
+
+
+FIXTURES = ("quadric", "square", "cyclic", "orthant2", "orthant3", "pentagon",
+            "hexagon", "octahedron")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_double_description_matches_frozenset_oracle(request, name):
+    # both cone passes of the fixture, and the box pass of every class
+    # against the oracle run on the box rows with its own seeds
+    spec = request.getfixturevalue(name)
+    for rows in (spec.normals, primal_generators(spec)):
+        assert (_as_sets(double_description(rows, spec.rank))
+                == dd_oracle.double_description(rows, spec.rank))
+    for rep in enumerate_classes(spec).reps:
+        want = dd_oracle.double_description(_box_rows(spec, rep), spec.rank + 1)
+        assert [(ray, tight_set(mask)) for ray, mask in box_vertices(spec, rep)] \
+            == [(ray, frozenset(k - 1 for k in tight if k)) for ray, tight in want]
 
 
 @settings(max_examples=40, deadline=None)
@@ -365,12 +401,20 @@ def test_inverse_seeds_match_per_row_seeds(request, name, monkeypatch):
         spec = request.getfixturevalue(name)
         reps = enumerate_classes(spec).reps
 
+    boxes = [box_vertices(spec, rep) for rep in reps]
+
     def passes():
-        # the dual and primal passes of the cone, and the box pass of
-        # each chamber's cells
-        return ([double_description(spec.normals, spec.rank),
-                 double_description(primal_generators(spec), spec.rank)]
-                + [box_vertices(spec, rep) for rep in reps])
+        # the dual and primal passes of the cone, and each chamber's box
+        # rows seeded in the pass itself, as the box pass read with its
+        # row 0 (s >= 0) shifted out
+        box_passes = [
+            tuple((ray, tight >> 1) for ray, tight in
+                  double_description(_box_rows(spec, rep), spec.rank + 1))
+            for rep in reps]
+        assert box_passes == boxes
+        return [double_description(spec.normals, spec.rank),
+                double_description(primal_generators(spec), spec.rank),
+                box_passes]
 
     got = passes()
     monkeypatch.setattr(ratgeom, "inverse_columns", _per_row_seeds)
