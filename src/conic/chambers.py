@@ -13,6 +13,7 @@ its cells (``cells.chamber_cells``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import ratgeom
@@ -141,7 +142,12 @@ class ClassList:
     labels: tuple[str, ...]
 
     def label_of(self, rep: IntVec) -> str:
-        return self.labels[self.reps.index(rep)]
+        """Label of a representative: a binary search of the sorted reps;
+        ValueError when rep is none of them."""
+        i = bisect_left(self.reps, rep)
+        if i == len(self.reps) or self.reps[i] != rep:
+            raise ValueError(f"{rep!r} is not a class representative")
+        return self.labels[i]
 
     def rep_of(self, label: str) -> IntVec:
         if label not in self.labels:

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from itertools import product
-from operator import mul
+from itertools import accumulate
+from operator import and_, or_
 
 from . import ratgeom
-from .cells import Cell, enumerate_cells, incidence_sign, is_facet_pair, open_conic
+from .cells import Cell, _sign, enumerate_cells, open_conic
 from .chambers import (
     canonical_class,
     enumerate_classes,
@@ -111,19 +111,23 @@ class NccrVerdict:
 
 
 def _check_d2(mats) -> None:
-    for i in range(len(mats) - 1):
-        a, b = mats[i], mats[i + 1]
-        for r in range(len(a)):
-            for c in range(len(b[0]) if b else 0):
-                s = sum(a[r][k] * b[k][c] for k in range(len(b)))
-                if s != 0:
-                    raise InternalInvariantError(
-                        f"differential does not square to zero at degree {i}")
+    for i, (a, b) in enumerate(zip(mats, mats[1:])):
+        for row in a:
+            # the row of a times b, from the nonzero entries of the row only
+            scaled = [[x * y for y in b[k]] for k, x in enumerate(row) if x]
+            if any(map(sum, zip(*scaled))):
+                raise InternalInvariantError(
+                    f"differential does not square to zero at degree {i}")
 
 
 @per_cone
 def conic_complex(spec: ConeSpec, c: IntVec) -> ConicComplex:
-    """The cellular complex of a chamber, with d*d = 0 verified."""
+    """The cellular complex of a chamber, with d*d = 0 verified.
+
+    Cells of consecutive codimension are a facet pair iff the inner
+    omega is a proper subset of the outer one; each cell's omega set is
+    built once, and the sign comes from the per-cone table.
+    """
     cells = enumerate_cells(spec, c)
     top = max(cell.codim for cell in cells)
     by_codim = tuple(
@@ -133,21 +137,12 @@ def conic_complex(spec: ConeSpec, c: IntVec) -> ConicComplex:
     if open_conic(by_codim[0][0]) != c:
         raise InternalInvariantError("interior open conic differs from the chamber")
     terms = tuple(tuple(open_conic(cell) for cell in row) for row in by_codim)
-    mats = []
-    for i in range(top):
-        outer_row = by_codim[i]
-        inner_row = by_codim[i + 1]
-        mat = []
-        for outer in outer_row:
-            row = []
-            for inner in inner_row:
-                if is_facet_pair(spec, inner, outer):
-                    row.append(incidence_sign(spec, inner, outer))
-                else:
-                    row.append(0)
-            mat.append(tuple(row))
-        mats.append(tuple(mat))
-    mats = tuple(mats)
+    omegas = [[(cell.omega, set(cell.omega)) for cell in row] for row in by_codim]
+    mats = tuple(
+        tuple(tuple(_sign(spec, inner, outer) if inner_set < outer_set else 0
+                    for inner, inner_set in omegas[i + 1])
+              for outer, outer_set in omegas[i])
+        for i in range(top))
     _check_d2(mats)
     return ConicComplex(chamber=c, terms=terms, cells=by_codim, mats=mats)
 
@@ -166,6 +161,15 @@ def homology_ranks(sc: ScalarComplex) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _slice(cx, keep) -> ScalarComplex:
+    # the scalar complex on the summand positions keep[i] of each degree i
+    return ScalarComplex(
+        dims=tuple(map(len, keep)),
+        mats=tuple(
+            tuple(tuple(mat[r][col] for col in keep[i + 1]) for r in keep[i])
+            for i, mat in enumerate(cx.mats)))
+
+
 def graded_piece(spec: ConeSpec, cx, cp, m) -> ScalarComplex:
     """Slice of hom from the chamber module of cp into a complex.
 
@@ -175,19 +179,28 @@ def graded_piece(spec: ConeSpec, cx, cp, m) -> ScalarComplex:
     really is a complex.
     """
     target = add(intvec(cp), nhat(spec, m))
+    return _slice(cx, [
+        tuple(j for j, vec in enumerate(row)
+              if all(x >= y for x, y in zip(target, vec)))
+        for row in cx.terms])
 
-    def kept(vec):
-        return all(x >= y for x, y in zip(target, vec))
 
-    keep = [
-        tuple(j for j, vec in enumerate(row) if kept(vec)) for row in cx.terms]
-    dims = tuple(len(k) for k in keep)
-    mats = []
-    for i in range(len(cx.mats)):
-        mat = tuple(
-            tuple(cx.mats[i][r][c] for c in keep[i + 1]) for r in keep[i])
-        mats.append(mat)
-    return ScalarComplex(dims=dims, mats=tuple(mats))
+def _mask_ranks(cx, mask: int) -> tuple[int, ...]:
+    # Homology ranks of the slice keeping the summands whose bits are set
+    # in mask, numbered along cx.terms degree by degree.
+    keep = []
+    for row in cx.terms:
+        keep.append(tuple(j for j in range(len(row)) if mask >> j & 1))
+        mask >>= len(row)
+    return homology_ranks(_slice(cx, keep))
+
+
+@per_cone
+def _slice_ranks(spec: ConeSpec, c: IntVec) -> dict[int, tuple[int, ...]]:
+    # Survival mask -> homology ranks of that slice of conic_complex(spec,
+    # c), filled by _verify.  A slice depends on the complex and the mask
+    # alone, not on the other chamber or the radius.
+    return {}
 
 
 def default_window(c, cp) -> int:
@@ -203,55 +216,92 @@ def _window_radius(window) -> int:
     return window
 
 
-def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int) -> AcyclicityReport:
+def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
+            ranks_of: dict | None = None) -> AcyclicityReport:
     """Window acyclicity of a complex against the chamber cp.
 
     Summand vec survives at m iff h = (<m, n_i>)_i >= vec - cp entrywise,
     so the survivors are the AND over i of the summands whose gap at i is
-    at most h_i; those sets are tabulated per coordinate on first use.
+    at most h_i.  For each normal i, one list indexed by the values h_i
+    takes over the window, |h_i| <= radius * sum |n_i|, holds that mask,
+    and the pairings of the last d - 1 coordinates with n_i over one slab
+    (first coordinate fixed) are listed in ``product`` order.  A slab's
+    masks are then the AND across normals of list lookups shifted by
+    x0 * n_i[0]: memory is one slab per normal, O((2r + 1)^(d - 1)).
+
     ``graded_piece`` reads m only through the kept index sets, so the
-    scalar complex, and with it its homology ranks, is a function of that
-    mask: the ranks are computed once per distinct mask.  What a point
-    adds on its own, the hit h == c - cp and with it the rank wanted in
-    degree zero, is recomputed at every point.
+    scalar complex and its homology ranks are a function of the mask;
+    ``ranks_of`` maps each mask met to its ranks.  ``verify_acyclicity``
+    passes the per-cone table of the chamber complex (``_slice_ranks``),
+    so ranks carry over between other chambers and radii; the default is
+    a table local to the call.  The pairing map is injective, so
+    h == c - cp holds exactly at the ``lattice_solve`` witness, which is
+    then the one point that wants a rank-one degree zero.  A point is
+    visited on its own only if it is the witness or its mask has nonzero
+    homology, so a passing window costs no per-point work.
     """
     c = cx.chamber
-    shift = sub(c, cp)
-    witness = ratgeom.lattice_solve(spec.normals, shift)
-    gaps = [sub(vec, cp) for row in cx.terms for vec in row]
-    # below[i][v]: bitmask of the summands whose gap at i is <= v
-    below = [{} for _ in spec.normals]
-    ranks_of: dict[int, tuple[int, ...]] = {}
+    witness = ratgeom.lattice_solve(spec.normals, sub(c, cp))
+    if ranks_of is None:
+        ranks_of = {}
+    r, side, d = radius, 2 * radius + 1, spec.rank
+    summands = [vec for row in cx.terms for vec in row]
+    columns = []
+    for n, ci, ceilings in zip(spec.normals, cp, zip(*summands)):
+        # below[v + reach]: bitmask of the summands whose gap here is <= v
+        reach = r * sum(map(abs, n))
+        below = [0] * (2 * reach + 1)
+        for bit, ceiling in enumerate(ceilings):
+            gap = ceiling - ci
+            if gap <= reach:
+                below[max(gap + reach, 0)] |= 1 << bit
+        # tail[k] + x0 * n_0 indexes below at the k-th point (x0, ...) of
+        # the slab x0
+        tail = [reach]
+        for a in n[1:]:
+            steps = [x * a for x in range(-r, r + 1)]
+            tail = [s + step for s in tail for step in steps]
+        columns.append((list(accumulate(below, or_)), n[0], tail))
+    w0 = wk = None
+    if witness is not None and all(abs(x) <= r for x in witness):
+        w0, wk = witness[0], 0
+        for x in witness[1:]:
+            wk = wk * side + x + r
     hits = []
     failures = []
-    checked = 0
-    for m in product(range(-radius, radius + 1), repeat=spec.rank):
-        checked += 1
-        h = tuple([sum(map(mul, m, n)) for n in spec.normals])
-        mask = -1
-        for i, v in enumerate(h):
-            bits = below[i].get(v)
-            if bits is None:
-                bits = below[i][v] = sum(
-                    1 << k for k, gap in enumerate(gaps) if gap[i] <= v)
-            mask &= bits
-        ranks = ranks_of.get(mask)
-        if ranks is None:
-            ranks = ranks_of[mask] = homology_ranks(
-                graded_piece(spec, cx, cp, m))
-        hit = h == shift
-        want0 = 1 if hit else 0
-        for deg, got in enumerate(ranks):
-            want = want0 if deg == 0 else 0
-            if got != want:
-                failures.append((m, deg, got, want))
-        if hit and ranks and ranks[0] == 1:
-            hits.append(m)
-    in_window = witness is not None and all(abs(x) <= radius for x in witness)
-    expected_hits = 1 if in_window else 0
-    passed = not failures and len(hits) == expected_hits
+    for x0 in range(-r, r + 1):
+        masks = None
+        for below, n0, tail in columns:
+            col = map(below.__getitem__, map((x0 * n0).__add__, tail))
+            masks = col if masks is None else map(and_, masks, col)
+        masks = list(masks)
+        bad = set()
+        for mask in set(masks):
+            ranks = ranks_of.get(mask)
+            if ranks is None:
+                ranks = ranks_of[mask] = _mask_ranks(cx, mask)
+            if any(ranks):
+                bad.add(mask)
+        visit = {wk} if x0 == w0 else set()
+        if bad:
+            visit.update(k for k, mask in enumerate(masks) if mask in bad)
+        for k in sorted(visit):
+            hit = x0 == w0 and k == wk
+            ranks = ranks_of[masks[k]]
+            tail_point = []
+            for _ in range(d - 1):
+                k, x = divmod(k, side)
+                tail_point.append(x - r)
+            m = (x0, *reversed(tail_point))
+            for deg, got in enumerate(ranks):
+                want = 1 if hit and deg == 0 else 0
+                if got != want:
+                    failures.append((m, deg, got, want))
+            if hit and ranks[0] == 1:
+                hits.append(m)
+    passed = not failures and len(hits) == (0 if w0 is None else 1)
     return AcyclicityReport(
-        chamber=c, other=cp, radius=radius, checked=checked,
+        chamber=c, other=cp, radius=radius, checked=side ** d,
         hits=tuple(hits), failures=tuple(failures),
         witness=witness, passed=passed)
 
@@ -267,7 +317,8 @@ def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> Acycl
     cpp = require_chamber(spec, cp)
     radius = (default_window(cc, cpp) if window is None
               else _window_radius(window))
-    return _verify(spec, conic_complex(spec, cc), cpp, radius)
+    return _verify(spec, conic_complex(spec, cc), cpp, radius,
+                   _slice_ranks(spec, cc))
 
 
 def pdim_simple(spec: ConeSpec, c) -> int:
@@ -465,8 +516,9 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
         radius = window
         if radius is None:
             radius = max(default_window(cc, rep) for rep in reps)
+        ranks_of: dict[int, tuple[int, ...]] = {}
         for rep in reps:
-            rpt = _verify(spec, cx, rep, radius)
+            rpt = _verify(spec, cx, rep, radius, ranks_of)
             if not rpt.passed:
                 raise InternalInvariantError(
                     f"spliced complex fails acyclicity against {rep}: "

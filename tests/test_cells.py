@@ -137,14 +137,15 @@ def test_sign_table_holds_one_entry_per_omega_pair(monkeypatch):
         3, [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1),
             (1, -1, 1)])
     calls = []
+    real = cells_module._sign
 
     def counted(spec, inner, outer):
-        calls.append((inner.omega, outer.omega))
-        return incidence_sign(spec, inner, outer)
+        calls.append((inner, outer))
+        return real(spec, inner, outer)
 
-    monkeypatch.setattr(complexes, "incidence_sign", counted)
+    monkeypatch.setattr(complexes, "_sign", counted)
     analyze(spec)
-    table = spec._store[cells_module._sign]
+    table = spec._store[real]
     assert set(table) == set(calls)
     assert len(table) < len(calls)
 

@@ -175,6 +175,20 @@ def test_labels_free_class_is_a0(square):
         cl.rep_of("A9")
 
 
+@pytest.mark.parametrize("name", ["quadric", "square", "cyclic", "orthant2",
+                                  "orthant3", "pentagon", "hexagon",
+                                  "octahedron"])
+def test_label_of_inverts_labels(request, name):
+    cl = enumerate_classes(request.getfixturevalue(name))
+    assert [cl.label_of(rep) for rep in cl.reps] == list(cl.labels)
+    lo, hi = cl.reps[0], cl.reps[-1]
+    for unknown in [tuple(x - 1 for x in lo), tuple(x + 1 for x in hi),
+                    tuple(x + 1 for x in lo)]:
+        if unknown not in cl.reps:
+            with pytest.raises(ValueError):
+                cl.label_of(unknown)
+
+
 def test_translation_lattices(quadric, square, cyclic):
     assert translation_lattice(quadric) == ((1, 1), (0, 2))
     assert translation_lattice(cyclic) == ((1, 1), (0, 3))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -159,16 +160,26 @@ def test_spliced_acyclicity_matches_per_point_oracle(square, support):
                     square, cx, b, radius), (own, b, radius)
 
 
-def test_homology_once_per_survival_mask(pentagon, monkeypatch):
-    reps = enumerate_classes(pentagon).reps
-    a, b, radius = reps[1], reps[2], 2
-    cx = conic_complex(pentagon, a)
+def _survival_masks(spec, cx, cp, radius):
     masks = set()
-    for m in product(range(-radius, radius + 1), repeat=pentagon.rank):
-        target = add(b, nhat(pentagon, m))
+    for m in product(range(-radius, radius + 1), repeat=spec.rank):
+        target = add(cp, nhat(spec, m))
         masks.add(tuple(
             tuple(all(x >= y for x, y in zip(target, vec)) for vec in row)
             for row in cx.terms))
+    return masks
+
+
+def test_homology_once_per_survival_mask(monkeypatch):
+    # a pentagon built here, so that no earlier test has filled its
+    # per-cone table of slice ranks
+    pentagon = from_primal_rays(
+        3, [(-2, -1, 1), (-1, -1, 1), (1, 0, 1), (1, 1, 1), (-1, 0, 1)])
+    reps = enumerate_classes(pentagon).reps
+    a, b, b2, radius = reps[1], reps[2], reps[3], 2
+    cx = conic_complex(pentagon, a)
+    seen = _survival_masks(pentagon, cx, b, radius)
+    fresh = _survival_masks(pentagon, cx, b2, radius) - seen
     calls = []
     real = complexes.homology_ranks
 
@@ -179,7 +190,64 @@ def test_homology_once_per_survival_mask(pentagon, monkeypatch):
     monkeypatch.setattr(complexes, "homology_ranks", counting)
     rpt = verify_acyclicity(pentagon, a, b, window=radius)
     assert rpt.checked == (2 * radius + 1) ** pentagon.rank
-    assert len(calls) == len(masks) < rpt.checked
+    assert len(calls) == len(seen) < rpt.checked
+    # the same chamber against another one: only masks not met before
+    del calls[:]
+    assert verify_acyclicity(pentagon, a, b2, window=radius).passed
+    assert len(calls) == len(fresh) < len(seen)
+    del calls[:]
+    assert verify_acyclicity(pentagon, a, b, window=radius) == rpt
+    assert calls == []
+
+
+def _oracle_cases(spec, cx, cp, radii):
+    # the report against oracle_verify at every radius; returns how many
+    # witnesses fell outside the window and how many on its edge
+    outside = edge = 0
+    for radius in radii:
+        want = oracle_verify(spec, cx, cp, radius)
+        assert _verify(spec, cx, cp, radius) == want, (cx.chamber, cp, radius)
+        if want.witness is not None:
+            reach = max(map(abs, want.witness))
+            outside += reach > radius
+            edge += reach == radius
+    return outside, edge
+
+
+def test_rank_two_acyclicity_matches_oracle_off_window(quadric):
+    # cp runs over translates of each class, so the witness -m0 lies
+    # inside the window, on its edge and outside it
+    outside = edge = 0
+    for a in enumerate_classes(quadric).reps:
+        full = conic_complex(quadric, a)
+        for k in range(1, len(full.terms) + 1):
+            cx = ConicComplex(chamber=a, terms=full.terms[:k],
+                              cells=full.cells[:k], mats=full.mats[:k - 1])
+            for b in enumerate_classes(quadric).reps:
+                for m0 in product(range(-2, 3), repeat=2):
+                    cp = add(b, nhat(quadric, m0))
+                    got = _oracle_cases(quadric, cx, cp, (0, 1, 2, 3))
+                    outside += got[0]
+                    edge += got[1]
+    assert outside and edge
+
+
+def test_rank_four_acyclicity_matches_oracle_on_a_sample(octahedron):
+    rng = random.Random(15)
+    reps = enumerate_classes(octahedron).reps
+    outside = edge = 0
+    for _ in range(40):
+        a, b = rng.choice(reps), rng.choice(reps)
+        full = conic_complex(octahedron, a)
+        k = rng.randrange(1, len(full.terms) + 1)
+        cx = ConicComplex(chamber=a, terms=full.terms[:k],
+                          cells=full.cells[:k], mats=full.mats[:k - 1])
+        m0 = tuple(rng.randrange(-2, 3) for _ in range(4))
+        for cp in (b, a, add(a, nhat(octahedron, m0))):
+            got = _oracle_cases(octahedron, cx, cp, (0, 1))
+            outside += got[0]
+            edge += got[1]
+    assert outside and edge
 
 
 def test_pdims_and_global_dimension(quadric, square, cyclic, orthant2, orthant3):
