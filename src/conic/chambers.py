@@ -17,7 +17,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import ratgeom
-from .cells import box_vertices, ceiling_vector, chamber_cells, vertex_barycenter
+from .cells import (
+    _box_seeds,
+    box_vertices,
+    ceiling_vector,
+    chamber_cells,
+    vertex_barycenter,
+)
 from .cone import ConeSpec, per_cone
 from .errors import InputError
 from .ratgeom import IntVec, RatVec, dot, intvec, sub
@@ -41,6 +47,26 @@ def nhat(spec: ConeSpec, m) -> IntVec:
     if len(w) != spec.rank:
         raise InputError(f"lattice point has length {len(w)}, expected {spec.rank}")
     return tuple(dot(w, n) for n in spec.normals)
+
+
+def _preimage(spec: ConeSpec, h: IntVec) -> IntVec | None:
+    """The lattice point m with ``nhat(spec, m) == h``, or None.
+
+    The normals span, so m is unique if it exists.  With the box seeds'
+    N_B A = D I (``cells._box_seeds``) the rows of the base B force
+    m = A h_B / D, so m exists exactly when D divides A h_B and every
+    pairing of that m equals h.
+    """
+    base, det_b, cols, _ = _box_seeds(spec)
+    m = []
+    for k in range(spec.rank):
+        q, r = divmod(sum(h[i] * col[k] for i, col in zip(base, cols)), det_b)
+        if r:
+            return None
+        m.append(q)
+    if any(dot(m, n) != hi for n, hi in zip(spec.normals, h)):
+        return None
+    return tuple(m)
 
 
 def is_feasible(spec: ConeSpec, c) -> bool:
@@ -89,8 +115,17 @@ def translation_lattice(spec: ConeSpec) -> tuple[IntVec, ...]:
     return ratgeom.hermite_normal_form(cols)
 
 
+@per_cone
+def _lattice_pivots(spec: ConeSpec):
+    """``ratgeom.hnf_pivots`` of the translation lattice: one (column,
+    pivot, row) triple per HNF row."""
+    return ratgeom.hnf_pivots(translation_lattice(spec))
+
+
 def _reduce(spec: ConeSpec, cc: IntVec) -> IntVec:
-    return ratgeom.reduce_mod_hnf(cc, translation_lattice(spec))
+    """Canonical representative of a ceiling vector of ints modulo the
+    pairing lattice, as ``ratgeom.reduce_mod_hnf`` with the kept pivots."""
+    return ratgeom.reduce_by_pivots(cc, _lattice_pivots(spec))
 
 
 def canonical_class(spec: ConeSpec, c) -> IntVec:
@@ -110,7 +145,7 @@ def iso_witness(spec: ConeSpec, c, cp) -> IntVec | None:
     """Lattice point m with c = cp + pairing(m), or None."""
     a = require_chamber(spec, c)
     b = require_chamber(spec, cp)
-    return ratgeom.lattice_solve(spec.normals, sub(a, b))
+    return _preimage(spec, sub(a, b))
 
 
 def is_adjacent(spec: ConeSpec, c, cp) -> bool:

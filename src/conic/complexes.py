@@ -21,6 +21,7 @@ from operator import and_, or_
 from . import ratgeom
 from .cells import Cell, _sign, enumerate_cells, open_conic
 from .chambers import (
+    _preimage,
     canonical_class,
     enumerate_classes,
     nhat,
@@ -235,13 +236,14 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
     passes the per-cone table of the chamber complex (``_slice_ranks``),
     so ranks carry over between other chambers and radii; the default is
     a table local to the call.  The pairing map is injective, so
-    h == c - cp holds exactly at the ``lattice_solve`` witness, which is
-    then the one point that wants a rank-one degree zero.  A point is
-    visited on its own only if it is the witness or its mask has nonzero
-    homology, so a passing window costs no per-point work.
+    h == c - cp holds exactly at the witness that ``chambers._preimage``
+    reads off the per-cone box seeds, which is then the one point that
+    wants a rank-one degree zero.  A point is visited on its own only if
+    it is the witness or its mask has nonzero homology, so a passing
+    window costs no per-point work.
     """
     c = cx.chamber
-    witness = ratgeom.lattice_solve(spec.normals, sub(c, cp))
+    witness = _preimage(spec, sub(c, cp))
     if ranks_of is None:
         ranks_of = {}
     r, side, d = radius, 2 * radius + 1, spec.rank

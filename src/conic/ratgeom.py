@@ -505,23 +505,30 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     return tuple(tuple(r) for r in mat[:top] if any(r))
 
 
-def hnf_pivots(basis: Sequence[IntVec]) -> tuple[tuple[int, int], ...]:
-    """(row, column) positions of the HNF pivots."""
+def hnf_pivots(basis: Sequence[IntVec]) -> tuple[tuple[int, int, IntVec], ...]:
+    """(column, pivot, row) of each HNF row: where its leading entry sits,
+    that entry, and the row itself."""
     out = []
-    for i, row in enumerate(basis):
+    for row in basis:
         col = next(j for j, x in enumerate(row) if x)
-        out.append((i, col))
+        out.append((col, row[col], row))
     return tuple(out)
+
+
+def reduce_by_pivots(w: Sequence[int], pivots) -> IntVec:
+    """Canonical representative of the integer vector w modulo the row
+    lattice of an HNF basis, given by its ``hnf_pivots``; w is not
+    checked."""
+    for col, piv, row in pivots:
+        q = w[col] // piv
+        if q:
+            w = [x - q * y for x, y in zip(w, row)]
+    return tuple(w)
 
 
 def reduce_mod_hnf(v: Sequence[int], basis: Sequence[IntVec]) -> IntVec:
     """Canonical representative of v modulo the row lattice of an HNF basis."""
-    w = list(intvec(v))
-    for i, col in hnf_pivots(basis):
-        q = w[col] // basis[i][col]
-        if q:
-            w = [x - q * y for x, y in zip(w, basis[i])]
-    return tuple(w)
+    return reduce_by_pivots(intvec(v), hnf_pivots(basis))
 
 
 def functional_kernel_basis(n: Sequence[int]) -> tuple[IntVec, ...]:

@@ -108,7 +108,9 @@ def _strip_pieces(spec: ConeSpec, poly):
     strips c - 1 <= <x, n> <= c at a time, sweeping the levels c upward
     and splitting each strip off what is left.  Returns the (ceiling
     vector, vertex list) of every piece, lex-sorted since each piece's
-    strips are appended by increasing level."""
+    strips are appended by increasing level, and each piece rotated to
+    start at its first vertex counterclockwise from angle 0
+    (``_from_angle_zero``)."""
     pieces = [((), poly)]
     for a, b in spec.normals:
         split = []
@@ -120,7 +122,7 @@ def _strip_pieces(spec: ConeSpec, poly):
                 split.append((c + (ci,), below))
             split.append((c + (hi,), rest))
         pieces = split
-    return pieces
+    return [(c, _from_angle_zero(piece)) for c, piece in pieces]
 
 
 def drawn_chambers(spec: ConeSpec, window):
@@ -137,12 +139,13 @@ def drawn_chambers(spec: ConeSpec, window):
     closure's.  Splitting keeps the window's counterclockwise order and
     never repeats a vertex, so each piece is only rotated to start at
     its first vertex counterclockwise from angle 0 about the vertex
-    centroid.
+    centroid.  ``render_svg_2d`` draws the same pieces from their
+    integer vertices.
     """
     corners = _window_corners(window)
     return [(c, [corners[v] if v in corners
                  else (Fraction(v[0], v[2]), Fraction(v[1], v[2]))
-                 for v in _from_angle_zero(poly)])
+                 for v in poly])
             for c, poly in _strip_pieces(spec, list(corners))]
 
 
@@ -204,12 +207,23 @@ def render_svg_2d(spec: ConeSpec, window) -> str:
     parts.append(
         f'<rect x="{_fmt(x0)}" y="{_fmt(-y1)}" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" fill="#ffffff"/>')
-    for c, poly in drawn_chambers(spec, window):
+    # The pieces of drawn_chambers, printed from their (X, Y, W)
+    # vertices: int true division rounds X / W as float(Fraction) does.
+    # An inner vertex bounds up to four pieces and a class colors many,
+    # so each is formatted once per call.
+    points = {}
+    colors = {}
+    for c, poly in _strip_pieces(spec, list(_window_corners(window))):
         rep = canonical_class(spec, c)
-        points = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in poly)
+        if rep not in colors:
+            colors[rep] = _class_color(rep)
+        for v in poly:
+            if v not in points:
+                x, y, w = v
+                points[v] = f"{_fmt(x / w)},{_fmt(-y / w)}"
         parts.append(
-            f'<polygon points="{points}" fill="{_class_color(rep)}" '
-            f'stroke="none"/>')
+            f'<polygon points="{" ".join(map(points.__getitem__, poly))}" '
+            f'fill="{colors[rep]}" stroke="none"/>')
     for n in spec.normals:
         # ints over m: true division rounds as float(Fraction) does
         for (ax, ay), (bx, by), m in _level_segments(n, window):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conic import (
     canonical_class,
+    chambers,
     chamber_of,
     chamber_witness,
     degree,
@@ -23,7 +24,7 @@ from conic import (
 from conic.cells import chamber_cells
 from conic.chambers import nhat, pairings, require_chamber
 from conic.errors import InputError
-from conic.ratgeom import add, dot, feasible
+from conic.ratgeom import add, dot, feasible, sub
 
 from box_census import box_census
 from cell_oracle import region_system
@@ -206,14 +207,13 @@ def test_canonical_class_is_translation_invariant(square):
 
 def test_canonical_class_reduces_once(square, monkeypatch):
     # results and refusals are those of reducing require_chamber's vector
-    lattice = translation_lattice(square)
-    real = ratgeom.reduce_mod_hnf
+    real = chambers._reduce
     calls = []
-    monkeypatch.setattr(ratgeom, "reduce_mod_hnf",
-                        lambda v, basis: calls.append(v) or real(v, basis))
+    monkeypatch.setattr(chambers, "_reduce",
+                        lambda spec, v: calls.append(v) or real(spec, v))
     for c in [*product(range(-1, 2), repeat=4), (0, 0, 0)]:
         try:
-            want = real(require_chamber(square, c), lattice)
+            want = real(square, require_chamber(square, c))
         except InputError as err:
             want = str(err)
         calls.clear()
@@ -223,6 +223,46 @@ def test_canonical_class_reduces_once(square, monkeypatch):
             got = str(err)
         assert got == want
         assert len(calls) == (len(c) == 4)
+
+
+@pytest.mark.parametrize("name", ["quadric", "square", "cyclic", "orthant2",
+                                  "orthant3", "pentagon", "hexagon", "octahedron"])
+def test_reduce_matches_reduce_mod_hnf(request, name):
+    # the kept pivot triples reduce as the HNF basis does; the
+    # octahedron's basis has pivots of 2
+    spec = request.getfixturevalue(name)
+    lattice = translation_lattice(spec)
+    if name == "octahedron":
+        assert max(next(x for x in row if x) for row in lattice) == 2
+    rng = random.Random(name)
+    vecs = list(enumerate_classes(spec).reps)
+    vecs += [tuple(rng.randint(-50, 50) for _ in spec.normals)
+             for _ in range(200)]
+    for v in vecs:
+        assert chambers._reduce(spec, v) == ratgeom.reduce_mod_hnf(v, lattice)
+
+
+@pytest.mark.parametrize("name, box", [
+    ("square", 2), ("pentagon", 2), ("octahedron", 1)])
+def test_preimage_matches_lattice_solve(request, name, box):
+    # every ordered class pair, then every vector of a small box: that
+    # has integral witnesses, rational non-integral solutions (the
+    # octahedron's (1/2, 1/2, 0, 0)) and no solution at all
+    spec = request.getfixturevalue(name)
+    reps = enumerate_classes(spec).reps
+    for h in (sub(a, b) for a in reps for b in reps):
+        assert chambers._preimage(spec, h) == ratgeom.lattice_solve(spec.normals, h)
+    kinds = set()
+    for h in product(range(-box, box + 1), repeat=len(spec.normals)):
+        want = ratgeom.lattice_solve(spec.normals, h)
+        assert chambers._preimage(spec, h) == want
+        kinds.add("integral" if want is not None
+                  else "rational" if ratgeom.linear_solve(
+                      spec.normals, h, spec.rank) is not None
+                  else "none")
+    assert {"integral", "none"} <= kinds
+    if name == "octahedron":
+        assert "rational" in kinds
 
 
 def test_iso_witness_round_trip(square):

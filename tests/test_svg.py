@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conic import from_normals, render_svg_2d
@@ -12,7 +12,7 @@ from conic.chambers import canonical_class, chamber_of, chamber_witness
 from conic.errors import InputError, UnsupportedOperationError
 from conic.svg import _class_color, _strip_pieces, _window_corners, drawn_chambers
 
-from svg_oracle import oracle_drawn_chambers
+from svg_oracle import oracle_drawn_chambers, oracle_render_svg_2d
 
 WINDOW = (Fraction(-2), Fraction(2), Fraction(-2), Fraction(2))
 
@@ -159,11 +159,13 @@ primitive2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
 window_coord = st.fractions(-5, 5, max_denominator=12)
 window_side = st.fractions(Fraction(1, 12), 4, max_denominator=12)
 window_offset = st.one_of(st.just(0), st.integers(-10**18, 10**18))
+# two normals and a window (x0, y0, width, height) moved by (ox, oy)
+oracle_cases = (primitive2, primitive2, window_coord, window_coord,
+                window_side, window_side, window_offset, window_offset)
 
 
 @settings(max_examples=100, deadline=None)
-@given(primitive2, primitive2, window_coord, window_coord, window_side,
-       window_side, window_offset, window_offset)
+@given(*oracle_cases)
 def test_drawn_chambers_match_fraction_oracle(n1, n2, x0, y0, w, h, ox, oy):
     assume(n1[0] * n2[1] != n1[1] * n2[0])
     spec = from_normals(2, [n1, n2])
@@ -178,3 +180,16 @@ def test_drawn_chambers_match_fraction_oracle(n1, n2, x0, y0, w, h, ox, oy):
         assert len(set(poly)) == len(poly)
         for hx, hy, hw in poly:
             assert hw > 0 and math.gcd(hx, hy, hw) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(*oracle_cases)
+# x + y = 0 leaves the window's left edge at y = 1/3000, printed -0.000
+# before the sign is dropped
+@example((1, 1), (-1, 1), Fraction(-1, 3000), Fraction(-1), Fraction(1),
+         Fraction(2), 0, 0)
+def test_render_matches_fraction_oracle_bytes(n1, n2, x0, y0, w, h, ox, oy):
+    assume(n1[0] * n2[1] != n1[1] * n2[0])
+    spec = from_normals(2, [n1, n2])
+    window = (x0 + ox, x0 + w + ox, y0 + oy, y0 + h + oy)
+    assert render_svg_2d(spec, window) == oracle_render_svg_2d(spec, window)
