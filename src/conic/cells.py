@@ -69,20 +69,12 @@ def box_vertices(spec: ConeSpec, c: IntVec) -> tuple[tuple[IntVec, int], ...]:
 def _box_seeds(spec: ConeSpec):
     # The greedy base of the box rows is row 0 (s >= 0) and the rows
     # (-n_i, c_i) for the greedy base B of the normals, whatever c is:
-    # (n_i, 1 - c_i) is row 0 minus (-n_i, c_i).  With N_B A = D I for
-    # an integer matrix A and D > 0, the seed of row 0 is (A c_B, D) and
-    # that of row (-n_j, c_j) is (-A e_j, 0), both made primitive.  Kept
-    # per cone: (B, D, the columns of A, the seeds of the rows of B).
-    d = spec.rank
-    base = ratgeom.echelon([[n[j] for n in spec.normals] for j in range(d)],
-                           len(spec.normals))[1]
-    ech, pivots, _ = ratgeom.echelon(
-        [list(spec.normals[i]) + [int(i == k) for k in base] for i in base], d)
-    sols = [ratgeom._back_substitute(ech, pivots, [row[d + j] for row in ech], d)
-            for j in range(d)]
-    det_b = sols[0][0]
-    cols = tuple(tuple(x if det_b > 0 else -x for x in y) for _, y in sols)
-    return (base, abs(det_b), cols,
+    # (n_i, 1 - c_i) is row 0 minus (-n_i, c_i).  With N_B A = D I
+    # (``ratgeom.base_inverse``) the seed of row 0 is (A c_B, D) and that
+    # of row (-n_j, c_j) is (-A e_j, 0), both made primitive.  Kept per
+    # cone: (B, D, the columns of A, the seeds of the rows of B).
+    base, det_b, cols = ratgeom.base_inverse(spec.normals, spec.rank)
+    return (base, det_b, cols,
             tuple(primitive(neg(col) + (0,)) for col in cols))
 
 
@@ -183,11 +175,6 @@ def _frame(spec: ConeSpec, omega: tuple[int, ...]) -> tuple[IntVec, ...]:
     # ordered.  It depends on the cone and omega, not on the chamber.
     rows = [n for i, n in enumerate(spec.normals) if i not in omega]
     return ratgeom.rref_kernel_basis(rows, spec.rank)
-
-
-def orientation_frame(spec: ConeSpec, cell: Cell) -> tuple[IntVec, ...]:
-    """Deterministic basis of the cell's direction space."""
-    return _frame(spec, cell.omega)
 
 
 def is_facet_pair(spec: ConeSpec, inner: Cell, outer: Cell) -> bool:

@@ -50,23 +50,9 @@ def nhat(spec: ConeSpec, m) -> IntVec:
 
 
 def _preimage(spec: ConeSpec, h: IntVec) -> IntVec | None:
-    """The lattice point m with ``nhat(spec, m) == h``, or None.
-
-    The normals span, so m is unique if it exists.  With the box seeds'
-    N_B A = D I (``cells._box_seeds``) the rows of the base B force
-    m = A h_B / D, so m exists exactly when D divides A h_B and every
-    pairing of that m equals h.
-    """
-    base, det_b, cols, _ = _box_seeds(spec)
-    m = []
-    for k in range(spec.rank):
-        q, r = divmod(sum(h[i] * col[k] for i, col in zip(base, cols)), det_b)
-        if r:
-            return None
-        m.append(q)
-    if any(dot(m, n) != hi for n, hi in zip(spec.normals, h)):
-        return None
-    return tuple(m)
+    """The lattice point m with ``nhat(spec, m) == h``, or None, read off
+    the inverse kept with the box seeds (``ratgeom.lattice_witness``)."""
+    return ratgeom.lattice_witness(spec.normals, _box_seeds(spec)[:3], h)
 
 
 def is_feasible(spec: ConeSpec, c) -> bool:

@@ -157,10 +157,10 @@ def double_description(rows: tuple[IntVec, ...],
     sorted by ray.
 
     rows must have rank == dim so the solution cone is pointed.  The
-    seed step takes the first dim independent rows, the pivot columns of
-    one elimination of the transpose; seed ray j pairs positively with
-    base row j and to zero with the other base rows, column j of the
-    base's inverse.  The incremental loop (``_dd_from_seeds``, which the
+    seed step takes the greedy base of the rows and its inverse
+    (``ratgeom.base_inverse``); seed ray j pairs positively with base
+    row j and to zero with the other base rows, column j of that inverse
+    made primitive.  The incremental loop (``_dd_from_seeds``, which the
     box pass of ``cells.box_vertices`` starts from seeds kept per cone)
     then adds the other rows one at a time; each ray carries the mask of
     its tight rows over the rows added so far.  A new ray comes from an
@@ -176,11 +176,8 @@ def double_description(rows: tuple[IntVec, ...],
     rank dim - 2, so a pair with fewer than dim - 2 common tight rows is
     skipped before that scan.
     """
-    base = ratgeom.echelon([[r[j] for r in rows] for j in range(dim)], len(rows))[1]
-    if len(base) < dim:
-        raise InputError("rows do not span: solution cone is not pointed")
-    seeds = ratgeom.inverse_columns([rows[i] for i in base])
-    return _dd_from_seeds(rows, dim, base, seeds)
+    base, _, cols = ratgeom.base_inverse(rows, dim)
+    return _dd_from_seeds(rows, dim, base, tuple(map(primitive, cols)))
 
 
 def _dd_from_seeds(rows: tuple[IntVec, ...], dim: int, base: tuple[int, ...],

@@ -73,21 +73,22 @@ def decompose_root(spec: ConeSpec, q: int) -> RootDecomposition:
         q=q, counts=tuple(sorted(counts.items())), total=q ** spec.rank)
 
 
-def minimal_complete_q(spec: ConeSpec, cap: int = SEARCH_CAP) -> int:
+def minimal_complete_q(spec: ConeSpec) -> int:
     """Smallest q whose root decomposition contains every class.
 
     One ceiling-vector memo serves every q tried, and a q is accepted as
-    soon as its residues have met every class."""
+    soon as its residues have met every class; UnsupportedOperationError
+    when no q up to SEARCH_CAP is."""
     wanted = set(enumerate_classes(spec).reps)
     memo: dict[IntVec, IntVec] = {}
-    for q in range(1, cap + 1):
+    for q in range(1, SEARCH_CAP + 1):
         missing = set(wanted)
         for rep in _residue_classes(spec, q, memo):
             missing.discard(rep)
             if not missing:
                 return q
     raise UnsupportedOperationError(
-        f"no root up to {cap} hits every class")
+        f"no root up to {SEARCH_CAP} hits every class")
 
 
 def _is_prime(p: int) -> bool:

@@ -8,10 +8,12 @@ constraint is strict exactly when one of its parents is.  For rational data
 this decides feasibility over the reals, and back-substitution through the
 elimination levels produces an exact rational witness point; the tests
 use it as the exact reference, and nothing in the package calls it.
-Ranks, determinants, linear solves, kernels and inverse columns all read
-from one fraction-free (Bareiss) elimination, ``echelon``, and one integer
-back-substitution.  Smith normal form alternates Hermite forms of the rows
-and of the columns.
+Ranks, determinants, linear solves, kernels and the inverse of a greedy
+base of rows (``base_inverse``) all read from one fraction-free (Bareiss)
+elimination, ``echelon``, and one integer back-substitution.  That inverse
+seeds every double-description pass and gives every lattice preimage
+(``lattice_witness``).  Smith normal form alternates Hermite forms of the
+rows and of the columns.
 """
 
 from __future__ import annotations
@@ -369,40 +371,19 @@ def det(rows: Sequence[Sequence]):
     return value if den == 1 else Fraction(value, den)
 
 
-def _solve(rows, rhs, ncols: int):
-    """(pivots, d, y) as in ``_back_substitute``; y is None if inconsistent."""
-    if len(rhs) != len(rows):
-        raise InputError("right-hand side length does not match the matrix")
-    ech, pivots, _ = echelon([list(row) + [b] for row, b in zip(rows, rhs)], ncols)
-    if any(row[ncols] for row in ech[len(pivots):]):
-        return pivots, None, None
-    return (pivots,
-            *_back_substitute(ech, pivots, [row[ncols] for row in ech], ncols))
-
-
 def linear_solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optional[RatVec]:
     """Exact solution of rows . x = rhs in ncols unknowns, or None.
 
     Free variables are set to zero, which makes the solution unique; None
     means the system is inconsistent.
     """
-    _, d, y = _solve(rows, rhs, ncols)
-    return None if y is None else tuple(Fraction(v, d) for v in y)
-
-
-def lattice_solve(rows: Sequence[IntVec], rhs: Sequence[int]) -> Optional[IntVec]:
-    """Solve A*m = rhs over the integers; A must have full column rank.
-
-    Returns the unique solution when it is rational and integral, otherwise
-    None (also when no rational solution exists at all).
-    """
-    nc = len(rows[0]) if rows else 0
-    pivots, d, y = _solve(rows, rhs, nc)
-    if len(pivots) < nc:
-        raise InputError("matrix does not have full column rank")
-    if y is None or any(v % d for v in y):
+    if len(rhs) != len(rows):
+        raise InputError("right-hand side length does not match the matrix")
+    ech, pivots, _ = echelon([list(row) + [b] for row, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in ech[len(pivots):]):
         return None
-    return tuple(v // d for v in y)
+    d, y = _back_substitute(ech, pivots, [row[ncols] for row in ech], ncols)
+    return tuple(Fraction(v, d) for v in y)
 
 
 def rref_kernel_basis(rows: Sequence[Sequence], ncols: int) -> tuple[IntVec, ...]:
@@ -425,27 +406,65 @@ def rref_kernel_basis(rows: Sequence[Sequence], ncols: int) -> tuple[IntVec, ...
     return tuple(basis)
 
 
-def inverse_columns(rows: Sequence[Sequence]) -> tuple[IntVec, ...]:
-    """Columns of the inverse of a nonsingular square matrix, each scaled
-    by a positive factor to a primitive integer vector.
+def base_inverse(rows: Sequence[IntVec],
+                 dim: int) -> tuple[tuple[int, ...], int, tuple[IntVec, ...]]:
+    """(B, D, cols): the greedy base of the integer rows and its inverse.
 
-    One elimination of [rows | I] serves every column: back-substitution
-    against each eliminated identity column gives d times that column of
-    the inverse, where d is the determinant of the (scaled, row-permuted)
-    matrix.  InputError if the matrix is singular.
+    B holds the first dim independent rows, the pivot columns of one
+    elimination of the transpose.  One elimination of [N_B | I] then
+    gives N_B A = D I for an integer matrix A and D > 0: back-substitution
+    against each eliminated identity column yields one column of A, and
+    D is the absolute value of the last pivot, |det N_B|.  cols are the
+    columns of A, so column j pairs to D with base row j and to zero
+    with the other base rows.  InputError if the rows do not span, that
+    is if the cone {x : <x, r> >= 0 for all rows r} is not pointed.
     """
-    n = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(n)]
-           for i, row in enumerate(rows)]
-    ech, pivots, _ = echelon(aug, n)
-    if len(pivots) < n:
-        raise InputError("matrix is singular")
-    cols = []
-    for j in range(n):
-        d, y = _back_substitute(ech, pivots, [row[n + j] for row in ech], n)
-        col = primitive(y)
-        cols.append(col if d > 0 else neg(col))
-    return tuple(cols)
+    base = echelon([[r[j] for r in rows] for j in range(dim)], len(rows))[1]
+    if len(base) < dim:
+        raise InputError("rows do not span: solution cone is not pointed")
+    ech, pivots, _ = echelon(
+        [list(rows[i]) + [int(i == k) for k in base] for i in base], dim)
+    d = ech[-1][dim - 1] if dim else 1
+    cols = tuple(
+        tuple(x if d > 0 else -x for x in _back_substitute(
+            ech, pivots, [row[dim + j] for row in ech], dim)[1])
+        for j in range(dim))
+    return base, abs(d), cols
+
+
+def lattice_witness(rows: Sequence[IntVec], inverse, h: Sequence[int]) -> Optional[IntVec]:
+    """The integer m with <m, rows[i]> = h[i] for every i, or None.
+
+    inverse is ``base_inverse(rows, dim)``.  The rows span, so m is
+    unique if it exists, and the base rows force m = A h_B / D: m
+    exists exactly when D divides A h_B and every row pairs to h.
+    """
+    base, det_b, cols = inverse
+    m = []
+    for k in range(len(cols)):
+        q, r = divmod(sum(h[i] * col[k] for i, col in zip(base, cols)), det_b)
+        if r:
+            return None
+        m.append(q)
+    if any(dot(m, row) != hi for row, hi in zip(rows, h)):
+        return None
+    return tuple(m)
+
+
+def lattice_solve(rows: Sequence[IntVec], rhs: Sequence[int]) -> Optional[IntVec]:
+    """Solve A*m = rhs over the integers; A must have full column rank.
+
+    Returns the unique solution when it is rational and integral, otherwise
+    None (also when no rational solution exists at all).
+    """
+    if len(rhs) != len(rows):
+        raise InputError("right-hand side length does not match the matrix")
+    nc = len(rows[0]) if rows else 0
+    try:
+        inverse = base_inverse(rows, nc)
+    except InputError:
+        raise InputError("matrix does not have full column rank") from None
+    return lattice_witness(rows, inverse, rhs)
 
 
 # --------------------------------------------------------------------------

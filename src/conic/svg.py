@@ -67,25 +67,17 @@ def _split(poly, a, b, k):
 def _from_angle_zero(poly):
     # Rotate to the first vertex counterclockwise from angle 0 about the
     # vertex centroid, which is interior since poly is convex,
-    # counterclockwise and without repeats; see drawn_chambers.  Offsets
-    # from the centroid are scaled by n times the common denominator.
+    # counterclockwise and without repeats; see drawn_chambers.  The
+    # vertices at angles in [0, pi), dy > 0 or dy == 0 < dx, are one run
+    # of that order, and the wanted vertex heads it.  Offsets from the
+    # centroid are scaled by n times the common denominator.
     n = len(poly)
     den = math.lcm(*(w for _, _, w in poly))
     xs = [x * (den // w) for x, _, w in poly]
     ys = [y * (den // w) for _, y, w in poly]
     sx, sy = sum(xs), sum(ys)
-    best = None
-    for j in range(n):
-        dx, dy = n * xs[j] - sx, n * ys[j] - sy
-        # key (quadrant, dy/dx) after quarter turns clockwise into
-        # dx > 0, dy >= 0
-        for quadrant in range(4):
-            if dx > 0 and dy >= 0:
-                break
-            dx, dy = dy, -dx
-        if best is None or quadrant < best[0] or (
-                quadrant == best[0] and dy * best[1] < best[2] * dx):
-            best, k = (quadrant, dx, dy), j
+    up = [n * y > sy or n * y == sy and n * x > sx for x, y in zip(xs, ys)]
+    k = next(j for j in range(n) if up[j] and not up[j - 1])
     return poly[k:] + poly[:k]
 
 

@@ -12,7 +12,7 @@ each cell of a facet pair.
 from functools import lru_cache
 from itertools import combinations
 
-from conic.cells import ceiling_vector, orientation_frame
+from conic.cells import _frame, ceiling_vector
 from conic.ratgeom import (
     EQ, LE, LT, det, dot, feasible, rank, solve, sub, system)
 
@@ -65,8 +65,8 @@ def oracle_sign(spec, inner, outer):
     t = len(spec.normals)
     assert all(dot(u, spec.normals[i]) == 0
                for i in range(t) if i not in outer.omega)
-    fo = orientation_frame(spec, outer)
-    fi = orientation_frame(spec, inner)
+    fo = _frame(spec, outer.omega)
+    fi = _frame(spec, inner.omega)
     cols = [max(j for j, x in enumerate(v) if x != 0) for v in fo]
     det_a = det([[u[j] for j in cols]] + [[v[j] for j in cols] for v in fi])
     det_b = det([[v[j] for j in cols] for v in fo])

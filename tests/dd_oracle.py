@@ -4,13 +4,17 @@
 ``conic.cone.double_description`` kept tight sets as int bitmasks,
 skipped pairs with too few common tight rows before the adjacency scan,
 and took the box pass's seeds from the cone's store.  It seeds every
-pass with its own two eliminations.  The tests compare the two, tight
+pass with its own two eliminations, the second one the reference
+``lattice_oracle.inverse_columns``, so it shares no inverse with
+``conic.ratgeom.base_inverse``.  The tests compare the two, tight
 set by tight set.
 """
 
 from conic import ratgeom
 from conic.errors import InputError
 from conic.ratgeom import IntVec, dot, primitive
+
+from lattice_oracle import inverse_columns
 
 
 def tight_set(mask: int) -> frozenset[int]:
@@ -42,7 +46,7 @@ def double_description(rows: tuple[IntVec, ...],
         raise InputError("rows do not span: solution cone is not pointed")
     # Seed ray j pairs positively with base row j and to zero with the
     # other base rows: column j of the base's inverse.
-    seeds = ratgeom.inverse_columns([rows[i] for i in base])
+    seeds = inverse_columns([rows[i] for i in base])
     tight = {r: frozenset(base) - {i} for i, r in zip(base, seeds)}
     for i in range(len(rows)):
         if i in base:

@@ -14,7 +14,7 @@ from conic import (
     open_conic,
 )
 from conic import cells as cells_module, complexes
-from conic.cells import cell_witnesses, orientation_frame
+from conic.cells import _frame, cell_witnesses
 from conic.cli_io import analyze
 from conic.complexes import conic_complex
 from conic.chambers import (
@@ -193,7 +193,7 @@ def test_zero_cells_track_simpliciality(quadric, square, cyclic, orthant3):
 
 def test_orientation_frame_spans_the_direction_space(square):
     for cell in enumerate_cells(square, (0, 0, 0, 0)):
-        frame = orientation_frame(square, cell)
+        frame = _frame(square, cell.omega)
         assert len(frame) == square.rank - cell.codim
         pinned = [square.normals[i] for i in range(4) if i not in cell.omega]
         for v in frame:

@@ -26,6 +26,7 @@ from conic.chambers import nhat, pairings, require_chamber
 from conic.errors import InputError
 from conic.ratgeom import add, dot, feasible, sub
 
+import lattice_oracle as oracle
 from box_census import box_census
 from cell_oracle import region_system
 
@@ -245,16 +246,18 @@ def test_reduce_matches_reduce_mod_hnf(request, name):
 @pytest.mark.parametrize("name, box", [
     ("square", 2), ("pentagon", 2), ("octahedron", 1)])
 def test_preimage_matches_lattice_solve(request, name, box):
-    # every ordered class pair, then every vector of a small box: that
-    # has integral witnesses, rational non-integral solutions (the
+    # against the Fraction back-substitution of the lattice oracle, as
+    # ratgeom.lattice_solve shares _preimage's lattice_witness: every
+    # ordered class pair, then every vector of a small box, which has
+    # integral witnesses, rational non-integral solutions (the
     # octahedron's (1/2, 1/2, 0, 0)) and no solution at all
     spec = request.getfixturevalue(name)
     reps = enumerate_classes(spec).reps
     for h in (sub(a, b) for a in reps for b in reps):
-        assert chambers._preimage(spec, h) == ratgeom.lattice_solve(spec.normals, h)
+        assert chambers._preimage(spec, h) == oracle.lattice_solve(spec.normals, h)
     kinds = set()
     for h in product(range(-box, box + 1), repeat=len(spec.normals)):
-        want = ratgeom.lattice_solve(spec.normals, h)
+        want = oracle.lattice_solve(spec.normals, h)
         assert chambers._preimage(spec, h) == want
         kinds.add("integral" if want is not None
                   else "rational" if ratgeom.linear_solve(

@@ -86,9 +86,9 @@ def test_analyze_optional_blocks(monkeypatch):
     # --minimal-q and --dmodule share one minimal-q search
     search, searches = frobenius.minimal_complete_q, []
 
-    def counted(spec, cap=frobenius.SEARCH_CAP):
+    def counted(spec):
         searches.append(spec)
-        return search(spec, cap)
+        return search(spec)
 
     monkeypatch.setattr(frobenius, "minimal_complete_q", counted)
     monkeypatch.setattr(cli_io, "minimal_complete_q", counted)

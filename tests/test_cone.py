@@ -376,14 +376,18 @@ def test_rank4_five_rays_build():
         assert rank([r for r in FIVE_RAYS if dot(n, r) == 0]) == 3
 
 
-def _per_row_seeds(base):
-    """Seed ray j as the kernel of the other base rows, oriented to pair
-    positively with row j: one elimination per row."""
+def _per_row_inverse(rows, dim):
+    """A stand-in for ``ratgeom.base_inverse`` as the pass reads it: the
+    greedy base from the ranks of row prefixes, and seed ray j as the
+    kernel of the other base rows, oriented to pair positively with row
+    j, one elimination per row.  The pass ignores D, so it is 1 here."""
+    base = tuple(i for i in range(len(rows))
+                 if rank(rows[:i + 1]) > rank(rows[:i]))
     rays = []
-    for j, row in enumerate(base):
-        (ker,) = rref_kernel_basis(base[:j] + base[j + 1:], len(base))
-        rays.append(ker if dot(ker, row) > 0 else neg(ker))
-    return rays
+    for i in base:
+        (ker,) = rref_kernel_basis([rows[k] for k in base if k != i], dim)
+        rays.append(ker if dot(ker, rows[i]) > 0 else neg(ker))
+    return base, 1, tuple(rays)
 
 
 @pytest.mark.parametrize("name", [
@@ -417,7 +421,7 @@ def test_inverse_seeds_match_per_row_seeds(request, name, monkeypatch):
                 box_passes]
 
     got = passes()
-    monkeypatch.setattr(ratgeom, "inverse_columns", _per_row_seeds)
+    monkeypatch.setattr(ratgeom, "base_inverse", _per_row_inverse)
     assert got == passes()
 
 

@@ -9,6 +9,7 @@ from conic import (
     decompose_root,
     dmodule_report,
     enumerate_classes,
+    frobenius,
     minimal_complete_q,
 )
 from conic.chambers import canonical_class, chamber_of
@@ -75,9 +76,10 @@ def test_complete_at_minimal_q(quadric, square, cyclic):
             assert below != realized
 
 
-def test_search_cap(quadric):
-    with pytest.raises(UnsupportedOperationError):
-        minimal_complete_q(quadric, cap=1)
+def test_search_cap(quadric, monkeypatch):
+    monkeypatch.setattr(frobenius, "SEARCH_CAP", 1)
+    with pytest.raises(UnsupportedOperationError, match="no root up to 1 "):
+        minimal_complete_q(quadric)
 
 
 def test_dmodule_reports(quadric, square, orthant2):

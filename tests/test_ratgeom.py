@@ -6,19 +6,19 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conic import enumerate_classes, ratgeom
+from conic import enumerate_classes
 from conic.complexes import conic_complex
 from conic.errors import InputError
 from conic.ratgeom import (
     EQ,
     LE,
     LT,
+    base_inverse,
     det,
     dot,
     feasible,
     functional_kernel_basis,
     hermite_normal_form,
-    inverse_columns,
     lattice_solve,
     linear_solve,
     primitive,
@@ -210,18 +210,27 @@ def test_rref_kernel_orthogonal_and_full(rows):
         assert all(k[j] == 0 for j in free if j != fc)
 
 
-@given(st.lists(st.lists(rats, min_size=3, max_size=3), min_size=3, max_size=3))
-def test_inverse_columns_are_scaled_unit_solutions(rows):
-    if det(rows) == 0:
-        with pytest.raises(InputError, match="singular"):
-            inverse_columns(rows)
+@given(matrices(ints, 5, 4))
+@example([[1, 2], [2, 4], [0, 1]])
+@example([[2, 4], [1, 2]])
+def test_base_inverse_is_the_greedy_base_and_its_scaled_inverse(rows):
+    dim = len(rows[0])
+    # row i joins the base exactly when it raises the rank of rows 0..i-1
+    greedy = tuple(i for i in range(len(rows))
+                   if rank(rows[:i + 1]) > rank(rows[:i]))
+    if len(greedy) < dim:
+        with pytest.raises(InputError, match="rows do not span"):
+            base_inverse(rows, dim)
         return
-    cols = inverse_columns(rows)
-    for j, col in enumerate(cols):
-        assert primitive(col) == col
-        pairs = [dot(row, col) for row in rows]
-        assert pairs[j] > 0
-        assert all(x == 0 for i, x in enumerate(pairs) if i != j)
+    base, d, cols = base_inverse(rows, dim)
+    assert base == greedy
+    assert d > 0
+    nb = [rows[i] for i in base]
+    assert d == abs(det(nb))
+    # N_B A = D I exactly, A's columns being cols
+    assert [[dot(row, col) for col in cols] for row in nb] == \
+        [[d * (i == j) for j in range(dim)] for i in range(dim)]
+    assert tuple(map(primitive, cols)) == oracle.inverse_columns(nb)
 
 
 @given(st.lists(ints, min_size=2, max_size=4))
@@ -300,15 +309,10 @@ def test_smith_matches_oracle(rows):
 def test_rational_back_substitution_matches_oracle(rows, rhs, ncols):
     rhs = rhs[:len(rows)]
     ncols = len(rows[0]) if rows else ncols
-    assert ratgeom._solve(rows, rhs, ncols)[0] == oracle._solve(rows, rhs, ncols)[0]
     sol = linear_solve(rows, rhs, ncols)
     assert sol == oracle.linear_solve(rows, rhs, ncols)
     assert sol is None or all(type(x) is Fraction for x in sol)
     assert rref_kernel_basis(rows, ncols) == oracle.rref_kernel_basis(rows, ncols)
-    k = min(len(rows), ncols)
-    square = [r[:k] for r in rows[:k]]
-    if square:
-        assert _outcome(inverse_columns, square) == _outcome(oracle.inverse_columns, square)
 
 
 @given(matrices(ints, 4, 3), st.lists(ints, min_size=3, max_size=3),
@@ -332,7 +336,9 @@ def test_lattice_routines_match_oracle_on_fixtures(request, name):
         for rows in combinations(spec.normals, k):
             assert rref_kernel_basis(rows, d) == oracle.rref_kernel_basis(rows, d)
     for base in combinations(spec.normals, d):
-        assert _outcome(inverse_columns, base) == _outcome(oracle.inverse_columns, base)
+        if rank(base) == d:
+            assert tuple(map(primitive, base_inverse(base, d)[2])) == \
+                oracle.inverse_columns(base)
     # every differential of every chamber complex, and the lattice
     # solves that place its summands
     for c in enumerate_classes(spec).reps:
