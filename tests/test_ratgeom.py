@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given
@@ -231,6 +231,29 @@ def test_base_inverse_is_the_greedy_base_and_its_scaled_inverse(rows):
     assert [[dot(row, col) for col in cols] for row in nb] == \
         [[d * (i == j) for j in range(dim)] for i in range(dim)]
     assert tuple(map(primitive, cols)) == oracle.inverse_columns(nb)
+
+
+@given(st.lists(st.lists(rats, min_size=3, max_size=3), min_size=3, max_size=3))
+def test_inverse_columns_are_scaled_unit_solutions(rows):
+    # rational rows cleared to integers by a positive factor each: the
+    # inverse columns of the cleared matrix are positive multiples of the
+    # rational matrix's, so each pairs positively with its own row only
+    cleared = [[int(x * lcm(*(Fraction(y).denominator for y in row))) for x in row]
+               for row in rows]
+    if det(rows) == 0:
+        with pytest.raises(InputError, match="do not span"):
+            base_inverse(cleared, 3)
+        return
+    base, d, raw = base_inverse(cleared, 3)
+    assert base == (0, 1, 2)
+    cols = tuple(map(primitive, raw))
+    for j, (col, c) in enumerate(zip(cols, raw)):
+        g = next(a // b for a, b in zip(c, col) if b)
+        assert g > 0 and tuple(g * x for x in col) == c
+        assert primitive(col) == col
+        pairs = [dot(row, col) for row in rows]
+        assert pairs[j] > 0
+        assert all(x == 0 for i, x in enumerate(pairs) if i != j)
 
 
 @given(st.lists(ints, min_size=2, max_size=4))
