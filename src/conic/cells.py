@@ -11,6 +11,11 @@ alone.  The sign depends on the two Omegas and not on the chamber, so
 each cone keeps one sign table keyed on the pair of Omegas, filled on
 first use.  Interior points of cells are computed only on demand
 (``cell_witnesses``).
+
+Lattice translation keeps cells, so they are kept once per class:
+``chamber_gate`` checks every ceiling vector, reduces it by the pivots of
+the pairing lattice's HNF (``_lattice_pivots``) and reads the cells of
+the representative.  Both pairing-lattice tables live here.
 """
 
 from __future__ import annotations
@@ -40,6 +45,22 @@ def ceiling_vector(spec: ConeSpec, c) -> IntVec:
         raise InputError(
             f"ceiling vector has length {len(cc)}, expected {len(spec.normals)}")
     return cc
+
+
+def chamber_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, tuple[Cell, ...]]:
+    """(c as ints, its class representative, the representative's cells);
+    the cells are none when c is not a chamber."""
+    cc = ceiling_vector(spec, c)
+    rep = ratgeom.reduce_by_pivots(cc, _lattice_pivots(spec))
+    return cc, rep, chamber_cells(spec, rep)
+
+
+def require_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, tuple[Cell, ...]]:
+    """``chamber_gate``; InputError unless c is a chamber."""
+    gate = chamber_gate(spec, c)
+    if not gate[2]:
+        raise InputError(f"not a chamber: {gate[0]} is infeasible")
+    return gate
 
 
 def box_vertices(spec: ConeSpec, c: IntVec) -> tuple[tuple[IntVec, int], ...]:
@@ -78,6 +99,20 @@ def _box_seeds(spec: ConeSpec):
             tuple(primitive(neg(col) + (0,)) for col in cols))
 
 
+def _preimage(spec: ConeSpec, h: IntVec) -> IntVec | None:
+    """The lattice point m with ``nhat(spec, m) == h``, or None, read off
+    the inverse kept with the box seeds (``ratgeom.lattice_witness``)."""
+    return ratgeom.lattice_witness(spec.normals, _box_seeds(spec)[:3], h)
+
+
+@per_cone
+def _lattice_pivots(spec: ConeSpec):
+    # ``ratgeom.hnf_pivots`` of the HNF basis of the pairing lattice, the
+    # image of m |-> (<m, n_i>)_i: one (column, pivot, row) per HNF row.
+    cols = [tuple(n[j] for n in spec.normals) for j in range(spec.rank)]
+    return ratgeom.hnf_pivots(ratgeom.hermite_normal_form(cols))
+
+
 def vertex_barycenter(spec: ConeSpec, vertices) -> RatVec:
     """Exact barycenter of box vertices given as (ray, tight) pairs."""
     d = spec.rank
@@ -87,8 +122,9 @@ def vertex_barycenter(spec: ConeSpec, vertices) -> RatVec:
 
 @per_cone
 def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
-    """Cells of the chamber of a ceiling vector tuple, sorted by (codim,
-    omega), so a chamber's open cell comes first; none when c is not one."""
+    """Cells of the chamber of a class representative (``chamber_gate``),
+    sorted by (codim, omega), so the open cell comes first; none if c is
+    not a chamber."""
     # The faces of the box are the meets of vertex tight masks, and a
     # cell's closure is a face on which only upper bounds (even bits) are
     # tight.  Such a face is the meet of its own vertices' masks, so also
@@ -120,16 +156,11 @@ def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
 
 
 def enumerate_cells(spec: ConeSpec, c) -> tuple[Cell, ...]:
-    """All cells of a chamber, sorted by (codim, omega).
-
-    One double-description pass finds the vertices of the chamber's
-    closure and their tight bounds.  The cells partition the chamber, so
-    none means c is not a chamber.
-    """
-    cc = ceiling_vector(spec, c)
-    cells = chamber_cells(spec, cc)
-    if not cells:
-        raise InputError(f"not a chamber: {cc} is infeasible")
+    """All cells of a chamber, sorted by (codim, omega): those of its class
+    representative, moved to c."""
+    cc, rep, cells = require_gate(spec, c)
+    if cc != rep:
+        cells = tuple(Cell(cc, cell.omega, cell.codim) for cell in cells)
     return cells
 
 

@@ -6,8 +6,8 @@ c_i = ceil(<v, n_i>).  The set of points sharing a ceiling vector is the
 chamber of c: the half-open box system c_i - 1 < <x, n_i> <= c_i.  Two
 chambers give isomorphic modules exactly when their ceiling vectors
 differ by an element of the pairing lattice, the image of the lattice
-under m |-> (<m, n_i>)_i.  Every question about a chamber is read off
-its cells (``cells.chamber_cells``).
+under m |-> (<m, n_i>)_i, so every chamber question has one answer per
+class, read off its representative's cells (``cells.chamber_gate``).
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 from . import ratgeom
 from .cells import (
-    _box_seeds,
+    _lattice_pivots,
+    _preimage,
     box_vertices,
-    ceiling_vector,
     chamber_cells,
+    chamber_gate,
+    require_gate,
     vertex_barycenter,
 )
 from .cone import ConeSpec, per_cone
@@ -49,23 +51,16 @@ def nhat(spec: ConeSpec, m) -> IntVec:
     return tuple(dot(w, n) for n in spec.normals)
 
 
-def _preimage(spec: ConeSpec, h: IntVec) -> IntVec | None:
-    """The lattice point m with ``nhat(spec, m) == h``, or None, read off
-    the inverse kept with the box seeds (``ratgeom.lattice_witness``)."""
-    return ratgeom.lattice_witness(spec.normals, _box_seeds(spec)[:3], h)
-
-
 def is_feasible(spec: ConeSpec, c) -> bool:
-    """Whether any point has this ceiling vector.  Lattice translation
-    keeps cells, so the canonical representative decides: it has a cell."""
-    return bool(chamber_cells(spec, _reduce(spec, ceiling_vector(spec, c))))
+    """Whether any point has this ceiling vector: its class has cells."""
+    return bool(chamber_gate(spec, c)[2])
 
 
 def chamber_witness(spec: ConeSpec, c) -> RatVec | None:
     """An interior point of the chamber, or None: the barycenter of its
     closed box, the closure of its open cell."""
-    cc = ceiling_vector(spec, c)
-    if not is_feasible(spec, cc):
+    cc, _, cells = chamber_gate(spec, c)
+    if not cells:
         return None
     return vertex_barycenter(spec, box_vertices(spec, cc))
 
@@ -77,10 +72,7 @@ def degree(c) -> int:
 
 def require_chamber(spec: ConeSpec, c) -> IntVec:
     """The ceiling vector as a tuple; InputError unless it is a chamber."""
-    cc = ceiling_vector(spec, c)
-    if not is_feasible(spec, cc):
-        raise InputError(f"not a chamber: {cc} is infeasible")
-    return cc
+    return require_gate(spec, c)[0]
 
 
 def leq(spec: ConeSpec, c, cp) -> bool:
@@ -94,37 +86,15 @@ def leq(spec: ConeSpec, c, cp) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
-@per_cone
 def translation_lattice(spec: ConeSpec) -> tuple[IntVec, ...]:
     """HNF basis of the lattice of pairing vectors of lattice points."""
-    cols = [tuple(n[j] for n in spec.normals) for j in range(spec.rank)]
-    return ratgeom.hermite_normal_form(cols)
-
-
-@per_cone
-def _lattice_pivots(spec: ConeSpec):
-    """``ratgeom.hnf_pivots`` of the translation lattice: one (column,
-    pivot, row) triple per HNF row."""
-    return ratgeom.hnf_pivots(translation_lattice(spec))
-
-
-def _reduce(spec: ConeSpec, cc: IntVec) -> IntVec:
-    """Canonical representative of a ceiling vector of ints modulo the
-    pairing lattice, as ``ratgeom.reduce_mod_hnf`` with the kept pivots."""
-    return ratgeom.reduce_by_pivots(cc, _lattice_pivots(spec))
+    return tuple(row for _, _, row in _lattice_pivots(spec))
 
 
 def canonical_class(spec: ConeSpec, c) -> IntVec:
-    """Canonical representative of the chamber's isomorphism class.
-
-    The representative is reduced once and decides feasibility too, as in
-    ``is_feasible``; InputError as in ``require_chamber`` if it has no cell.
-    """
-    cc = ceiling_vector(spec, c)
-    rep = _reduce(spec, cc)
-    if not chamber_cells(spec, rep):
-        raise InputError(f"not a chamber: {cc} is infeasible")
-    return rep
+    """Canonical representative of the chamber's isomorphism class, the
+    HNF reduction of c; InputError unless c is a chamber."""
+    return require_gate(spec, c)[1]
 
 
 def iso_witness(spec: ConeSpec, c, cp) -> IntVec | None:
@@ -140,14 +110,13 @@ def is_adjacent(spec: ConeSpec, c, cp) -> bool:
     The ceiling vectors must differ by one in exactly one coordinate i,
     and the lower one, min(a, b), must have the cell pinning i alone.
     """
-    a = require_chamber(spec, c)
-    b = require_chamber(spec, cp)
+    a, _, cells_a = require_gate(spec, c)
+    b, _, cells_b = require_gate(spec, cp)
     diffs = [i for i in range(len(a)) if a[i] != b[i]]
     if len(diffs) != 1 or abs(a[diffs[0]] - b[diffs[0]]) != 1:
         return False
     omega = tuple(j for j in range(len(a)) if j != diffs[0])
-    cells = chamber_cells(spec, _reduce(spec, min(a, b)))
-    return any(cell.omega == omega for cell in cells)
+    return any(cell.omega == omega for cell in (cells_a if a < b else cells_b))
 
 
 @dataclass(frozen=True)
@@ -205,7 +174,8 @@ def enumerate_classes(spec: ConeSpec) -> ClassList:
         for i in range(t):
             if all(i in cell.omega for cell in cells):
                 continue
-            rep = _reduce(spec, tuple(x + (j == i) for j, x in enumerate(cur)))
+            rep = chamber_gate(
+                spec, tuple(x + (j == i) for j, x in enumerate(cur)))[1]
             if rep not in seen:
                 seen.add(rep)
                 queue.append(rep)

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .cells import cell_census, cell_witnesses, enumerate_cells, has_zero_cell, open_conic
-from .chambers import (
-    canonical_class,
-    degree,
-    enumerate_classes,
-    is_feasible,
-)
+from .cells import (cell_census, cell_witnesses, chamber_gate, enumerate_cells,
+                    has_zero_cell, open_conic)
+from .chambers import canonical_class, degree, enumerate_classes
 from .complexes import (
     conic_complex,
     global_dimension,
@@ -279,9 +275,10 @@ def _parse_class(spec: ConeSpec, classes, text: str):
     if len(vec) != len(spec.normals):
         raise InputError(
             f"ceiling vector {text!r} needs {len(spec.normals)} entries")
-    if not is_feasible(spec, vec):
+    _, rep, cells = chamber_gate(spec, vec)
+    if not cells:
         raise InputError(f"ceiling vector {text!r} is not a chamber")
-    return canonical_class(spec, vec)
+    return rep
 
 
 def _support_parts(text: str) -> tuple[str, ...]:

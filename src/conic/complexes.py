@@ -19,9 +19,8 @@ from itertools import accumulate
 from operator import and_, or_
 
 from . import ratgeom
-from .cells import Cell, _sign, enumerate_cells, open_conic
+from .cells import Cell, _preimage, _sign, enumerate_cells, open_conic
 from .chambers import (
-    _preimage,
     canonical_class,
     enumerate_classes,
     nhat,
@@ -121,14 +120,20 @@ def _check_d2(mats) -> None:
                     f"differential does not square to zero at degree {i}")
 
 
-@per_cone
-def conic_complex(spec: ConeSpec, c: IntVec) -> ConicComplex:
-    """The cellular complex of a chamber, with d*d = 0 verified.
+def conic_complex(spec: ConeSpec, c) -> ConicComplex:
+    """The cellular complex of a chamber, with d*d = 0 verified;
+    InputError unless c is a chamber.
 
     Cells of consecutive codimension are a facet pair iff the inner
     omega is a proper subset of the outer one; each cell's omega set is
     built once, and the sign comes from the per-cone table.
     """
+    return _complex(spec, require_chamber(spec, c))
+
+
+@per_cone
+def _complex(spec: ConeSpec, c: IntVec) -> ConicComplex:
+    # conic_complex of a ceiling vector already gated, kept per chamber
     cells = enumerate_cells(spec, c)
     top = max(cell.codim for cell in cells)
     by_codim = tuple(
@@ -236,7 +241,7 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
     passes the per-cone table of the chamber complex (``_slice_ranks``),
     so ranks carry over between other chambers and radii; the default is
     a table local to the call.  The pairing map is injective, so
-    h == c - cp holds exactly at the witness that ``chambers._preimage``
+    h == c - cp holds exactly at the witness that ``cells._preimage``
     reads off the per-cone box seeds, which is then the one point that
     wants a rank-one degree zero.  A point is visited on its own only if
     it is the witness or its mask has nonzero homology, so a passing
@@ -319,14 +324,13 @@ def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> Acycl
     cpp = require_chamber(spec, cp)
     radius = (default_window(cc, cpp) if window is None
               else _window_radius(window))
-    return _verify(spec, conic_complex(spec, cc), cpp, radius,
+    return _verify(spec, _complex(spec, cc), cpp, radius,
                    _slice_ranks(spec, cc))
 
 
 def pdim_simple(spec: ConeSpec, c) -> int:
     """Projective dimension of the graded simple of a chamber: top codim."""
-    cc = require_chamber(spec, c)
-    return len(conic_complex(spec, cc).terms) - 1
+    return len(conic_complex(spec, c).terms) - 1
 
 
 def global_dimension(spec: ConeSpec) -> int:
@@ -346,9 +350,8 @@ def ext_dims(spec: ConeSpec, c, cp) -> tuple[int, ...]:
     class of cp: the hom-complex differentials are radical, so they
     vanish on simples and the count is the whole answer.
     """
-    cc = require_chamber(spec, c)
+    cx = conic_complex(spec, c)
     rep = canonical_class(spec, cp)
-    cx = conic_complex(spec, cc)
     return tuple(
         sum(1 for vec in row if canonical_class(spec, vec) == rep)
         for row in cx.terms)
@@ -356,9 +359,8 @@ def ext_dims(spec: ConeSpec, c, cp) -> tuple[int, ...]:
 
 def smith_invariants(spec: ConeSpec, c) -> tuple[tuple[int, ...], ...]:
     """Elementary divisors of each differential of a chamber complex."""
-    cc = require_chamber(spec, c)
     return tuple(
-        ratgeom.smith_normal_form(m) for m in conic_complex(spec, cc).mats)
+        ratgeom.smith_normal_form(m) for m in conic_complex(spec, c).mats)
 
 
 # --------------------------------------------------------------------------
@@ -435,12 +437,12 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
     sup = set(reps)
     if canonical_class(spec, cc) not in sup:
         raise InputError("the chamber's own class must belong to the support")
-    K = conic_complex(spec, cc)
+    K = _complex(spec, cc)
     excluded = [
         (k, pos) for k in range(1, len(K.terms))
         for pos, vec in enumerate(K.terms[k])
         if canonical_class(spec, vec) not in sup]
-    subs = [conic_complex(spec, K.terms[k][pos]) for k, pos in excluded]
+    subs = [_complex(spec, K.terms[k][pos]) for k, pos in excluded]
     bad_cells = [
         Ks.cells[j][p] for Ks in subs for j in range(1, len(Ks.terms))
         for p, vec in enumerate(Ks.terms[j])

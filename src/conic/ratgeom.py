@@ -35,15 +35,22 @@ LT = "<"
 _RELATIONS = (EQ, LE, LT)
 
 
+def _rational(v) -> Fraction:
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"expected a rational entry, got {v!r}") from None
+
+
 def ratvec(values: Iterable) -> RatVec:
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(_rational, values))
 
 
 def intvec(values: Iterable) -> IntVec:
     out = []
     for v in values:
         if type(v) is not int:
-            f = Fraction(v)
+            f = _rational(v)
             if f.denominator != 1:
                 raise InputError(f"expected integer entry, got {v!r}")
             v = int(f)

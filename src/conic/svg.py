@@ -187,6 +187,13 @@ def render_svg_2d(spec: ConeSpec, window) -> str:
         ) from None
     if x0 >= x1 or y0 >= y1:
         raise InputError("window must have positive width and height")
+    try:
+        # every number the document prints lies within these floats
+        for w in (x0, x1, y0, y1, x1 - x0, y1 - y0):
+            float(w)
+    except OverflowError:
+        raise InputError(
+            f"window {window!r} does not fit in finite floats") from None
     window = (x0, x1, y0, y1)
     width = x1 - x0
     height = y1 - y0

@@ -18,9 +18,9 @@ from conic.cells import _frame, cell_witnesses
 from conic.cli_io import analyze
 from conic.complexes import conic_complex
 from conic.chambers import (
-    chamber_of, chamber_witness, enumerate_classes, is_feasible, pairings)
+    chamber_of, chamber_witness, enumerate_classes, is_feasible, nhat, pairings)
 from conic.errors import InputError
-from conic.ratgeom import dot, rank
+from conic.ratgeom import add, dot, rank
 
 from cell_oracle import oracle_cells, oracle_sign
 
@@ -81,11 +81,16 @@ def _cones_and_classes(request, name):
 @pytest.mark.parametrize("name", SMALL_CONES + ("octahedron",))
 def test_cells_match_subset_oracle(request, name):
     # every class of the small cones, one class per census shape of the
-    # octahedron: the (omega, codim) list equals the 2^t FM walk
+    # octahedron, and a lattice translate of each: the (omega, codim) list
+    # equals the 2^t FM walk, and the cells belong to the vector asked for
     spec, reps = _cones_and_classes(request, name)
+    shift = nhat(spec, [(-1) ** k * (k + 1) for k in range(spec.rank)])
     for rep in reps:
-        got = [(cell.omega, cell.codim) for cell in enumerate_cells(spec, rep)]
-        assert got == oracle_cells(spec, rep), rep
+        for c in (rep, add(rep, shift)):
+            cells = enumerate_cells(spec, c)
+            assert [cell.chamber for cell in cells] == [c] * len(cells)
+            got = [(cell.omega, cell.codim) for cell in cells]
+            assert got == oracle_cells(spec, c), c
 
 
 def test_cell_witnesses_lie_in_their_cell(request):

@@ -8,18 +8,26 @@ from hypothesis import strategies as st
 
 from conic import (
     canonical_class,
-    chambers,
+    cell_census,
+    cells as cells_module,
     chamber_of,
     chamber_witness,
+    conic_complex,
     degree,
     enumerate_cells,
     enumerate_classes,
+    from_normals,
+    has_zero_cell,
     is_adjacent,
     is_feasible,
     iso_witness,
     leq,
+    nccr_verdict,
+    pdim_simple,
     ratgeom,
+    smith_invariants,
     translation_lattice,
+    verify_acyclicity,
 )
 from conic.cells import chamber_cells
 from conic.chambers import nhat, pairings, require_chamber
@@ -68,6 +76,20 @@ def test_chamber_witness_caches_only_representatives(square):
     assert chamber_of(square, chamber_witness(square, chamber)) == chamber
     assert chamber_witness(square, other) is None
     assert len(stored) == size
+    # nor do the cell entry points, complexes, or a partial support whose
+    # spliced summands are translates: every key is reduced modulo the
+    # pairing lattice, and it has cells exactly when it is a class
+    assert [cell.chamber for cell in enumerate_cells(square, chamber)] == [
+        chamber] * len(enumerate_cells(square, reps[0]))
+    assert cell_census(square, chamber) == cell_census(square, reps[0])
+    assert has_zero_cell(square, chamber) == has_zero_cell(square, reps[0])
+    assert conic_complex(square, chamber).chamber == chamber
+    assert nccr_verdict(square, [(0, 0, 0, 0), (0, 0, 0, -1)]).verdict == "NCCR"
+    lattice = translation_lattice(square)
+    classes = set(enumerate_classes(square).reps)
+    for (key,), cells in stored.items():
+        assert ratgeom.reduce_mod_hnf(key, lattice) == key
+        assert (key in classes) == bool(cells), key
 
 
 def test_square_corrected_feasibility(square):
@@ -89,8 +111,29 @@ def test_chamber_entry_points_accept_lists(square):
     assert enumerate_cells(square, list(c)) == enumerate_cells(square, c)
     assert canonical_class(square, list(c)) == canonical_class(square, c)
     assert is_adjacent(square, [0, 0, 0, 0], list(c))
+    assert conic_complex(square, list(c)) == conic_complex(square, c)
+    assert pdim_simple(square, list(c)) == pdim_simple(square, c)
+    assert smith_invariants(square, list(c)) == smith_invariants(square, c)
+    assert (verify_acyclicity(square, list(c), [0, 0, 0, 0])
+            == verify_acyclicity(square, c, (0, 0, 0, 0)))
     with pytest.raises(InputError):
         is_feasible(square, [0, 0, 0])
+    # a bool entry is the int it equals: the complex kept for it, and what
+    # later int calls receive, hold ints (a fresh cone, so nothing is kept)
+    fresh = from_normals(square.rank, square.normals)
+    conic_complex(fresh, (True, 0, 0, 0))
+    cx = conic_complex(fresh, c)
+    rpt = verify_acyclicity(fresh, c, (0, 0, 0, 0))
+    for vec in (cx.chamber, rpt.chamber, *(t for row in cx.terms for t in row)):
+        assert all(type(x) is int for x in vec), vec
+
+
+def test_non_numeric_point_is_refused(square):
+    for point in [("a", 0, 0), (None, 0, 0), (0, "1/0", 0)]:
+        with pytest.raises(InputError, match="got"):
+            chamber_of(square, point)
+    with pytest.raises(InputError, match="'a'"):
+        is_feasible(square, ("a", 0, 0, 0))
 
 
 def check_against_fm(spec, c):
@@ -208,13 +251,14 @@ def test_canonical_class_is_translation_invariant(square):
 
 def test_canonical_class_reduces_once(square, monkeypatch):
     # results and refusals are those of reducing require_chamber's vector
-    real = chambers._reduce
+    real = ratgeom.reduce_by_pivots
+    pivots = cells_module._lattice_pivots(square)
     calls = []
-    monkeypatch.setattr(chambers, "_reduce",
-                        lambda spec, v: calls.append(v) or real(spec, v))
+    monkeypatch.setattr(ratgeom, "reduce_by_pivots",
+                        lambda v, piv: calls.append(v) or real(v, piv))
     for c in [*product(range(-1, 2), repeat=4), (0, 0, 0)]:
         try:
-            want = real(square, require_chamber(square, c))
+            want = real(require_chamber(square, c), pivots)
         except InputError as err:
             want = str(err)
         calls.clear()
@@ -240,25 +284,26 @@ def test_reduce_matches_reduce_mod_hnf(request, name):
     vecs += [tuple(rng.randint(-50, 50) for _ in spec.normals)
              for _ in range(200)]
     for v in vecs:
-        assert chambers._reduce(spec, v) == ratgeom.reduce_mod_hnf(v, lattice)
+        assert (ratgeom.reduce_by_pivots(v, cells_module._lattice_pivots(spec))
+                == ratgeom.reduce_mod_hnf(v, lattice))
 
 
 @pytest.mark.parametrize("name, box", [
     ("square", 2), ("pentagon", 2), ("octahedron", 1)])
 def test_preimage_matches_lattice_solve(request, name, box):
     # against the Fraction back-substitution of the lattice oracle, as
-    # ratgeom.lattice_solve shares _preimage's lattice_witness: every
+    # ratgeom.lattice_solve shares cells._preimage's lattice_witness: every
     # ordered class pair, then every vector of a small box, which has
     # integral witnesses, rational non-integral solutions (the
     # octahedron's (1/2, 1/2, 0, 0)) and no solution at all
     spec = request.getfixturevalue(name)
     reps = enumerate_classes(spec).reps
     for h in (sub(a, b) for a in reps for b in reps):
-        assert chambers._preimage(spec, h) == oracle.lattice_solve(spec.normals, h)
+        assert cells_module._preimage(spec, h) == oracle.lattice_solve(spec.normals, h)
     kinds = set()
     for h in product(range(-box, box + 1), repeat=len(spec.normals)):
         want = oracle.lattice_solve(spec.normals, h)
-        assert chambers._preimage(spec, h) == want
+        assert cells_module._preimage(spec, h) == want
         kinds.add("integral" if want is not None
                   else "rational" if ratgeom.linear_solve(
                       spec.normals, h, spec.rank) is not None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -248,6 +249,52 @@ def test_support_not_closed_names_each_cell(tmp_path, capsys):
         "  outside support: cell of chamber (1, 2), omega (), open conic (2, 3)",
     ]
     assert len(set(lines)) == len(lines)
+
+
+# sha256 of `conic analyze --json` on each test cone, given by its normals,
+# and on cones A and B of ROADMAP.md, recorded before the chamber checks
+# moved into one gate in cells.py
+CONE_A = (4, [(-1, -2, 4, 3), (-1, 0, 0, 1), (0, -1, -2, 1), (0, -1, 1, 1),
+              (0, 1, 0, 1), (1, 0, -2, 1), (1, 0, 0, 1), (1, 2, 2, 3)])
+CONE_B = (4, [(-4, -2, 1, 1), (-1, 3, 2, 2), (0, 0, -1, 1), (0, 1, 0, 1),
+              (1, -2, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1), (2, -1, -1, 2)])
+PINNED_REPORTS = {
+    "quadric": "c939731820a1be6244b76f764945acad738663a0bc17466e5d2dc778018cc372",
+    "square": "302ee1cd9bbac4c5e930d1f8ade0bd5b78d43ef70b85d6713876d8399d25e0b8",
+    "cyclic": "85c3a5f12bc6ed0f286dc25b12b813b64912daaf4378ff49c51c5ed2e1deb893",
+    "orthant2": "60bf27eacb6b46495da3438b8e4901196d4315e516c25617de1da27e97d33c6f",
+    "orthant3": "9e5765ea8db2b5f200b88f9b2c36936461e6b6d4a11e8abdb273c70ccd6a11d0",
+    "pentagon": "8199bfd22df45146fcd31fbe8957afe6f1a114115c72086701e9c1aadaf97b87",
+    "hexagon": "223c35ea3fa357c1796f0f60545fb2be8d98aa9b9e2f8b93b597288893b736b3",
+    "octahedron": "fa4ed5fadb49094dc3c792c42a2e4f351ecb9283a58d41afafe4374a17d804ff",
+    "cone_a": "8134993c49b7b68506aa48fd49e70bd0845c8e02d77ad08c731fdb6553347b75",
+    "cone_b": "4a3f85a5599e20bef109d98e86e3614aed3821e2c0ccc6c2deb46efd5d22eb9a",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_analyze_report_bytes_pinned(name, request, tmp_path, capsys):
+    if name in ("cone_a", "cone_b"):
+        rank, normals = CONE_A if name == "cone_a" else CONE_B
+    else:
+        spec = request.getfixturevalue(name)
+        rank, normals = spec.rank, spec.normals
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rank": rank, "normals": normals}))
+    assert main(["analyze", "--json", "--input", str(path)]) == 0
+    assert _sha(capsys.readouterr().out) == PINNED_REPORTS[name]
+
+
+def test_unclosed_support_stderr_pinned(square_file, capsys):
+    # the outside cells belong to translated summands of the free complex
+    assert main(["resolution", "--support", "A0,A0", "A0",
+                 "--input", square_file]) == 1
+    assert _sha(capsys.readouterr().err) == (
+        "01f2128fe99fbde0de9e1aac799e6e21d3ed57663055e0f090ce682a2124038f")
 
 
 def test_main_svg(tmp_path, quadric_file, capsys):

@@ -84,6 +84,10 @@ def test_window_validation(quadric):
     for bad in ("a", "1/0", None):
         with pytest.raises(InputError):
             render_svg_2d(quadric, (bad, 1, -1, 1))
+    # exact, but printed as floats: a bound or a side past the float range
+    for window in (("0", "1e400", "0", "1"), (-10**308, 10**308, 0, 1)):
+        with pytest.raises(InputError):
+            render_svg_2d(quadric, window)
 
 
 CYCLIC_13 = [(r, a) for r in range(2, 14) for a in range(1, r)
