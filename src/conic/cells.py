@@ -49,10 +49,14 @@ def ceiling_vector(spec: ConeSpec, c) -> IntVec:
 
 def chamber_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, tuple[Cell, ...]]:
     """(c as ints, its class representative, the representative's cells);
-    the cells are none when c is not a chamber."""
+    the cells are none when c is not a chamber, and then nothing is kept
+    (``chamber_cells`` raises, and ``per_cone`` keeps no call that raises)."""
     cc = ceiling_vector(spec, c)
     rep = ratgeom.reduce_by_pivots(cc, _lattice_pivots(spec))
-    return cc, rep, chamber_cells(spec, rep)
+    try:
+        return cc, rep, chamber_cells(spec, rep)
+    except _NoCells:
+        return cc, rep, ()
 
 
 def require_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, tuple[Cell, ...]]:
@@ -120,11 +124,16 @@ def vertex_barycenter(spec: ConeSpec, vertices) -> RatVec:
                  / len(vertices) for j in range(d))
 
 
+class _NoCells(Exception):
+    """Raised by ``chamber_cells`` for a ceiling vector with no cell."""
+
+
 @per_cone
 def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
     """Cells of the chamber of a class representative (``chamber_gate``),
-    sorted by (codim, omega), so the open cell comes first; none if c is
-    not a chamber."""
+    sorted by (codim, omega), so the open cell comes first; _NoCells if
+    c is not a chamber, so that the cell table holds class
+    representatives only."""
     # The faces of the box are the meets of vertex tight masks, and a
     # cell's closure is a face on which only upper bounds (even bits) are
     # tight.  Such a face is the meet of its own vertices' masks, so also
@@ -152,6 +161,8 @@ def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
         omega = tuple(i for i in range(t) if not face >> 2 * i & 1)
         found.append(Cell(chamber=c, omega=omega,
                           codim=spec.rank - len(_frame(spec, omega))))
+    if not found:
+        raise _NoCells(c)
     return tuple(sorted(found, key=lambda cell: (cell.codim, cell.omega)))
 
 

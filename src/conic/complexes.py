@@ -13,7 +13,6 @@ complex does not fix are solved degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
 from itertools import accumulate
 from operator import and_, or_
@@ -376,38 +375,6 @@ def _canonical_support(spec: ConeSpec, support) -> tuple[IntVec, ...]:
     return tuple(sorted(reps))
 
 
-def _solve_columns(nrows, ncols, prescribed, unknown, equations):
-    """Fill unknown entries column by column from linear equations.
-
-    prescribed: dict (row, col) -> Fraction for fixed entries.
-    unknown: set of (row, col) positions allowed to be nonzero; entries
-    in neither are 0.
-    equations: list of (coeff_by_row dict, rhs_fn(col) -> Fraction)
-    pairs expressing sum_r coeff[r] * M[r][col] = rhs for every col.
-    """
-    mat = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for (r, c), val in prescribed.items():
-        mat[r][c] = Fraction(val)
-    for col in range(ncols):
-        vars_ = sorted(r for (r, c) in unknown if c == col)
-        if not vars_:
-            continue
-        rows = []
-        rhss = []
-        for coeff, rhs_fn in equations:
-            const = sum(
-                coeff.get(r, Fraction(0)) * mat[r][col]
-                for r in range(nrows) if (r, col) not in unknown)
-            rows.append([coeff.get(r, Fraction(0)) for r in vars_])
-            rhss.append(Fraction(rhs_fn(col)) - const)
-        sol = ratgeom.linear_solve(rows, rhss, len(vars_))
-        if sol is None:
-            raise InternalInvariantError("splice lift system is inconsistent")
-        for r, val in zip(vars_, sol):
-            mat[r][col] = val
-    return tuple(tuple(row) for row in mat)
-
-
 def _entrywise_geq(a, b) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
@@ -468,42 +435,51 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
         tuple(K.terms[i][t[1]] if t[0] == "kept" else subs[t[1]].terms[t[2]][t[3]]
               for t in row)
         for i, row in enumerate(origins))
-    # phi_i as {summand of F_i: (position in K_i, coefficient)}
-    phi = [
-        {r: (t[1], 1) if t[0] == "kept"
-         else (excluded[t[1]][1], subs[t[1]].mats[0][0][t[3]])
-         for r, t in enumerate(row) if t[0] == "kept" or t[2] == 1}
-        for row in origins]
-
-    def dk_phi(i, q, col):
-        # entry (q, col) of d_K phi_{i+1}
-        if col not in phi[i + 1]:
-            return 0
-        p, a = phi[i + 1][col]
-        return K.mats[i][q][p] * a
-
+    # phi_i, the |K_i| x |F_i| matrix of the chain map F -> K
+    kdims = [len(row) for row in K.terms] + [0] * (len(origins) - len(K.terms))
+    phi = [[[1 if t == ("kept", q)
+             else subs[t[1]].mats[0][0][t[3]]
+             if t[0] == "sub" and t[2] == 1 and excluded[t[1]][1] == q else 0
+             for t in row] for q in range(kdim)]
+           for row, kdim in zip(origins, kdims)]
     mats = []
     for i in range(len(terms) - 1):
         rows, cols = origins[i], origins[i + 1]
-        prescribed, unknown = {}, set()
-        for ci, ct in enumerate(cols):
-            for ri, rt in enumerate(rows):
-                if rt[0] == "kept":
-                    prescribed[ri, ci] = dk_phi(i, rt[1], ci)
-                elif ct[0] == "sub" and ct[1] == rt[1]:
-                    prescribed[ri, ci] = subs[rt[1]].mats[rt[2]][rt[3]][ct[3]]
-                elif _entrywise_geq(terms[i + 1][ci], terms[i][ri]):
-                    unknown.add((ri, ci))
-        equations = [
-            ({r: a for r, (p, a) in phi[i].items() if p == pos},
-             partial(dk_phi, i, pos))
-            for k, pos in excluded if k == i]
+        # d_K phi_{i+1}, zero where F runs past K's top degree
+        dk = ([[sum(x * phi[i + 1][q][col] for q, x in enumerate(krow) if x)
+                for col in range(len(cols))] for krow in K.mats[i]]
+              if i < len(K.mats) else [[0] * len(cols)] * kdims[i])
+        # D_i: kept rows from dk and each spliced block's own differential;
+        # a spliced row is free (and 0 until solved) where it is eligible
+        # outside its block
+        D = [[Fraction(x) for x in dk[t[1]]] if t[0] == "kept" else
+             [Fraction(subs[t[1]].mats[t[2]][t[3]][ct[3]] if ct[:2] == t[:2] else 0)
+              for ct in cols] for t in rows]
+        free = [[r for r, t in enumerate(rows) if t[0] == "sub" and ct[:2] != t[:2]
+                 and _entrywise_geq(terms[i + 1][col], terms[i][r])]
+                for col, ct in enumerate(cols)]
+        # phi_i D_i = d_K phi_{i+1} at the excluded positions of K_i, and
+        # D_{i-1} D_i = 0 on the nonzero rows of D_{i-1}
+        lhs = [phi[i][pos] for k, pos in excluded if k == i]
+        rhs = [dk[pos] for k, pos in excluded if k == i]
         if i:
-            equations += [
-                ({mid: x for mid, x in enumerate(row) if x}, lambda ci: 0)
-                for row in mats[i - 1] if any(row)]
-        mats.append(_solve_columns(
-            len(rows), len(cols), prescribed, unknown, equations))
+            nonzero = [row for row in mats[i - 1] if any(row)]
+            lhs += nonzero
+            rhs += [[0] * len(cols)] * len(nonzero)
+        for col, vars_ in enumerate(free):
+            if not vars_:
+                continue
+            # free entries of D are still 0, so a row's whole product is
+            # the constant part
+            sol = ratgeom.linear_solve(
+                [[a[r] for r in vars_] for a in lhs],
+                [b[col] - sum(x * D[r][col] for r, x in enumerate(a) if x)
+                 for a, b in zip(lhs, rhs)], len(vars_))
+            if sol is None:
+                raise InternalInvariantError("splice lift system is inconsistent")
+            for r, x in zip(vars_, sol):
+                D[r][col] = x
+        mats.append(tuple(map(tuple, D)))
     cx = SplicedComplex(
         chamber=cc, support=reps, terms=terms,
         origins=tuple(map(tuple, origins)), mats=tuple(mats),

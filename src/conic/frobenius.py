@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .chambers import canonical_class, enumerate_classes
+from .chambers import canonical_class, chamber_witness, enumerate_classes
 from .cone import ConeSpec
 from .errors import InputError, UnsupportedOperationError
 from .ratgeom import IntVec, dot
@@ -73,6 +73,39 @@ def decompose_root(spec: ConeSpec, q: int) -> RootDecomposition:
         q=q, counts=tuple(sorted(counts.items())), total=q ** spec.rank)
 
 
+def _complete(spec: ConeSpec, q: int, wanted: set, memo: dict) -> bool:
+    """Whether the residues of the q-th root meet every class in wanted.
+
+    The residues are the points of (1/q)Z^d mod Z^d, so they meet a
+    class iff its chamber holds a point of (1/q)Z^d, as a closed cube of
+    side 1/q does.  Past SEARCH_CAP, where ``minimal_complete_q`` stops
+    listing residues, each chamber is first tried for such a cube about
+    its witness w: it lies inside while |n_i|_1 < 2q s_i for every i,
+    s_i being the distance from <w, n_i> to c_i - 1 and to c_i.  Short
+    of that the residues are listed, up to the one that meets the last
+    class.  The cube holds at every q past a bound set by the chambers,
+    so a search over growing q lists residues only below it.
+    """
+    if q > SEARCH_CAP and all(_holds_cube(spec, rep, q) for rep in wanted):
+        return True
+    missing = set(wanted)
+    for rep in _residue_classes(spec, q, memo):
+        missing.discard(rep)
+        if not missing:
+            return True
+    return False
+
+
+def _holds_cube(spec: ConeSpec, c: IntVec, q: int) -> bool:
+    # whether the cube of side 1/q about the witness lies in chamber c
+    w = chamber_witness(spec, c)
+    for n, ci in zip(spec.normals, c):
+        x = dot(w, n)
+        if sum(map(abs, n)) >= 2 * q * min(ci - x, x - ci + 1):
+            return False
+    return True
+
+
 def minimal_complete_q(spec: ConeSpec) -> int:
     """Smallest q whose root decomposition contains every class.
 
@@ -82,11 +115,8 @@ def minimal_complete_q(spec: ConeSpec) -> int:
     wanted = set(enumerate_classes(spec).reps)
     memo: dict[IntVec, IntVec] = {}
     for q in range(1, SEARCH_CAP + 1):
-        missing = set(wanted)
-        for rep in _residue_classes(spec, q, memo):
-            missing.discard(rep)
-            if not missing:
-                return q
+        if _complete(spec, q, wanted, memo):
+            return q
     raise UnsupportedOperationError(
         f"no root up to {SEARCH_CAP} hits every class")
 
@@ -121,12 +151,24 @@ def _is_prime(p: int) -> bool:
 
 def dmodule_report(spec: ConeSpec, p: int) -> DModuleReport:
     """Smallest Frobenius power seeing every class, with the global
-    dimension bracket for the induced endomorphism ring."""
+    dimension bracket for the induced endomorphism ring.
+
+    minimal_e is the least e whose q = p^e is complete, decided at p^e
+    itself: a q >= minimal_q need not be complete.  The search starts at
+    the least p^e >= minimal_q, as nothing below it is complete, and may
+    stop at the first complete power: the residues of p^e are the points
+    of (1/p^e)Z^d mod Z^d, which lie inside (1/p^(e+1))Z^d, so along the
+    powers of one prime completeness never turns off again.
+    """
     if not isinstance(p, int) or not _is_prime(p):
         raise InputError(f"characteristic must be prime, got {p!r}")
     qmin = minimal_complete_q(spec)
     e = 0
     while p ** e < qmin:
+        e += 1
+    wanted = set(enumerate_classes(spec).reps)
+    memo: dict[IntVec, IntVec] = {}
+    while not _complete(spec, p ** e, wanted, memo):
         e += 1
     return DModuleReport(
         p=p, minimal_q=qmin, minimal_e=e, q_at_e=p ** e,

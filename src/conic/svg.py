@@ -19,6 +19,10 @@ from .cone import ConeSpec
 from .errors import InputError, UnsupportedOperationError
 from .ratgeom import IntVec
 
+# Most lattice points plus chamber pieces a window may ask ``render_svg_2d``
+# to draw; 10^6 admits the quadric's window of side 200 (about 6.9e5).
+SVG_BUDGET = 10 ** 6
+
 
 def _fmt(x) -> str:
     s = f"{float(x):.3f}"
@@ -194,6 +198,19 @@ def render_svg_2d(spec: ConeSpec, window) -> str:
     except OverflowError:
         raise InputError(
             f"window {window!r} does not fit in finite floats") from None
+    # The pieces are regions of the L = sum_i L_i level lines meeting the
+    # window, L_i those of normal i, and L lines cut the plane into at
+    # most 1 + L + L(L - 1)/2 <= (1 + L)^2 regions.
+    levels = 0
+    for a, b in spec.normals:
+        vals = [a * x + b * y for x in (x0, x1) for y in (y0, y1)]
+        levels += math.floor(max(vals)) - math.ceil(min(vals)) + 1
+    work = ((math.floor(x1) - math.ceil(x0) + 1)
+            * (math.floor(y1) - math.ceil(y0) + 1) + (1 + levels) ** 2)
+    if work > SVG_BUDGET:
+        raise InputError(
+            f"window {window!r} may draw up to {work} lattice points and "
+            f"chamber pieces, past the budget of {SVG_BUDGET}")
     window = (x0, x1, y0, y1)
     width = x1 - x0
     height = y1 - y0

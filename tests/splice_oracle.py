@@ -6,10 +6,12 @@ chamber complex: complete supports return early, and the spliced path
 fixes, solves or zeroes each entry by the ("kept", ...)/("sub", ...)
 tags of its row and column.  It is the reference the tests compare
 ``resolution`` with, reports, matrices and origins included.
+``_solve_columns`` is the generic column solver it feeds, kept with it.
 """
 
 from fractions import Fraction
 
+from conic import ratgeom
 from conic.chambers import canonical_class, require_chamber
 from conic.complexes import (
     SplicedComplex,
@@ -17,13 +19,44 @@ from conic.complexes import (
     _check_d2,
     _entrywise_geq,
     _report,
-    _solve_columns,
     _verify,
     _window_radius,
     conic_complex,
     default_window,
 )
 from conic.errors import InputError, InternalInvariantError, SupportNotClosedError
+
+
+def _solve_columns(nrows, ncols, prescribed, unknown, equations):
+    """Fill unknown entries column by column from linear equations.
+
+    prescribed: dict (row, col) -> Fraction for fixed entries.
+    unknown: set of (row, col) positions allowed to be nonzero; entries
+    in neither are 0.
+    equations: list of (coeff_by_row dict, rhs_fn(col) -> Fraction)
+    pairs expressing sum_r coeff[r] * M[r][col] = rhs for every col.
+    """
+    mat = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for (r, c), val in prescribed.items():
+        mat[r][c] = Fraction(val)
+    for col in range(ncols):
+        vars_ = sorted(r for (r, c) in unknown if c == col)
+        if not vars_:
+            continue
+        rows = []
+        rhss = []
+        for coeff, rhs_fn in equations:
+            const = sum(
+                coeff.get(r, Fraction(0)) * mat[r][col]
+                for r in range(nrows) if (r, col) not in unknown)
+            rows.append([coeff.get(r, Fraction(0)) for r in vars_])
+            rhss.append(Fraction(rhs_fn(col)) - const)
+        sol = ratgeom.linear_solve(rows, rhss, len(vars_))
+        if sol is None:
+            raise InternalInvariantError("splice lift system is inconsistent")
+        for r, val in zip(vars_, sol):
+            mat[r][col] = val
+    return tuple(tuple(row) for row in mat)
 
 
 def oracle_resolution(spec, support, c, window=None):

@@ -76,20 +76,20 @@ def test_chamber_witness_caches_only_representatives(square):
     assert chamber_of(square, chamber_witness(square, chamber)) == chamber
     assert chamber_witness(square, other) is None
     assert len(stored) == size
-    # nor do the cell entry points, complexes, or a partial support whose
-    # spliced summands are translates: every key is reduced modulo the
-    # pairing lattice, and it has cells exactly when it is a class
+    # nor do the cell entry points, complexes, a partial support whose
+    # spliced summands are translates, or more non-chambers: every key is
+    # a class representative with cells
     assert [cell.chamber for cell in enumerate_cells(square, chamber)] == [
         chamber] * len(enumerate_cells(square, reps[0]))
     assert cell_census(square, chamber) == cell_census(square, reps[0])
     assert has_zero_cell(square, chamber) == has_zero_cell(square, reps[0])
     assert conic_complex(square, chamber).chamber == chamber
     assert nccr_verdict(square, [(0, 0, 0, 0), (0, 0, 0, -1)]).verdict == "NCCR"
-    lattice = translation_lattice(square)
+    assert not is_feasible(square, (5, 0, 0, 0))
+    assert not is_feasible(square, (0, 0, 0, 7))
     classes = set(enumerate_classes(square).reps)
     for (key,), cells in stored.items():
-        assert ratgeom.reduce_mod_hnf(key, lattice) == key
-        assert (key in classes) == bool(cells), key
+        assert key in classes and cells, key
 
 
 def test_square_corrected_feasibility(square):

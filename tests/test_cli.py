@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,33 @@ def test_analyze_report_bytes_pinned(name, request, tmp_path, capsys):
     assert _sha(capsys.readouterr().out) == PINNED_REPORTS[name]
 
 
+# sha256 of partial-support reports on the square and on a trapezoid,
+# recorded before the spliced lifts were solved on dense matrices
+TRAPEZOID = '{"rank":3,"primal_rays":[[0,0,1],[2,0,1],[1,1,1],[0,1,1]]}'
+PINNED_PARTIAL = [
+    (SQUARE, "analyze --json --support A0,A1 --support A0,A2",
+     "7bb444c523ce600160de735ea901b083ceac102348be232b57ee06f7cda055aa"),
+    (SQUARE, "nccr --json --support A0,A1",
+     "dab0f63ea70a0c318b0172773ac3ba511d0750e527041fb64f049258e6e12562"),
+    (SQUARE, "resolution --json --support A0,A1 A0",
+     "22676e32a9f9c826522cadc77f6be8e95b35ff96ff3abc33b738b818dc4574e1"),
+    (SQUARE, "resolution --json --support A0,A1 A1",
+     "31082a8d4fe2546c14b69ab96473b7f1a31a2b1a79f1c845a02060677cb4bd0d"),
+    (TRAPEZOID,
+     "analyze --json --support A0,A1 --support A0,A2 --support A0,A1,A2",
+     "ac0e60b299d0c470d6d91c11c8a3b2f2c7cc31e37ebf71e985d8d044c8cc7c00"),
+]
+
+
+@pytest.mark.parametrize("cone,args,digest", PINNED_PARTIAL)
+def test_partial_support_report_bytes_pinned(cone, args, digest, tmp_path,
+                                             capsys):
+    path = tmp_path / "cone.json"
+    path.write_text(cone)
+    assert main(shlex.split(args) + ["--input", str(path)]) == 0
+    assert _sha(capsys.readouterr().out) == digest
+
+
 def test_unclosed_support_stderr_pinned(square_file, capsys):
     # the outside cells belong to translated summands of the free complex
     assert main(["resolution", "--support", "A0,A0", "A0",
@@ -308,6 +336,15 @@ def test_main_svg(tmp_path, quadric_file, capsys):
     for bad in ("a,1,-1,1", "1/0,1,-1,1", "-1,1,-1", "1,-1,-1,1"):
         assert main(["svg", f"--window={bad}", "--input", quadric_file]) == 1
     assert "window" in capsys.readouterr().err
+
+
+def test_main_svg_past_budget_exits_1(quadric_file, capsys):
+    start = time.process_time()
+    assert main(["svg", "--window=0,10000,0,10000",
+                 "--input", quadric_file]) == 1
+    assert time.process_time() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and "past the budget of 1000000" in err
 
 
 def test_main_support_trailing_comma(square_file, capsys):

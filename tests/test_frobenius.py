@@ -7,6 +7,7 @@ import pytest
 
 from conic import (
     decompose_root,
+    from_normals,
     dmodule_report,
     enumerate_classes,
     frobenius,
@@ -94,6 +95,55 @@ def test_dmodule_reports(quadric, square, orthant2):
     rpt = dmodule_report(orthant2, 5)
     assert (rpt.minimal_e, rpt.q_at_e) == (0, 1)
     assert (rpt.bound_low, rpt.bound_high) == (2, 3)
+
+
+def test_minimal_e_is_decided_at_the_power(quadric):
+    # 1/30(1,11): minimal q is 6, but q = 7 misses class (0, 3), so the
+    # least complete power of 7 is 49
+    spec = from_normals(2, [(0, 1), (30, -11)])
+    rpt = dmodule_report(spec, 7)
+    assert (rpt.minimal_q, rpt.minimal_e, rpt.q_at_e) == (6, 2, 49)
+    assert (0, 3) not in dict(decompose_root(spec, 7).counts)
+
+
+def _least_complete_power(spec, p):
+    # the least e whose root decomposition at p^e counts every class
+    wanted = set(enumerate_classes(spec).reps)
+    e = 0
+    while {rep for rep, _ in decompose_root(spec, p ** e).counts} != wanted:
+        e += 1
+    return e
+
+
+def test_minimal_e_matches_direct_search_on_cyclic_quotients():
+    # every 1/r(1,a) with r < 40; at the old rule (least p^e >= minimal q)
+    # exactly 1/30(1,11) and 1/30(1,19) at p = 7 and 1/35(1,19) and
+    # 1/35(1,24) at p = 2 differ
+    for r in range(2, 40):
+        for a in range(1, r):
+            if math.gcd(a, r) != 1:
+                continue
+            spec = from_normals(2, [(0, 1), (r, -a)])
+            for p in (2, 3, 5, 7):
+                rpt = dmodule_report(spec, p)
+                e = _least_complete_power(spec, p)
+                assert (rpt.minimal_e, rpt.q_at_e) == (e, p ** e), (r, a, p)
+
+
+@pytest.mark.parametrize("cone", ["quadric", "square", "cyclic", "pentagon"])
+def test_cube_certificate_is_sound(cone, request, monkeypatch):
+    # past SEARCH_CAP a q is complete once every chamber holds the cube of
+    # side 1/q about its witness; wherever that holds, the decomposition
+    # counts every class, and it holds at every q from some bound on
+    spec = request.getfixturevalue(cone)
+    monkeypatch.setattr(frobenius, "SEARCH_CAP", 0)
+    reps = enumerate_classes(spec).reps
+    held = [q for q in range(1, 31)
+            if all(frobenius._holds_cube(spec, rep, q) for rep in reps)]
+    assert held and held == list(range(held[0], 31))
+    for q in held:
+        assert len(decompose_root(spec, q).counts) == len(reps)
+        assert frobenius._complete(spec, q, set(reps), {})
 
 
 def test_bad_inputs(quadric):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conic import from_normals, render_svg_2d
 from conic.chambers import canonical_class, chamber_of, chamber_witness
 from conic.errors import InputError, UnsupportedOperationError
-from conic.svg import _class_color, _strip_pieces, _window_corners, drawn_chambers
+from conic.svg import (
+    SVG_BUDGET, _class_color, _strip_pieces, _window_corners, drawn_chambers)
 
 from svg_oracle import oracle_drawn_chambers, oracle_render_svg_2d
 
@@ -88,6 +89,12 @@ def test_window_validation(quadric):
     for window in (("0", "1e400", "0", "1"), (-10**308, 10**308, 0, 1)):
         with pytest.raises(InputError):
             render_svg_2d(quadric, window)
+    # past the work budget: side 200 needs 201^2 lattice points plus
+    # (1 + 802)^2 pieces, which is admitted, side 10^4 far more
+    assert SVG_BUDGET == 10 ** 6
+    render_svg_2d(quadric, (0, 1, 0, 1))
+    with pytest.raises(InputError, match=f"past the budget of {SVG_BUDGET}"):
+        render_svg_2d(quadric, (0, 10 ** 4, 0, 10 ** 4))
 
 
 CYCLIC_13 = [(r, a) for r in range(2, 14) for a in range(1, r)
