@@ -15,7 +15,11 @@ first use.  Interior points of cells are computed only on demand
 Lattice translation keeps cells, so they are kept once per class:
 ``chamber_gate`` checks every ceiling vector, reduces it by the pivots of
 the pairing lattice's HNF (``_lattice_pivots``) and reads the cells of
-the representative.  Both pairing-lattice tables live here.
+the representative.  Both pairing-lattice tables live here.  The cells
+read only the tight masks of the chamber's box vertices, so the face
+closure is kept once per mask set (``_pattern``), and it is fed either
+by a box pass (``chamber_cells``) or by a leaf of the class walk
+(``hand_off``).
 """
 
 from __future__ import annotations
@@ -133,37 +137,65 @@ def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
     """Cells of the chamber of a class representative (``chamber_gate``),
     sorted by (codim, omega), so the open cell comes first; _NoCells if
     c is not a chamber, so that the cell table holds class
-    representatives only."""
-    # The faces of the box are the meets of vertex tight masks, and a
-    # cell's closure is a face on which only upper bounds (even bits) are
-    # tight.  Such a face is the meet of its own vertices' masks, so also
-    # of their even parts: the candidates are the meets of even parts,
-    # and a candidate is a face iff the vertices tight on it meet in it.
-    masks = [tight for _, tight in box_vertices(spec, c)]
-    t = len(c)
-    upper = sum(1 << 2 * i for i in range(t))
-    evens = {m & upper for m in masks}
-    faces = set(evens)
-    todo = list(faces)
-    while todo:
-        face = todo.pop()
-        fresh = {face & e for e in evens} - faces
-        faces |= fresh
-        todo += fresh
+    representatives only.  The class walk (``hand_off``) fills the table
+    for every class; a representative asked for before it gets its own
+    box pass."""
+    return _cells(spec, c, frozenset(tight for _, tight in box_vertices(spec, c)))
+
+
+def hand_off(spec: ConeSpec, rep: IntVec, masks: frozenset) -> None:
+    """Keep the cells of a class representative read off the tight masks
+    of a translate's closed box.  Tight masks do not change under
+    lattice translation, and the cells read only the masks."""
+    chamber_cells.keep(spec, (rep,), _cells(spec, rep, masks))
+
+
+def _cells(spec: ConeSpec, c: IntVec, masks: frozenset) -> tuple[Cell, ...]:
+    pattern = _pattern(spec, masks)
+    if not pattern:
+        raise _NoCells(c)
+    return tuple(Cell(chamber=c, omega=omega, codim=codim)
+                 for omega, codim in pattern)
+
+
+def cell_pattern(cells) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (omega, codim) of each cell in order: all that a chamber's
+    complex reads apart from its terms."""
+    return tuple((cell.omega, cell.codim) for cell in cells)
+
+
+@per_cone
+def _pattern(spec: ConeSpec, masks: frozenset) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # The face closure, kept per set of box vertex tight masks: the cell
+    # pattern, (omega, codim) sorted by (codim, omega), empty when no face
+    # is a cell.  The faces of the box are the meets of vertex tight
+    # masks, and a cell's closure is a face on which only upper bounds
+    # (even bits) are tight.  Such a face is the meet of its own
+    # vertices' masks, so also of their even parts: the candidates are
+    # the meets of even parts.  The even parts of the vertices tight on a
+    # candidate meet in it, so it is a face iff their odd parts meet in 0.
+    upper = sum(1 << 2 * i for i in range(len(spec.normals)))
+    faces = set()
+    for even in {m & upper for m in masks}:
+        faces |= {even & face for face in faces}
+        faces.add(even)
     found = []
     for face in faces:
-        meet = -1
+        odd = ~upper
         for m in masks:
             if m & face == face:
-                meet &= m
-        if meet != face:
-            continue
-        omega = tuple(i for i in range(t) if not face >> 2 * i & 1)
-        found.append(Cell(chamber=c, omega=omega,
-                          codim=spec.rank - len(_frame(spec, omega))))
-    if not found:
-        raise _NoCells(c)
-    return tuple(sorted(found, key=lambda cell: (cell.codim, cell.omega)))
+                odd &= m
+                if not odd:
+                    found.append(_face_cell(spec, face))
+                    break
+    return tuple((omega, codim) for codim, omega in sorted(found))
+
+
+@per_cone
+def _face_cell(spec: ConeSpec, face: int) -> tuple[int, tuple[int, ...]]:
+    # (codim, omega) of the cell whose closure is tight on face
+    omega = tuple(i for i in range(len(spec.normals)) if not face >> 2 * i & 1)
+    return spec.rank - len(_frame(spec, omega)), omega
 
 
 def enumerate_cells(spec: ConeSpec, c) -> tuple[Cell, ...]:

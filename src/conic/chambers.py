@@ -15,20 +15,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
+from operator import mul
 
 from . import ratgeom
 from .cells import (
+    _box_seeds,
     _lattice_pivots,
     _preimage,
     box_vertices,
-    chamber_cells,
     chamber_gate,
+    hand_off,
     require_gate,
     vertex_barycenter,
 )
-from .cone import ConeSpec, per_cone
-from .errors import InputError
-from .ratgeom import IntVec, RatVec, dot, intvec, sub
+from .cone import ConeSpec, _dd_add_row, per_cone
+from .errors import InputError, InternalInvariantError
+from .ratgeom import IntVec, RatVec, dot, intvec, primitive, sub
 
 
 def pairings(spec: ConeSpec, point) -> RatVec:
@@ -147,38 +150,43 @@ class ClassList:
 
 @per_cone
 def enumerate_classes(spec: ConeSpec) -> ClassList:
-    """All isomorphism classes, by breadth-first search over +e_i steps.
+    """All isomorphism classes, one per leaf of a cut of the base
+    parallelepipeds (``_leaves``).
 
-    c + e_i is a chamber exactly when a cell of c pins i.  If x in c has
-    <x, n_i> = c_i, then n_i, being irredundant, is not in the cone of
-    the other normals pinned at x, so by Farkas a small move raising
-    <x, n_i> and lowering none of those enters c + e_i.  Conversely, a
-    segment from c to c + e_i stays in the convex strip of the other
-    indices and meets <x, n_i> = c_i inside c.
+    Let B be the greedy base of the normals (``cells._box_seeds``) and
+    D = |det N_B|.  The base normals alone cut R^d / Z^d into exactly D
+    open parallelepipeds: in the coordinates y = N_B x they are the cubes
+    k + (0, 1)^d, one per coset k of Z^d / N_B Z^d, and the cosets are
+    read off the HNF of N_B's columns, k_j in [0, pivot_j).  A chamber's
+    open box is nonempty (it holds x - eps u for x in it and u inside
+    the cone) and lies in one open cube, k = c_B - 1; a nonzero lattice
+    translate moves c_B by a nonzero element of N_B Z^d, so exactly one
+    chamber of each class lies in a root cube, and two chambers in one
+    cube are never in one class.  So the classes are the disjoint union,
+    over the D cubes, of the regions that the other normals' integer
+    levels cut inside each cube.
 
-    The search is complete.  A chamber holds x - eps u for x in it and u
-    in the interior of the cone, so it has interior points p.  Pick u
-    with coordinates independent over Q: p + s u crosses walls only
-    upward, one at a time for generic p, each at a point of the lower
-    chamber pinning the crossed index, and it is dense modulo Z^d, so for
-    some s < 0 it lies inside a translate of the free chamber.  Lattice
-    translation commutes with steps and keeps cells, so walking over
-    canonical representatives from the free class misses no class.
+    The walk goes depth first over the non-base normals.  A node is a
+    closed piece with its double-description state, vertices and tight
+    masks.  The values of <x, n_j> at its vertices give [lo, hi], and
+    the piece's interior, being convex and open, meets exactly the open
+    slabs c_j - 1 < <x, n_j> < c_j for c_j = floor(lo) + 1, ...,
+    ceil(hi): those are its children, each two row additions away, so
+    no emptiness test is needed.  Every leaf is the closed box of one
+    chamber, reached once; a repeated class is an internal error.  The
+    leaf's tight masks give the cells of its class (``cells.hand_off``).
     """
-    t = len(spec.normals)
-    start = canonical_class(spec, tuple(0 for _ in range(t)))
-    seen = {start}
-    queue = [start]
-    for cur in queue:
-        cells = chamber_cells(spec, cur)
-        for i in range(t):
-            if all(i in cell.omega for cell in cells):
-                continue
-            rep = chamber_gate(
-                spec, tuple(x + (j == i) for j, x in enumerate(cur)))[1]
-            if rep not in seen:
-                seen.add(rep)
-                queue.append(rep)
+    pivots = _lattice_pivots(spec)
+    seen = set()
+    for c, masks in _leaves(spec):
+        rep = ratgeom.reduce_by_pivots(c, pivots)
+        if rep in seen:
+            raise InternalInvariantError(f"class {rep} is reached twice")
+        seen.add(rep)
+        hand_off(spec, rep, masks)
+    start = ratgeom.reduce_by_pivots((0,) * len(spec.normals), pivots)
+    if start not in seen:
+        raise InternalInvariantError("the free class is not reached")
     reps = tuple(sorted(seen))
     labels = [""] * len(reps)
     labels[reps.index(start)] = "A0"
@@ -188,3 +196,52 @@ def enumerate_classes(spec: ConeSpec) -> ClassList:
             labels[i] = f"A{k}"
             k += 1
     return ClassList(reps=reps, labels=tuple(labels))
+
+
+def _leaves(spec: ConeSpec):
+    """(ceiling vector, frozenset of its box vertices' tight masks) for
+    the one chamber of each class inside a root cube.
+
+    A root's vertices are (A(k + eps), D) made primitive, for eps in
+    {0, 1}^d and N_B A = D I (``ratgeom.base_inverse``), with the box
+    pass's mask layout: bit 2i for the upper bound of normal i, bit
+    2i + 1 for its lower bound.  The walk holds one root-to-leaf path of
+    states, and the children of a node are made one at a time.
+    """
+    d, t = spec.rank, len(spec.normals)
+    base, det_b, cols, _ = _box_seeds(spec)
+    cube = list(product((0, 1), repeat=d))
+    corners = [[sum(col[j] for e, col in zip(eps, cols) if e) for j in range(d)]
+               for eps in cube]
+    masks = [sum(1 << 2 * i + 1 - e for i, e in zip(base, eps)) for eps in cube]
+    cuts = tuple((i, spec.normals[i]) for i in range(t) if i not in base)
+    lattice = ratgeom.hermite_normal_form(
+        [tuple(spec.normals[i][j] for i in base) for j in range(d)])
+    c = [0] * t
+    for k in product(*(range(row[j]) for j, row in enumerate(lattice))):
+        for i, x in zip(base, k):
+            c[i] = x + 1
+        ak = [sum(x * col[j] for x, col in zip(k, cols)) for j in range(d)]
+        rays = [primitive([a + b for a, b in zip(ak, corner)] + [det_b])
+                for corner in corners]
+        yield from _cut(rays, masks, cuts, c, d)
+
+
+def _cut(rays, masks, cuts, c, d):
+    # The leaves below one node of the walk; c holds the levels chosen
+    # on its path.
+    if not cuts:
+        yield tuple(c), frozenset(masks)
+        return
+    (i, n), rest = cuts[0], cuts[1:]
+    vals = [(sum(map(mul, ray, n)), ray[d]) for ray in rays]
+    for v in range(min(p // w for p, w in vals) + 1,
+                   max(-(-p // w) for p, w in vals) + 1):
+        # <x, n> <= v, then <x, n> >= v - 1
+        up_rays, up_masks = _dd_add_row(
+            rays, masks, [v * w - p for p, w in vals], 1 << 2 * i, d + 1)
+        c[i] = v
+        yield from _cut(*_dd_add_row(
+            up_rays, up_masks,
+            [sum(map(mul, ray, n)) + (1 - v) * ray[d] for ray in up_rays],
+            2 << 2 * i, d + 1), rest, c, d)

@@ -18,7 +18,15 @@ from itertools import accumulate
 from operator import and_, or_
 
 from . import ratgeom
-from .cells import Cell, _preimage, _sign, enumerate_cells, open_conic
+from .cells import (
+    Cell,
+    _preimage,
+    _sign,
+    cell_pattern,
+    enumerate_cells,
+    has_zero_cell,
+    open_conic,
+)
 from .chambers import (
     canonical_class,
     enumerate_classes,
@@ -41,6 +49,8 @@ class ConicComplex:
     terms[i] lists the open conic ceiling vectors of the codimension-i
     cells; mats[i] is the integer matrix of the differential from
     degree i+1 to degree i (rows index terms[i], columns terms[i+1]).
+    mats reads only the cells' (omega, codim), so chambers with one cell
+    pattern share it.
     """
 
     chamber: IntVec
@@ -132,24 +142,37 @@ def conic_complex(spec: ConeSpec, c) -> ConicComplex:
 
 @per_cone
 def _complex(spec: ConeSpec, c: IntVec) -> ConicComplex:
-    # conic_complex of a ceiling vector already gated, kept per chamber
+    # conic_complex of a ceiling vector already gated, kept per chamber;
+    # the differentials are kept per cell pattern (``_differentials``)
     cells = enumerate_cells(spec, c)
-    top = max(cell.codim for cell in cells)
     by_codim = tuple(
-        tuple(cell for cell in cells if cell.codim == i) for i in range(top + 1))
+        tuple(cell for cell in cells if cell.codim == i)
+        for i in range(cells[-1].codim + 1))
     if len(by_codim[0]) != 1:
         raise InternalInvariantError("chamber does not have a unique interior cell")
     if open_conic(by_codim[0][0]) != c:
         raise InternalInvariantError("interior open conic differs from the chamber")
     terms = tuple(tuple(open_conic(cell) for cell in row) for row in by_codim)
-    omegas = [[(cell.omega, set(cell.omega)) for cell in row] for row in by_codim]
+    return ConicComplex(chamber=c, terms=terms, cells=by_codim,
+                        mats=_differentials(spec, cell_pattern(cells)))
+
+
+@per_cone
+def _differentials(spec: ConeSpec, pattern) -> tuple:
+    # The differentials of every chamber complex with this cell pattern,
+    # with d*d = 0 checked once: an entry reads only the two omegas, the
+    # sign from the per-cone table where the inner omega is a proper
+    # subset of the outer one.
+    rows = [[] for _ in range(pattern[-1][1] + 1)]
+    for omega, codim in pattern:
+        rows[codim].append((omega, set(omega)))
     mats = tuple(
         tuple(tuple(_sign(spec, inner, outer) if inner_set < outer_set else 0
-                    for inner, inner_set in omegas[i + 1])
-              for outer, outer_set in omegas[i])
-        for i in range(top))
+                    for inner, inner_set in rows[i + 1])
+              for outer, outer_set in rows[i])
+        for i in range(len(rows) - 1))
     _check_d2(mats)
-    return ConicComplex(chamber=c, terms=terms, cells=by_codim, mats=mats)
+    return mats
 
 
 def homology_ranks(sc: ScalarComplex) -> tuple[int, ...]:
@@ -357,9 +380,16 @@ def ext_dims(spec: ConeSpec, c, cp) -> tuple[int, ...]:
 
 
 def smith_invariants(spec: ConeSpec, c) -> tuple[tuple[int, ...], ...]:
-    """Elementary divisors of each differential of a chamber complex."""
-    return tuple(
-        ratgeom.smith_normal_form(m) for m in conic_complex(spec, c).mats)
+    """Elementary divisors of each differential of a chamber complex,
+    kept per cell pattern."""
+    cx = conic_complex(spec, c)
+    return _smith(spec, cell_pattern(cell for row in cx.cells for cell in row))
+
+
+@per_cone
+def _smith(spec: ConeSpec, pattern) -> tuple[tuple[int, ...], ...]:
+    return tuple(ratgeom.smith_normal_form(m)
+                 for m in _differentials(spec, pattern))
 
 
 # --------------------------------------------------------------------------
@@ -539,6 +569,14 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
     complete = set(reps) == set(all_reps)
     if complete:
         if spec.simplicial:
+            # has_zero_cell reads only the cell pattern: one check each
+            patterns = {}
+            for rep in all_reps:
+                patterns.setdefault(cell_pattern(enumerate_cells(spec, rep)), rep)
+            bare = [rep for rep in patterns.values() if not has_zero_cell(spec, rep)]
+            if bare:
+                raise InternalInvariantError(
+                    f"simplicial cone with class {bare[0]} without a zero cell")
             return NccrVerdict(
                 verdict="NCCR", support=reps, complete=True, witness=None,
                 reasons=("simplicial: every class has a zero cell",))
@@ -548,6 +586,10 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
         if witness is None:
             raise InternalInvariantError(
                 "non-simplicial cone with all resolutions of full length")
+        if has_zero_cell(spec, witness):
+            raise InternalInvariantError(
+                f"class {witness} has a zero cell but a resolution shorter "
+                f"than the rank")
         return NccrVerdict(
             verdict="NotNCCR", support=reps, complete=True, witness=witness,
             reasons=(f"class {witness} has no zero cell, so its simple "

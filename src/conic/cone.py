@@ -91,7 +91,8 @@ def per_cone(func):
 
     The store is the only cache of per-cone state: an entry lives exactly
     as long as its cone, so memory is bounded by the cones a caller keeps.
-    Equal cones built separately share nothing.
+    Equal cones built separately share nothing.  ``memo.keep(spec, args,
+    value)`` stores a value computed elsewhere, unless one is kept.
     """
     @functools.wraps(func)
     def memo(spec: ConeSpec, *args):
@@ -102,6 +103,10 @@ def per_cone(func):
         if value is _MISSING:
             value = table[args] = func(spec, *args)
         return value
+
+    def keep(spec: ConeSpec, args: tuple, value):
+        return spec._store.setdefault(memo, {}).setdefault(args, value)
+    memo.keep = keep
     return memo
 
 
@@ -162,10 +167,10 @@ def double_description(rows: tuple[IntVec, ...],
     row j and to zero with the other base rows, column j of that inverse
     made primitive.  The incremental loop (``_dd_from_seeds``, which the
     box pass of ``cells.box_vertices`` starts from seeds kept per cone)
-    then adds the other rows one at a time; each ray carries the mask of
-    its tight rows over the rows added so far.  A new ray comes from an
-    adjacent pair p, q on either side of the new row i and is tight on
-    their common rows and on i.
+    then adds the other rows one at a time (``_dd_add_row``); each ray
+    carries the mask of its tight rows over the rows added so far.  A
+    new ray comes from an adjacent pair p, q on either side of the new
+    row i and is tight on their common rows and on i.
 
     Adjacency is combinatorial (Fukuda & Prodon, 1996): p and q are
     adjacent iff no other ray r has tight[p] & tight[q] <= tight[r].
@@ -191,36 +196,45 @@ def _dd_from_seeds(rows: tuple[IntVec, ...], dim: int, base: tuple[int, ...],
     rays = list(seeds)
     masks = [full ^ 1 << i for i in base]
     for i, row in enumerate(rows):
-        if full >> i & 1:
-            continue
-        bit = 1 << i
-        vals = [sum(map(mul, r, row)) for r in rays]
-        pos = [k for k, v in enumerate(vals) if v > 0]
-        neg = [k for k, v in enumerate(vals) if v < 0]
-        kept_rays, kept_masks = [], []
-        for r, m, v in zip(rays, masks, vals):
-            if v >= 0:
-                kept_rays.append(r)
-                kept_masks.append(m | bit if v == 0 else m)
-        for p in pos:
-            mp, rp, vp = masks[p], rays[p], vals[p]
-            for q in neg:
-                common = mp & masks[q]
-                if common.bit_count() < dim - 2:
-                    continue
-                seen = 0
-                for m in masks:
-                    if m & common == common:
-                        seen += 1
-                        if seen > 2:
-                            break
-                else:
-                    vq = vals[q]
-                    kept_rays.append(primitive(
-                        [vp * qc - vq * pc for pc, qc in zip(rp, rays[q])]))
-                    kept_masks.append(common | bit)
-        rays, masks = kept_rays, kept_masks
+        if not full >> i & 1:
+            rays, masks = _dd_add_row(
+                rays, masks, [sum(map(mul, r, row)) for r in rays], 1 << i, dim)
     return tuple(sorted(zip(rays, masks)))
+
+
+def _dd_add_row(rays: list, masks: list, vals: list, bit: int,
+                dim: int) -> tuple[list, list]:
+    """One step of the incremental loop: the rays and tight masks after
+    adding the row whose pairing with each ray is in vals, tight bit
+    ``bit``.  Rays with vals >= 0 stay, and each adjacent pair across the
+    row gives a new ray, tight on their common rows and on the new one.
+    The box pass (``cells.box_vertices``) and the class walk
+    (``chambers.enumerate_classes``) share it."""
+    pos = [k for k, v in enumerate(vals) if v > 0]
+    neg = [k for k, v in enumerate(vals) if v < 0]
+    kept_rays, kept_masks = [], []
+    for r, m, v in zip(rays, masks, vals):
+        if v >= 0:
+            kept_rays.append(r)
+            kept_masks.append(m | bit if v == 0 else m)
+    for p in pos:
+        mp, rp, vp = masks[p], rays[p], vals[p]
+        for q in neg:
+            common = mp & masks[q]
+            if common.bit_count() < dim - 2:
+                continue
+            seen = 0
+            for m in masks:
+                if m & common == common:
+                    seen += 1
+                    if seen > 2:
+                        break
+            else:
+                vq = vals[q]
+                kept_rays.append(primitive(
+                    [vp * qc - vq * pc for pc, qc in zip(rp, rays[q])]))
+                kept_masks.append(common | bit)
+    return kept_rays, kept_masks
 
 
 def dual_extreme_rays(rows: tuple[IntVec, ...], dim: int) -> tuple[IntVec, ...]:

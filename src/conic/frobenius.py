@@ -18,6 +18,11 @@ from .errors import InputError, UnsupportedOperationError
 from .ratgeom import IntVec, dot
 
 SEARCH_CAP = 64
+# The most residues ``decompose_root`` lists: every q up to SEARCH_CAP at
+# rank 4, and so every decomposition at a minimal q of rank <= 4.  At
+# about 2 us (rank 2) to 6 us (rank 4) per residue on a 2-vCPU machine
+# that is at most about 35 s and 100 s.
+ROOT_BUDGET = SEARCH_CAP ** 4
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
@@ -63,9 +68,14 @@ def _residue_classes(spec: ConeSpec, q: int, memo: dict):
 
 
 def decompose_root(spec: ConeSpec, q: int) -> RootDecomposition:
-    """Class counts of the chamber summands of the q-th root."""
+    """Class counts of the chamber summands of the q-th root; InputError
+    when its q^d residues are more than ROOT_BUDGET."""
     if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise InputError(f"root index must be a positive integer, got {q!r}")
+    if q ** spec.rank > ROOT_BUDGET:
+        raise InputError(
+            f"the {q}-th root has {q ** spec.rank} residues, past the "
+            f"budget of {ROOT_BUDGET}")
     counts: dict[IntVec, int] = {}
     for rep in _residue_classes(spec, q, {}):
         counts[rep] = counts.get(rep, 0) + 1

@@ -7,7 +7,8 @@ baseline table.  Both are drawn from ``random.Random(7)``; a draw whose cone
 equals an earlier one (same normals) is dropped, and a refused draw
 (vertices in a hyperplane) is skipped.  On each cone the global
 dimension is the rank, and every simple has projective dimension equal
-to the rank exactly when the cone is simplicial.  On rank-3 cones with
+to the rank exactly when the cone is simplicial, and the class count is
+the arithmetic Tutte count of ``tutte_count``.  On rank-3 cones with
 at most four facets the class count also agrees with the independent
 box census; at rank 4 that census costs seconds per cone and is left
 out.
@@ -22,6 +23,7 @@ from conic import enumerate_classes, from_primal_rays, global_dimension, pdim_si
 from conic.errors import InputError
 
 from box_census import box_census
+from tutte_count import class_count
 
 
 def _census_cones(rank, coords, sizes, count, seed=7):
@@ -45,6 +47,7 @@ RANK4_CONES = _census_cones(4, range(-1, 2), (4, 7), 20)
 
 
 def _check_dimensions(spec, reps):
+    assert len(reps) == class_count(spec.normals, spec.rank)
     assert global_dimension(spec) == spec.rank
     full = all(pdim_simple(spec, rep) == spec.rank for rep in reps)
     assert full == spec.simplicial

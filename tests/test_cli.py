@@ -387,6 +387,20 @@ def test_main_frobenius_large_prime(tmp_path, capsys):
     assert str(frobenius.PRIME_BOUND) in capsys.readouterr().err
 
 
+def test_main_frobenius_root_past_budget_exits_1(tmp_path, capsys):
+    # 1/3(1,2) at q = 2^61 - 1: refused before any residue is listed
+    cyclic_file = tmp_path / "cyclic.json"
+    cyclic_file.write_text(CYCLIC)
+    q = 2 ** 61 - 1
+    start = time.process_time()
+    assert main(["frobenius", "--q", str(q), "--input", str(cyclic_file)]) == 1
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{q ** 2} residues, past the budget of {frobenius.ROOT_BUDGET}"
+            in captured.err)
+
+
 def test_labels_leave_the_report_bytes_unchanged(tmp_path, capsys):
     # labels are validated on input but no report prints them
     labelled = tmp_path / "labelled.json"

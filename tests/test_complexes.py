@@ -24,7 +24,7 @@ from conic import (
 )
 from conic.chambers import canonical_class, nhat
 from conic.complexes import _verify, default_window
-from conic.errors import InputError, SupportNotClosedError
+from conic.errors import InputError, InternalInvariantError, SupportNotClosedError
 from conic.ratgeom import add
 
 from acyclicity_oracle import oracle_verify
@@ -372,6 +372,24 @@ def test_nccr_complete_verdicts(quadric, square, cyclic, orthant3):
     assert v.witness in (X, Y)
     from conic import has_zero_cell
     assert not has_zero_cell(square, v.witness)
+
+
+def test_nccr_complete_verdict_checks_zero_cells(
+        quadric, cyclic, square, monkeypatch):
+    # a simplicial cone's classes all have a zero cell, checked once per
+    # cell pattern, and a non-simplicial cone's witness has none
+    asked = []
+    monkeypatch.setattr(complexes, "has_zero_cell",
+                        lambda spec, c: asked.append(c) or False)
+    fresh = from_normals(cyclic.rank, cyclic.normals)
+    with pytest.raises(InternalInvariantError, match="without a zero cell"):
+        nccr_verdict(fresh)
+    assert len(asked) == 1
+    monkeypatch.setattr(complexes, "has_zero_cell", lambda spec, c: True)
+    assert nccr_verdict(from_normals(quadric.rank, quadric.normals)).reasons == (
+        "simplicial: every class has a zero cell",)
+    with pytest.raises(InternalInvariantError, match="has a zero cell"):
+        nccr_verdict(from_normals(square.rank, square.normals))
 
 
 def test_nccr_partial_supports(square, cyclic):

@@ -77,6 +77,16 @@ def test_complete_at_minimal_q(quadric, square, cyclic):
             assert below != realized
 
 
+def test_root_budget(cyclic, octahedron):
+    # every q a minimal-q search reaches is admitted up to rank 4
+    assert frobenius.ROOT_BUDGET == frobenius.SEARCH_CAP ** 4
+    for spec, q in ((cyclic, 4097), (octahedron, 65)):
+        with pytest.raises(InputError, match=(
+                f"has {q ** spec.rank} residues, past the budget of "
+                f"{frobenius.ROOT_BUDGET}")):
+            decompose_root(spec, q)
+
+
 def test_search_cap(quadric, monkeypatch):
     monkeypatch.setattr(frobenius, "SEARCH_CAP", 1)
     with pytest.raises(UnsupportedOperationError, match="no root up to 1 "):

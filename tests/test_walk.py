@@ -1,0 +1,131 @@
+"""The class walk against its oracles.
+
+``chambers.enumerate_classes`` cuts the base parallelepipeds.  Its class
+sets and the cells it hands off are checked against the breadth-first
+search it replaced (``bfs_oracle``), run on a freshly built cone so that
+every class there takes its own box pass; its leaves' tight masks
+against the box pass and the frozenset double description
+(``dd_oracle``); and its class counts against the arithmetic Tutte
+polynomial (``tutte_count``), which uses no chamber at all.
+"""
+
+import pytest
+
+from conic import chambers, complexes, from_normals, from_primal_rays
+from conic.cells import _lattice_pivots, box_vertices, chamber_cells
+from conic.errors import InternalInvariantError
+from conic.ratgeom import reduce_by_pivots
+
+import bfs_oracle
+import dd_oracle
+from test_census import CONES, RANK4_CONES
+from test_cli import CONE_A, CONE_B
+from test_cone import FIVE_RAYS, FIXTURES, _box_rows
+from tutte_count import class_count
+
+# The 16 reflexive polygons, as vertex lists; each cone is over the
+# polygon at height 1.
+REFLEXIVE = (
+    ((-2, -1), (2, -1), (0, 1)),
+    ((-2, -1), (0, -1), (1, 2)),
+    ((-2, -1), (1, -1), (1, 2)),
+    ((-2, -1), (0, -1), (1, 1)),
+    ((-2, -1), (1, 0), (1, 1)),
+    ((-2, -1), (-1, -1), (1, 0), (1, 2)),
+    ((-2, -1), (0, -1), (1, 0), (1, 2)),
+    ((-2, -1), (-1, -1), (2, 1), (0, 1)),
+    ((-2, -1), (0, -1), (2, 1), (0, 1)),
+    ((-2, -1), (-1, -1), (1, 0), (0, 1)),
+    ((-2, -1), (-1, -1), (2, 1), (-1, 0)),
+    ((-2, -1), (-1, -1), (2, 1), (1, 1)),
+    ((-2, -1), (-1, -1), (1, 0), (1, 1), (0, 1)),
+    ((-2, -1), (-1, -1), (1, 0), (2, 1), (0, 1)),
+    ((-2, -1), (-1, -1), (1, 0), (1, 1), (-1, 0)),
+    ((-2, -1), (-1, -1), (1, 0), (2, 1), (1, 1), (-1, 0)),
+)
+
+
+def _fresh(spec):
+    return from_normals(spec.rank, spec.normals)
+
+
+def _cones(request):
+    """Every fixture, both censuses, the reflexive polygons and cones A
+    and B, by name."""
+    cones = {name: request.getfixturevalue(name) for name in FIXTURES}
+    cones.update((f"rank3_{i}", spec) for i, spec in enumerate(CONES))
+    cones.update((f"rank4_{i}", spec) for i, spec in enumerate(RANK4_CONES))
+    cones.update(
+        (f"reflexive_{i}", from_primal_rays(3, [(x, y, 1) for x, y in poly]))
+        for i, poly in enumerate(REFLEXIVE))
+    cones["cone_a"] = from_normals(*CONE_A)
+    cones["cone_b"] = from_normals(*CONE_B)
+    return cones
+
+
+def test_walk_matches_bfs_oracle(request):
+    # the same classes, and the cells handed off by the walk equal those
+    # of each class's own box pass
+    for name, spec in _cones(request).items():
+        walked, searched = _fresh(spec), _fresh(spec)
+        reps = chambers.enumerate_classes(walked).reps
+        assert reps == bfs_oracle.enumerate_classes(searched), name
+        assert walked._store[chamber_cells] == searched._store[chamber_cells], name
+
+
+def test_class_count_matches_tutte_formula(request):
+    for name, spec in _cones(request).items():
+        assert (len(chambers.enumerate_classes(spec).reps)
+                == class_count(spec.normals, spec.rank)), name
+
+
+def test_five_ray_cone_count_from_the_formula_alone():
+    spec = from_primal_rays(4, FIVE_RAYS)
+    assert class_count(spec.normals, spec.rank) == 4_691_052
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_leaf_masks_match_box_pass_and_dd_oracle(request, name):
+    spec = request.getfixturevalue(name)
+    fresh = _fresh(spec)
+    pivots = _lattice_pivots(fresh)
+    leaves = list(chambers._leaves(fresh))
+    assert len(leaves) == len(chambers.enumerate_classes(spec).reps)
+    for c, masks in leaves:
+        rep = reduce_by_pivots(c, pivots)
+        assert masks == {tight for _, tight in box_vertices(fresh, rep)}, c
+        want = dd_oracle.double_description(_box_rows(fresh, rep), spec.rank + 1)
+        assert masks == {sum(1 << k - 1 for k in tight if k) for _, tight in want}, c
+
+
+def test_cells_asked_before_the_walk_are_kept(square):
+    # a representative's own box pass stays in the cell table
+    fresh = _fresh(square)
+    early = chamber_cells(fresh, (0, 0, 0, 1))
+    chambers.enumerate_classes(fresh)
+    assert chamber_cells(fresh, (0, 0, 0, 1)) is early
+
+
+def test_repeated_leaf_is_an_internal_error(square, monkeypatch):
+    leaves = list(chambers._leaves(square))
+    monkeypatch.setattr(chambers, "_leaves", lambda spec: leaves + leaves[:1])
+    with pytest.raises(InternalInvariantError, match="reached twice"):
+        chambers.enumerate_classes(_fresh(square))
+
+
+@pytest.mark.parametrize("r,a", [(3, 2), (7, 3), (12, 5), (30, 11)])
+def test_cyclic_classes_share_one_pattern(r, a, monkeypatch):
+    # 1/r(1, a) is r uncut root cubes, all with one cell pattern: one
+    # differential, checked once, for every class
+    checked = []
+    check = complexes._check_d2
+    monkeypatch.setattr(complexes, "_check_d2",
+                        lambda mats: checked.append(mats) or check(mats))
+    spec = from_normals(2, [(0, 1), (r, -a)])
+    reps = chambers.enumerate_classes(spec).reps
+    assert len(reps) == r
+    mats = {id(complexes.conic_complex(spec, rep).mats) for rep in reps}
+    assert len(mats) == 1 and len(checked) == 1
+    assert len(spec._store[complexes._differentials]) == 1
+    assert len({complexes.smith_invariants(spec, rep) for rep in reps}) == 1
+    assert len(spec._store[complexes._smith]) == 1
