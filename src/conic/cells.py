@@ -14,12 +14,14 @@ first use.  Interior points of cells are computed only on demand
 
 Lattice translation keeps cells, so they are kept once per class:
 ``chamber_gate`` checks every ceiling vector, reduces it by the pivots of
-the pairing lattice's HNF (``_lattice_pivots``) and reads the cells of
-the representative.  Both pairing-lattice tables live here.  The cells
-read only the tight masks of the chamber's box vertices, so the face
-closure is kept once per mask set (``_pattern``), and it is fed either
-by a box pass (``chamber_cells``) or by a leaf of the class walk
-(``hand_off``).
+the pairing lattice's HNF (``_lattice_pivots``) and reads the cell
+pattern of the representative, the (omega, codim) of its cells.  Both
+pairing-lattice tables live here.  The cells read only the tight
+masks of the chamber's box vertices, so the face closure is kept once
+per mask set (``_pattern``), and every class with that mask set keeps
+the same pattern object (``class_pattern``), fed either by a box pass
+or by a leaf of the class walk (``hand_off``).  ``Cell`` objects are
+made only where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import InputError, InternalInvariantError
 from .ratgeom import IntVec, RatVec, dot, intvec, neg, primitive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One cell of a chamber: strip indices and codimension."""
 
@@ -51,19 +53,23 @@ def ceiling_vector(spec: ConeSpec, c) -> IntVec:
     return cc
 
 
-def chamber_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, tuple[Cell, ...]]:
-    """(c as ints, its class representative, the representative's cells);
-    the cells are none when c is not a chamber, and then nothing is kept
-    (``chamber_cells`` raises, and ``per_cone`` keeps no call that raises)."""
+Pattern = tuple[tuple[tuple[int, ...], int], ...]
+
+
+def chamber_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, Pattern]:
+    """(c as ints, its class representative, the representative's cell
+    pattern); the pattern is empty when c is not a chamber, and then
+    nothing is kept (``class_pattern`` raises, and ``per_cone`` keeps no
+    call that raises)."""
     cc = ceiling_vector(spec, c)
     rep = ratgeom.reduce_by_pivots(cc, _lattice_pivots(spec))
     try:
-        return cc, rep, chamber_cells(spec, rep)
+        return cc, rep, class_pattern(spec, rep)
     except _NoCells:
         return cc, rep, ()
 
 
-def require_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, tuple[Cell, ...]]:
+def require_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, Pattern]:
     """``chamber_gate``; InputError unless c is a chamber."""
     gate = chamber_gate(spec, c)
     if not gate[2]:
@@ -129,43 +135,32 @@ def vertex_barycenter(spec: ConeSpec, vertices) -> RatVec:
 
 
 class _NoCells(Exception):
-    """Raised by ``chamber_cells`` for a ceiling vector with no cell."""
+    """Raised by ``class_pattern`` for a ceiling vector with no cell."""
 
 
 @per_cone
-def chamber_cells(spec: ConeSpec, c: IntVec) -> tuple[Cell, ...]:
-    """Cells of the chamber of a class representative (``chamber_gate``),
-    sorted by (codim, omega), so the open cell comes first; _NoCells if
-    c is not a chamber, so that the cell table holds class
-    representatives only.  The class walk (``hand_off``) fills the table
-    for every class; a representative asked for before it gets its own
-    box pass."""
-    return _cells(spec, c, frozenset(tight for _, tight in box_vertices(spec, c)))
+def class_pattern(spec: ConeSpec, c: IntVec) -> Pattern:
+    """The cell pattern of the chamber of a class representative
+    (``chamber_gate``): the (omega, codim) of its cells sorted by (codim,
+    omega), so the open cell comes first.  _NoCells if c is not a
+    chamber, so that the table holds class representatives only.  The
+    class walk (``hand_off``) fills the table for every class; a
+    representative asked for before it gets its own box pass."""
+    pattern = _pattern(spec, frozenset(tight for _, tight in box_vertices(spec, c)))
+    if not pattern:
+        raise _NoCells(c)
+    return pattern
 
 
 def hand_off(spec: ConeSpec, rep: IntVec, masks: frozenset) -> None:
-    """Keep the cells of a class representative read off the tight masks
-    of a translate's closed box.  Tight masks do not change under
-    lattice translation, and the cells read only the masks."""
-    chamber_cells.keep(spec, (rep,), _cells(spec, rep, masks))
-
-
-def _cells(spec: ConeSpec, c: IntVec, masks: frozenset) -> tuple[Cell, ...]:
-    pattern = _pattern(spec, masks)
-    if not pattern:
-        raise _NoCells(c)
-    return tuple(Cell(chamber=c, omega=omega, codim=codim)
-                 for omega, codim in pattern)
-
-
-def cell_pattern(cells) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The (omega, codim) of each cell in order: all that a chamber's
-    complex reads apart from its terms."""
-    return tuple((cell.omega, cell.codim) for cell in cells)
+    """Keep the cell pattern of a class representative read off the tight
+    masks of a translate's closed box.  Tight masks do not change under
+    lattice translation, and the pattern reads only the masks."""
+    class_pattern.keep(spec, (rep,), _pattern(spec, masks))
 
 
 @per_cone
-def _pattern(spec: ConeSpec, masks: frozenset) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _pattern(spec: ConeSpec, masks: frozenset) -> Pattern:
     # The face closure, kept per set of box vertex tight masks: the cell
     # pattern, (omega, codim) sorted by (codim, omega), empty when no face
     # is a cell.  The faces of the box are the meets of vertex tight
@@ -188,7 +183,14 @@ def _pattern(spec: ConeSpec, masks: frozenset) -> tuple[tuple[tuple[int, ...], i
                 if not odd:
                     found.append(_face_cell(spec, face))
                     break
-    return tuple((omega, codim) for codim, omega in sorted(found))
+    found.sort()
+    # A chamber's complex has exactly one degree-0 summand, the open
+    # cell, whose open conic is the chamber itself: it pins no index.
+    if found and [codim for codim, _ in found].count(0) != 1:
+        raise InternalInvariantError("chamber does not have a unique interior cell")
+    if found and len(found[0][1]) != len(spec.normals):
+        raise InternalInvariantError("interior open conic differs from the chamber")
+    return tuple((omega, codim) for codim, omega in found)
 
 
 @per_cone
@@ -200,24 +202,22 @@ def _face_cell(spec: ConeSpec, face: int) -> tuple[int, tuple[int, ...]]:
 
 def enumerate_cells(spec: ConeSpec, c) -> tuple[Cell, ...]:
     """All cells of a chamber, sorted by (codim, omega): those of its class
-    representative, moved to c."""
-    cc, rep, cells = require_gate(spec, c)
-    if cc != rep:
-        cells = tuple(Cell(cc, cell.omega, cell.codim) for cell in cells)
-    return cells
+    pattern, at c."""
+    cc, _, pattern = require_gate(spec, c)
+    return tuple(Cell(cc, omega, codim) for omega, codim in pattern)
 
 
 def cell_witnesses(spec: ConeSpec, c) -> tuple[RatVec, ...]:
     """A point of each cell, aligned with ``enumerate_cells``: the cell
     with strip set omega has the closure tight on {2i : i not in omega},
     and its witness is the barycenter of the box vertices tight there."""
-    cells = enumerate_cells(spec, c)
-    vertices = box_vertices(spec, cells[0].chamber)
+    cc, _, pattern = require_gate(spec, c)
+    vertices = box_vertices(spec, cc)
     t = len(spec.normals)
     return tuple(
         vertex_barycenter(spec, [v for v in vertices if v[1] & face == face])
-        for face in (sum(1 << 2 * i for i in range(t) if i not in cell.omega)
-                     for cell in cells))
+        for face in (sum(1 << 2 * i for i in range(t) if i not in omega)
+                     for omega, _ in pattern))
 
 
 def open_conic(cell: Cell) -> IntVec:
@@ -231,15 +231,17 @@ def open_conic(cell: Cell) -> IntVec:
 
 
 def cell_census(spec: ConeSpec, c) -> dict[int, int]:
-    """Number of cells per codimension."""
+    """Number of cells per codimension, read off the class pattern."""
     census: dict[int, int] = {}
-    for cell in enumerate_cells(spec, c):
-        census[cell.codim] = census.get(cell.codim, 0) + 1
+    for _, codim in require_gate(spec, c)[2]:
+        census[codim] = census.get(codim, 0) + 1
     return census
 
 
 def has_zero_cell(spec: ConeSpec, c) -> bool:
-    return any(cell.codim == spec.rank for cell in enumerate_cells(spec, c))
+    """Whether the chamber has a cell of codimension rank: the pattern's
+    last codim, since codims are at most the rank."""
+    return require_gate(spec, c)[2][-1][1] == spec.rank
 
 
 @per_cone

@@ -7,7 +7,7 @@ chamber of c: the half-open box system c_i - 1 < <x, n_i> <= c_i.  Two
 chambers give isomorphic modules exactly when their ceiling vectors
 differ by an element of the pairing lattice, the image of the lattice
 under m |-> (<m, n_i>)_i, so every chamber question has one answer per
-class, read off its representative's cells (``cells.chamber_gate``).
+class, read off its representative's cell pattern (``cells.chamber_gate``).
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def is_feasible(spec: ConeSpec, c) -> bool:
 def chamber_witness(spec: ConeSpec, c) -> RatVec | None:
     """An interior point of the chamber, or None: the barycenter of its
     closed box, the closure of its open cell."""
-    cc, _, cells = chamber_gate(spec, c)
-    if not cells:
+    cc, _, pattern = chamber_gate(spec, c)
+    if not pattern:
         return None
     return vertex_barycenter(spec, box_vertices(spec, cc))
 
@@ -113,13 +113,13 @@ def is_adjacent(spec: ConeSpec, c, cp) -> bool:
     The ceiling vectors must differ by one in exactly one coordinate i,
     and the lower one, min(a, b), must have the cell pinning i alone.
     """
-    a, _, cells_a = require_gate(spec, c)
-    b, _, cells_b = require_gate(spec, cp)
+    a, _, pattern_a = require_gate(spec, c)
+    b, _, pattern_b = require_gate(spec, cp)
     diffs = [i for i in range(len(a)) if a[i] != b[i]]
     if len(diffs) != 1 or abs(a[diffs[0]] - b[diffs[0]]) != 1:
         return False
     omega = tuple(j for j in range(len(a)) if j != diffs[0])
-    return any(cell.omega == omega for cell in (cells_a if a < b else cells_b))
+    return any(o == omega for o, _ in (pattern_a if a < b else pattern_b))
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,9 @@ def _leaves(spec: ConeSpec):
     {0, 1}^d and N_B A = D I (``ratgeom.base_inverse``), with the box
     pass's mask layout: bit 2i for the upper bound of normal i, bit
     2i + 1 for its lower bound.  The walk holds one root-to-leaf path of
-    states, and the children of a node are made one at a time.
+    states, and the children of a node are made one at a time.  When
+    every normal is in the base, each root cube is a leaf with the one
+    root mask set, and its vertices are not made.
     """
     d, t = spec.rank, len(spec.normals)
     base, det_b, cols, _ = _box_seeds(spec)
@@ -218,9 +220,13 @@ def _leaves(spec: ConeSpec):
     lattice = ratgeom.hermite_normal_form(
         [tuple(spec.normals[i][j] for i in base) for j in range(d)])
     c = [0] * t
+    root = frozenset(masks)
     for k in product(*(range(row[j]) for j, row in enumerate(lattice))):
         for i, x in zip(base, k):
             c[i] = x + 1
+        if not cuts:
+            yield tuple(c), root
+            continue
         ak = [sum(x * col[j] for x, col in zip(k, cols)) for j in range(d)]
         rays = [primitive([a + b for a, b in zip(ak, corner)] + [det_b])
                 for corner in corners]

@@ -275,8 +275,8 @@ def _parse_class(spec: ConeSpec, classes, text: str):
     if len(vec) != len(spec.normals):
         raise InputError(
             f"ceiling vector {text!r} needs {len(spec.normals)} entries")
-    _, rep, cells = chamber_gate(spec, vec)
-    if not cells:
+    _, rep, pattern = chamber_gate(spec, vec)
+    if not pattern:
         raise InputError(f"ceiling vector {text!r} is not a chamber")
     return rep
 

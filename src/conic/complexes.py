@@ -22,10 +22,9 @@ from .cells import (
     Cell,
     _preimage,
     _sign,
-    cell_pattern,
-    enumerate_cells,
     has_zero_cell,
     open_conic,
+    require_gate,
 )
 from .chambers import (
     canonical_class,
@@ -143,18 +142,19 @@ def conic_complex(spec: ConeSpec, c) -> ConicComplex:
 @per_cone
 def _complex(spec: ConeSpec, c: IntVec) -> ConicComplex:
     # conic_complex of a ceiling vector already gated, kept per chamber;
-    # the differentials are kept per cell pattern (``_differentials``)
-    cells = enumerate_cells(spec, c)
-    by_codim = tuple(
-        tuple(cell for cell in cells if cell.codim == i)
-        for i in range(cells[-1].codim + 1))
-    if len(by_codim[0]) != 1:
-        raise InternalInvariantError("chamber does not have a unique interior cell")
-    if open_conic(by_codim[0][0]) != c:
-        raise InternalInvariantError("interior open conic differs from the chamber")
-    terms = tuple(tuple(open_conic(cell) for cell in row) for row in by_codim)
-    return ConicComplex(chamber=c, terms=terms, cells=by_codim,
-                        mats=_differentials(spec, cell_pattern(cells)))
+    # the differentials are kept per cell pattern (``_differentials``),
+    # and ``cells._pattern`` has checked that the pattern has one open
+    # cell, whose open conic is the chamber
+    pattern = require_gate(spec, c)[2]
+    cells = [[] for _ in range(pattern[-1][1] + 1)]
+    terms = [[] for _ in cells]
+    for omega, codim in pattern:
+        cell = Cell(c, omega, codim)
+        cells[codim].append(cell)
+        terms[codim].append(open_conic(cell))
+    return ConicComplex(chamber=c, terms=tuple(map(tuple, terms)),
+                        cells=tuple(map(tuple, cells)),
+                        mats=_differentials(spec, pattern))
 
 
 @per_cone
@@ -224,10 +224,12 @@ def _mask_ranks(cx, mask: int) -> tuple[int, ...]:
 
 
 @per_cone
-def _slice_ranks(spec: ConeSpec, c: IntVec) -> dict[int, tuple[int, ...]]:
-    # Survival mask -> homology ranks of that slice of conic_complex(spec,
-    # c), filled by _verify.  A slice depends on the complex and the mask
-    # alone, not on the other chamber or the radius.
+def _slice_ranks(spec: ConeSpec, pattern) -> dict[int, tuple[int, ...]]:
+    # Survival mask -> homology ranks of that slice of every chamber
+    # complex with this cell pattern, filled by _verify.  A slice reads
+    # only the differentials and the row lengths, both set by the
+    # pattern, and the mask: not the chamber, the other chamber or the
+    # radius.
     return {}
 
 
@@ -260,8 +262,9 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
     ``graded_piece`` reads m only through the kept index sets, so the
     scalar complex and its homology ranks are a function of the mask;
     ``ranks_of`` maps each mask met to its ranks.  ``verify_acyclicity``
-    passes the per-cone table of the chamber complex (``_slice_ranks``),
-    so ranks carry over between other chambers and radii; the default is
+    passes the per-cone table of the chamber's cell pattern
+    (``_slice_ranks``), so ranks carry over between chambers with one
+    pattern, other chambers and radii; the default is
     a table local to the call.  The pairing map is injective, so
     h == c - cp holds exactly at the witness that ``cells._preimage``
     reads off the per-cone box seeds, which is then the one point that
@@ -342,17 +345,18 @@ def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> Acycl
     rank-one slot in degree zero at the lattice point translating cp
     onto c, when that point exists and lies inside the window.
     """
-    cc = require_chamber(spec, c)
+    cc, _, pattern = require_gate(spec, c)
     cpp = require_chamber(spec, cp)
     radius = (default_window(cc, cpp) if window is None
               else _window_radius(window))
     return _verify(spec, _complex(spec, cc), cpp, radius,
-                   _slice_ranks(spec, cc))
+                   _slice_ranks(spec, pattern))
 
 
 def pdim_simple(spec: ConeSpec, c) -> int:
-    """Projective dimension of the graded simple of a chamber: top codim."""
-    return len(conic_complex(spec, c).terms) - 1
+    """Projective dimension of the graded simple of a chamber: top codim,
+    the last of its class pattern."""
+    return require_gate(spec, c)[2][-1][1]
 
 
 def global_dimension(spec: ConeSpec) -> int:
@@ -382,8 +386,7 @@ def ext_dims(spec: ConeSpec, c, cp) -> tuple[int, ...]:
 def smith_invariants(spec: ConeSpec, c) -> tuple[tuple[int, ...], ...]:
     """Elementary divisors of each differential of a chamber complex,
     kept per cell pattern."""
-    cx = conic_complex(spec, c)
-    return _smith(spec, cell_pattern(cell for row in cx.cells for cell in row))
+    return _smith(spec, require_gate(spec, c)[2])
 
 
 @per_cone
@@ -569,14 +572,12 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
     complete = set(reps) == set(all_reps)
     if complete:
         if spec.simplicial:
-            # has_zero_cell reads only the cell pattern: one check each
-            patterns = {}
-            for rep in all_reps:
-                patterns.setdefault(cell_pattern(enumerate_cells(spec, rep)), rep)
-            bare = [rep for rep in patterns.values() if not has_zero_cell(spec, rep)]
-            if bare:
+            # has_zero_cell reads the class pattern: one lookup per class
+            bare = next(
+                (rep for rep in all_reps if not has_zero_cell(spec, rep)), None)
+            if bare is not None:
                 raise InternalInvariantError(
-                    f"simplicial cone with class {bare[0]} without a zero cell")
+                    f"simplicial cone with class {bare} without a zero cell")
             return NccrVerdict(
                 verdict="NCCR", support=reps, complete=True, witness=None,
                 reasons=("simplicial: every class has a zero cell",))

@@ -289,7 +289,10 @@ def _denominator(row) -> int:
 
 
 def _integral(row) -> list[int]:
-    """The row scaled by its least common denominator, a positive integer."""
+    """The row scaled by its least common denominator, a positive integer;
+    a row of ints is its own scaling, and is only copied."""
+    if all(type(x) is int for x in row):
+        return list(row)
     den = _denominator(row)
     return [x.numerator * (den // x.denominator) for x in row]
 
@@ -299,7 +302,7 @@ def echelon(rows: Sequence[Sequence],
     """Fraction-free row echelon form of a rational matrix (Bareiss, 1968).
 
     Each row is first scaled by the least common denominator of its
-    entries.  The scale is a positive integer, so the rank, the pivot
+    entries, which is 1 for a row of ints.  The scale is a positive integer, so the rank, the pivot
     columns, the solution set and the sign of the determinant are kept.
     Pivots are sought only in the first ncols columns; further columns,
     such as an augmented right-hand side, ride along.
@@ -374,6 +377,8 @@ def det(rows: Sequence[Sequence]):
     if len(pivots) < n:
         return 0
     value = sign * ech[-1][-1] if n else 1
+    if all(type(x) is int for r in rows for x in r):
+        return value
     den = math.prod(_denominator(r) for r in rows)
     return value if den == 1 else Fraction(value, den)
 

@@ -2,12 +2,13 @@
 
 ``enumerate_classes`` below is the search as it stood before
 ``conic.chambers.enumerate_classes`` cut the base parallelepipeds.  It
-reads cells through the engine's chamber gate, so on a cone whose
-classes were already enumerated it reads the cells the walk handed off;
+reads cell patterns, the (omega, codim) of each cell, through the
+engine's chamber gate, so on a cone whose classes were already
+enumerated it reads the patterns the walk handed off;
 give it a freshly built cone to have every class take its own box pass.
 """
 
-from conic.cells import chamber_cells, chamber_gate
+from conic.cells import chamber_gate, class_pattern
 from conic.chambers import canonical_class
 
 
@@ -36,9 +37,9 @@ def enumerate_classes(spec):
     seen = {start}
     queue = [start]
     for cur in queue:
-        cells = chamber_cells(spec, cur)
+        pattern = class_pattern(spec, cur)
         for i in range(t):
-            if all(i in cell.omega for cell in cells):
+            if all(i in omega for omega, _ in pattern):
                 continue
             rep = chamber_gate(
                 spec, tuple(x + (j == i) for j, x in enumerate(cur)))[1]

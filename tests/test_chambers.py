@@ -29,7 +29,7 @@ from conic import (
     translation_lattice,
     verify_acyclicity,
 )
-from conic.cells import chamber_cells
+from conic.cells import class_pattern
 from conic.chambers import nhat, pairings, require_chamber
 from conic.errors import InputError
 from conic.ratgeom import add, dot, feasible, sub
@@ -70,7 +70,7 @@ def test_chamber_witness_caches_only_representatives(square):
     reps = [(0, 0, 0, -1), (3, 0, 0, 0)]
     for c in reps:
         chamber_witness(square, c)
-    stored = square._store[chamber_cells]
+    stored = square._store[class_pattern]
     size = len(stored)
     chamber, other = (add(c, nhat(square, (1, 2, 3))) for c in reps)
     assert chamber_of(square, chamber_witness(square, chamber)) == chamber

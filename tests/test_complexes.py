@@ -376,8 +376,9 @@ def test_nccr_complete_verdicts(quadric, square, cyclic, orthant3):
 
 def test_nccr_complete_verdict_checks_zero_cells(
         quadric, cyclic, square, monkeypatch):
-    # a simplicial cone's classes all have a zero cell, checked once per
-    # cell pattern, and a non-simplicial cone's witness has none
+    # a simplicial cone's classes all have a zero cell, checked class by
+    # class up to the first without one, and a non-simplicial cone's
+    # witness has none
     asked = []
     monkeypatch.setattr(complexes, "has_zero_cell",
                         lambda spec, c: asked.append(c) or False)

@@ -12,7 +12,7 @@ polynomial (``tutte_count``), which uses no chamber at all.
 import pytest
 
 from conic import chambers, complexes, from_normals, from_primal_rays
-from conic.cells import _lattice_pivots, box_vertices, chamber_cells
+from conic.cells import _lattice_pivots, box_vertices, class_pattern
 from conic.errors import InternalInvariantError
 from conic.ratgeom import reduce_by_pivots
 
@@ -70,7 +70,7 @@ def test_walk_matches_bfs_oracle(request):
         walked, searched = _fresh(spec), _fresh(spec)
         reps = chambers.enumerate_classes(walked).reps
         assert reps == bfs_oracle.enumerate_classes(searched), name
-        assert walked._store[chamber_cells] == searched._store[chamber_cells], name
+        assert walked._store[class_pattern] == searched._store[class_pattern], name
 
 
 def test_class_count_matches_tutte_formula(request):
@@ -99,11 +99,11 @@ def test_leaf_masks_match_box_pass_and_dd_oracle(request, name):
 
 
 def test_cells_asked_before_the_walk_are_kept(square):
-    # a representative's own box pass stays in the cell table
+    # a representative's own box pass stays in the pattern table
     fresh = _fresh(square)
-    early = chamber_cells(fresh, (0, 0, 0, 1))
+    early = class_pattern(fresh, (0, 0, 0, 1))
     chambers.enumerate_classes(fresh)
-    assert chamber_cells(fresh, (0, 0, 0, 1)) is early
+    assert class_pattern(fresh, (0, 0, 0, 1)) is early
 
 
 def test_repeated_leaf_is_an_internal_error(square, monkeypatch):
@@ -115,8 +115,9 @@ def test_repeated_leaf_is_an_internal_error(square, monkeypatch):
 
 @pytest.mark.parametrize("r,a", [(3, 2), (7, 3), (12, 5), (30, 11)])
 def test_cyclic_classes_share_one_pattern(r, a, monkeypatch):
-    # 1/r(1, a) is r uncut root cubes, all with one cell pattern: one
-    # differential, checked once, for every class
+    # 1/r(1, a) is r uncut root cubes, all with one cell pattern, held
+    # as one object: one differential, checked once, and one rank table
+    # for every class
     checked = []
     check = complexes._check_d2
     monkeypatch.setattr(complexes, "_check_d2",
@@ -124,6 +125,9 @@ def test_cyclic_classes_share_one_pattern(r, a, monkeypatch):
     spec = from_normals(2, [(0, 1), (r, -a)])
     reps = chambers.enumerate_classes(spec).reps
     assert len(reps) == r
+    assert len({id(class_pattern(spec, rep)) for rep in reps}) == 1
+    assert len({id(complexes._slice_ranks(spec, class_pattern(spec, rep)))
+                for rep in reps}) == 1
     mats = {id(complexes.conic_complex(spec, rep).mats) for rep in reps}
     assert len(mats) == 1 and len(checked) == 1
     assert len(spec._store[complexes._differentials]) == 1
