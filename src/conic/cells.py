@@ -6,11 +6,12 @@ ceiling, pairings inside Omega stay in the open strip.  The codimension
 of a cell is the rank of its pinned normals, read off the orientation
 frame of its direction space, which is kept once per cone and Omega.
 Cells of consecutive codimension with nested Omega are facet pairs, and
-each pair carries an incidence sign read from exact orientation frames
-alone.  The sign depends on the two Omegas and not on the chamber, so
-each cone keeps one sign table keyed on the pair of Omegas, filled on
-first use.  Interior points of cells are computed only on demand
-(``cell_witnesses``).
+each pair carries an incidence sign, a parity read off the outer cell's
+exact orientation frame alone (``incidence_sign`` has the proof that it
+is the frames' determinant sign).  The sign depends on the two Omegas
+and not on the chamber, so each cone keeps one sign table keyed on the
+pair of Omegas, filled on first use.  Interior points of cells are
+computed only on demand (``cell_witnesses``).
 
 Lattice translation keeps cells, so they are kept once per class:
 ``chamber_gate`` checks every ceiling vector, reduces it by the pivots of
@@ -230,12 +231,17 @@ def open_conic(cell: Cell) -> IntVec:
         c if i in cell.omega else c + 1 for i, c in enumerate(cell.chamber))
 
 
-def cell_census(spec: ConeSpec, c) -> dict[int, int]:
-    """Number of cells per codimension, read off the class pattern."""
+def pattern_census(pattern: Pattern) -> dict[int, int]:
+    """Number of cells per codimension of a cell pattern."""
     census: dict[int, int] = {}
-    for _, codim in require_gate(spec, c)[2]:
+    for _, codim in pattern:
         census[codim] = census.get(codim, 0) + 1
     return census
+
+
+def cell_census(spec: ConeSpec, c) -> dict[int, int]:
+    """Number of cells per codimension, read off the class pattern."""
+    return pattern_census(require_gate(spec, c)[2])
 
 
 def has_zero_cell(spec: ConeSpec, c) -> bool:
@@ -263,7 +269,8 @@ def is_facet_pair(spec: ConeSpec, inner: Cell, outer: Cell) -> bool:
 
 
 def incidence_sign(spec: ConeSpec, inner: Cell, outer: Cell) -> int:
-    """Sign of a facet pair: +1 or -1, from orientation frames alone.
+    """Sign of a facet pair: +1 or -1, a parity read off the outer
+    orientation frame.
 
     Take i strip on the outer cell and pinned on the inner one, and an
     outer frame vector v with <v, n_i> != 0: the sign is that of
@@ -273,6 +280,26 @@ def incidence_sign(spec: ConeSpec, inner: Cell, outer: Cell) -> int:
     vector u from a point of the outer cell to one of the inner cell has
     <u, n_i> > 0, so this is the sign of det([u; frame(inner)]) against
     frame(outer), a positive diagonal on its free columns.
+
+    With v the first such vector, at position p of the outer frame, the
+    sign is (-1)^p times the sign of <v, n_i>, and no determinant is
+    needed:
+
+    - RREF pivots depend only on the row space.  The inner cell's pinned
+      rows span the outer cell's pinned rows plus n_i: the codim goes up
+      by one, and n_i is not in the outer row space, for then it would
+      vanish on every outer frame vector and no v would exist ("degenerate
+      orientation frames").
+    - Reduce n_i against the outer RREF rows to n'.  At each free column
+      f, n'[f] is <v_f, n_i> times a positive factor, v_f the frame
+      vector of f, because each frame vector is positive at its own free
+      column.  So the inner pivots are the outer pivots plus the first
+      free column whose frame vector pairs nonzero with n_i: v's.
+    - So the inner free columns are the outer ones minus v's, and on
+      them frame(inner) is a positive diagonal.
+    - Expand det([v; frame(inner)]) on the outer free columns along v's
+      row.  That row has one nonzero entry, positive, at position p, so
+      the determinant is (-1)^p times a positive number.
 
     The sign reads only the two omegas and the cone, never the chamber,
     so it is kept in one table per cone keyed on (inner.omega,
@@ -285,15 +312,11 @@ def incidence_sign(spec: ConeSpec, inner: Cell, outer: Cell) -> int:
 
 @per_cone
 def _sign(spec: ConeSpec, inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
+    # (-1)^p sign(<v, n>) for the first outer frame vector v, at position
+    # p, that pairs nonzero with the normal n the inner cell pins
     n = spec.normals[next(i for i in outer if i not in inner)]
-    fo = _frame(spec, outer)
-    v = next((v for v in fo if dot(v, n) != 0), None)
-    # An RREF kernel vector is zero after its own free column, so each
-    # frame vector's last nonzero entry names that column.
-    cols = [max(j for j, x in enumerate(w) if x != 0) for w in fo]
-    fi = _frame(spec, inner)
-    sign = 0 if v is None else (
-        ratgeom.det([[w[j] for j in cols] for w in (v,) + fi]) * dot(v, n))
-    if sign == 0:
-        raise InternalInvariantError("degenerate orientation frames")
-    return 1 if sign > 0 else -1
+    for p, v in enumerate(_frame(spec, outer)):
+        s = dot(v, n)
+        if s:
+            return 1 if (s > 0) == (p % 2 == 0) else -1
+    raise InternalInvariantError("degenerate orientation frames")

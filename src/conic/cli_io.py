@@ -15,16 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .cells import (cell_census, cell_witnesses, chamber_gate, enumerate_cells,
-                    has_zero_cell, open_conic)
+from .cells import (cell_census, cell_witnesses, chamber_gate, class_pattern,
+                    enumerate_cells, open_conic, pattern_census)
 from .chambers import canonical_class, degree, enumerate_classes
 from .complexes import (
+    _smith,
     conic_complex,
     global_dimension,
     nccr_verdict,
-    pdim_simple,
     resolution,
-    smith_invariants,
     verify_acyclicity,
 )
 from .cone import (
@@ -141,22 +140,27 @@ def analyze(spec: ConeSpec, options: AnalyzeOptions = AnalyzeOptions()) -> dict:
     classes = enumerate_classes(spec)
     warnings = []
     class_rows = []
+    nontrivial = []
     for rep in classes.reps:
-        census = cell_census(spec, rep)
+        # The representatives are chambers, so each class's answers are
+        # read off its pattern with no gate: the census, pdim (the last
+        # codim), a zero cell (last codim == rank) and the Smith forms.
+        pattern = class_pattern(spec, rep)
+        census = pattern_census(pattern)
+        label = classes.label_of(rep)
+        top = pattern[-1][1]
         class_rows.append({
-            "label": classes.label_of(rep),
+            "label": label,
             "ceiling": list(rep),
             "degree": degree(rep),
             "cell_census": {str(k): v for k, v in sorted(census.items())},
-            "pdim": pdim_simple(spec, rep),
-            "has_zero_cell": has_zero_cell(spec, rep),
+            "pdim": top,
+            "has_zero_cell": top == spec.rank,
         })
-    nontrivial = []
-    for rep in classes.reps:
-        for k, invs in enumerate(smith_invariants(spec, rep)):
+        for k, invs in enumerate(_smith(spec, pattern)):
             if any(x != 1 for x in invs):
                 nontrivial.append({
-                    "class": classes.label_of(rep),
+                    "class": label,
                     "degree": k,
                     "invariants": list(invs),
                 })

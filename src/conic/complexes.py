@@ -22,6 +22,7 @@ from .cells import (
     Cell,
     _preimage,
     _sign,
+    class_pattern,
     has_zero_cell,
     open_conic,
     require_gate,
@@ -361,8 +362,9 @@ def pdim_simple(spec: ConeSpec, c) -> int:
 
 def global_dimension(spec: ConeSpec) -> int:
     """Maximum projective dimension over all classes; must equal the rank."""
-    classes = enumerate_classes(spec)
-    top = max(pdim_simple(spec, rep) for rep in classes.reps)
+    # one pattern lookup per class: pdim is the pattern's last codim
+    top = max(class_pattern(spec, rep)[-1][1]
+              for rep in enumerate_classes(spec).reps)
     if top != spec.rank:
         raise InternalInvariantError(
             f"global dimension {top} differs from rank {spec.rank}")
@@ -571,10 +573,13 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
         reps = _canonical_support(spec, support)
     complete = set(reps) == set(all_reps)
     if complete:
+        # The pattern's last codim is the class's pdim, and it has a zero
+        # cell iff that is the rank: one pattern lookup per class.
+        tops = (class_pattern(spec, rep)[-1][1] for rep in all_reps)
         if spec.simplicial:
-            # has_zero_cell reads the class pattern: one lookup per class
             bare = next(
-                (rep for rep in all_reps if not has_zero_cell(spec, rep)), None)
+                (rep for rep, top in zip(all_reps, tops) if top != spec.rank),
+                None)
             if bare is not None:
                 raise InternalInvariantError(
                     f"simplicial cone with class {bare} without a zero cell")
@@ -582,8 +587,7 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
                 verdict="NCCR", support=reps, complete=True, witness=None,
                 reasons=("simplicial: every class has a zero cell",))
         witness = next(
-            (rep for rep in all_reps
-             if pdim_simple(spec, rep) < spec.rank), None)
+            (rep for rep, top in zip(all_reps, tops) if top < spec.rank), None)
         if witness is None:
             raise InternalInvariantError(
                 "non-simplicial cone with all resolutions of full length")

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .chambers import canonical_class, chamber_witness, enumerate_classes
+from .cells import _lattice_pivots, require_gate
+from .chambers import chamber_witness, enumerate_classes
 from .cone import ConeSpec
 from .errors import InputError, UnsupportedOperationError
-from .ratgeom import IntVec, dot
+from .ratgeom import IntVec, dot, reduce_by_pivots
 
 SEARCH_CAP = 64
 # The most residues ``decompose_root`` lists: every q up to SEARCH_CAP at
@@ -54,7 +55,11 @@ class DModuleReport:
 def _residue_classes(spec: ConeSpec, q: int, memo: dict):
     """The class of the chamber of each residue of the q-th root, in
     product order.  memo maps ceiling vector to class; the residues of
-    one q, and of every q a search tries, share few ceiling vectors."""
+    one q, and of every q a search tries, share few ceiling vectors.
+    Being a chamber is a property of the class, so a new vector is only
+    reduced, and gated when its class is new to the memo (a
+    representative is its own class)."""
+    pivots = _lattice_pivots(spec)
     lasts = [n[-1] for n in spec.normals]
     for head in product(range(q), repeat=spec.rank - 1):
         # <v, n> for v = head + (x,), and ceil(<-v/q, n>) = -floor(<v, n>/q)
@@ -63,7 +68,10 @@ def _residue_classes(spec: ConeSpec, q: int, memo: dict):
             c = tuple(-((h + x * m) // q) for h, m in zip(heads, lasts))
             rep = memo.get(c)
             if rep is None:
-                rep = memo[c] = canonical_class(spec, c)
+                rep = reduce_by_pivots(c, pivots)
+                if rep not in memo:
+                    memo[rep] = require_gate(spec, c)[1]
+                memo[c] = rep
             yield rep
 
 

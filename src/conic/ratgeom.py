@@ -8,10 +8,10 @@ constraint is strict exactly when one of its parents is.  For rational data
 this decides feasibility over the reals, and back-substitution through the
 elimination levels produces an exact rational witness point; the tests
 use it as the exact reference, and nothing in the package calls it.
-Ranks, determinants, linear solves, kernels and the inverse of a greedy
-base of rows (``base_inverse``) all read from one fraction-free (Bareiss)
-elimination, ``echelon``, and one integer back-substitution.  That inverse
-seeds every double-description pass and gives every lattice preimage
+Ranks, linear solves, kernels and the inverse of a greedy base of rows
+(``base_inverse``) all read from one fraction-free (Bareiss) elimination,
+``echelon``, and one integer back-substitution.  That inverse seeds every
+double-description pass and gives every lattice preimage
 (``lattice_witness``).  Smith normal form alternates Hermite forms of the
 rows and of the columns.
 """
@@ -363,24 +363,6 @@ def rank(rows: Sequence[Sequence]) -> int:
 def qrank(rows) -> int:
     """Same as rank; the name stays because the benchmark tracer wraps it."""
     return rank(rows)
-
-
-def det(rows: Sequence[Sequence]):
-    """Exact determinant of a square matrix with int or Fraction entries.
-
-    The result is an int when every entry is an integer.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InputError("determinant of a non-square matrix")
-    ech, pivots, sign = echelon(rows, n)
-    if len(pivots) < n:
-        return 0
-    value = sign * ech[-1][-1] if n else 1
-    if all(type(x) is int for r in rows for x in r):
-        return value
-    den = math.prod(_denominator(r) for r in rows)
-    return value if den == 1 else Fraction(value, den)
 
 
 def linear_solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optional[RatVec]:

@@ -14,10 +14,10 @@ import json
 import math
 from fractions import Fraction
 
-from .chambers import canonical_class
+from .cells import _lattice_pivots, require_gate
 from .cone import ConeSpec
 from .errors import InputError, UnsupportedOperationError
-from .ratgeom import IntVec
+from .ratgeom import IntVec, reduce_by_pivots
 
 # Most lattice points plus chamber pieces a window may ask ``render_svg_2d``
 # to draw; 10^6 admits the quadric's window of side 200 (about 6.9e5).
@@ -226,12 +226,15 @@ def render_svg_2d(spec: ConeSpec, window) -> str:
     # The pieces of drawn_chambers, printed from their (X, Y, W)
     # vertices: int true division rounds X / W as float(Fraction) does.
     # An inner vertex bounds up to four pieces and a class colors many,
-    # so each is formatted once per call.
+    # so each is formatted once per call.  Being a chamber is a property
+    # of the class, so only the first piece of each class is gated.
     points = {}
     colors = {}
+    pivots = _lattice_pivots(spec)
     for c, poly in _strip_pieces(spec, list(_window_corners(window))):
-        rep = canonical_class(spec, c)
+        rep = reduce_by_pivots(c, pivots)
         if rep not in colors:
+            require_gate(spec, c)
             colors[rep] = _class_color(rep)
         for v in poly:
             if v not in points:

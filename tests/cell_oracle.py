@@ -6,15 +6,59 @@ omega.  The oracle asks Fourier-Motzkin whether each of the 2^t systems
 has a point, with no pruning, so it shares nothing with the vertex and
 face reading of ``conic.cells`` and is only fit for small t.  The
 incidence sign is read the same way, from a Fourier-Motzkin point of
-each cell of a facet pair.
+each cell of a facet pair, and again as the determinant of the two
+orientation frames (``frame_det_sign``), against which the parity of
+``conic.cells.incidence_sign`` is checked.
 """
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from conic.cells import _frame, ceiling_vector
+from conic.errors import InputError, InternalInvariantError
 from conic.ratgeom import (
-    EQ, LE, LT, det, dot, feasible, rank, solve, sub, system)
+    EQ, LE, LT, dot, echelon, feasible, rank, solve, sub, system)
+
+
+def det(rows):
+    """Exact determinant of a square matrix with int or Fraction entries,
+    from one ``echelon``.
+
+    The result is an int when every entry is an integer.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InputError("determinant of a non-square matrix")
+    ech, pivots, sign = echelon(rows, n)
+    if len(pivots) < n:
+        return 0
+    value = sign * ech[-1][-1] if n else 1
+    if all(type(x) is int for r in rows for x in r):
+        return value
+    # echelon scales each row by its least common denominator
+    den = math.prod(math.lcm(*(x.denominator for x in r)) for r in rows)
+    return value if den == 1 else Fraction(value, den)
+
+
+def frame_det_sign(spec, inner, outer):
+    """Incidence sign of the facet pair of strip sets inner < outer as the
+    sign of det([v; frame(inner)]) on the outer frame's free columns times
+    that of <v, n>, for the normal n that inner pins and outer leaves as a
+    strip and the first outer frame vector v with <v, n> != 0."""
+    n = spec.normals[next(i for i in outer if i not in inner)]
+    fo = _frame(spec, outer)
+    v = next((v for v in fo if dot(v, n) != 0), None)
+    # An RREF kernel vector is zero after its own free column, so each
+    # frame vector's last nonzero entry names that column.
+    cols = [max(j for j, x in enumerate(w) if x != 0) for w in fo]
+    fi = _frame(spec, inner)
+    sign = 0 if v is None else (
+        det([[w[j] for j in cols] for w in (v,) + fi]) * dot(v, n))
+    if sign == 0:
+        raise InternalInvariantError("degenerate orientation frames")
+    return 1 if sign > 0 else -1
 
 
 def region_system(spec, c, eq=(), open_=()):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,7 @@ from conic import (
     open_conic,
 )
 from conic import cells as cells_module, complexes
-from conic.cells import _frame, cell_witnesses
+from conic.cells import Cell, _frame, cell_witnesses, class_pattern
 from conic.cli_io import analyze
 from conic.complexes import conic_complex
 from conic.chambers import (
@@ -22,7 +23,8 @@ from conic.chambers import (
 from conic.errors import InputError
 from conic.ratgeom import add, dot, rank
 
-from cell_oracle import oracle_cells, oracle_sign
+from cell_oracle import frame_det_sign, oracle_cells, oracle_sign
+from test_walk import _cones
 
 
 def test_censuses(quadric, square, cyclic, orthant3):
@@ -134,6 +136,34 @@ def test_incidence_sign_matches_witness_oracle(request, name):
                 if is_facet_pair(spec, inner, outer):
                     assert (incidence_sign(spec, inner, outer)
                             == oracle_sign(spec, inner, outer)), (rep, inner, outer)
+
+
+def _cyclic_quotients():
+    # every 1/r(1, a) with r < 40
+    return {f"1/{r}(1,{a})": from_normals(2, [(0, 1), (r, -a)])
+            for r in range(2, 40) for a in range(1, r) if math.gcd(a, r) == 1}
+
+
+def test_incidence_sign_matches_frame_determinant(request):
+    # the parity against the determinant of the two orientation frames it
+    # replaced, on every facet pair of every cell pattern of the fixtures,
+    # both censuses, the reflexive polygons, cones A and B and the cyclic
+    # quotients
+    cones = _cones(request) | _cyclic_quotients()
+    for name, spec in cones.items():
+        reps = enumerate_classes(spec).reps
+        patterns = {class_pattern(spec, rep): rep for rep in reps}
+        pairs = 0
+        for pattern, rep in patterns.items():
+            cells = [Cell(rep, omega, codim) for omega, codim in pattern]
+            for outer in cells:
+                for inner in cells:
+                    if is_facet_pair(spec, inner, outer):
+                        pairs += 1
+                        assert (incidence_sign(spec, inner, outer)
+                                == frame_det_sign(spec, inner.omega, outer.omega)), (
+                            name, inner.omega, outer.omega)
+        assert pairs, name
 
 
 def test_sign_table_holds_one_entry_per_omega_pair(monkeypatch):

@@ -376,16 +376,19 @@ def test_nccr_complete_verdicts(quadric, square, cyclic, orthant3):
 
 def test_nccr_complete_verdict_checks_zero_cells(
         quadric, cyclic, square, monkeypatch):
-    # a simplicial cone's classes all have a zero cell, checked class by
-    # class up to the first without one, and a non-simplicial cone's
-    # witness has none
+    # a simplicial cone's classes all have a zero cell, read off each
+    # class's pattern up to the first without one, and a non-simplicial
+    # cone's witness has none
     asked = []
-    monkeypatch.setattr(complexes, "has_zero_cell",
-                        lambda spec, c: asked.append(c) or False)
+    real = complexes.class_pattern
+    # the open cell alone: a pattern whose last codim is not the rank
+    monkeypatch.setattr(complexes, "class_pattern",
+                        lambda spec, c: asked.append(c) or real(spec, c)[:1])
     fresh = from_normals(cyclic.rank, cyclic.normals)
     with pytest.raises(InternalInvariantError, match="without a zero cell"):
         nccr_verdict(fresh)
     assert len(asked) == 1
+    monkeypatch.setattr(complexes, "class_pattern", real)
     monkeypatch.setattr(complexes, "has_zero_cell", lambda spec, c: True)
     assert nccr_verdict(from_normals(quadric.rank, quadric.normals)).reasons == (
         "simplicial: every class has a zero cell",)

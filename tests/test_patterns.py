@@ -12,13 +12,15 @@ wrong on purpose.
 """
 
 import hashlib
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
 from conic import (
     cell_census,
     cells,
+    chambers,
+    cli_io,
     complexes,
     conic_complex,
     enumerate_classes,
@@ -35,6 +37,7 @@ from conic.errors import InternalInvariantError
 from conic.ratgeom import smith_normal_form
 
 from acyclicity_oracle import oracle_verify
+from test_cli import CONE_A
 from test_cone import FIXTURES
 from test_walk import _cones, _fresh
 
@@ -73,6 +76,28 @@ def test_plain_analyze_builds_no_complex(request, name):
     fresh = _fresh(request.getfixturevalue(name))
     analyze(fresh)
     assert not fresh._store.get(complexes._complex)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("cone_a",))
+def test_plain_analyze_gates_each_class_at_most_once(request, name, monkeypatch):
+    # the representatives are chambers, so analyze reads each class's
+    # pattern straight from the table and gates no class twice
+    spec = (from_normals(*CONE_A) if name == "cone_a"
+            else _fresh(request.getfixturevalue(name)))
+    real = cells.chamber_gate
+    gated = []
+
+    def counted(spec, c):
+        gate = real(spec, c)
+        gated.append(gate[1])
+        return gate
+
+    for module in (cells, chambers, cli_io):
+        monkeypatch.setattr(module, "chamber_gate", counted)
+    analyze(spec)
+    reps = enumerate_classes(spec).reps
+    assert len(gated) <= len(reps)
+    assert max(Counter(gated).values(), default=0) <= 1
 
 
 def _with_face_cell(monkeypatch, change):

@@ -14,7 +14,6 @@ from conic.ratgeom import (
     LE,
     LT,
     base_inverse,
-    det,
     dot,
     feasible,
     functional_kernel_basis,
@@ -34,6 +33,7 @@ from conic.ratgeom import (
 )
 
 import lattice_oracle as oracle
+from cell_oracle import det
 
 ints = st.integers(min_value=-30, max_value=30)
 rats = ints | st.fractions(min_value=-30, max_value=30, max_denominator=6)
