@@ -17,23 +17,26 @@ Lattice translation keeps cells, so they are kept once per class:
 ``chamber_gate`` checks every ceiling vector, reduces it by the pivots of
 the pairing lattice's HNF (``_lattice_pivots``) and reads the cell
 pattern of the representative, the (omega, codim) of its cells.  Both
-pairing-lattice tables live here.  The cells read only the tight
-masks of the chamber's box vertices, so the face closure is kept once
-per mask set (``_pattern``), and every class with that mask set keeps
-the same pattern object (``class_pattern``), fed either by a box pass
-or by a leaf of the class walk (``hand_off``).  ``Cell`` objects are
-made only where a caller asks for them.
+pairing-lattice tables live here, and so do the base cube and slab cut
+that build both one chamber's box (``box_vertices``) and every box of
+the class walk.  The cells read only the tight masks of the box
+vertices, so the face closure is kept once per mask set (``_pattern``),
+and every class with that mask set keeps the same pattern object
+(``class_pattern``), fed by a leaf of the walk (``hand_off``) or by the
+representative's own box.  ``Cell`` objects are made only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 from . import ratgeom
-from .cone import ConeSpec, _dd_from_seeds, per_cone
+from .cone import ConeSpec, _dd_add_row, per_cone
 from .errors import InputError, InternalInvariantError
-from .ratgeom import IntVec, RatVec, dot, intvec, neg, primitive
+from .ratgeom import IntVec, RatVec, dot, intvec, primitive
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,45 +82,62 @@ def require_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, Pattern]:
 
 
 def box_vertices(spec: ConeSpec, c: IntVec) -> tuple[tuple[IntVec, int], ...]:
-    """Vertices of the closed box c_i - 1 <= <x, n_i> <= c_i as (ray, tight).
-
-    The vertex is ray[:d] / ray[d] for an extreme ray of the homogenised
-    cone s >= 0, <x, n_i> <= c_i s, <x, n_i> >= (c_i - 1) s, and tight
-    is the int bitmask of its tight bounds: bit 2i is the upper bound
-    of normal i, bit 2i + 1 its lower bound.  The pass starts from seeds
-    kept once per cone (``_box_seeds``): only the seed of s >= 0 depends
-    on c, so a chamber's pass makes no elimination.
-    """
+    """Vertices of the closed box c_i - 1 <= <x, n_i> <= c_i as (ray, tight),
+    sorted by ray: the vertex is ray[:d] / ray[d], ray primitive, and tight
+    is the int bitmask of its tight bounds, bit 2i the upper bound of
+    normal i and bit 2i + 1 its lower bound.  The box is one path of the
+    class walk (``chambers._leaves``): the root cube at k = c_B - 1
+    (``_cube``), cut to the slab at level c_i of each non-base normal i
+    in index order (``_slab``)."""
     d = spec.rank
-    base, det_b, cols, seeds = _box_seeds(spec)
-    bounds = [(0,) * d + (1,)]
-    for n, ci in zip(spec.normals, c):
-        bounds += [neg(n) + (ci,), n + (1 - ci,)]
-    top = primitive(tuple(sum(c[i] * col[k] for i, col in zip(base, cols))
-                          for k in range(d)) + (det_b,))
-    # Row 0 of the pass is s >= 0, so row k + 1 is bound k.
-    return tuple((ray, tight >> 1) for ray, tight in _dd_from_seeds(
-        tuple(bounds), d + 1, (0,) + tuple(2 * i + 1 for i in base),
-        (top,) + seeds))
+    base = _base_cube(spec)[0]
+    rays, masks = _cube(spec, [c[i] - 1 for i in base])
+    for i, n in enumerate(spec.normals):
+        if i not in base:
+            vals = [(sum(map(mul, ray, n)), ray[d]) for ray in rays]
+            rays, masks = _slab(rays, masks, vals, i, n, c[i], d)
+    return tuple(sorted(zip(rays, masks)))
 
 
 @per_cone
-def _box_seeds(spec: ConeSpec):
-    # The greedy base of the box rows is row 0 (s >= 0) and the rows
-    # (-n_i, c_i) for the greedy base B of the normals, whatever c is:
-    # (n_i, 1 - c_i) is row 0 minus (-n_i, c_i).  With N_B A = D I
-    # (``ratgeom.base_inverse``) the seed of row 0 is (A c_B, D) and that
-    # of row (-n_j, c_j) is (-A e_j, 0), both made primitive.  Kept per
-    # cone: (B, D, the columns of A, the seeds of the rows of B).
-    base, det_b, cols = ratgeom.base_inverse(spec.normals, spec.rank)
-    return (base, det_b, cols,
-            tuple(primitive(neg(col) + (0,)) for col in cols))
+def _base_cube(spec: ConeSpec):
+    # (B, D, the columns of A, corners, masks) for the greedy base B of
+    # the normals and N_B A = D I (``ratgeom.base_inverse``): for each eps
+    # in {0, 1}^d the corner A eps and the tight mask of the cube vertex
+    # eps, bit 2i (upper bound of i) where eps is 1, bit 2i + 1 where 0.
+    d = spec.rank
+    base, det_b, cols = ratgeom.base_inverse(spec.normals, d)
+    cube = list(product((0, 1), repeat=d))
+    corners = [[sum(col[j] for e, col in zip(eps, cols) if e) for j in range(d)]
+               for eps in cube]
+    masks = [sum(1 << 2 * i + 1 - e for i, e in zip(base, eps)) for eps in cube]
+    return base, det_b, cols, corners, masks
+
+
+def _cube(spec: ConeSpec, k) -> tuple[list, list]:
+    """The rays and tight masks of the root cube k_j <= <x, n_B_j> <= k_j + 1:
+    its vertices are (A(k + eps), D) made primitive (``_base_cube``)."""
+    _, det_b, cols, corners, masks = _base_cube(spec)
+    ak = [sum(x * col[j] for x, col in zip(k, cols)) for j in range(spec.rank)]
+    return [primitive([a + b for a, b in zip(ak, corner)] + [det_b])
+            for corner in corners], masks
+
+
+def _slab(rays, masks, vals, i, n, v, d) -> tuple[list, list]:
+    """The rays and tight masks of a closed piece cut to the slab
+    v - 1 <= <x, n> <= v of normal i, vals holding each ray's (<ray, n>,
+    ray[d]): two ``cone._dd_add_row`` steps, the upper bound first."""
+    rays, masks = _dd_add_row(
+        rays, masks, [v * w - p for p, w in vals], 1 << 2 * i, d + 1)
+    return _dd_add_row(
+        rays, masks, [sum(map(mul, ray, n)) + (1 - v) * ray[d] for ray in rays],
+        2 << 2 * i, d + 1)
 
 
 def _preimage(spec: ConeSpec, h: IntVec) -> IntVec | None:
     """The lattice point m with ``nhat(spec, m) == h``, or None, read off
-    the inverse kept with the box seeds (``ratgeom.lattice_witness``)."""
-    return ratgeom.lattice_witness(spec.normals, _box_seeds(spec)[:3], h)
+    the inverse kept with the base cube (``ratgeom.lattice_witness``)."""
+    return ratgeom.lattice_witness(spec.normals, _base_cube(spec)[:3], h)
 
 
 @per_cone
@@ -146,7 +166,7 @@ def class_pattern(spec: ConeSpec, c: IntVec) -> Pattern:
     omega), so the open cell comes first.  _NoCells if c is not a
     chamber, so that the table holds class representatives only.  The
     class walk (``hand_off``) fills the table for every class; a
-    representative asked for before it gets its own box pass."""
+    representative asked for before it reads its own box."""
     pattern = _pattern(spec, frozenset(tight for _, tight in box_vertices(spec, c)))
     if not pattern:
         raise _NoCells(c)

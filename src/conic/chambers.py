@@ -20,18 +20,20 @@ from operator import mul
 
 from . import ratgeom
 from .cells import (
-    _box_seeds,
+    _base_cube,
+    _cube,
     _lattice_pivots,
     _preimage,
+    _slab,
     box_vertices,
     chamber_gate,
     hand_off,
     require_gate,
     vertex_barycenter,
 )
-from .cone import ConeSpec, _dd_add_row, per_cone
+from .cone import ConeSpec, per_cone
 from .errors import InputError, InternalInvariantError
-from .ratgeom import IntVec, RatVec, dot, intvec, primitive, sub
+from .ratgeom import IntVec, RatVec, dot, intvec, sub
 
 
 def pairings(spec: ConeSpec, point) -> RatVec:
@@ -153,7 +155,7 @@ def enumerate_classes(spec: ConeSpec) -> ClassList:
     """All isomorphism classes, one per leaf of a cut of the base
     parallelepipeds (``_leaves``).
 
-    Let B be the greedy base of the normals (``cells._box_seeds``) and
+    Let B be the greedy base of the normals (``cells._base_cube``) and
     D = |det N_B|.  The base normals alone cut R^d / Z^d into exactly D
     open parallelepipeds: in the coordinates y = N_B x they are the cubes
     k + (0, 1)^d, one per coset k of Z^d / N_B Z^d, and the cosets are
@@ -202,20 +204,15 @@ def _leaves(spec: ConeSpec):
     """(ceiling vector, frozenset of its box vertices' tight masks) for
     the one chamber of each class inside a root cube.
 
-    A root's vertices are (A(k + eps), D) made primitive, for eps in
-    {0, 1}^d and N_B A = D I (``ratgeom.base_inverse``), with the box
-    pass's mask layout: bit 2i for the upper bound of normal i, bit
-    2i + 1 for its lower bound.  The walk holds one root-to-leaf path of
+    A root is ``cells._cube`` at a coset k, and each child is one
+    ``cells._slab``: the path to a leaf is the path ``cells.box_vertices``
+    takes for its chamber.  The walk holds one root-to-leaf path of
     states, and the children of a node are made one at a time.  When
     every normal is in the base, each root cube is a leaf with the one
     root mask set, and its vertices are not made.
     """
     d, t = spec.rank, len(spec.normals)
-    base, det_b, cols, _ = _box_seeds(spec)
-    cube = list(product((0, 1), repeat=d))
-    corners = [[sum(col[j] for e, col in zip(eps, cols) if e) for j in range(d)]
-               for eps in cube]
-    masks = [sum(1 << 2 * i + 1 - e for i, e in zip(base, eps)) for eps in cube]
+    base, _, _, _, masks = _base_cube(spec)
     cuts = tuple((i, spec.normals[i]) for i in range(t) if i not in base)
     lattice = ratgeom.hermite_normal_form(
         [tuple(spec.normals[i][j] for i in base) for j in range(d)])
@@ -227,10 +224,7 @@ def _leaves(spec: ConeSpec):
         if not cuts:
             yield tuple(c), root
             continue
-        ak = [sum(x * col[j] for x, col in zip(k, cols)) for j in range(d)]
-        rays = [primitive([a + b for a, b in zip(ak, corner)] + [det_b])
-                for corner in corners]
-        yield from _cut(rays, masks, cuts, c, d)
+        yield from _cut(*_cube(spec, k), cuts, c, d)
 
 
 def _cut(rays, masks, cuts, c, d):
@@ -243,11 +237,5 @@ def _cut(rays, masks, cuts, c, d):
     vals = [(sum(map(mul, ray, n)), ray[d]) for ray in rays]
     for v in range(min(p // w for p, w in vals) + 1,
                    max(-(-p // w) for p, w in vals) + 1):
-        # <x, n> <= v, then <x, n> >= v - 1
-        up_rays, up_masks = _dd_add_row(
-            rays, masks, [v * w - p for p, w in vals], 1 << 2 * i, d + 1)
         c[i] = v
-        yield from _cut(*_dd_add_row(
-            up_rays, up_masks,
-            [sum(map(mul, ray, n)) + (1 - v) * ray[d] for ray in up_rays],
-            2 << 2 * i, d + 1), rest, c, d)
+        yield from _cut(*_slab(rays, masks, vals, i, n, v, d), rest, c, d)

@@ -165,12 +165,11 @@ def double_description(rows: tuple[IntVec, ...],
     seed step takes the greedy base of the rows and its inverse
     (``ratgeom.base_inverse``); seed ray j pairs positively with base
     row j and to zero with the other base rows, column j of that inverse
-    made primitive.  The incremental loop (``_dd_from_seeds``, which the
-    box pass of ``cells.box_vertices`` starts from seeds kept per cone)
-    then adds the other rows one at a time (``_dd_add_row``); each ray
-    carries the mask of its tight rows over the rows added so far.  A
-    new ray comes from an adjacent pair p, q on either side of the new
-    row i and is tight on their common rows and on i.
+    made primitive.  The incremental loop then adds the other rows one
+    at a time (``_dd_add_row``); each ray carries the mask of its tight
+    rows over the rows added so far.  A new ray comes from an adjacent
+    pair p, q on either side of the new row i and is tight on their
+    common rows and on i.
 
     Adjacency is combinatorial (Fukuda & Prodon, 1996): p and q are
     adjacent iff no other ray r has tight[p] & tight[q] <= tight[r].
@@ -182,18 +181,8 @@ def double_description(rows: tuple[IntVec, ...],
     skipped before that scan.
     """
     base, _, cols = ratgeom.base_inverse(rows, dim)
-    return _dd_from_seeds(rows, dim, base, tuple(map(primitive, cols)))
-
-
-def _dd_from_seeds(rows: tuple[IntVec, ...], dim: int, base: tuple[int, ...],
-                   seeds) -> tuple[tuple[IntVec, int], ...]:
-    # The incremental loop of double_description: base holds dim
-    # independent row indices, and seeds[j] is a primitive ray tight on
-    # every base row but base[j], on which it is positive.
-    full = 0
-    for i in base:
-        full |= 1 << i
-    rays = list(seeds)
+    full = sum(1 << i for i in base)
+    rays = [primitive(col) for col in cols]
     masks = [full ^ 1 << i for i in base]
     for i, row in enumerate(rows):
         if not full >> i & 1:
@@ -208,8 +197,8 @@ def _dd_add_row(rays: list, masks: list, vals: list, bit: int,
     adding the row whose pairing with each ray is in vals, tight bit
     ``bit``.  Rays with vals >= 0 stay, and each adjacent pair across the
     row gives a new ray, tight on their common rows and on the new one.
-    The box pass (``cells.box_vertices``) and the class walk
-    (``chambers.enumerate_classes``) share it."""
+    The class walk and its one-chamber path, ``cells.box_vertices``, cut
+    with it too (``cells._slab``)."""
     pos = [k for k, v in enumerate(vals) if v > 0]
     neg = [k for k, v in enumerate(vals) if v < 0]
     kept_rays, kept_masks = [], []

@@ -5,7 +5,7 @@
 reads cell patterns, the (omega, codim) of each cell, through the
 engine's chamber gate, so on a cone whose classes were already
 enumerated it reads the patterns the walk handed off;
-give it a freshly built cone to have every class take its own box pass.
+give it a freshly built cone to have every class read its own box.
 """
 
 from conic.cells import chamber_gate, class_pattern

@@ -1,12 +1,11 @@
 """Reference double description with frozenset tight sets.
 
 ``double_description`` below is the pass as it stood before
-``conic.cone.double_description`` kept tight sets as int bitmasks,
-skipped pairs with too few common tight rows before the adjacency scan,
-and took the box pass's seeds from the cone's store.  It seeds every
-pass with its own two eliminations, the second one the reference
-``lattice_oracle.inverse_columns``, so it shares no inverse with
-``conic.ratgeom.base_inverse``.  The tests compare the two, tight
+``conic.cone.double_description`` kept tight sets as int bitmasks and
+skipped pairs with too few common tight rows before the adjacency scan.
+It seeds every pass with its own two eliminations, the second one the
+reference ``lattice_oracle.inverse_columns``, so it shares no inverse
+with ``conic.ratgeom.base_inverse``.  The tests compare the two, tight
 set by tight set.
 """
 

@@ -19,7 +19,7 @@ from conic import (
     restrict_to_facet,
 )
 import conic
-from conic import enumerate_classes, ratgeom
+from conic import enumerate_classes, is_feasible, ratgeom
 from conic.cli_io import analyze
 from conic.cells import box_vertices
 from conic.cone import content_hash, double_description
@@ -198,22 +198,51 @@ def _box_rows(spec, c):
     return tuple(rows)
 
 
+def _oracle_box(spec, c):
+    """The oracle's box of c: its homogenised rows' rays, row 0 (s >= 0)
+    shifted out of the tight sets."""
+    want = dd_oracle.double_description(_box_rows(spec, c), spec.rank + 1)
+    return tuple((ray, frozenset(k - 1 for k in tight if k)) for ray, tight in want)
+
+
 FIXTURES = ("quadric", "square", "cyclic", "orthant2", "orthant3", "pentagon",
             "hexagon", "octahedron")
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_double_description_matches_frozenset_oracle(request, name):
-    # both cone passes of the fixture, and the box pass of every class
-    # against the oracle run on the box rows with its own seeds
+    # both cone passes of the fixture, and the box of every class
+    # against the oracle run on its homogenised rows with its own seeds
     spec = request.getfixturevalue(name)
     for rows in (spec.normals, primal_generators(spec)):
         assert (_as_sets(double_description(rows, spec.rank))
                 == dd_oracle.double_description(rows, spec.rank))
     for rep in enumerate_classes(spec).reps:
-        want = dd_oracle.double_description(_box_rows(spec, rep), spec.rank + 1)
-        assert [(ray, tight_set(mask)) for ray, mask in box_vertices(spec, rep)] \
-            == [(ray, frozenset(k - 1 for k in tight if k)) for ray, tight in want]
+        assert _as_sets(box_vertices(spec, rep)) == _oracle_box(spec, rep)
+
+
+def test_box_vertices_off_the_representatives_match_frozenset_oracle(request):
+    # boxes the walk never builds but the chamber gate does: c = rep +
+    # s e_i - e_j for s = +-1, over every fixture's classes, a seeded
+    # sample of them on the octahedron.  Some are empty, and some are
+    # nonempty boxes of non-chambers, which are lower-dimensional: a
+    # full-dimensional closed box holds an open one.
+    rng = random.Random(7)
+    kinds = set()
+    for name in FIXTURES:
+        spec = request.getfixturevalue(name)
+        t = len(spec.normals)
+        vectors = sorted({
+            tuple(x + s * (k == i) - (k == j) for k, x in enumerate(rep))
+            for rep in enumerate_classes(spec).reps
+            for s in (1, -1) for i in range(t) for j in range(t)})
+        if name == "octahedron":
+            vectors = rng.sample(vectors, 1500)
+        for c in vectors:
+            got = box_vertices(spec, c)
+            assert _as_sets(got) == _oracle_box(spec, c), c
+            kinds.add((bool(got), is_feasible(spec, c)))
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -409,8 +438,8 @@ def test_inverse_seeds_match_per_row_seeds(request, name, monkeypatch):
 
     def passes():
         # the dual and primal passes of the cone, and each chamber's box
-        # rows seeded in the pass itself, as the box pass read with its
-        # row 0 (s >= 0) shifted out
+        # rows seeded in the pass itself, which read with row 0 (s >= 0)
+        # shifted out are the chamber's box vertices
         box_passes = [
             tuple((ray, tight >> 1) for ray, tight in
                   double_description(_box_rows(spec, rep), spec.rank + 1))

@@ -38,6 +38,7 @@ from conic.ratgeom import smith_normal_form
 
 from acyclicity_oracle import oracle_verify
 from test_cli import CONE_A
+from test_census import RANK5_CONES
 from test_cone import FIXTURES
 from test_walk import _cones, _fresh
 
@@ -51,6 +52,10 @@ CONE_R5 = (5, [(-1, -5, -3, 1, 3), (-1, -4, -2, 0, 3), (-1, -1, -1, 1, 1),
                (1, 1, -1, -1, 1), (1, 4, 2, -4, 1)])
 R5_CLASSES, R5_PATTERNS = 6048, 570
 R5_REPORT = "ab7435333902ef42005f027aa0a839f213ad3337b1386fcffe2b523834c206e0"
+
+
+def test_cone_r5_is_draw_6_of_the_rank5_census():
+    assert RANK5_CONES[6].normals == tuple(map(tuple, CONE_R5[1]))
 
 
 def test_pattern_answers_match_the_complex(request):

@@ -3,9 +3,9 @@
 ``chambers.enumerate_classes`` cuts the base parallelepipeds.  Its class
 sets and the cells it hands off are checked against the breadth-first
 search it replaced (``bfs_oracle``), run on a freshly built cone so that
-every class there takes its own box pass; its leaves' tight masks
-against the box pass and the frozenset double description
-(``dd_oracle``); and its class counts against the arithmetic Tutte
+every class there reads its own box (``cells.box_vertices``); its
+leaves' tight masks against those boxes and the frozenset double
+description (``dd_oracle``); and its class counts against the arithmetic Tutte
 polynomial (``tutte_count``), which uses no chamber at all.
 """
 
@@ -65,7 +65,7 @@ def _cones(request):
 
 def test_walk_matches_bfs_oracle(request):
     # the same classes, and the cells handed off by the walk equal those
-    # of each class's own box pass
+    # of each class's own box
     for name, spec in _cones(request).items():
         walked, searched = _fresh(spec), _fresh(spec)
         reps = chambers.enumerate_classes(walked).reps
@@ -99,7 +99,7 @@ def test_leaf_masks_match_box_pass_and_dd_oracle(request, name):
 
 
 def test_cells_asked_before_the_walk_are_kept(square):
-    # a representative's own box pass stays in the pattern table
+    # a pattern read off a representative's own box stays in the table
     fresh = _fresh(square)
     early = class_pattern(fresh, (0, 0, 0, 1))
     chambers.enumerate_classes(fresh)
