@@ -17,13 +17,14 @@ Lattice translation keeps cells, so they are kept once per class:
 ``chamber_gate`` checks every ceiling vector, reduces it by the pivots of
 the pairing lattice's HNF (``_lattice_pivots``) and reads the cell
 pattern of the representative, the (omega, codim) of its cells.  Both
-pairing-lattice tables live here, and so do the base cube and slab cut
-that build both one chamber's box (``box_vertices``) and every box of
-the class walk.  The cells read only the tight masks of the box
-vertices, so the face closure is kept once per mask set (``_pattern``),
-and every class with that mask set keeps the same pattern object
-(``class_pattern``), fed by a leaf of the walk (``hand_off``) or by the
-representative's own box.  ``Cell`` objects are made only on request.
+pairing-lattice tables live here, and so does the class walk
+(``leaves``): one base cube per level in that HNF's box, cut slab by
+slab, so one chamber's box (``box_vertices``) is one of its paths.  The
+cells read only the tight masks of the box vertices, so the face
+closure is kept once per mask set (``_pattern``), and every class with
+that mask set keeps the same pattern object (``class_pattern``), fed by
+a leaf of the walk (``hand_off``) or by the representative's own box.
+``Cell`` objects are made only on request.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ def box_vertices(spec: ConeSpec, c: IntVec) -> tuple[tuple[IntVec, int], ...]:
     sorted by ray: the vertex is ray[:d] / ray[d], ray primitive, and tight
     is the int bitmask of its tight bounds, bit 2i the upper bound of
     normal i and bit 2i + 1 its lower bound.  The box is one path of the
-    class walk (``chambers._leaves``): the root cube at k = c_B - 1
+    class walk (``leaves``): the root cube at the base levels c_B
     (``_cube``), cut to the slab at level c_i of each non-base normal i
     in index order (``_slab``)."""
     d = spec.rank
     base = _base_cube(spec)[0]
-    rays, masks = _cube(spec, [c[i] - 1 for i in base])
+    rays, masks = _cube(spec, [c[i] for i in base])
     for i, n in enumerate(spec.normals):
         if i not in base:
             vals = [(sum(map(mul, ray, n)), ray[d]) for ray in rays]
@@ -103,24 +104,65 @@ def box_vertices(spec: ConeSpec, c: IntVec) -> tuple[tuple[IntVec, int], ...]:
 def _base_cube(spec: ConeSpec):
     # (B, D, the columns of A, corners, masks) for the greedy base B of
     # the normals and N_B A = D I (``ratgeom.base_inverse``): for each eps
-    # in {0, 1}^d the corner A eps and the tight mask of the cube vertex
-    # eps, bit 2i (upper bound of i) where eps is 1, bit 2i + 1 where 0.
+    # in {0, 1}^d the corner A (eps - 1) and the tight mask of the cube
+    # vertex eps, bit 2i (upper bound of i) where eps is 1, bit 2i + 1
+    # where 0.
     d = spec.rank
     base, det_b, cols = ratgeom.base_inverse(spec.normals, d)
     cube = list(product((0, 1), repeat=d))
-    corners = [[sum(col[j] for e, col in zip(eps, cols) if e) for j in range(d)]
-               for eps in cube]
+    corners = [[-sum(col[j] for e, col in zip(eps, cols) if not e)
+                for j in range(d)] for eps in cube]
     masks = [sum(1 << 2 * i + 1 - e for i, e in zip(base, eps)) for eps in cube]
     return base, det_b, cols, corners, masks
 
 
-def _cube(spec: ConeSpec, k) -> tuple[list, list]:
-    """The rays and tight masks of the root cube k_j <= <x, n_B_j> <= k_j + 1:
-    its vertices are (A(k + eps), D) made primitive (``_base_cube``)."""
+def _cube(spec: ConeSpec, levels) -> tuple[list, list]:
+    """The rays and tight masks of the root cube at base levels c_B,
+    c_B_j - 1 <= <x, n_B_j> <= c_B_j: its vertices are (A(c_B + eps - 1),
+    D) made primitive (``_base_cube``)."""
     _, det_b, cols, corners, masks = _base_cube(spec)
-    ak = [sum(x * col[j] for x, col in zip(k, cols)) for j in range(spec.rank)]
-    return [primitive([a + b for a, b in zip(ak, corner)] + [det_b])
+    ac = [sum(x * col[j] for x, col in zip(levels, cols)) for j in range(spec.rank)]
+    return [primitive([a + b for a, b in zip(ac, corner)] + [det_b])
             for corner in corners], masks
+
+
+def leaves(spec: ConeSpec):
+    """(ceiling vector, frozenset of its box vertices' tight masks) for
+    each class's canonical representative, whose base levels lie in the
+    HNF box 0 <= c_B_j < pivot_j (``chambers.enumerate_classes``).
+
+    A root is ``_cube`` at c_B, and each child is one ``_slab``: a leaf's
+    path is its ``box_vertices`` path.  The walk holds one root-to-leaf
+    path of states and makes a node's children one at a time.  When every
+    normal is in the base, each root cube is a leaf with the one root
+    mask set, and its vertices are not made.
+    """
+    d, t = spec.rank, len(spec.normals)
+    base, _, _, _, masks = _base_cube(spec)
+    cuts = tuple((i, spec.normals[i]) for i in range(t) if i not in base)
+    c = [0] * t
+    root = frozenset(masks)
+    for levels in product(*(range(piv) for _, piv, _ in _lattice_pivots(spec))):
+        for i, x in zip(base, levels):
+            c[i] = x
+        if not cuts:
+            yield tuple(c), root
+            continue
+        yield from _cut(*_cube(spec, levels), cuts, c, d)
+
+
+def _cut(rays, masks, cuts, c, d):
+    # The leaves below one node of the walk; c holds the levels chosen
+    # on its path.
+    if not cuts:
+        yield tuple(c), frozenset(masks)
+        return
+    (i, n), rest = cuts[0], cuts[1:]
+    vals = [(sum(map(mul, ray, n)), ray[d]) for ray in rays]
+    for v in range(min(p // w for p, w in vals) + 1,
+                   max(-(-p // w) for p, w in vals) + 1):
+        c[i] = v
+        yield from _cut(*_slab(rays, masks, vals, i, n, v, d), rest, c, d)
 
 
 def _slab(rays, masks, vals, i, n, v, d) -> tuple[list, list]:
@@ -175,8 +217,7 @@ def class_pattern(spec: ConeSpec, c: IntVec) -> Pattern:
 
 def hand_off(spec: ConeSpec, rep: IntVec, masks: frozenset) -> None:
     """Keep the cell pattern of a class representative read off the tight
-    masks of a translate's closed box.  Tight masks do not change under
-    lattice translation, and the pattern reads only the masks."""
+    masks of its closed box, a leaf of the class walk (``leaves``)."""
     class_pattern.keep(spec, (rep,), _pattern(spec, masks))
 
 

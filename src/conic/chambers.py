@@ -15,19 +15,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
 
 from . import ratgeom
 from .cells import (
-    _base_cube,
-    _cube,
     _lattice_pivots,
     _preimage,
-    _slab,
     box_vertices,
     chamber_gate,
     hand_off,
+    leaves,
     require_gate,
     vertex_barycenter,
 )
@@ -153,20 +149,22 @@ class ClassList:
 @per_cone
 def enumerate_classes(spec: ConeSpec) -> ClassList:
     """All isomorphism classes, one per leaf of a cut of the base
-    parallelepipeds (``_leaves``).
+    parallelepipeds (``cells.leaves``).
 
     Let B be the greedy base of the normals (``cells._base_cube``) and
     D = |det N_B|.  The base normals alone cut R^d / Z^d into exactly D
-    open parallelepipeds: in the coordinates y = N_B x they are the cubes
-    k + (0, 1)^d, one per coset k of Z^d / N_B Z^d, and the cosets are
-    read off the HNF of N_B's columns, k_j in [0, pivot_j).  A chamber's
+    open parallelepipeds: in the coordinates y = N_B x they are the open
+    cubes c_B - 1 < y < c_B, one per coset of N_B Z^d.  The HNF of the
+    pairing lattice (``cells._lattice_pivots``) has its pivots at B, the
+    first independent normals, and on B it is the HNF of N_B Z^d, so its
+    box 0 <= c_B_j < pivot_j holds one point of each coset.  A chamber's
     open box is nonempty (it holds x - eps u for x in it and u inside
-    the cone) and lies in one open cube, k = c_B - 1; a nonzero lattice
+    the cone) and lies in the open cube at c_B; a nonzero lattice
     translate moves c_B by a nonzero element of N_B Z^d, so exactly one
-    chamber of each class lies in a root cube, and two chambers in one
-    cube are never in one class.  So the classes are the disjoint union,
-    over the D cubes, of the regions that the other normals' integer
-    levels cut inside each cube.
+    chamber of each class has c_B in the box, its canonical
+    representative, and two chambers in one cube are never in one class.
+    So the classes are the disjoint union, over the D cubes, of the
+    regions that the other normals' integer levels cut inside each cube.
 
     The walk goes depth first over the non-base normals.  A node is a
     closed piece with its double-description state, vertices and tight
@@ -174,19 +172,17 @@ def enumerate_classes(spec: ConeSpec) -> ClassList:
     the piece's interior, being convex and open, meets exactly the open
     slabs c_j - 1 < <x, n_j> < c_j for c_j = floor(lo) + 1, ...,
     ceil(hi): those are its children, each two row additions away, so
-    no emptiness test is needed.  Every leaf is the closed box of one
-    chamber, reached once; a repeated class is an internal error.  The
-    leaf's tight masks give the cells of its class (``cells.hand_off``).
+    no emptiness test is needed.  Every leaf is one representative's
+    closed box, reached once; a repeated class is an internal error.
+    The leaf's tight masks give the cells of its class (``cells.hand_off``).
     """
-    pivots = _lattice_pivots(spec)
     seen = set()
-    for c, masks in _leaves(spec):
-        rep = ratgeom.reduce_by_pivots(c, pivots)
+    for rep, masks in leaves(spec):
         if rep in seen:
             raise InternalInvariantError(f"class {rep} is reached twice")
         seen.add(rep)
         hand_off(spec, rep, masks)
-    start = ratgeom.reduce_by_pivots((0,) * len(spec.normals), pivots)
+    start = (0,) * len(spec.normals)
     if start not in seen:
         raise InternalInvariantError("the free class is not reached")
     reps = tuple(sorted(seen))
@@ -199,43 +195,3 @@ def enumerate_classes(spec: ConeSpec) -> ClassList:
             k += 1
     return ClassList(reps=reps, labels=tuple(labels))
 
-
-def _leaves(spec: ConeSpec):
-    """(ceiling vector, frozenset of its box vertices' tight masks) for
-    the one chamber of each class inside a root cube.
-
-    A root is ``cells._cube`` at a coset k, and each child is one
-    ``cells._slab``: the path to a leaf is the path ``cells.box_vertices``
-    takes for its chamber.  The walk holds one root-to-leaf path of
-    states, and the children of a node are made one at a time.  When
-    every normal is in the base, each root cube is a leaf with the one
-    root mask set, and its vertices are not made.
-    """
-    d, t = spec.rank, len(spec.normals)
-    base, _, _, _, masks = _base_cube(spec)
-    cuts = tuple((i, spec.normals[i]) for i in range(t) if i not in base)
-    lattice = ratgeom.hermite_normal_form(
-        [tuple(spec.normals[i][j] for i in base) for j in range(d)])
-    c = [0] * t
-    root = frozenset(masks)
-    for k in product(*(range(row[j]) for j, row in enumerate(lattice))):
-        for i, x in zip(base, k):
-            c[i] = x + 1
-        if not cuts:
-            yield tuple(c), root
-            continue
-        yield from _cut(*_cube(spec, k), cuts, c, d)
-
-
-def _cut(rays, masks, cuts, c, d):
-    # The leaves below one node of the walk; c holds the levels chosen
-    # on its path.
-    if not cuts:
-        yield tuple(c), frozenset(masks)
-        return
-    (i, n), rest = cuts[0], cuts[1:]
-    vals = [(sum(map(mul, ray, n)), ray[d]) for ray in rays]
-    for v in range(min(p // w for p, w in vals) + 1,
-                   max(-(-p // w) for p, w in vals) + 1):
-        c[i] = v
-        yield from _cut(*_slab(rays, masks, vals, i, n, v, d), rest, c, d)

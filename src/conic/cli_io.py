@@ -529,7 +529,10 @@ def _cmd_svg(args) -> str:
     spec = _load_spec(args)
     doc = render_svg_2d(spec, args.window.split(","))
     if args.out is not None:
-        Path(args.out).write_text(doc, encoding="utf-8")
+        try:
+            Path(args.out).write_text(doc, encoding="utf-8")
+        except OSError as err:
+            raise InputError(f"cannot write output file {args.out!r}: {err}") from None
         return f"wrote {args.out}\n"
     return doc
 

@@ -25,7 +25,8 @@ class ConeSpec:
 
     The normal order is part of the data: ceiling vectors, cells, and
     reports all read coordinates in this order.  ``generators`` carries
-    primitive extreme rays when they were supplied or computed.
+    the primitive extreme rays, in any order, when they were supplied or
+    computed; other generators are refused.
 
     ``_store`` holds what ``per_cone`` functions computed for this cone.
     It is no part of the value: equality, hash and repr leave it out.
@@ -69,6 +70,8 @@ class ConeSpec:
                     raise InputError("generator length does not match rank")
                 if not _ints(g):
                     raise InputError(f"generator {i} has non-integer entries")
+            if sorted(map(tuple, self.generators)) != list(rays):
+                raise InputError("generators are not the cone's extreme rays")
 
     @property
     def simplicial(self) -> bool:

@@ -338,6 +338,17 @@ def test_main_svg(tmp_path, quadric_file, capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_main_svg_unwritable_out_exits_1(tmp_path, quadric_file, capsys):
+    out_file = tmp_path / "missing" / "img.svg"
+    assert main(["svg", "--window=-2,2,-2,2", "--input", quadric_file,
+                 "--out", str(out_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output file")
+    assert "Traceback" not in captured.err
+    assert not out_file.exists()
+
+
 def test_main_svg_past_budget_exits_1(quadric_file, capsys):
     start = time.process_time()
     assert main(["svg", "--window=0,10000,0,10000",

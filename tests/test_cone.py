@@ -471,6 +471,19 @@ def test_rejects_bool_and_non_int_entries():
             ConeSpec(rank, tuple(normals))
 
 
+def test_rejects_generators_that_are_not_the_extreme_rays():
+    normals = ((1, 0), (0, 1))
+    for gens in (((5, 7),), ((2, 0), (0, 1)), ((1, 0),), ((1, 0), (0, 1), (1, 0))):
+        with pytest.raises(InputError, match="not the cone's extreme rays"):
+            ConeSpec(2, normals, generators=gens)
+    # any order of the true rays is accepted
+    spec = from_primal_rays(4, FIVE_RAYS)
+    for rank, normals, gens in ((2, normals, ((0, 1), (1, 0))),
+                                (4, spec.normals, spec.generators),
+                                (4, spec.normals, spec.generators[::-1])):
+        assert primal_generators(ConeSpec(rank, normals, generators=gens)) == gens
+
+
 SQUARE = ((1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1))
 
 

@@ -1,18 +1,23 @@
 """The class walk against its oracles.
 
-``chambers.enumerate_classes`` cuts the base parallelepipeds.  Its class
-sets and the cells it hands off are checked against the breadth-first
-search it replaced (``bfs_oracle``), run on a freshly built cone so that
-every class there reads its own box (``cells.box_vertices``); its
-leaves' tight masks against those boxes and the frozenset double
-description (``dd_oracle``); and its class counts against the arithmetic Tutte
-polynomial (``tutte_count``), which uses no chamber at all.
+``chambers.enumerate_classes`` cuts the base parallelepipeds
+(``cells.leaves``).  Its class sets and the cells it hands off are
+checked against the breadth-first search it replaced (``bfs_oracle``),
+run on a freshly built cone so that every class there reads its own box
+(``cells.box_vertices``); its leaves' tight masks against those boxes
+and the frozenset double description (``dd_oracle``); its roots against
+the HNF box of the pairing lattice, so that every leaf is already its
+class's canonical representative; and its class counts against the
+arithmetic Tutte polynomial (``tutte_count``), which uses no chamber at
+all.
 """
+
+import math
 
 import pytest
 
-from conic import chambers, complexes, from_normals, from_primal_rays
-from conic.cells import _lattice_pivots, box_vertices, class_pattern
+from conic import cells, chambers, complexes, from_normals, from_primal_rays, ratgeom
+from conic.cells import _base_cube, _lattice_pivots, box_vertices, class_pattern
 from conic.errors import InternalInvariantError
 from conic.ratgeom import reduce_by_pivots
 
@@ -84,17 +89,49 @@ def test_five_ray_cone_count_from_the_formula_alone():
     assert class_count(spec.normals, spec.rank) == 4_691_052
 
 
+def test_base_is_the_lattice_pivot_columns(request):
+    # the greedy base is where the pairing lattice's HNF has its pivots,
+    # and the pivots multiply to |det N_B|: one HNF box point per root cube
+    for name, spec in _cones(request).items():
+        base, det_b = _base_cube(spec)[:2]
+        pivots = _lattice_pivots(spec)
+        assert tuple(base) == tuple(col for col, _, _ in pivots), name
+        assert math.prod(piv for _, piv, _ in pivots) == det_b, name
+
+
+def test_every_leaf_is_canonical(request):
+    for name, spec in _cones(request).items():
+        fresh = _fresh(spec)
+        pivots = _lattice_pivots(fresh)
+        for c, _ in cells.leaves(fresh):
+            assert reduce_by_pivots(c, pivots) == c, (name, c)
+
+
+def test_walk_makes_no_hnf_and_no_reduction(request, monkeypatch):
+    # with the pairing lattice's HNF kept, the walk's leaves are the
+    # representatives: no second HNF and no reduction per leaf
+    calls = []
+    for fn in ("hermite_normal_form", "reduce_by_pivots"):
+        real = getattr(ratgeom, fn)
+        monkeypatch.setattr(ratgeom, fn, lambda *a, real=real, fn=fn:
+                            calls.append(fn) or real(*a))
+    for name, spec in _cones(request).items():
+        fresh = _fresh(spec)
+        _lattice_pivots(fresh)
+        calls.clear()
+        chambers.enumerate_classes(fresh)
+        assert calls == [], name
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_leaf_masks_match_box_pass_and_dd_oracle(request, name):
     spec = request.getfixturevalue(name)
     fresh = _fresh(spec)
-    pivots = _lattice_pivots(fresh)
-    leaves = list(chambers._leaves(fresh))
+    leaves = list(cells.leaves(fresh))
     assert len(leaves) == len(chambers.enumerate_classes(spec).reps)
     for c, masks in leaves:
-        rep = reduce_by_pivots(c, pivots)
-        assert masks == {tight for _, tight in box_vertices(fresh, rep)}, c
-        want = dd_oracle.double_description(_box_rows(fresh, rep), spec.rank + 1)
+        assert masks == {tight for _, tight in box_vertices(fresh, c)}, c
+        want = dd_oracle.double_description(_box_rows(fresh, c), spec.rank + 1)
         assert masks == {sum(1 << k - 1 for k in tight if k) for _, tight in want}, c
 
 
@@ -107,8 +144,8 @@ def test_cells_asked_before_the_walk_are_kept(square):
 
 
 def test_repeated_leaf_is_an_internal_error(square, monkeypatch):
-    leaves = list(chambers._leaves(square))
-    monkeypatch.setattr(chambers, "_leaves", lambda spec: leaves + leaves[:1])
+    leaves = list(cells.leaves(square))
+    monkeypatch.setattr(chambers, "leaves", lambda spec: leaves + leaves[:1])
     with pytest.raises(InternalInvariantError, match="reached twice"):
         chambers.enumerate_classes(_fresh(square))
 
