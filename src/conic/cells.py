@@ -20,11 +20,11 @@ pattern of the representative, the (omega, codim) of its cells.  Both
 pairing-lattice tables live here, and so does the class walk
 (``leaves``): one base cube per level in that HNF's box, cut slab by
 slab, so one chamber's box (``box_vertices``) is one of its paths.  The
-cells read only the tight masks of the box vertices, so the face
-closure is kept once per mask set (``_pattern``), and every class with
-that mask set keeps the same pattern object (``class_pattern``), fed by
-a leaf of the walk (``hand_off``) or by the representative's own box.
-``Cell`` objects are made only on request.
+cells read only the tight masks of the box vertices: the face closure
+(``_pattern``) runs once per mask set of a walk, and once per class
+asked for before it, on its own box.  Each cone keeps one object per
+distinct pattern (``_interned``), which every class with that pattern
+holds (``class_pattern``).  ``Cell`` objects are made only on request.
 """
 
 from __future__ import annotations
@@ -207,30 +207,24 @@ def class_pattern(spec: ConeSpec, c: IntVec) -> Pattern:
     (``chamber_gate``): the (omega, codim) of its cells sorted by (codim,
     omega), so the open cell comes first.  _NoCells if c is not a
     chamber, so that the table holds class representatives only.  The
-    class walk (``hand_off``) fills the table for every class; a
-    representative asked for before it reads its own box."""
+    class walk (``chambers.enumerate_classes``) fills the table for every
+    class; a representative asked for before it reads its own box."""
     pattern = _pattern(spec, frozenset(tight for _, tight in box_vertices(spec, c)))
     if not pattern:
         raise _NoCells(c)
     return pattern
 
 
-def hand_off(spec: ConeSpec, rep: IntVec, masks: frozenset) -> None:
-    """Keep the cell pattern of a class representative read off the tight
-    masks of its closed box, a leaf of the class walk (``leaves``)."""
-    class_pattern.keep(spec, (rep,), _pattern(spec, masks))
-
-
-@per_cone
 def _pattern(spec: ConeSpec, masks: frozenset) -> Pattern:
-    # The face closure, kept per set of box vertex tight masks: the cell
-    # pattern, (omega, codim) sorted by (codim, omega), empty when no face
-    # is a cell.  The faces of the box are the meets of vertex tight
-    # masks, and a cell's closure is a face on which only upper bounds
-    # (even bits) are tight.  Such a face is the meet of its own
-    # vertices' masks, so also of their even parts: the candidates are
-    # the meets of even parts.  The even parts of the vertices tight on a
-    # candidate meet in it, so it is a face iff their odd parts meet in 0.
+    # The face closure of a set of box vertex tight masks: the cone's
+    # object for the cell pattern (``_interned``), (omega, codim) sorted
+    # by (codim, omega), empty when no face is a cell.  The faces of the
+    # box are the meets of vertex tight masks, and a cell's closure is a
+    # face on which only upper bounds (even bits) are tight.  Such a face
+    # is the meet of its own vertices' masks, so also of their even
+    # parts: the candidates are the meets of even parts.  The even parts
+    # of the vertices tight on a candidate meet in it, so it is a face
+    # iff their odd parts meet in 0.
     upper = sum(1 << 2 * i for i in range(len(spec.normals)))
     faces = set()
     for even in {m & upper for m in masks}:
@@ -252,7 +246,14 @@ def _pattern(spec: ConeSpec, masks: frozenset) -> Pattern:
         raise InternalInvariantError("chamber does not have a unique interior cell")
     if found and len(found[0][1]) != len(spec.normals):
         raise InternalInvariantError("interior open conic differs from the chamber")
-    return tuple((omega, codim) for codim, omega in found)
+    return _interned(spec, tuple((omega, codim) for codim, omega in found))
+
+
+@per_cone
+def _interned(spec: ConeSpec, pattern: Pattern) -> Pattern:
+    # The cone's one object equal to pattern: at most one entry per
+    # distinct cell pattern.
+    return pattern
 
 
 @per_cone

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from . import ratgeom
 from .cells import (
     _lattice_pivots,
+    _pattern,
     _preimage,
     box_vertices,
     chamber_gate,
-    hand_off,
+    class_pattern,
     leaves,
     require_gate,
     vertex_barycenter,
@@ -174,14 +175,20 @@ def enumerate_classes(spec: ConeSpec) -> ClassList:
     ceil(hi): those are its children, each two row additions away, so
     no emptiness test is needed.  Every leaf is one representative's
     closed box, reached once; a repeated class is an internal error.
-    The leaf's tight masks give the cells of its class (``cells.hand_off``).
+    The leaf's tight masks give the cell pattern of its class
+    (``cells.class_pattern``): the face closure runs once per mask set,
+    which only the walk keeps.
     """
     seen = set()
+    patterns = {}
     for rep, masks in leaves(spec):
         if rep in seen:
             raise InternalInvariantError(f"class {rep} is reached twice")
         seen.add(rep)
-        hand_off(spec, rep, masks)
+        pattern = patterns.get(masks)
+        if pattern is None:
+            pattern = patterns[masks] = _pattern(spec, masks)
+        class_pattern.keep(spec, (rep,), pattern)
     start = (0,) * len(spec.normals)
     if start not in seen:
         raise InternalInvariantError("the free class is not reached")

@@ -14,7 +14,7 @@ from itertools import product
 
 from .cells import _lattice_pivots, require_gate
 from .chambers import chamber_witness, enumerate_classes
-from .cone import ConeSpec
+from .cone import ConeSpec, per_cone
 from .errors import InputError, UnsupportedOperationError
 from .ratgeom import IntVec, dot, reduce_by_pivots
 
@@ -52,66 +52,82 @@ class DModuleReport:
     note: str
 
 
-def _residue_classes(spec: ConeSpec, q: int, memo: dict):
+@per_cone
+def _ceiling_classes(spec: ConeSpec) -> dict:
+    # ceiling vector -> class, shared by every q listed on the cone
+    return {}
+
+
+def _residue_classes(spec: ConeSpec, q: int):
     """The class of the chamber of each residue of the q-th root, in
-    product order.  memo maps ceiling vector to class; the residues of
-    one q, and of every q a search tries, share few ceiling vectors.
-    Being a chamber is a property of the class, so a new vector is only
-    reduced, and gated when its class is new to the memo (a
-    representative is its own class)."""
+    product order.  Ceiling vectors are read through one table per cone
+    (``_ceiling_classes``), mapping each to its class.  Being a chamber
+    is a property of the class, so a new vector is only reduced, and
+    gated when its class is new to the table (a representative is its
+    own class).  Every other key is the ceiling vector of a point -v/q
+    of (-1, 0]^d, so c_i lies in [min(0, 1 - P_i), N_i], P_i and N_i
+    being the sums of the positive and of the negated negative entries
+    of n_i: the table is bounded by the class count plus the number of
+    chambers meeting that cube, whatever q is."""
     pivots = _lattice_pivots(spec)
+    table = _ceiling_classes(spec)
     lasts = [n[-1] for n in spec.normals]
     for head in product(range(q), repeat=spec.rank - 1):
         # <v, n> for v = head + (x,), and ceil(<-v/q, n>) = -floor(<v, n>/q)
         heads = [dot(head, n[:-1]) for n in spec.normals]
         for x in range(q):
             c = tuple(-((h + x * m) // q) for h, m in zip(heads, lasts))
-            rep = memo.get(c)
+            rep = table.get(c)
             if rep is None:
                 rep = reduce_by_pivots(c, pivots)
-                if rep not in memo:
-                    memo[rep] = require_gate(spec, c)[1]
-                memo[c] = rep
+                if rep not in table:
+                    table[rep] = require_gate(spec, c)[1]
+                table[c] = rep
             yield rep
 
 
 def decompose_root(spec: ConeSpec, q: int) -> RootDecomposition:
     """Class counts of the chamber summands of the q-th root; InputError
-    when its q^d residues are more than ROOT_BUDGET."""
+    when its q^d residues are more than ROOT_BUDGET.  This is the one
+    listing of residues: each q is listed once per cone and kept
+    (``_decomposition``), and every q any search lists passes the
+    budget here first."""
     if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise InputError(f"root index must be a positive integer, got {q!r}")
     if q ** spec.rank > ROOT_BUDGET:
         raise InputError(
             f"the {q}-th root has {q ** spec.rank} residues, past the "
             f"budget of {ROOT_BUDGET}")
+    return _decomposition(spec, q)
+
+
+@per_cone
+def _decomposition(spec: ConeSpec, q: int) -> RootDecomposition:
+    # the residue listing of q, once its size is checked (decompose_root)
     counts: dict[IntVec, int] = {}
-    for rep in _residue_classes(spec, q, {}):
+    for rep in _residue_classes(spec, q):
         counts[rep] = counts.get(rep, 0) + 1
     return RootDecomposition(
         q=q, counts=tuple(sorted(counts.items())), total=q ** spec.rank)
 
 
-def _complete(spec: ConeSpec, q: int, wanted: set, memo: dict) -> bool:
-    """Whether the residues of the q-th root meet every class in wanted.
+def _complete(spec: ConeSpec, q: int) -> bool:
+    """Whether the residues of the q-th root meet every class.
 
     The residues are the points of (1/q)Z^d mod Z^d, so they meet a
     class iff its chamber holds a point of (1/q)Z^d, as a closed cube of
-    side 1/q does.  Past SEARCH_CAP, where ``minimal_complete_q`` stops
-    listing residues, each chamber is first tried for such a cube about
-    its witness w: it lies inside while |n_i|_1 < 2q s_i for every i,
-    s_i being the distance from <w, n_i> to c_i - 1 and to c_i.  Short
-    of that the residues are listed, up to the one that meets the last
-    class.  The cube holds at every q past a bound set by the chambers,
-    so a search over growing q lists residues only below it.
+    side 1/q does.  Past SEARCH_CAP each chamber is first tried for such
+    a cube about its witness w: it lies inside while |n_i|_1 < 2q s_i
+    for every i, s_i being the distance from <w, n_i> to c_i - 1 and to
+    c_i.  The cube holds at every q past a bound set by the chambers.
+    Short of that, q is complete iff its decomposition (``decompose_root``)
+    counts every class, so no q is listed twice on one cone and a q past
+    ROOT_BUDGET is refused.
     """
-    if q > SEARCH_CAP and all(_holds_cube(spec, rep, q) for rep in wanted):
+    reps = enumerate_classes(spec).reps
+    if q > SEARCH_CAP and all(_holds_cube(spec, rep, q) for rep in reps):
         return True
-    missing = set(wanted)
-    for rep in _residue_classes(spec, q, memo):
-        missing.discard(rep)
-        if not missing:
-            return True
-    return False
+    return len(decompose_root(spec, q).counts) == len(reps)
 
 
 def _holds_cube(spec: ConeSpec, c: IntVec, q: int) -> bool:
@@ -127,13 +143,13 @@ def _holds_cube(spec: ConeSpec, c: IntVec, q: int) -> bool:
 def minimal_complete_q(spec: ConeSpec) -> int:
     """Smallest q whose root decomposition contains every class.
 
-    One ceiling-vector memo serves every q tried, and a q is accepted as
-    soon as its residues have met every class; UnsupportedOperationError
-    when no q up to SEARCH_CAP is."""
-    wanted = set(enumerate_classes(spec).reps)
-    memo: dict[IntVec, IntVec] = {}
+    Each q tried is decided from its decomposition (``_complete``), which
+    the cone keeps, so a D-module search or a ``decompose_root`` at the q
+    found lists nothing again.  UnsupportedOperationError when no q up to
+    SEARCH_CAP is complete, and InputError when a q tried has more than
+    ROOT_BUDGET residues (at rank 5, any q past 27)."""
     for q in range(1, SEARCH_CAP + 1):
-        if _complete(spec, q, wanted, memo):
+        if _complete(spec, q):
             return q
     raise UnsupportedOperationError(
         f"no root up to {SEARCH_CAP} hits every class")
@@ -176,7 +192,10 @@ def dmodule_report(spec: ConeSpec, p: int) -> DModuleReport:
     the least p^e >= minimal_q, as nothing below it is complete, and may
     stop at the first complete power: the residues of p^e are the points
     of (1/p^e)Z^d mod Z^d, which lie inside (1/p^(e+1))Z^d, so along the
-    powers of one prime completeness never turns off again.
+    powers of one prime completeness never turns off again.  Each power
+    is decided as in ``minimal_complete_q``, from its decomposition,
+    which the two searches share; InputError when a power that the cube
+    certificate does not decide has more than ROOT_BUDGET residues.
     """
     if not isinstance(p, int) or not _is_prime(p):
         raise InputError(f"characteristic must be prime, got {p!r}")
@@ -184,9 +203,7 @@ def dmodule_report(spec: ConeSpec, p: int) -> DModuleReport:
     e = 0
     while p ** e < qmin:
         e += 1
-    wanted = set(enumerate_classes(spec).reps)
-    memo: dict[IntVec, IntVec] = {}
-    while not _complete(spec, p ** e, wanted, memo):
+    while not _complete(spec, p ** e):
         e += 1
     return DModuleReport(
         p=p, minimal_q=qmin, minimal_e=e, q_at_e=p ** e,

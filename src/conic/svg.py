@@ -121,6 +121,45 @@ def _strip_pieces(spec: ConeSpec, poly):
     return [(c, _from_angle_zero(piece)) for c, piece in pieces]
 
 
+def _checked_window(spec: ConeSpec, window):
+    """The window (x0, x1, y0, y1) of a rank-2 cone, its ints kept and
+    its other rationals made Fractions, once it is checked: positive
+    width and height, every number the document prints a finite float,
+    and at most SVG_BUDGET lattice points and chamber pieces to draw."""
+    if spec.rank != 2:
+        raise UnsupportedOperationError("SVG rendering needs a rank-2 cone")
+    try:
+        x0, x1, y0, y1 = (Fraction(w) for w in window)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(
+            f"window must be four rationals x0, x1, y0, y1, not {window!r}"
+        ) from None
+    if x0 >= x1 or y0 >= y1:
+        raise InputError("window must have positive width and height")
+    try:
+        # every number the document prints lies within these floats
+        for w in (x0, x1, y0, y1, x1 - x0, y1 - y0):
+            float(w)
+    except OverflowError:
+        raise InputError(
+            f"window {window!r} does not fit in finite floats") from None
+    # The pieces are regions of the L = sum_i L_i level lines meeting the
+    # window, L_i those of normal i, and L lines cut the plane into at
+    # most 1 + L + L(L - 1)/2 <= (1 + L)^2 regions.
+    levels = 0
+    for a, b in spec.normals:
+        vals = [a * x + b * y for x in (x0, x1) for y in (y0, y1)]
+        levels += math.floor(max(vals)) - math.ceil(min(vals)) + 1
+    work = ((math.floor(x1) - math.ceil(x0) + 1)
+            * (math.floor(y1) - math.ceil(y0) + 1) + (1 + levels) ** 2)
+    if work > SVG_BUDGET:
+        raise InputError(
+            f"window {window!r} may draw up to {work} lattice points and "
+            f"chamber pieces, past the budget of {SVG_BUDGET}")
+    return tuple(w if type(w) is int else v
+                 for w, v in zip(window, (x0, x1, y0, y1)))
+
+
 def drawn_chambers(spec: ConeSpec, window):
     """Chambers whose closure meets the window, with clipped polygons.
 
@@ -136,9 +175,10 @@ def drawn_chambers(spec: ConeSpec, window):
     never repeats a vertex, so each piece is only rotated to start at
     its first vertex counterclockwise from angle 0 about the vertex
     centroid.  ``render_svg_2d`` draws the same pieces from their
-    integer vertices.
+    integer vertices, and both refuse the same cones and windows
+    (``_checked_window``).
     """
-    corners = _window_corners(window)
+    corners = _window_corners(_checked_window(spec, window))
     return [(c, [corners[v] if v in corners
                  else (Fraction(v[0], v[2]), Fraction(v[1], v[2]))
                  for v in poly])
@@ -181,37 +221,7 @@ def render_svg_2d(spec: ConeSpec, window) -> str:
     window is (x0, x1, y0, y1); output is a standalone SVG document,
     byte-identical across runs for equal inputs.
     """
-    if spec.rank != 2:
-        raise UnsupportedOperationError("SVG rendering needs a rank-2 cone")
-    try:
-        x0, x1, y0, y1 = (Fraction(w) for w in window)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise InputError(
-            f"window must be four rationals x0, x1, y0, y1, not {window!r}"
-        ) from None
-    if x0 >= x1 or y0 >= y1:
-        raise InputError("window must have positive width and height")
-    try:
-        # every number the document prints lies within these floats
-        for w in (x0, x1, y0, y1, x1 - x0, y1 - y0):
-            float(w)
-    except OverflowError:
-        raise InputError(
-            f"window {window!r} does not fit in finite floats") from None
-    # The pieces are regions of the L = sum_i L_i level lines meeting the
-    # window, L_i those of normal i, and L lines cut the plane into at
-    # most 1 + L + L(L - 1)/2 <= (1 + L)^2 regions.
-    levels = 0
-    for a, b in spec.normals:
-        vals = [a * x + b * y for x in (x0, x1) for y in (y0, y1)]
-        levels += math.floor(max(vals)) - math.ceil(min(vals)) + 1
-    work = ((math.floor(x1) - math.ceil(x0) + 1)
-            * (math.floor(y1) - math.ceil(y0) + 1) + (1 + levels) ** 2)
-    if work > SVG_BUDGET:
-        raise InputError(
-            f"window {window!r} may draw up to {work} lattice points and "
-            f"chamber pieces, past the budget of {SVG_BUDGET}")
-    window = (x0, x1, y0, y1)
+    window = x0, x1, y0, y1 = tuple(map(Fraction, _checked_window(spec, window)))
     width = x1 - x0
     height = y1 - y0
     sw = width / 256

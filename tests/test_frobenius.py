@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from conic import (
+    cli_io,
     decompose_root,
     from_normals,
     dmodule_report,
@@ -153,7 +154,49 @@ def test_cube_certificate_is_sound(cone, request, monkeypatch):
     assert held and held == list(range(held[0], 31))
     for q in held:
         assert len(decompose_root(spec, q).counts) == len(reps)
-        assert frobenius._complete(spec, q, set(reps), {})
+        assert frobenius._complete(spec, q)
+
+
+def test_dmodule_search_is_held_to_the_root_budget(square, monkeypatch):
+    # q = 2 is complete at 8 residues, but p = 3 must list 27
+    monkeypatch.setattr(frobenius, "ROOT_BUDGET", 8)
+    with pytest.raises(InputError, match="has 27 residues, past the budget of 8"):
+        dmodule_report(square, 3)
+
+
+@pytest.mark.parametrize("r,a,p", [(30, 11, 7), (5, 2, 5), (23, 5, 2)])
+def test_each_root_is_listed_once(r, a, p, monkeypatch):
+    # the minimal-q search, the D-module search and the decomposition at
+    # the minimal q share one listing per q
+    listed = []
+    real = frobenius._residue_classes
+    monkeypatch.setattr(frobenius, "_residue_classes",
+                        lambda spec, q: listed.append(q) or real(spec, q))
+    spec = from_normals(2, [(0, 1), (r, -a)])
+    report = cli_io.analyze(spec, cli_io.AnalyzeOptions(
+        frobenius_minimal=True, dmodule_prime=p))
+    qmin = report["frobenius"]["minimal_complete_q"]
+    e = report["frobenius"]["dmodule"]["minimal_e"]
+    powers = {p ** k for k in range(e + 1) if p ** k >= qmin}
+    assert sorted(listed) == sorted(set(range(1, qmin + 1)) | powers)
+
+
+@pytest.mark.parametrize(
+    "cone", ["quadric", "square", "cyclic", "orthant2", "orthant3", "pentagon"])
+def test_ceiling_table_is_bounded_whatever_q(cone, request):
+    # every key is a class representative or the ceiling vector of a
+    # point of (-1, 0]^d, whose entry at i lies in [min(0, 1 - P_i), N_i]
+    spec = request.getfixturevalue(cone)
+    for p in (2, 3):
+        dmodule_report(spec, p)
+    decompose_root(spec, 7)
+    reps = set(enumerate_classes(spec).reps)
+    low = [min(0, 1 - sum(max(x, 0) for x in n)) for n in spec.normals]
+    high = [sum(max(-x, 0) for x in n) for n in spec.normals]
+    table = frobenius._ceiling_classes(spec)
+    assert set(table.values()) <= reps
+    for c in table:
+        assert c in reps or all(lo <= x <= hi for lo, x, hi in zip(low, c, high)), c
 
 
 def test_bad_inputs(quadric):

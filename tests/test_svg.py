@@ -73,8 +73,18 @@ def test_lattice_dots_and_orientation(quadric):
 
 
 def test_rank_requirement(square):
-    with pytest.raises(UnsupportedOperationError):
-        render_svg_2d(square, WINDOW)
+    for draw in (render_svg_2d, drawn_chambers):
+        with pytest.raises(UnsupportedOperationError):
+            draw(square, WINDOW)
+
+
+def test_drawn_chambers_checks_its_window(quadric):
+    # the checks of render_svg_2d: an empty or reversed window, a
+    # coordinate that is not a rational, a window past the budget
+    for window in ((1, -1, -1, 1), (0, 0, 0, 0), ("a", 1, -1, 1),
+                   (0, 10 ** 4, 0, 10 ** 4)):
+        with pytest.raises(InputError):
+            drawn_chambers(quadric, window)
 
 
 def test_window_validation(quadric):

@@ -136,11 +136,27 @@ def test_leaf_masks_match_box_pass_and_dd_oracle(request, name):
 
 
 def test_cells_asked_before_the_walk_are_kept(square):
-    # a pattern read off a representative's own box stays in the table
+    # a pattern read off a representative's own box stays in the table,
+    # and is the object every class with that pattern holds
     fresh = _fresh(square)
     early = class_pattern(fresh, (0, 0, 0, 1))
-    chambers.enumerate_classes(fresh)
+    reps = chambers.enumerate_classes(fresh).reps
     assert class_pattern(fresh, (0, 0, 0, 1)) is early
+    assert all(class_pattern(fresh, rep) is early
+               for rep in reps if class_pattern(fresh, rep) == early)
+
+
+@pytest.mark.parametrize("cone", [CONE_A, CONE_B], ids=["cone_a", "cone_b"])
+def test_one_object_per_cell_pattern(cone):
+    # the walk keeps its mask sets to itself: the store holds each
+    # distinct pattern once, and every class holds that object
+    spec = from_normals(*cone)
+    chambers.enumerate_classes(spec)
+    held = list(spec._store[class_pattern].values())
+    assert len({id(p) for p in held}) == len(set(held))
+    interned = spec._store[cells._interned].values()
+    assert {id(p) for p in held} == {id(p) for p in interned}
+    assert cells._pattern not in spec._store
 
 
 def test_repeated_leaf_is_an_internal_error(square, monkeypatch):
