@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 
 from . import ratgeom
 from .cells import (
@@ -40,6 +40,10 @@ from .errors import (
     SupportNotClosedError,
 )
 from .ratgeom import IntVec, add, intvec, sub
+
+# Most lattice points one acyclicity window may hold; (2r + 1)^d for
+# radius r at rank d.
+WINDOW_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -247,18 +251,44 @@ def _window_radius(window) -> int:
     return window
 
 
+@per_cone
+def _slab_getters(spec: ConeSpec, radius: int) -> tuple:
+    # One (shift, get) per normal n.  With the masks of n listed by the
+    # pairing plus r * sum |n|, those of the slab x0, in ``product``
+    # order, are get(masks[x0 * n[0] + shift:]), shift = r * |n[0]|: the
+    # point (x0, *t) sits at r * sum_{j>=1} |n_j| + sum_{j>=1} t_j n_j >= 0
+    # of that cut.  The indices depend on n and r alone, so a cone keeps
+    # t * (2r + 1)^(d - 1) of them per radius asked.
+    r = radius
+    steps = range(-r, r + 1)
+    getters = []
+    for n in spec.normals:
+        index = [r * sum(map(abs, n[1:]))]
+        for a in n[1:]:
+            index = [i + x * a for i in index for x in steps]
+        # itemgetter of one index returns the item, not a tuple
+        get = (itemgetter(*index) if len(index) > 1
+               else itemgetter(slice(index[0], index[0] + 1)))
+        getters.append((r * abs(n[0]), get))
+    return tuple(getters)
+
+
 def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
             ranks_of: dict | None = None) -> AcyclicityReport:
-    """Window acyclicity of a complex against the chamber cp.
+    """Window acyclicity of a complex against the chamber cp; InputError
+    when the window's (2r + 1)^d points are more than WINDOW_BUDGET.
 
     Summand vec survives at m iff h = (<m, n_i>)_i >= vec - cp entrywise,
     so the survivors are the AND over i of the summands whose gap at i is
     at most h_i.  For each normal i, one list indexed by the values h_i
-    takes over the window, |h_i| <= radius * sum |n_i|, holds that mask,
-    and the pairings of the last d - 1 coordinates with n_i over one slab
-    (first coordinate fixed) are listed in ``product`` order.  A slab's
-    masks are then the AND across normals of list lookups shifted by
-    x0 * n_i[0]: memory is one slab per normal, O((2r + 1)^(d - 1)).
+    takes over the window, |h_i| <= radius * sum |n_i|, holds that mask.
+    The slab of points with first coordinate x0 reads it through the
+    per-cone table of the radius (``_slab_getters``): one ``itemgetter``
+    per normal over the pairings of the last d - 1 coordinates with n_i,
+    in ``product`` order, applied to the list cut at x0 * n_i[0].  A
+    slab's masks are the AND across normals of those reads: memory is one
+    slab per normal, O((2r + 1)^(d - 1)), and the table keeps
+    t * (2r + 1)^(d - 1) indices per radius asked.
 
     ``graded_piece`` reads m only through the kept index sets, so the
     scalar complex and its homology ranks are a function of the mask;
@@ -273,14 +303,19 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
     it is the witness or its mask has nonzero homology, so a passing
     window costs no per-point work.
     """
+    r, side, d = radius, 2 * radius + 1, spec.rank
+    if side ** d > WINDOW_BUDGET:
+        raise InputError(
+            f"the window of radius {r} has {side ** d} points, past the "
+            f"budget of {WINDOW_BUDGET}")
     c = cx.chamber
     witness = _preimage(spec, sub(c, cp))
     if ranks_of is None:
         ranks_of = {}
-    r, side, d = radius, 2 * radius + 1, spec.rank
     summands = [vec for row in cx.terms for vec in row]
     columns = []
-    for n, ci, ceilings in zip(spec.normals, cp, zip(*summands)):
+    for n, ci, ceilings, (shift, get) in zip(
+            spec.normals, cp, zip(*summands), _slab_getters(spec, r)):
         # below[v + reach]: bitmask of the summands whose gap here is <= v
         reach = r * sum(map(abs, n))
         below = [0] * (2 * reach + 1)
@@ -288,13 +323,7 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
             gap = ceiling - ci
             if gap <= reach:
                 below[max(gap + reach, 0)] |= 1 << bit
-        # tail[k] + x0 * n_0 indexes below at the k-th point (x0, ...) of
-        # the slab x0
-        tail = [reach]
-        for a in n[1:]:
-            steps = [x * a for x in range(-r, r + 1)]
-            tail = [s + step for s in tail for step in steps]
-        columns.append((list(accumulate(below, or_)), n[0], tail))
+        columns.append((list(accumulate(below, or_)), n[0], shift, get))
     w0 = wk = None
     if witness is not None and all(abs(x) <= r for x in witness):
         w0, wk = witness[0], 0
@@ -304,8 +333,8 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
     failures = []
     for x0 in range(-r, r + 1):
         masks = None
-        for below, n0, tail in columns:
-            col = map(below.__getitem__, map((x0 * n0).__add__, tail))
+        for below, n0, shift, get in columns:
+            col = get(below[x0 * n0 + shift:])
             masks = col if masks is None else map(and_, masks, col)
         masks = list(masks)
         bad = set()

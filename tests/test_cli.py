@@ -385,6 +385,18 @@ def test_main_negative_window_is_refused(square_file, capsys):
         assert "window" in captured.err
 
 
+def test_main_window_past_budget_exits_1(square_file, capsys, monkeypatch):
+    # radius 1 of the square holds 27 points
+    monkeypatch.setattr(complexes, "WINDOW_BUDGET", 26)
+    for argv in (["acyclicity"], ["analyze"],
+                 ["resolution", "--support", "A0,A1", "A1"]):
+        assert main(argv + ["--window", "1", "--input", square_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has 27 points, past the budget of 26" in captured.err
+    assert main(["acyclicity", "--window", "0", "--input", square_file]) == 0
+
+
 def test_main_frobenius_large_prime(tmp_path, capsys):
     # 2^61 - 1 is prime; the check must not trial-divide up to its root
     cyclic_file = tmp_path / "cyclic.json"

@@ -200,6 +200,56 @@ def test_homology_once_per_survival_mask(monkeypatch):
     assert calls == []
 
 
+def test_slab_table_once_per_radius(monkeypatch):
+    # a square built here, so that no earlier test has filled its table
+    square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
+    for radius in (0, 2, 1):
+        assert verify_acyclicity(square, FREE, X, window=radius).passed
+    table = square._store[complexes._slab_getters]
+    assert sorted(table) == [(0,), (1,), (2,)]
+    for (radius,), getters in table.items():
+        assert len(getters) == len(square.normals)
+        for n, (shift, get) in zip(square.normals, getters):
+            assert shift == radius * abs(n[0])
+            # the index of each slab point (x0, *t), in product order
+            want = [radius * sum(map(abs, n[1:]))
+                    + sum(x * a for x, a in zip(t, n[1:]))
+                    for t in product(range(-radius, radius + 1),
+                                     repeat=square.rank - 1)]
+            assert len(want) == (2 * radius + 1) ** (square.rank - 1)
+            assert min(want) >= 0
+            assert list(get(range(max(want) + 1))) == want
+    # a second call at a radius asked before builds nothing
+    built = []
+    real = complexes.itemgetter
+    monkeypatch.setattr(complexes, "itemgetter",
+                        lambda *index: built.append(index) or real(*index))
+    assert verify_acyclicity(square, FREE, Y, window=2).passed
+    assert built == []
+    assert sorted(table) == [(0,), (1,), (2,)]
+
+
+def test_window_budget(monkeypatch):
+    square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
+    assert complexes.WINDOW_BUDGET == 10 ** 6
+    # 101^3 points: refused at once, before any slab table is built
+    with pytest.raises(InputError, match="radius 50 has 1030301 points, "
+                                         "past the budget of 1000000"):
+        verify_acyclicity(square, FREE, X, window=50)
+    assert complexes._slab_getters not in square._store
+    monkeypatch.setattr(complexes, "WINDOW_BUDGET", 26)
+    assert verify_acyclicity(square, FREE, X, window=0).checked == 1
+    with pytest.raises(InputError, match="has 27 points, past the budget of 26"):
+        verify_acyclicity(square, FREE, X, window=1)
+    # a spliced resolution is refused at its validation window, the
+    # default one included; the default here is 4, 9^3 points
+    with pytest.raises(InputError, match="has 27 points, past the budget of 26"):
+        resolution(square, [FREE, X], X, window=1)
+    with pytest.raises(InputError, match="has 729 points, past the budget of 26"):
+        resolution(square, [FREE, X], X)
+    assert sorted(square._store[complexes._slab_getters]) == [(0,)]
+
+
 def _oracle_cases(spec, cx, cp, radii):
     # the report against oracle_verify at every radius; returns how many
     # witnesses fell outside the window and how many on its edge
@@ -248,6 +298,25 @@ def test_rank_four_acyclicity_matches_oracle_on_a_sample(octahedron):
             outside += got[0]
             edge += got[1]
     assert outside and edge
+
+
+def test_rank_four_acyclicity_matches_oracle_at_radius_two(octahedron):
+    # radius 2 is the shape of the octahedron's benchmark pairs; the last
+    # complex is truncated, so its reports fail
+    rng = random.Random(28)
+    reps = enumerate_classes(octahedron).reps
+    passed = []
+    for truncate in (False, False, False, True):
+        a, b = rng.choice(reps), rng.choice(reps)
+        cx = conic_complex(octahedron, a)
+        if truncate:
+            cx = ConicComplex(chamber=a, terms=cx.terms[:2],
+                              cells=cx.cells[:2], mats=cx.mats[:1])
+        for cp in (b, a):
+            want = oracle_verify(octahedron, cx, cp, 2)
+            assert _verify(octahedron, cx, cp, 2) == want, (a, cp)
+            passed.append(want.passed)
+    assert passed == [True] * 6 + [False] * 2
 
 
 def test_pdims_and_global_dimension(quadric, square, cyclic, orthant2, orthant3):
