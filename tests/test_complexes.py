@@ -301,8 +301,8 @@ def test_rank_four_acyclicity_matches_oracle_on_a_sample(octahedron):
 
 
 def test_rank_four_acyclicity_matches_oracle_at_radius_two(octahedron):
-    # radius 2 is the shape of the octahedron's benchmark pairs; the last
-    # complex is truncated, so its reports fail
+    # radius 2, the window the benchmark's acyclicity ops ask for; the
+    # last complex is truncated, so its reports fail
     rng = random.Random(28)
     reps = enumerate_classes(octahedron).reps
     passed = []
