@@ -14,9 +14,12 @@ pair of Omegas, filled on first use.  Interior points of cells are
 computed only on demand (``cell_witnesses``).
 
 Lattice translation keeps cells, so they are kept once per class:
-``chamber_gate`` checks every ceiling vector, reduces it by the pivots of
-the pairing lattice's HNF (``_lattice_pivots``) and reads the cell
-pattern of the representative, the (omega, codim) of its cells.  Both
+``chamber_gate`` checks every ceiling vector a user gives, reduces it by
+the pivots of the pairing lattice's HNF (``_lattice_pivots``) and reads
+the cell pattern of the representative, the (omega, codim) of its cells.
+A ceiling vector the engine derives (a root residue, a map piece, an
+open conic) takes the same reduction and lookup through ``class_of``,
+where a miss is a bug, not bad input.  Both
 pairing-lattice tables live here, and so does the class walk
 (``leaves``): one base cube per level in that HNF's box, cut slab by
 slab, so one chamber's box (``box_vertices``) is one of its paths.  The
@@ -63,9 +66,10 @@ Pattern = tuple[tuple[tuple[int, ...], int], ...]
 
 def chamber_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, Pattern]:
     """(c as ints, its class representative, the representative's cell
-    pattern); the pattern is empty when c is not a chamber, and then
-    nothing is kept (``class_pattern`` raises, and ``per_cone`` keeps no
-    call that raises)."""
+    pattern) for a ceiling vector a user gives; the pattern is empty
+    when c is not a chamber, and then nothing is kept (``class_pattern``
+    raises, and ``per_cone`` keeps no call that raises).  Vectors the
+    engine derives go through ``class_of``."""
     cc = ceiling_vector(spec, c)
     rep = ratgeom.reduce_by_pivots(cc, _lattice_pivots(spec))
     try:
@@ -80,6 +84,21 @@ def require_gate(spec: ConeSpec, c) -> tuple[IntVec, IntVec, Pattern]:
     if not gate[2]:
         raise InputError(f"not a chamber: {gate[0]} is infeasible")
     return gate
+
+
+def class_of(spec: ConeSpec, c: IntVec) -> IntVec:
+    """The class representative of a ceiling vector the engine derived,
+    a tuple of t ints: c reduced by the pairing lattice's HNF pivots,
+    whose class pattern is then looked up (``class_pattern``).  Every
+    derived vector is a chamber, so InternalInvariantError naming c when
+    its class has no cell."""
+    rep = ratgeom.reduce_by_pivots(c, _lattice_pivots(spec))
+    try:
+        class_pattern(spec, rep)
+    except _NoCells:
+        raise InternalInvariantError(
+            f"derived ceiling vector {c} is not a chamber") from None
+    return rep
 
 
 def box_vertices(spec: ConeSpec, c: IntVec) -> tuple[tuple[IntVec, int], ...]:
@@ -204,11 +223,12 @@ class _NoCells(Exception):
 @per_cone
 def class_pattern(spec: ConeSpec, c: IntVec) -> Pattern:
     """The cell pattern of the chamber of a class representative
-    (``chamber_gate``): the (omega, codim) of its cells sorted by (codim,
-    omega), so the open cell comes first.  _NoCells if c is not a
-    chamber, so that the table holds class representatives only.  The
-    class walk (``chambers.enumerate_classes``) fills the table for every
-    class; a representative asked for before it reads its own box."""
+    (``chamber_gate``, ``class_of``): the (omega, codim) of its cells
+    sorted by (codim, omega), so the open cell comes first.  _NoCells if
+    c is not a chamber, so that the table holds class representatives
+    only.  The class walk (``chambers.enumerate_classes``) fills the
+    table for every class; a representative asked for before it reads
+    its own box."""
     pattern = _pattern(spec, frozenset(tight for _, tight in box_vertices(spec, c)))
     if not pattern:
         raise _NoCells(c)

@@ -15,11 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .cells import (cell_census, cell_witnesses, chamber_gate, class_pattern,
-                    enumerate_cells, open_conic, pattern_census)
-from .chambers import canonical_class, degree, enumerate_classes
+from .cells import (cell_census, cell_witnesses, chamber_gate, class_of,
+                    class_pattern, enumerate_cells, open_conic,
+                    pattern_census)
+from .chambers import degree, enumerate_classes
 from .complexes import (
     _smith,
+    _window_points,
+    _window_radius,
     conic_complex,
     global_dimension,
     nccr_verdict,
@@ -39,7 +42,13 @@ from .errors import (
     SupportNotClosedError,
     UnsupportedOperationError,
 )
-from .frobenius import decompose_root, dmodule_report, minimal_complete_q
+from .frobenius import (
+    _characteristic,
+    _root_index,
+    decompose_root,
+    dmodule_report,
+    minimal_complete_q,
+)
 from .ratgeom import intvec
 from .svg import render_svg_2d
 
@@ -137,6 +146,8 @@ def _vec(v) -> list:
 
 def analyze(spec: ConeSpec, options: AnalyzeOptions = AnalyzeOptions()) -> dict:
     """Full analysis report as a plain JSON-serializable dict."""
+    _check_options(spec, options.acyclicity_radius, options.frobenius_q,
+                   options.dmodule_prime)
     classes = enumerate_classes(spec)
     warnings = []
     class_rows = []
@@ -203,6 +214,18 @@ def analyze(spec: ConeSpec, options: AnalyzeOptions = AnalyzeOptions()) -> dict:
                         tuple(_parse_class(spec, classes, s) for s in sup))
             for sup in options.supports]
     return report
+
+
+def _check_options(spec: ConeSpec, window=None, q=None, prime=None) -> None:
+    """Refuse a bad acyclicity window, root index or characteristic
+    before any walk, with the messages of the checks that use them;
+    support labels need the class list and are read later."""
+    if window is not None:
+        _window_points(spec, _window_radius(window))
+    if q is not None:
+        _root_index(spec, q)
+    if prime is not None:
+        _characteristic(prime)
 
 
 def _nccr_block(spec: ConeSpec, classes, support=None) -> dict:
@@ -407,8 +430,7 @@ def _cmd_cells(args) -> str:
             "codim": cell.codim,
             "witness": _vec(witness),
             "open_conic": list(open_conic(cell)),
-            "class": classes.label_of(
-                canonical_class(spec, open_conic(cell))),
+            "class": classes.label_of(class_of(spec, open_conic(cell))),
         })
     census = {str(k): v for k, v in sorted(cell_census(spec, rep).items())}
     report = _wrap(spec, {"chamber": list(rep),
@@ -428,7 +450,7 @@ def _cmd_complex(args) -> str:
     rep = _parse_class(spec, classes, args.cls)
     cx = conic_complex(spec, rep)
     terms = [[{"open_conic": list(vec),
-               "class": classes.label_of(canonical_class(spec, vec))}
+               "class": classes.label_of(class_of(spec, vec))}
               for vec in row] for row in cx.terms]
     mats = [[list(r) for r in m] for m in cx.mats]
     report = _wrap(spec, {"chamber": list(rep),
@@ -446,6 +468,7 @@ def _cmd_complex(args) -> str:
 
 def _cmd_resolution(args) -> str:
     spec = _load_spec(args)
+    _check_options(spec, window=args.window)
     classes = enumerate_classes(spec)
     rep = _parse_class(spec, classes, args.cls)
     support = _parse_support(spec, classes, args.support)
@@ -477,6 +500,7 @@ def _cmd_resolution(args) -> str:
 
 def _cmd_acyclicity(args) -> str:
     spec = _load_spec(args)
+    _check_options(spec, window=args.window)
     rows = _acyclicity_rows(spec, enumerate_classes(spec), args.window)
     report = _wrap(spec, {
         "pairs": rows, "all_passed": all(r["passed"] for r in rows)})
@@ -504,6 +528,7 @@ def _cmd_nccr(args) -> str:
 
 def _cmd_frobenius(args) -> str:
     spec = _load_spec(args)
+    _check_options(spec, q=args.q, prime=args.dmodule)
     body = _frobenius_block(spec, enumerate_classes(spec), args.q,
                             args.minimal, args.dmodule)
     lines = []

@@ -22,6 +22,7 @@ from .cells import (
     Cell,
     _preimage,
     _sign,
+    class_of,
     class_pattern,
     has_zero_cell,
     open_conic,
@@ -146,11 +147,13 @@ def conic_complex(spec: ConeSpec, c) -> ConicComplex:
 
 @per_cone
 def _complex(spec: ConeSpec, c: IntVec) -> ConicComplex:
-    # conic_complex of a ceiling vector already gated, kept per chamber;
-    # the differentials are kept per cell pattern (``_differentials``),
-    # and ``cells._pattern`` has checked that the pattern has one open
-    # cell, whose open conic is the chamber
-    pattern = require_gate(spec, c)[2]
+    # conic_complex of a chamber's ceiling vector as a tuple of ints, one
+    # gated by the caller or an open conic of another complex, kept per
+    # chamber: its pattern is its class's (``cells.class_of``), the
+    # differentials are kept per cell pattern (``_differentials``), and
+    # ``cells._pattern`` has checked that the pattern has one open cell,
+    # whose open conic is the chamber
+    pattern = class_pattern(spec, class_of(spec, c))
     cells = [[] for _ in range(pattern[-1][1] + 1)]
     terms = [[] for _ in cells]
     for omega, codim in pattern:
@@ -251,6 +254,17 @@ def _window_radius(window) -> int:
     return window
 
 
+def _window_points(spec: ConeSpec, radius: int) -> int:
+    """The (2r + 1)^d points of the window of radius r; InputError when
+    they are more than WINDOW_BUDGET."""
+    points = (2 * radius + 1) ** spec.rank
+    if points > WINDOW_BUDGET:
+        raise InputError(
+            f"the window of radius {radius} has {points} points, past the "
+            f"budget of {WINDOW_BUDGET}")
+    return points
+
+
 @per_cone
 def _slab_getters(spec: ConeSpec, radius: int) -> tuple:
     # One (shift, get) per normal n.  With the masks of n listed by the
@@ -276,7 +290,8 @@ def _slab_getters(spec: ConeSpec, radius: int) -> tuple:
 def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
             ranks_of: dict | None = None) -> AcyclicityReport:
     """Window acyclicity of a complex against the chamber cp; InputError
-    when the window's (2r + 1)^d points are more than WINDOW_BUDGET.
+    when the window's (2r + 1)^d points are more than WINDOW_BUDGET
+    (``_window_points``).
 
     Summand vec survives at m iff h = (<m, n_i>)_i >= vec - cp entrywise,
     so the survivors are the AND over i of the summands whose gap at i is
@@ -304,10 +319,7 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
     window costs no per-point work.
     """
     r, side, d = radius, 2 * radius + 1, spec.rank
-    if side ** d > WINDOW_BUDGET:
-        raise InputError(
-            f"the window of radius {r} has {side ** d} points, past the "
-            f"budget of {WINDOW_BUDGET}")
+    checked = _window_points(spec, r)
     c = cx.chamber
     witness = _preimage(spec, sub(c, cp))
     if ranks_of is None:
@@ -363,7 +375,7 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
                 hits.append(m)
     passed = not failures and len(hits) == (0 if w0 is None else 1)
     return AcyclicityReport(
-        chamber=c, other=cp, radius=radius, checked=side ** d,
+        chamber=c, other=cp, radius=radius, checked=checked,
         hits=tuple(hits), failures=tuple(failures),
         witness=witness, passed=passed)
 
@@ -410,7 +422,7 @@ def ext_dims(spec: ConeSpec, c, cp) -> tuple[int, ...]:
     cx = conic_complex(spec, c)
     rep = canonical_class(spec, cp)
     return tuple(
-        sum(1 for vec in row if canonical_class(spec, vec) == rep)
+        sum(1 for vec in row if class_of(spec, vec) == rep)
         for row in cx.terms)
 
 
@@ -459,25 +471,26 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
     ones solve phi_i D_i = d_K phi_{i+1} at the excluded positions of
     K_i and D_{i-1} D_i = 0.  A complete support excludes nothing, so F
     is K.  Every spliced resolution is validated by window acyclicity
-    before it is returned.
+    before it is returned; a window given is checked first, against
+    WINDOW_BUDGET too, whether or not anything is spliced.
     """
     cc = require_chamber(spec, c)
     if window is not None:
-        _window_radius(window)
+        _window_points(spec, _window_radius(window))
     reps = _canonical_support(spec, support)
     sup = set(reps)
-    if canonical_class(spec, cc) not in sup:
+    if class_of(spec, cc) not in sup:
         raise InputError("the chamber's own class must belong to the support")
     K = _complex(spec, cc)
     excluded = [
         (k, pos) for k in range(1, len(K.terms))
         for pos, vec in enumerate(K.terms[k])
-        if canonical_class(spec, vec) not in sup]
+        if class_of(spec, vec) not in sup]
     subs = [_complex(spec, K.terms[k][pos]) for k, pos in excluded]
     bad_cells = [
         Ks.cells[j][p] for Ks in subs for j in range(1, len(Ks.terms))
         for p, vec in enumerate(Ks.terms[j])
-        if canonical_class(spec, vec) not in sup]
+        if class_of(spec, vec) not in sup]
     if bad_cells:
         raise SupportNotClosedError(
             "support is not closed under one substitution round",
@@ -575,7 +588,7 @@ def _report(spec: ConeSpec, cx: SplicedComplex, reps, validated_radius) -> Resol
     for row in cx.terms:
         counts: dict[IntVec, int] = {}
         for vec in row:
-            rep = canonical_class(spec, vec)
+            rep = class_of(spec, vec)
             counts[rep] = counts.get(rep, 0) + 1
         shape.append(tuple(sorted(counts.items())))
     return ResolutionReport(
@@ -629,7 +642,7 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
             reasons=(f"class {witness} has no zero cell, so its simple "
                      f"has projective dimension below the rank",))
 
-    free = canonical_class(spec, tuple(0 for _ in spec.normals))
+    free = class_of(spec, tuple(0 for _ in spec.normals))
     if free not in reps:
         raise InputError("support must contain the free class")
     reasons = []

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cells import _lattice_pivots, require_gate
-from .chambers import chamber_witness, enumerate_classes
+from .cells import box_vertices, class_of, vertex_barycenter
+from .chambers import enumerate_classes
 from .cone import ConeSpec, per_cone
 from .errors import InputError, UnsupportedOperationError
-from .ratgeom import IntVec, dot, reduce_by_pivots
+from .ratgeom import IntVec, dot
 
 SEARCH_CAP = 64
 # The most residues ``decompose_root`` lists: every q up to SEARCH_CAP at
@@ -61,15 +61,12 @@ def _ceiling_classes(spec: ConeSpec) -> dict:
 def _residue_classes(spec: ConeSpec, q: int):
     """The class of the chamber of each residue of the q-th root, in
     product order.  Ceiling vectors are read through one table per cone
-    (``_ceiling_classes``), mapping each to its class.  Being a chamber
-    is a property of the class, so a new vector is only reduced, and
-    gated when its class is new to the table (a representative is its
-    own class).  Every other key is the ceiling vector of a point -v/q
-    of (-1, 0]^d, so c_i lies in [min(0, 1 - P_i), N_i], P_i and N_i
-    being the sums of the positive and of the negated negative entries
-    of n_i: the table is bounded by the class count plus the number of
-    chambers meeting that cube, whatever q is."""
-    pivots = _lattice_pivots(spec)
+    (``_ceiling_classes``), mapping each to its class; a vector new to
+    the table gets its class from ``cells.class_of``.  Every key is the
+    ceiling vector of a point -v/q of (-1, 0]^d, so c_i lies in
+    [min(0, 1 - P_i), N_i], P_i and N_i being the sums of the positive
+    and of the negated negative entries of n_i: the table is bounded by
+    the number of chambers meeting that cube, whatever q is."""
     table = _ceiling_classes(spec)
     lasts = [n[-1] for n in spec.normals]
     for head in product(range(q), repeat=spec.rank - 1):
@@ -79,10 +76,7 @@ def _residue_classes(spec: ConeSpec, q: int):
             c = tuple(-((h + x * m) // q) for h, m in zip(heads, lasts))
             rep = table.get(c)
             if rep is None:
-                rep = reduce_by_pivots(c, pivots)
-                if rep not in table:
-                    table[rep] = require_gate(spec, c)[1]
-                table[c] = rep
+                rep = table[c] = class_of(spec, c)
             yield rep
 
 
@@ -91,14 +85,20 @@ def decompose_root(spec: ConeSpec, q: int) -> RootDecomposition:
     when its q^d residues are more than ROOT_BUDGET.  This is the one
     listing of residues: each q is listed once per cone and kept
     (``_decomposition``), and every q any search lists passes the
-    budget here first."""
+    budget here first (``_root_index``)."""
+    return _decomposition(spec, _root_index(spec, q))
+
+
+def _root_index(spec: ConeSpec, q) -> int:
+    """q once checked: InputError unless it is a positive int whose q^d
+    residues are at most ROOT_BUDGET."""
     if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise InputError(f"root index must be a positive integer, got {q!r}")
     if q ** spec.rank > ROOT_BUDGET:
         raise InputError(
             f"the {q}-th root has {q ** spec.rank} residues, past the "
             f"budget of {ROOT_BUDGET}")
-    return _decomposition(spec, q)
+    return q
 
 
 @per_cone
@@ -131,8 +131,10 @@ def _complete(spec: ConeSpec, q: int) -> bool:
 
 
 def _holds_cube(spec: ConeSpec, c: IntVec, q: int) -> bool:
-    # whether the cube of side 1/q about the witness lies in chamber c
-    w = chamber_witness(spec, c)
+    # whether the cube of side 1/q about the witness, the barycenter of
+    # the closed box, lies in the chamber of the representative c
+    class_of(spec, c)
+    w = vertex_barycenter(spec, box_vertices(spec, c))
     for n, ci in zip(spec.normals, c):
         x = dot(w, n)
         if sum(map(abs, n)) >= 2 * q * min(ci - x, x - ci + 1):
@@ -153,6 +155,13 @@ def minimal_complete_q(spec: ConeSpec) -> int:
             return q
     raise UnsupportedOperationError(
         f"no root up to {SEARCH_CAP} hits every class")
+
+
+def _characteristic(p) -> None:
+    """InputError unless p is a prime, which is decided below PRIME_BOUND
+    only (``_is_prime``)."""
+    if not isinstance(p, int) or not _is_prime(p):
+        raise InputError(f"characteristic must be prime, got {p!r}")
 
 
 def _is_prime(p: int) -> bool:
@@ -197,8 +206,7 @@ def dmodule_report(spec: ConeSpec, p: int) -> DModuleReport:
     which the two searches share; InputError when a power that the cube
     certificate does not decide has more than ROOT_BUDGET residues.
     """
-    if not isinstance(p, int) or not _is_prime(p):
-        raise InputError(f"characteristic must be prime, got {p!r}")
+    _characteristic(p)
     qmin = minimal_complete_q(spec)
     e = 0
     while p ** e < qmin:

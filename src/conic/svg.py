@@ -14,10 +14,10 @@ import json
 import math
 from fractions import Fraction
 
-from .cells import _lattice_pivots, require_gate
+from .cells import class_of
 from .cone import ConeSpec
 from .errors import InputError, UnsupportedOperationError
-from .ratgeom import IntVec, reduce_by_pivots
+from .ratgeom import IntVec
 
 # Most lattice points plus chamber pieces a window may ask ``render_svg_2d``
 # to draw; 10^6 admits the quadric's window of side 200 (about 6.9e5).
@@ -219,7 +219,8 @@ def render_svg_2d(spec: ConeSpec, window) -> str:
     """Render the chamber decomposition over a rational window.
 
     window is (x0, x1, y0, y1); output is a standalone SVG document,
-    byte-identical across runs for equal inputs.
+    byte-identical across runs for equal inputs.  Each piece is colored
+    by its class, which ``cells.class_of`` reads off its ceiling vector.
     """
     window = x0, x1, y0, y1 = tuple(map(Fraction, _checked_window(spec, window)))
     width = x1 - x0
@@ -236,15 +237,12 @@ def render_svg_2d(spec: ConeSpec, window) -> str:
     # The pieces of drawn_chambers, printed from their (X, Y, W)
     # vertices: int true division rounds X / W as float(Fraction) does.
     # An inner vertex bounds up to four pieces and a class colors many,
-    # so each is formatted once per call.  Being a chamber is a property
-    # of the class, so only the first piece of each class is gated.
+    # so each is formatted once per call.
     points = {}
     colors = {}
-    pivots = _lattice_pivots(spec)
     for c, poly in _strip_pieces(spec, list(_window_corners(window))):
-        rep = reduce_by_pivots(c, pivots)
+        rep = class_of(spec, c)
         if rep not in colors:
-            require_gate(spec, c)
             colors[rep] = _class_color(rep)
         for v in poly:
             if v not in points:

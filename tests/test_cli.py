@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conic import cli_io, complexes, frobenius
+from conic import chambers, cli_io, complexes, frobenius
 from conic.cone import content_hash
 from conic.cli_io import (
     AnalyzeOptions,
@@ -395,6 +395,39 @@ def test_main_window_past_budget_exits_1(square_file, capsys, monkeypatch):
         assert captured.out == ""
         assert "has 27 points, past the budget of 26" in captured.err
     assert main(["acyclicity", "--window", "0", "--input", square_file]) == 0
+
+
+def test_bad_options_are_refused_before_the_walk(square_file, capsys,
+                                                monkeypatch):
+    # every option that needs no class list is checked before the walk
+    def walk(spec):
+        raise AssertionError("the class walk ran")
+
+    for module in (chambers, cli_io, complexes, frobenius):
+        monkeypatch.setattr(module, "enumerate_classes", walk)
+    window = ("the window of radius 50 has 1030301 points, past the budget "
+              "of 1000000")
+    negative = "window radius must be a nonnegative integer, got -1"
+    big = 2 ** 61 - 1
+    residues = (f"the {big}-th root has {big ** 3} residues, past the budget "
+                f"of {frobenius.ROOT_BUDGET}")
+    cases = [
+        (["--window", "50"], window),
+        (["--window=-1"], negative),
+        (["--q", "0"], "root index must be a positive integer, got 0"),
+        (["--q", str(big)], residues),
+        (["--dmodule", "4"], "characteristic must be prime, got 4"),
+        (["--dmodule", str(2 ** 89 - 1)],
+         f"characteristic {2 ** 89 - 1} is at least {frobenius.PRIME_BOUND}, "
+         "beyond which primality is not decided here"),
+    ]
+    runs = [(["analyze"] + flags, msg) for flags, msg in cases]
+    runs += [(["frobenius"] + flags, msg) for flags, msg in cases[2:]]
+    for cmd in (["acyclicity"], ["resolution", "--support", "A0,A1", "A1"]):
+        runs += [(cmd + flags, msg) for flags, msg in cases[:2]]
+    for argv, msg in runs:
+        assert main(argv + ["--input", square_file]) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {msg}\n"), argv
 
 
 def test_main_frobenius_large_prime(tmp_path, capsys):

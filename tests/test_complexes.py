@@ -247,6 +247,9 @@ def test_window_budget(monkeypatch):
         resolution(square, [FREE, X], X, window=1)
     with pytest.raises(InputError, match="has 729 points, past the budget of 26"):
         resolution(square, [FREE, X], X)
+    # a window given is refused even where nothing is spliced
+    with pytest.raises(InputError, match="has 27 points, past the budget of 26"):
+        resolution(square, enumerate_classes(square).reps, X, window=1)
     assert sorted(square._store[complexes._slab_getters]) == [(0,)]
 
 
