@@ -20,14 +20,14 @@ from .cells import (cell_census, cell_witnesses, chamber_gate, class_of,
                     pattern_census)
 from .chambers import degree, enumerate_classes
 from .complexes import (
+    _acyclicity,
+    _complex,
     _smith,
     _window_points,
     _window_radius,
-    conic_complex,
     global_dimension,
     nccr_verdict,
     resolution,
-    verify_acyclicity,
 )
 from .cone import (
     ConeSpec,
@@ -242,8 +242,9 @@ def _nccr_block(spec: ConeSpec, classes, support=None) -> dict:
 def _acyclicity_rows(spec: ConeSpec, classes, window) -> list:
     rows = []
     for a in classes.reps:
+        pattern = class_pattern(spec, class_of(spec, a))
         for b in classes.reps:
-            rpt = verify_acyclicity(spec, a, b, window=window)
+            rpt = _acyclicity(spec, a, pattern, b, window)
             rows.append({
                 "chamber": classes.label_of(a),
                 "other": classes.label_of(b),
@@ -448,7 +449,7 @@ def _cmd_complex(args) -> str:
     spec = _load_spec(args)
     classes = enumerate_classes(spec)
     rep = _parse_class(spec, classes, args.cls)
-    cx = conic_complex(spec, rep)
+    cx = _complex(spec, rep)
     terms = [[{"open_conic": list(vec),
                "class": classes.label_of(class_of(spec, vec))}
               for vec in row] for row in cx.terms]

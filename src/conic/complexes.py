@@ -24,7 +24,6 @@ from .cells import (
     _sign,
     class_of,
     class_pattern,
-    has_zero_cell,
     open_conic,
     require_gate,
 )
@@ -40,6 +39,7 @@ from .errors import (
     InternalInvariantError,
     SupportNotClosedError,
 )
+from .homs import _conic_hom
 from .ratgeom import IntVec, add, intvec, sub
 
 # Most lattice points one acyclicity window may hold; (2r + 1)^d for
@@ -385,13 +385,18 @@ def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> Acycl
 
     Every homology rank over the window must vanish except a single
     rank-one slot in degree zero at the lattice point translating cp
-    onto c, when that point exists and lies inside the window.
+    onto c, when that point exists and lies inside the window.  InputError
+    unless both are chambers; package code calls ``_acyclicity``.
     """
     cc, _, pattern = require_gate(spec, c)
-    cpp = require_chamber(spec, cp)
-    radius = (default_window(cc, cpp) if window is None
+    return _acyclicity(spec, cc, pattern, require_chamber(spec, cp), window)
+
+
+def _acyclicity(spec: ConeSpec, c: IntVec, pattern, cp: IntVec, window) -> AcyclicityReport:
+    # verify_acyclicity of gated chambers, c with its class pattern
+    radius = (default_window(c, cp) if window is None
               else _window_radius(window))
-    return _verify(spec, _complex(spec, cc), cpp, radius,
+    return _verify(spec, _complex(spec, c), cp, radius,
                    _slice_ranks(spec, pattern))
 
 
@@ -419,7 +424,7 @@ def ext_dims(spec: ConeSpec, c, cp) -> tuple[int, ...]:
     class of cp: the hom-complex differentials are radical, so they
     vanish on simples and the count is the whole answer.
     """
-    cx = conic_complex(spec, c)
+    cx = _complex(spec, require_chamber(spec, c))
     rep = canonical_class(spec, cp)
     return tuple(
         sum(1 for vec in row if class_of(spec, vec) == rep)
@@ -472,12 +477,17 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
     K_i and D_{i-1} D_i = 0.  A complete support excludes nothing, so F
     is K.  Every spliced resolution is validated by window acyclicity
     before it is returned; a window given is checked first, against
-    WINDOW_BUDGET too, whether or not anything is spliced.
+    WINDOW_BUDGET too, whether or not anything is spliced.  Package code
+    calls ``_resolution`` on class representatives.
     """
     cc = require_chamber(spec, c)
     if window is not None:
         _window_points(spec, _window_radius(window))
-    reps = _canonical_support(spec, support)
+    return _resolution(spec, _canonical_support(spec, support), cc, window)
+
+
+def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> ResolutionReport:
+    # resolution of a gated chamber over its support's sorted representatives
     sup = set(reps)
     if class_of(spec, cc) not in sup:
         raise InputError("the chamber's own class must belong to the support")
@@ -605,7 +615,8 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
     by a class with no zero cell.  Partial supports go through the
     spliced resolutions: a too-short resolution certifies a negative,
     full-length resolutions plus conic hom supports for every ordered
-    pair certify a positive, anything else is inconclusive.
+    pair certify a positive, anything else is inconclusive.  Only the
+    support is gated: the rest reads its representatives.
     """
     classes = enumerate_classes(spec)
     all_reps = classes.reps
@@ -633,10 +644,6 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
         if witness is None:
             raise InternalInvariantError(
                 "non-simplicial cone with all resolutions of full length")
-        if has_zero_cell(spec, witness):
-            raise InternalInvariantError(
-                f"class {witness} has a zero cell but a resolution shorter "
-                f"than the rank")
         return NccrVerdict(
             verdict="NotNCCR", support=reps, complete=True, witness=witness,
             reasons=(f"class {witness} has no zero cell, so its simple "
@@ -649,7 +656,7 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
     lengths = {}
     for rep in reps:
         try:
-            rpt = resolution(spec, reps, rep)
+            rpt = _resolution(spec, reps, rep, None)
         except SupportNotClosedError as err:
             reasons.append(
                 f"support not closed while resolving {rep}: "
@@ -672,9 +679,8 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
             witness=None,
             reasons=(f"spliced resolution of {long_[0]} has length "
                      f"{lengths[long_[0]]} > rank {spec.rank}",))
-    from .homs import hom_is_conic
     bad_pairs = [
-        (a, b) for a in reps for b in reps if not hom_is_conic(spec, a, b)]
+        (a, b) for a in reps for b in reps if not _conic_hom(spec, a, b)]
     if bad_pairs:
         return NccrVerdict(
             verdict="Inconclusive", support=reps, complete=False,

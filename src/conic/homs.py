@@ -61,9 +61,12 @@ def hom_is_conic(spec: ConeSpec, c, cp) -> bool:
     The support region determines its bound vector (the normals are
     irredundant, so every bound is attained on lattice points), hence it
     is conic exactly when the difference vector is itself feasible.
+    Package code calls ``_conic_hom`` on class representatives.
     """
-    a = require_chamber(spec, c)
-    b = require_chamber(spec, cp)
+    return _conic_hom(spec, require_chamber(spec, c), require_chamber(spec, cp))
+
+
+def _conic_hom(spec: ConeSpec, a: IntVec, b: IntVec) -> bool:
     return is_feasible(spec, sub(b, a))
 
 

@@ -1,7 +1,8 @@
 """The class map of derived ceiling vectors (``cells.class_of``).
 
-Root residues, map pieces, open conics and spliced terms get their class
-from ``class_of``; user input keeps the gate (``cells.chamber_gate``).
+Root residues, map pieces, open conics, spliced terms and the acyclicity
+table's representatives get their class from ``class_of``; user input
+keeps the gate (``cells.chamber_gate``).
 A derived vector whose class has no cell is a bug, so it exits 2 and
 names the vector, while a non-chamber a user gives still exits 1.
 """
@@ -136,6 +137,19 @@ def test_derived_non_chamber_exits_2(quadric, cyclic, square, tmp_path,
         assert err.endswith(f"(cone {content_hash(spec)})\n")
         named = re.search(r"vector (\(.*?\))", err).group(1)
         assert canonical_class(spec, ast.literal_eval(named)) == bad, argv
+
+
+def test_lost_representative_in_acyclicity_exits_2(square, tmp_path, capsys,
+                                                  monkeypatch):
+    # the acyclicity table takes the walk's representatives ungated, so
+    # one that has lost its cells after the walk is a bug, not bad input
+    lost = enumerate_classes(square).rep_of("A1")
+    _break_class(monkeypatch, lost)
+    assert _run(tmp_path, square, ["acyclicity"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"internal invariant violated: derived ceiling vector "
+                   f"{lost} is not a chamber (cone {content_hash(square)})\n")
 
 
 def test_cube_certificate_raises_on_a_derived_non_chamber(monkeypatch):
