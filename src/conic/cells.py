@@ -19,15 +19,16 @@ the pivots of the pairing lattice's HNF (``_lattice_pivots``) and reads
 the cell pattern of the representative, the (omega, codim) of its cells.
 A ceiling vector the engine derives (a root residue, a map piece, an
 open conic) takes the same reduction and lookup through ``class_of``,
-where a miss is a bug, not bad input.  Both
-pairing-lattice tables live here, and so does the class walk
-(``leaves``): one base cube per level in that HNF's box, cut slab by
-slab, so one chamber's box (``box_vertices``) is one of its paths.  The
+where a miss is a bug, not bad input.  Both pairing-lattice tables
+live here, and so does the class walk (``class_walk``): one base cube
+per level in that HNF's box, cut slab by slab (``_cut``), and the same
+cut held to one chamber's levels gives its box (``box_vertices``).  The
 cells read only the tight masks of the box vertices: the face closure
-(``_pattern``) runs once per mask set of a walk, and once per class
-asked for before it, on its own box.  Each cone keeps one object per
-distinct pattern (``_interned``), which every class with that pattern
-holds (``class_pattern``).  ``Cell`` objects are made only on request.
+(``_pattern``) runs once per mask set of a walk, which fills the pattern
+table (``class_pattern``) for every class, and once per class asked for
+before it, on its own box.  Each cone keeps one object per distinct
+pattern (``_interned``), which every class with that pattern holds.
+``Cell`` objects are made only on request.
 """
 
 from __future__ import annotations
@@ -105,41 +106,38 @@ def box_vertices(spec: ConeSpec, c: IntVec) -> tuple[tuple[IntVec, int], ...]:
     """Vertices of the closed box c_i - 1 <= <x, n_i> <= c_i as (ray, tight),
     sorted by ray: the vertex is ray[:d] / ray[d], ray primitive, and tight
     is the int bitmask of its tight bounds, bit 2i the upper bound of
-    normal i and bit 2i + 1 its lower bound.  The box is one path of the
-    class walk (``leaves``): the root cube at the base levels c_B
-    (``_cube``), cut to the slab at level c_i of each non-base normal i
-    in index order (``_slab``)."""
-    d = spec.rank
-    base = _base_cube(spec)[0]
-    rays, masks = _cube(spec, [c[i] for i in base])
-    for i, n in enumerate(spec.normals):
-        if i not in base:
-            vals = [(sum(map(mul, ray, n)), ray[d]) for ray in rays]
-            rays, masks = _slab(rays, masks, vals, i, n, c[i], d)
+    normal i and bit 2i + 1 its lower bound.  The box is the one leaf of
+    the walk's cut (``_cut``) from the root cube at the base levels c_B
+    (``_cube``), held to c's own level of each non-base normal."""
+    base, *_, cuts = _base_cube(spec)
+    (_, rays, masks), = _cut(*_cube(spec, [c[i] for i in base]), cuts, list(c),
+                             spec.rank, False)
     return tuple(sorted(zip(rays, masks)))
 
 
 @per_cone
 def _base_cube(spec: ConeSpec):
-    # (B, D, the columns of A, corners, masks) for the greedy base B of
-    # the normals and N_B A = D I (``ratgeom.base_inverse``): for each eps
-    # in {0, 1}^d the corner A (eps - 1) and the tight mask of the cube
-    # vertex eps, bit 2i (upper bound of i) where eps is 1, bit 2i + 1
-    # where 0.
+    # (B, D, the columns of A, corners, masks, cuts) for the greedy base B
+    # of the normals and N_B A = D I (``ratgeom.base_inverse``): for each
+    # eps in {0, 1}^d the corner A (eps - 1) and the tight mask of the
+    # cube vertex eps, bit 2i (upper bound of i) where eps is 1, bit
+    # 2i + 1 where 0; cuts holds (i, n_i) for each normal outside B, in
+    # the index order in which ``_cut`` takes them.
     d = spec.rank
     base, det_b, cols = ratgeom.base_inverse(spec.normals, d)
     cube = list(product((0, 1), repeat=d))
     corners = [[-sum(col[j] for e, col in zip(eps, cols) if not e)
                 for j in range(d)] for eps in cube]
     masks = [sum(1 << 2 * i + 1 - e for i, e in zip(base, eps)) for eps in cube]
-    return base, det_b, cols, corners, masks
+    cuts = tuple((i, n) for i, n in enumerate(spec.normals) if i not in base)
+    return base, det_b, cols, corners, masks, cuts
 
 
 def _cube(spec: ConeSpec, levels) -> tuple[list, list]:
     """The rays and tight masks of the root cube at base levels c_B,
     c_B_j - 1 <= <x, n_B_j> <= c_B_j: its vertices are (A(c_B + eps - 1),
     D) made primitive (``_base_cube``)."""
-    _, det_b, cols, corners, masks = _base_cube(spec)
+    _, det_b, cols, corners, masks, _ = _base_cube(spec)
     ac = [sum(x * col[j] for x, col in zip(levels, cols)) for j in range(spec.rank)]
     return [primitive([a + b for a, b in zip(ac, corner)] + [det_b])
             for corner in corners], masks
@@ -148,17 +146,13 @@ def _cube(spec: ConeSpec, levels) -> tuple[list, list]:
 def leaves(spec: ConeSpec):
     """(ceiling vector, frozenset of its box vertices' tight masks) for
     each class's canonical representative, whose base levels lie in the
-    HNF box 0 <= c_B_j < pivot_j (``chambers.enumerate_classes``).
-
-    A root is ``_cube`` at c_B, and each child is one ``_slab``: a leaf's
-    path is its ``box_vertices`` path.  The walk holds one root-to-leaf
-    path of states and makes a node's children one at a time.  When every
-    normal is in the base, each root cube is a leaf with the one root
-    mask set, and its vertices are not made.
+    HNF box 0 <= c_B_j < pivot_j (``class_walk``).  A root is ``_cube``
+    at c_B and the rest is ``_cut``.  When every normal is in the base,
+    each root cube is a leaf with the one root mask set, and its
+    vertices are not made.
     """
     d, t = spec.rank, len(spec.normals)
-    base, _, _, _, masks = _base_cube(spec)
-    cuts = tuple((i, spec.normals[i]) for i in range(t) if i not in base)
+    base, _, _, _, masks, cuts = _base_cube(spec)
     c = [0] * t
     root = frozenset(masks)
     for levels in product(*(range(piv) for _, piv, _ in _lattice_pivots(spec))):
@@ -167,32 +161,77 @@ def leaves(spec: ConeSpec):
         if not cuts:
             yield tuple(c), root
             continue
-        yield from _cut(*_cube(spec, levels), cuts, c, d)
+        for rep, _, leaf in _cut(*_cube(spec, levels), cuts, c, d, True):
+            yield rep, frozenset(leaf)
 
 
-def _cut(rays, masks, cuts, c, d):
-    # The leaves below one node of the walk; c holds the levels chosen
-    # on its path.
+def _cut(rays, masks, cuts, c, d, walk):
+    # (c, rays, masks) for each leaf below a closed piece; c holds the
+    # levels chosen on its path.  A child is the slab v - 1 <= <x, n_i>
+    # <= v, two ``cone._dd_add_row`` steps, the upper bound first, for
+    # each level v the piece meets (``class_walk``), or c's own alone.
     if not cuts:
-        yield tuple(c), frozenset(masks)
+        yield tuple(c), rays, masks
         return
     (i, n), rest = cuts[0], cuts[1:]
     vals = [(sum(map(mul, ray, n)), ray[d]) for ray in rays]
-    for v in range(min(p // w for p, w in vals) + 1,
-                   max(-(-p // w) for p, w in vals) + 1):
+    levels = range(min(p // w for p, w in vals) + 1,
+                   max(-(-p // w) for p, w in vals) + 1) if walk else (c[i],)
+    for v in levels:
         c[i] = v
-        yield from _cut(*_slab(rays, masks, vals, i, n, v, d), rest, c, d)
+        cut = _dd_add_row(
+            rays, masks, [v * w - p for p, w in vals], 1 << 2 * i, d + 1)
+        cut = _dd_add_row(
+            *cut, [sum(map(mul, ray, n)) + (1 - v) * ray[d] for ray in cut[0]],
+            2 << 2 * i, d + 1)
+        yield from _cut(*cut, rest, c, d, walk)
 
 
-def _slab(rays, masks, vals, i, n, v, d) -> tuple[list, list]:
-    """The rays and tight masks of a closed piece cut to the slab
-    v - 1 <= <x, n> <= v of normal i, vals holding each ray's (<ray, n>,
-    ray[d]): two ``cone._dd_add_row`` steps, the upper bound first."""
-    rays, masks = _dd_add_row(
-        rays, masks, [v * w - p for p, w in vals], 1 << 2 * i, d + 1)
-    return _dd_add_row(
-        rays, masks, [sum(map(mul, ray, n)) + (1 - v) * ray[d] for ray in rays],
-        2 << 2 * i, d + 1)
+def class_walk(spec: ConeSpec) -> tuple[IntVec, ...]:
+    """The lex sorted canonical representatives of all isomorphism
+    classes, one per leaf of a cut of the base parallelepipeds
+    (``leaves``); the cell pattern of each goes into ``class_pattern``.
+
+    Let B be the greedy base of the normals (``_base_cube``) and
+    D = |det N_B|.  The base normals alone cut R^d / Z^d into exactly D
+    open parallelepipeds: in the coordinates y = N_B x they are the open
+    cubes c_B - 1 < y < c_B, one per coset of N_B Z^d.  The HNF of the
+    pairing lattice (``_lattice_pivots``) has its pivots at B, the
+    first independent normals, and on B it is the HNF of N_B Z^d, so its
+    box 0 <= c_B_j < pivot_j holds one point of each coset.  A chamber's
+    open box is nonempty (it holds x - eps u for x in it and u inside
+    the cone) and lies in the open cube at c_B; a nonzero lattice
+    translate moves c_B by a nonzero element of N_B Z^d, so exactly one
+    chamber of each class has c_B in the box, its canonical
+    representative, and two chambers in one cube are never in one class.
+    So the classes are the disjoint union, over the D cubes, of the
+    regions that the other normals' integer levels cut inside each cube.
+
+    The walk goes depth first over the non-base normals (``_cut``).  A
+    node is a closed piece with its double-description state, vertices
+    and tight masks.  The values of <x, n_j> at its vertices give
+    [lo, hi], and the piece's interior, being convex and open, meets
+    exactly the open slabs c_j - 1 < <x, n_j> < c_j for
+    c_j = floor(lo) + 1, ..., ceil(hi): those are its children, each two
+    row additions away, so no emptiness test is needed.  Every leaf is one
+    representative's closed box, reached once; a repeated class is an
+    internal error.  The leaf's tight masks give the cell pattern of its
+    class: the face closure (``_pattern``) runs once per mask set, which
+    only the walk keeps.
+    """
+    seen = set()
+    patterns = {}
+    for rep, masks in leaves(spec):
+        if rep in seen:
+            raise InternalInvariantError(f"class {rep} is reached twice")
+        seen.add(rep)
+        pattern = patterns.get(masks)
+        if pattern is None:
+            pattern = patterns[masks] = _pattern(spec, masks)
+        class_pattern.keep(spec, (rep,), pattern)
+    if (0,) * len(spec.normals) not in seen:
+        raise InternalInvariantError("the free class is not reached")
+    return tuple(sorted(seen))
 
 
 def _preimage(spec: ConeSpec, h: IntVec) -> IntVec | None:
@@ -226,9 +265,8 @@ def class_pattern(spec: ConeSpec, c: IntVec) -> Pattern:
     (``chamber_gate``, ``class_of``): the (omega, codim) of its cells
     sorted by (codim, omega), so the open cell comes first.  _NoCells if
     c is not a chamber, so that the table holds class representatives
-    only.  The class walk (``chambers.enumerate_classes``) fills the
-    table for every class; a representative asked for before it reads
-    its own box."""
+    only.  The class walk (``class_walk``) fills the table for every
+    class; a representative asked for before it reads its own box."""
     pattern = _pattern(spec, frozenset(tight for _, tight in box_vertices(spec, c)))
     if not pattern:
         raise _NoCells(c)

@@ -8,6 +8,8 @@ chambers give isomorphic modules exactly when their ceiling vectors
 differ by an element of the pairing lattice, the image of the lattice
 under m |-> (<m, n_i>)_i, so every chamber question has one answer per
 class, read off its representative's cell pattern (``cells.chamber_gate``).
+The class list labels the representatives of the class walk
+(``cells.class_walk``), which also fills the pattern table.
 """
 
 from __future__ import annotations
@@ -19,17 +21,15 @@ from dataclasses import dataclass
 from . import ratgeom
 from .cells import (
     _lattice_pivots,
-    _pattern,
     _preimage,
     box_vertices,
     chamber_gate,
-    class_pattern,
-    leaves,
+    class_walk,
     require_gate,
     vertex_barycenter,
 )
 from .cone import ConeSpec, per_cone
-from .errors import InputError, InternalInvariantError
+from .errors import InputError
 from .ratgeom import IntVec, RatVec, dot, intvec, sub
 
 
@@ -149,50 +149,11 @@ class ClassList:
 
 @per_cone
 def enumerate_classes(spec: ConeSpec) -> ClassList:
-    """All isomorphism classes, one per leaf of a cut of the base
-    parallelepipeds (``cells.leaves``).
-
-    Let B be the greedy base of the normals (``cells._base_cube``) and
-    D = |det N_B|.  The base normals alone cut R^d / Z^d into exactly D
-    open parallelepipeds: in the coordinates y = N_B x they are the open
-    cubes c_B - 1 < y < c_B, one per coset of N_B Z^d.  The HNF of the
-    pairing lattice (``cells._lattice_pivots``) has its pivots at B, the
-    first independent normals, and on B it is the HNF of N_B Z^d, so its
-    box 0 <= c_B_j < pivot_j holds one point of each coset.  A chamber's
-    open box is nonempty (it holds x - eps u for x in it and u inside
-    the cone) and lies in the open cube at c_B; a nonzero lattice
-    translate moves c_B by a nonzero element of N_B Z^d, so exactly one
-    chamber of each class has c_B in the box, its canonical
-    representative, and two chambers in one cube are never in one class.
-    So the classes are the disjoint union, over the D cubes, of the
-    regions that the other normals' integer levels cut inside each cube.
-
-    The walk goes depth first over the non-base normals.  A node is a
-    closed piece with its double-description state, vertices and tight
-    masks.  The values of <x, n_j> at its vertices give [lo, hi], and
-    the piece's interior, being convex and open, meets exactly the open
-    slabs c_j - 1 < <x, n_j> < c_j for c_j = floor(lo) + 1, ...,
-    ceil(hi): those are its children, each two row additions away, so
-    no emptiness test is needed.  Every leaf is one representative's
-    closed box, reached once; a repeated class is an internal error.
-    The leaf's tight masks give the cell pattern of its class
-    (``cells.class_pattern``): the face closure runs once per mask set,
-    which only the walk keeps.
-    """
-    seen = set()
-    patterns = {}
-    for rep, masks in leaves(spec):
-        if rep in seen:
-            raise InternalInvariantError(f"class {rep} is reached twice")
-        seen.add(rep)
-        pattern = patterns.get(masks)
-        if pattern is None:
-            pattern = patterns[masks] = _pattern(spec, masks)
-        class_pattern.keep(spec, (rep,), pattern)
+    """All isomorphism classes: the representatives of the class walk,
+    one per leaf of a cut of the base parallelepipeds (``cells.class_walk``
+    has the proof that each class is reached once), labeled."""
+    reps = class_walk(spec)
     start = (0,) * len(spec.normals)
-    if start not in seen:
-        raise InternalInvariantError("the free class is not reached")
-    reps = tuple(sorted(seen))
     labels = [""] * len(reps)
     labels[reps.index(start)] = "A0"
     k = 1

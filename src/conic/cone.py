@@ -200,8 +200,8 @@ def _dd_add_row(rays: list, masks: list, vals: list, bit: int,
     adding the row whose pairing with each ray is in vals, tight bit
     ``bit``.  Rays with vals >= 0 stay, and each adjacent pair across the
     row gives a new ray, tight on their common rows and on the new one.
-    The class walk and its one-chamber path, ``cells.box_vertices``, cut
-    with it too (``cells._slab``)."""
+    The class walk and one chamber's box, ``cells.box_vertices``, cut
+    with it too (``cells._cut``)."""
     pos = [k for k, v in enumerate(vals) if v > 0]
     neg = [k for k, v in enumerate(vals) if v < 0]
     kept_rays, kept_masks = [], []

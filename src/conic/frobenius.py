@@ -133,7 +133,6 @@ def _complete(spec: ConeSpec, q: int) -> bool:
 def _holds_cube(spec: ConeSpec, c: IntVec, q: int) -> bool:
     # whether the cube of side 1/q about the witness, the barycenter of
     # the closed box, lies in the chamber of the representative c
-    class_of(spec, c)
     w = vertex_barycenter(spec, box_vertices(spec, c))
     for n, ci in zip(spec.normals, c):
         x = dot(w, n)

@@ -389,3 +389,12 @@ def test_degree_values():
     assert degree((0, 0, 0, 0)) == 0
     assert degree((1, 0, 0, -1)) == 0
     assert degree((0, 1)) == -1
+
+
+def test_pairings_and_nhat_refuse_a_wrong_length(square):
+    with pytest.raises(InputError) as exc:
+        pairings(square, (1, 2))
+    assert str(exc.value) == "point has length 2, expected 3"
+    with pytest.raises(InputError) as exc:
+        nhat(square, (1, 2, 3, 4))
+    assert str(exc.value) == "lattice point has length 4, expected 3"

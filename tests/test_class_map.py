@@ -88,6 +88,7 @@ def _break_class(monkeypatch, bad):
             raise cells._NoCells(c)
         return real(spec, c)
 
+    patched.keep = real.keep  # the class walk fills the real table
     monkeypatch.setattr(cells, "class_pattern", patched)
 
 
@@ -150,14 +151,6 @@ def test_lost_representative_in_acyclicity_exits_2(square, tmp_path, capsys,
     assert out == ""
     assert err == (f"internal invariant violated: derived ceiling vector "
                    f"{lost} is not a chamber (cone {content_hash(square)})\n")
-
-
-def test_cube_certificate_raises_on_a_derived_non_chamber(monkeypatch):
-    spec = from_normals(2, [(0, 1), (3, -2)])
-    bad = enumerate_classes(spec).reps[-1]
-    _break_class(monkeypatch, bad)
-    with pytest.raises(InternalInvariantError, match=re.escape(str(bad))):
-        frobenius._complete(spec, 65)
 
 
 def test_user_non_chamber_exits_1(square, tmp_path, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conic import chambers, cli_io, complexes, frobenius
+from conic import chambers, cli_io, complexes, frobenius, render_svg_2d
 from conic.cone import content_hash
 from conic.cli_io import (
     AnalyzeOptions,
@@ -129,6 +129,18 @@ def test_main_text_output(quadric_file, capsys):
     out = capsys.readouterr().out
     assert "classes: 2" in out
     assert "NCCR" in out
+
+
+def test_main_text_output_optional_lines(square_file, capsys):
+    assert main(["analyze", "--window", "1", "--q", "2", "--dmodule", "2",
+                 "--input", square_file]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "acyclicity over radius 1: passed (9 ordered pairs)",
+        "frobenius q=2: A0:6 A1:1 A2:1",
+        "dmodule p=2: e=1, global dimension in [3, 4]"]
+    assert main(["nccr", "--input", square_file]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "verdict: NotNCCR", "witness: A1"]
 
 
 def test_main_reads_stdin(capsys, monkeypatch):
@@ -336,6 +348,12 @@ def test_main_svg(tmp_path, quadric_file, capsys):
     for bad in ("a,1,-1,1", "1/0,1,-1,1", "-1,1,-1", "1,-1,-1,1"):
         assert main(["svg", f"--window={bad}", "--input", quadric_file]) == 1
     assert "window" in capsys.readouterr().err
+
+
+def test_main_svg_without_out_writes_stdout(quadric_file, capsys):
+    assert main(["svg", "--window=-2,2,-2,2", "--input", quadric_file]) == 0
+    assert capsys.readouterr().out == render_svg_2d(
+        build_cone(parse_input(QUADRIC)), ["-2", "2", "-2", "2"])
 
 
 def test_main_svg_unwritable_out_exits_1(tmp_path, quadric_file, capsys):

@@ -471,6 +471,19 @@ def test_rejects_bool_and_non_int_entries():
             ConeSpec(rank, tuple(normals))
 
 
+def test_cone_spec_refusals():
+    # refusals of a spec built directly, without a constructor
+    for rank, normals, gens, message in (
+            (0, ((1,),), None, "rank must be >= 1, got 0"),
+            (2, (), None, "at least one facet normal is required"),
+            (2, ((1, 0), (0, 0), (0, 1)), None, "normal 1 is zero"),
+            (2, ((1, 0), (0, 1)), ((1, 0), (0, 1, 1)),
+             "generator length does not match rank")):
+        with pytest.raises(InputError) as exc:
+            ConeSpec(rank, normals, generators=gens)
+        assert str(exc.value) == message
+
+
 def test_rejects_generators_that_are_not_the_extreme_rays():
     normals = ((1, 0), (0, 1))
     for gens in (((5, 7),), ((2, 0), (0, 1)), ((1, 0),), ((1, 0), (0, 1), (1, 0))):

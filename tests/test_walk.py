@@ -1,6 +1,6 @@
 """The class walk against its oracles.
 
-``chambers.enumerate_classes`` cuts the base parallelepipeds
+``cells.class_walk`` cuts the base parallelepipeds
 (``cells.leaves``).  Its class sets and the cells it hands off are
 checked against the breadth-first search it replaced (``bfs_oracle``),
 run on a freshly built cone so that every class there reads its own box
@@ -161,8 +161,15 @@ def test_one_object_per_cell_pattern(cone):
 
 def test_repeated_leaf_is_an_internal_error(square, monkeypatch):
     leaves = list(cells.leaves(square))
-    monkeypatch.setattr(chambers, "leaves", lambda spec: leaves + leaves[:1])
+    monkeypatch.setattr(cells, "leaves", lambda spec: leaves + leaves[:1])
     with pytest.raises(InternalInvariantError, match="reached twice"):
+        chambers.enumerate_classes(_fresh(square))
+
+
+def test_missing_free_class_is_an_internal_error(square, monkeypatch):
+    leaves = [leaf for leaf in cells.leaves(square) if any(leaf[0])]
+    monkeypatch.setattr(cells, "leaves", lambda spec: leaves)
+    with pytest.raises(InternalInvariantError, match="free class is not reached"):
         chambers.enumerate_classes(_fresh(square))
 
 
