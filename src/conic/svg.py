@@ -2,8 +2,9 @@
 
 Chambers meeting the window are filled with a color derived from the
 hash of their class representative, hyperplane levels are drawn on top,
-then the lattice points.  All geometry is computed exactly; numbers are
-only rounded at the final formatting step, so equal inputs give
+then the lattice points.  All geometry is computed exactly, on integer
+pairs over one grid denominator per window (``_grid``); numbers are only
+rounded at the final formatting step, so equal inputs give
 byte-identical output.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .cells import class_of
 from .cone import ConeSpec
-from .errors import InputError, UnsupportedOperationError
+from .errors import InputError, InternalInvariantError, UnsupportedOperationError
 from .ratgeom import IntVec
 
 # Most lattice points plus chamber pieces a window may ask ``render_svg_2d``
@@ -29,6 +30,18 @@ def _fmt(x) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+class _Points(dict):
+    """Grid pairs over m, each formatted once as "x,-y"; int true
+    division rounds X / m as float(Fraction(X, m)) does."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def __missing__(self, v):
+        self[v] = out = f"{_fmt(v[0] / self.m)},{_fmt(-v[1] / self.m)}"
+        return out
+
+
 def _class_color(rep: IntVec) -> str:
     blob = json.dumps(list(rep)).encode("ascii")
     h = int.from_bytes(hashlib.sha256(blob).digest()[:4], "big") % 360
@@ -36,35 +49,31 @@ def _class_color(rep: IntVec) -> str:
 
 
 def _split(poly, a, b, k):
-    """The parts of a convex polygon where a x + b y <= k and >= k.
+    """The parts of a convex polygon where a X + b Y <= k and >= k.
 
-    Vertices are (X, Y, W) for the point (X/W, Y/W), with W > 0 and
-    gcd 1.  L = aX + bY - kW is linear in (X, Y, W) with the sign of
-    a x + b y - k, so where L changes sign strictly along an edge PQ the
-    point L(Q) P - L(P) Q, turned to W > 0, lies on the line.  A vertex
-    on the line goes to both parts, a cut point is strictly inside an
-    edge, and both parts keep the counterclockwise order.
-    """
+    Vertices are grid pairs (X, Y) for (X/M, Y/M) and k is a level
+    times M.  Where L = aX + bY - k changes sign strictly along an edge
+    PQ, the cut point (L(Q) P - L(P) Q) / (L(Q) - L(P)) lies on the grid
+    (``_grid``); a remainder raises InternalInvariantError.  A vertex on
+    the line goes to both parts, a cut point is strictly inside an edge,
+    and both parts keep the counterclockwise order."""
     below, above = [], []
-    p = poly[-1]
-    lp = a * p[0] + b * p[1] - k * p[2]
+    px, py = poly[-1]
+    lp = a * px + b * py - k
     for q in poly:
-        lq = a * q[0] + b * q[1] - k * q[2]
+        qx, qy = q
+        lq = a * qx + b * qy - k
         if lp < 0 < lq or lq < 0 < lp:
-            x = lq * p[0] - lp * q[0]
-            y = lq * p[1] - lp * q[1]
-            w = lq * p[2] - lp * q[2]
-            if w < 0:
-                x, y, w = -x, -y, -w
-            g = math.gcd(x, y, w)
-            cut = (x // g, y // g, w // g)
-            below.append(cut)
-            above.append(cut)
+            d, x, y = lq - lp, lq * px - lp * qx, lq * py - lp * qy
+            if x % d or y % d:
+                raise InternalInvariantError("a strip cut is off the grid")
+            below.append((x // d, y // d))
+            above.append((x // d, y // d))
         if lq <= 0:
             below.append(q)
         if lq >= 0:
             above.append(q)
-        p, lp = q, lq
+        px, py, lp = qx, qy, lq
     return below, above
 
 
@@ -74,33 +83,44 @@ def _from_angle_zero(poly):
     # counterclockwise and without repeats; see drawn_chambers.  The
     # vertices at angles in [0, pi), dy > 0 or dy == 0 < dx, are one run
     # of that order, and the wanted vertex heads it.  Offsets from the
-    # centroid are scaled by n times the common denominator.
+    # centroid are scaled by n.
     n = len(poly)
-    den = math.lcm(*(w for _, _, w in poly))
-    xs = [x * (den // w) for x, _, w in poly]
-    ys = [y * (den // w) for _, y, w in poly]
-    sx, sy = sum(xs), sum(ys)
-    up = [n * y > sy or n * y == sy and n * x > sx for x, y in zip(xs, ys)]
-    k = next(j for j in range(n) if up[j] and not up[j - 1])
-    return poly[k:] + poly[:k]
+    sx, sy = map(sum, zip(*poly))
+    x, y = poly[-1]
+    was_up = n * y > sy or n * y == sy and n * x > sx
+    for k, (x, y) in enumerate(poly):
+        up = n * y > sy or n * y == sy and n * x > sx
+        if up and not was_up:
+            return poly[k:] + poly[:k]
+        was_up = up
 
 
-def _window_corners(window):
-    """The window's corners, counterclockwise from (x0, y0), keyed by
-    their (X, Y, W) over the window's common denominator."""
-    x0, x1, y0, y1 = window
+def _grid(spec: ConeSpec, window) -> int:
+    """The denominator M over which every vertex of the window's map is
+    an integer pair.  With den the window's common denominator and
+    (a_i, b_i) the two normals, a vertex is a corner (den | M), a level
+    line a x + b y = k on an edge x = x0 or y = y0 (den |b| or den |a|
+    divides M), or two level lines crossing (|a_1 b_2 - a_2 b_1| | M).
+    So M <= den |a_1 b_1 a_2 b_2| |det| with zero entries left out; on
+    the cyclic cones (0, 1), (r, -a) with den 1 it is lcm(r, a)."""
     den = math.lcm(*(v.denominator for v in window))
-    corners = {}
-    for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
-        hx = x.numerator * (den // x.denominator)
-        hy = y.numerator * (den // y.denominator)
-        g = math.gcd(hx, hy, den)
-        corners[(hx // g, hy // g, den // g)] = (x, y)
-    return corners
+    (a1, b1), (a2, b2) = spec.normals
+    return math.lcm(*(den * abs(v) for v in (a1, b1, a2, b2) if v),
+                    abs(a1 * b2 - a2 * b1))
 
 
-def _strip_pieces(spec: ConeSpec, poly):
-    """Cut a convex polygon of (X, Y, W) vertices by one normal's closed
+def _window_corners(spec: ConeSpec, window):
+    """The grid denominator m (``_grid``) and the window's corners,
+    counterclockwise from (x0, y0), keyed by their grid pairs over m."""
+    m = _grid(spec, window)
+    x0, x1, y0, y1 = window
+    return m, {(x.numerator * (m // x.denominator),
+                y.numerator * (m // y.denominator)): (x, y)
+               for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))}
+
+
+def _strip_pieces(spec: ConeSpec, poly, m):
+    """Cut a convex polygon of grid pairs over m by one normal's closed
     strips c - 1 <= <x, n> <= c at a time, sweeping the levels c upward
     and splitting each strip off what is left.  Returns the (ceiling
     vector, vertex list) of every piece, lex-sorted since each piece's
@@ -111,10 +131,10 @@ def _strip_pieces(spec: ConeSpec, poly):
     for a, b in spec.normals:
         split = []
         for c, rest in pieces:
-            lo = min((a * x + b * y) // w for x, y, w in rest)
-            hi = max(-(-(a * x + b * y) // w) for x, y, w in rest)
+            vals = [a * x + b * y for x, y in rest]
+            lo, hi = min(vals) // m, -(-max(vals) // m)
             for ci in range(lo + 1, hi):
-                below, rest = _split(rest, a, b, ci)
+                below, rest = _split(rest, a, b, ci * m)
                 split.append((c + (ci,), below))
             split.append((c + (hi,), rest))
         pieces = split
@@ -165,54 +185,42 @@ def drawn_chambers(spec: ConeSpec, window):
 
     Returns a lex-sorted list of (ceiling vector, vertex list); vertices
     are exact and counterclockwise: the window's own values at its
-    corners, Fractions elsewhere.  The window is cut into strip pieces
-    (_strip_pieces).  A piece has positive area: the window does, and a
-    strip is only taken where its open interior meets the open range of
-    <x, n> on the piece.  So it has interior points, all with ceiling
-    vector c, and c is a chamber; and a point of the piece on two
-    non-parallel bounding lines is a vertex, so the vertex set is the
-    closure's.  Splitting keeps the window's counterclockwise order and
-    never repeats a vertex, so each piece is only rotated to start at
-    its first vertex counterclockwise from angle 0 about the vertex
-    centroid.  ``render_svg_2d`` draws the same pieces from their
-    integer vertices, and both refuse the same cones and windows
-    (``_checked_window``).
-    """
-    corners = _window_corners(_checked_window(spec, window))
+    corners, Fraction(X, M) for the grid pair (X, Y) over M (``_grid``)
+    elsewhere.  The window is cut into strip pieces (_strip_pieces).  A
+    piece has positive area: the window does, and a strip is only taken
+    where its open interior meets the open range of <x, n> on the
+    piece.  So it has interior points, all with ceiling vector c, and c
+    is a chamber; and a point of the piece on two non-parallel bounding
+    lines is a vertex, so the vertex set is the closure's.  Splitting
+    keeps the window's counterclockwise order and never repeats a
+    vertex, so each piece is only rotated to start at its first vertex
+    counterclockwise from angle 0 about the vertex centroid.
+    ``render_svg_2d`` prints the same grid pairs, and both refuse the
+    same cones and windows (``_checked_window``)."""
+    m, corners = _window_corners(spec, _checked_window(spec, window))
     return [(c, [corners[v] if v in corners
-                 else (Fraction(v[0], v[2]), Fraction(v[1], v[2]))
-                 for v in poly])
-            for c, poly in _strip_pieces(spec, list(corners))]
+                 else (Fraction(v[0], m), Fraction(v[1], m)) for v in poly])
+            for c, poly in _strip_pieces(spec, list(corners), m)]
 
 
-def _level_segments(n, window):
-    """(first, last, m) for every level line <x, n> = k meeting the
+def _level_segments(n, corners, m):
+    """Yield (first, last) for every level line <x, n> = k meeting the
     window in a segment: its lex first and last points on the window's
-    edges, as integer pairs over the positive denominator m."""
+    edges, as grid pairs over m, like the window's corners."""
     a, b = n
-    den = math.lcm(*(v.denominator for v in window))
-    x0, x1, y0, y1 = (v.numerator * (den // v.denominator) for v in window)
-    # scaled by den, and then by s so that the crossings with the edges
-    # x = const and y = const are integers too
-    s = (abs(a) or 1) * (abs(b) or 1)
-    m = den * s
+    (x0, y0), _, (x1, y1), _ = corners
     vals = [a * x + b * y for x in (x0, x1) for y in (y0, y1)]
-    out = []
-    for k in range(-(-min(vals) // den), max(vals) // den + 1):
-        pts = set()
-        if b != 0:
-            for xe in (x0, x1):
-                y = (k * den - a * xe) * (s // b)
-                if y0 * s <= y <= y1 * s:
-                    pts.add((xe * s, y))
-        if a != 0:
-            for ye in (y0, y1):
-                x = (k * den - b * ye) * (s // a)
-                if x0 * s <= x <= x1 * s:
-                    pts.add((x, ye * s))
-        if len(pts) >= 2:
-            out.append((min(pts), max(pts), m))
-    return out
+    for k in range(-(-min(vals) // m), max(vals) // m + 1):
+        k *= m
+        if b == 0:
+            yield (k // a, y0), (k // a, y1)
+        elif a == 0:
+            yield (x0, k // b), (x1, k // b)
+        else:  # clip the line's x range to the window's
+            xa, xb = sorted(((k - b * y0) // a, (k - b * y1) // a))
+            lo, hi = max(x0, xa), min(x1, xb)
+            if lo < hi:
+                yield (lo, (k - a * lo) // b), (hi, (k - a * hi) // b)
 
 
 def render_svg_2d(spec: ConeSpec, window) -> str:
@@ -223,46 +231,37 @@ def render_svg_2d(spec: ConeSpec, window) -> str:
     by its class, which ``cells.class_of`` reads off its ceiling vector.
     """
     window = x0, x1, y0, y1 = tuple(map(Fraction, _checked_window(spec, window)))
-    width = x1 - x0
-    height = y1 - y0
-    sw = width / 256
-    parts = []
-    parts.append(
+    width, height = x1 - x0, y1 - y0
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="640" height="{int(640 * height / width)}" '
-        f'viewBox="{_fmt(x0)} {_fmt(-y1)} {_fmt(width)} {_fmt(height)}">')
-    parts.append(
+        f'viewBox="{_fmt(x0)} {_fmt(-y1)} {_fmt(width)} {_fmt(height)}">',
         f'<rect x="{_fmt(x0)}" y="{_fmt(-y1)}" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" fill="#ffffff"/>')
-    # The pieces of drawn_chambers, printed from their (X, Y, W)
-    # vertices: int true division rounds X / W as float(Fraction) does.
-    # An inner vertex bounds up to four pieces and a class colors many,
-    # so each is formatted once per call.
-    points = {}
+        f'height="{_fmt(height)}" fill="#ffffff"/>']
+    # The pieces of drawn_chambers and the level lines share one table of
+    # grid pairs (``_Points``): an inner vertex bounds up to four pieces
+    # and a line ends on piece vertices.  A class colors many pieces.
+    m, corners = _window_corners(spec, window)
+    points = _Points(m)
     colors = {}
-    for c, poly in _strip_pieces(spec, list(_window_corners(window))):
+    for c, poly in _strip_pieces(spec, list(corners), m):
         rep = class_of(spec, c)
         if rep not in colors:
             colors[rep] = _class_color(rep)
-        for v in poly:
-            if v not in points:
-                x, y, w = v
-                points[v] = f"{_fmt(x / w)},{_fmt(-y / w)}"
         parts.append(
             f'<polygon points="{" ".join(map(points.__getitem__, poly))}" '
             f'fill="{colors[rep]}" stroke="none"/>')
+    sw, r = _fmt(width / 256), _fmt(width / 120)
     for n in spec.normals:
-        # ints over m: true division rounds as float(Fraction) does
-        for (ax, ay), (bx, by), m in _level_segments(n, window):
+        for a, b in _level_segments(n, corners, m):
+            (ax, ay), (bx, by) = points[a].split(","), points[b].split(",")
             parts.append(
-                f'<line x1="{_fmt(ax / m)}" y1="{_fmt(-ay / m)}" '
-                f'x2="{_fmt(bx / m)}" y2="{_fmt(-by / m)}" '
-                f'stroke="#333333" stroke-width="{_fmt(sw)}"/>')
-    r = width / 120
+                f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
+                f'stroke="#333333" stroke-width="{sw}"/>')
     for xi in range(math.ceil(x0), math.floor(x1) + 1):
         for yi in range(math.ceil(y0), math.floor(y1) + 1):
             parts.append(
-                f'<circle cx="{_fmt(xi)}" cy="{_fmt(-yi)}" r="{_fmt(r)}" '
+                f'<circle cx="{_fmt(xi)}" cy="{_fmt(-yi)}" r="{r}" '
                 f'fill="#111111"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conic import from_normals, render_svg_2d
+from conic import from_normals, render_svg_2d, svg
 from conic.chambers import canonical_class, chamber_of, chamber_witness
-from conic.errors import InputError, UnsupportedOperationError
+from conic.cli_io import main
+from conic.errors import (
+    InputError, InternalInvariantError, UnsupportedOperationError)
 from conic.svg import (
     SVG_BUDGET, _class_color, _strip_pieces, _window_corners, drawn_chambers)
 
@@ -162,6 +164,12 @@ PINNED_SVG = [
     ([(0, 1), (3, -2)], (10**17 - Fraction(3, 2), 10**17 + Fraction(5, 3),
                          10**17 - Fraction(1, 2), 10**17 + Fraction(7, 4)),
      "af9090313a9c7ee308367c3bb80a26309b0c0e43048d0ab7593518ef4b300454"),
+    # recorded with the (X, Y, W) triple sweep; grid denominators M of
+    # 7,232,400 and 1,073
+    ([(5, -7), (3, 4)], (Fraction(-7, 3), Fraction(11, 5), Fraction(-13, 4), Fraction(9, 7)),
+     "bbcf7f657e15839a72413f95cb10cb1622fd2e369554cc8b1288b1847be6631d"),
+    ([(0, 1), (37, -29)], (-1, 1, -1, 1),
+     "8483e85e7e2b565b378dc0bee9e8f5e947465f557d31c2974949e227a9dc22d9"),
 ]
 
 
@@ -169,6 +177,22 @@ PINNED_SVG = [
 def test_svg_bytes_pinned(normals, window, digest):
     doc = render_svg_2d(from_normals(2, normals), window)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_cut_off_the_grid_exits_2(tmp_path, capsys, monkeypatch):
+    # On 1/3(1,2) over [-1, 1]^2 the grid is M = 6.  Over half of it,
+    # the level 3x - 2y = 4 meets the edge x = 1 at y = -1/2, which is
+    # not a multiple of 1/3, so the strip cut has a remainder.
+    grid = svg._grid
+    monkeypatch.setattr(svg, "_grid", lambda spec, window: grid(spec, window) // 2)
+    with pytest.raises(InternalInvariantError, match="off the grid"):
+        render_svg_2d(from_normals(2, [(0, 1), (3, -2)]), (-1, 1, -1, 1))
+    path = tmp_path / "c3.json"
+    path.write_text('{"rank":2,"normals":[[0,1],[3,-2]]}')
+    assert main(["svg", "--window=-1,1,-1,1", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal invariant violated: a strip cut is off the grid")
 
 
 def _whole_to_int(v):
@@ -185,8 +209,14 @@ oracle_cases = (primitive2, primitive2, window_coord, window_coord,
                 window_side, window_side, window_offset, window_offset)
 
 
+# a large grid denominator: M = 7,232,400
+LARGE_GRID_EXAMPLE = ((5, -7), (3, 4), Fraction(-7, 3), Fraction(-13, 4),
+                      Fraction(68, 15), Fraction(127, 28), 0, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(*oracle_cases)
+@example(*LARGE_GRID_EXAMPLE)
 def test_drawn_chambers_match_fraction_oracle(n1, n2, x0, y0, w, h, ox, oy):
     assume(n1[0] * n2[1] != n1[1] * n2[0])
     spec = from_normals(2, [n1, n2])
@@ -195,12 +225,16 @@ def test_drawn_chambers_match_fraction_oracle(n1, n2, x0, y0, w, h, ox, oy):
     got = drawn_chambers(spec, window)
     # repr also tells an int corner from a Fraction
     assert repr(got) == repr(oracle_drawn_chambers(spec, window))
-    # integer vertices stay reduced with W > 0, so they do not grow
-    # from level to level of the sweep
-    for _, poly in _strip_pieces(spec, list(_window_corners(window))):
+    # every vertex of the sweep is an int pair on the grid over M inside
+    # the window scaled by M, so vertices do not grow from level to
+    # level, and no piece repeats one
+    m, corners = _window_corners(spec, window)
+    for _, poly in _strip_pieces(spec, list(corners), m):
         assert len(set(poly)) == len(poly)
-        for hx, hy, hw in poly:
-            assert hw > 0 and math.gcd(hx, hy, hw) == 1
+        for v in poly:
+            assert [type(t) for t in v] == [int, int]
+            assert window[0] * m <= v[0] <= window[1] * m
+            assert window[2] * m <= v[1] <= window[3] * m
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,6 +243,7 @@ def test_drawn_chambers_match_fraction_oracle(n1, n2, x0, y0, w, h, ox, oy):
 # before the sign is dropped
 @example((1, 1), (-1, 1), Fraction(-1, 3000), Fraction(-1), Fraction(1),
          Fraction(2), 0, 0)
+@example(*LARGE_GRID_EXAMPLE)
 def test_render_matches_fraction_oracle_bytes(n1, n2, x0, y0, w, h, ox, oy):
     assume(n1[0] * n2[1] != n1[1] * n2[0])
     spec = from_normals(2, [n1, n2])
