@@ -580,10 +580,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument(
+    source = _Parser(add_help=False)
+    source.add_argument(
         "--input", default="-", metavar="FILE",
         help="JSON cone description ('-' for stdin)")
+    common = _Parser(add_help=False, parents=[source])
     common.add_argument(
         "--json", action="store_true", help="emit the JSON report")
     top = _Parser(prog="conic",
@@ -650,7 +651,7 @@ def _parser() -> _Parser:
                    help="differential operator report at prime P")
     p.set_defaults(func=_cmd_frobenius)
 
-    p = sub.add_parser("svg", parents=[common],
+    p = sub.add_parser("svg", parents=[source],
                        help="render the rank-2 chamber decomposition")
     p.add_argument("--window", required=True, metavar="X0,X1,Y0,Y1",
                    help="rational window, e.g. -2,2,-2,2")

@@ -477,20 +477,27 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
     K_i and D_{i-1} D_i = 0.  A complete support excludes nothing, so F
     is K.  Every spliced resolution is validated by window acyclicity
     before it is returned; a window given is checked first, against
-    WINDOW_BUDGET too, whether or not anything is spliced.  Package code
-    calls ``_resolution`` on class representatives.
+    WINDOW_BUDGET too, whether or not anything is spliced.  InputError
+    unless the chamber's own class belongs to the support.  The split:
+    ``resolution`` gates and reports, ``_resolution`` builds and
+    validates; package code calls ``_resolution`` on class
+    representatives.
     """
     cc = require_chamber(spec, c)
     if window is not None:
         _window_points(spec, _window_radius(window))
-    return _resolution(spec, _canonical_support(spec, support), cc, window)
-
-
-def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> ResolutionReport:
-    # resolution of a gated chamber over its support's sorted representatives
-    sup = set(reps)
-    if class_of(spec, cc) not in sup:
+    reps = _canonical_support(spec, support)
+    if class_of(spec, cc) not in reps:
         raise InputError("the chamber's own class must belong to the support")
+    cx, radius = _resolution(spec, reps, cc, window)
+    return _report(spec, cx, reps, validated_radius=radius)
+
+
+def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComplex, int | None]:
+    # the spliced complex of a gated chamber whose class is in its
+    # support's sorted representatives, with the radius it was validated
+    # at (None when nothing is spliced)
+    sup = set(reps)
     K = _complex(spec, cc)
     excluded = [
         (k, pos) for k in range(1, len(K.terms))
@@ -590,7 +597,7 @@ def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> ResolutionReport:
                 raise InternalInvariantError(
                     f"spliced complex fails acyclicity against {rep}: "
                     f"{rpt.failures[:3]}")
-    return _report(spec, cx, reps, validated_radius=radius)
+    return cx, radius
 
 
 def _report(spec: ConeSpec, cx: SplicedComplex, reps, validated_radius) -> ResolutionReport:
@@ -618,76 +625,60 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
     pair certify a positive, anything else is inconclusive.  Only the
     support is gated: the rest reads its representatives.
     """
-    classes = enumerate_classes(spec)
-    all_reps = classes.reps
-    if support is None:
-        reps = all_reps
-    else:
-        reps = _canonical_support(spec, support)
-    complete = set(reps) == set(all_reps)
-    if complete:
+    all_reps = enumerate_classes(spec).reps
+    reps = all_reps if support is None else _canonical_support(spec, support)
+    if set(reps) == set(all_reps):
         # The pattern's last codim is the class's pdim, and it has a zero
-        # cell iff that is the rank: one pattern lookup per class.
-        tops = (class_pattern(spec, rep)[-1][1] for rep in all_reps)
-        if spec.simplicial:
-            bare = next(
-                (rep for rep, top in zip(all_reps, tops) if top != spec.rank),
-                None)
-            if bare is not None:
-                raise InternalInvariantError(
-                    f"simplicial cone with class {bare} without a zero cell")
+        # cell iff that is the rank: one pattern lookup per class, up to
+        # the first class without one.
+        witness = next((rep for rep in all_reps
+                        if class_pattern(spec, rep)[-1][1] < spec.rank), None)
+        if spec.simplicial != (witness is None):
+            raise InternalInvariantError(
+                f"simplicial cone with class {witness} without a zero cell"
+                if spec.simplicial else
+                "non-simplicial cone with all resolutions of full length")
+        if witness is None:
             return NccrVerdict(
                 verdict="NCCR", support=reps, complete=True, witness=None,
                 reasons=("simplicial: every class has a zero cell",))
-        witness = next(
-            (rep for rep, top in zip(all_reps, tops) if top < spec.rank), None)
-        if witness is None:
-            raise InternalInvariantError(
-                "non-simplicial cone with all resolutions of full length")
         return NccrVerdict(
             verdict="NotNCCR", support=reps, complete=True, witness=witness,
             reasons=(f"class {witness} has no zero cell, so its simple "
                      f"has projective dimension below the rank",))
 
-    free = class_of(spec, tuple(0 for _ in spec.normals))
-    if free not in reps:
+    # the zero vector is the free class's representative
+    if (0,) * len(spec.normals) not in reps:
         raise InputError("support must contain the free class")
-    reasons = []
+    witness = None
     lengths = {}
     for rep in reps:
         try:
-            rpt = _resolution(spec, reps, rep, None)
+            cx, _ = _resolution(spec, reps, rep, None)
         except SupportNotClosedError as err:
-            reasons.append(
-                f"support not closed while resolving {rep}: "
-                f"{len(err.cells)} cells fall outside")
-            return NccrVerdict(
-                verdict="Inconclusive", support=reps, complete=False,
-                witness=None, reasons=tuple(reasons))
-        lengths[rep] = rpt.length
-    short = [rep for rep, n in lengths.items() if n < spec.rank]
-    if short:
-        return NccrVerdict(
-            verdict="NotNCCR", support=reps, complete=False,
-            witness=short[0],
-            reasons=(f"resolution of {short[0]} has length "
-                     f"{lengths[short[0]]} < rank {spec.rank}",))
-    long_ = [rep for rep, n in lengths.items() if n > spec.rank]
-    if long_:
-        return NccrVerdict(
-            verdict="Inconclusive", support=reps, complete=False,
-            witness=None,
-            reasons=(f"spliced resolution of {long_[0]} has length "
-                     f"{lengths[long_[0]]} > rank {spec.rank}",))
-    bad_pairs = [
-        (a, b) for a in reps for b in reps if not _conic_hom(spec, a, b)]
-    if bad_pairs:
-        return NccrVerdict(
-            verdict="Inconclusive", support=reps, complete=False,
-            witness=None,
-            reasons=tuple(
-                f"hom support {a} -> {b} is not conic" for a, b in bad_pairs))
-    return NccrVerdict(
-        verdict="NCCR", support=reps, complete=False, witness=None,
-        reasons=("all resolutions have full length and all hom supports "
-                 "are conic",))
+            verdict = "Inconclusive"
+            reasons = (f"support not closed while resolving {rep}: "
+                       f"{len(err.cells)} cells fall outside",)
+            break
+        lengths[rep] = len(cx.terms) - 1
+    else:
+        short = [rep for rep, n in lengths.items() if n < spec.rank]
+        long_ = [rep for rep, n in lengths.items() if n > spec.rank]
+        if short:
+            verdict, witness = "NotNCCR", short[0]
+            reasons = (f"resolution of {witness} has length "
+                       f"{lengths[witness]} < rank {spec.rank}",)
+        elif long_:
+            verdict = "Inconclusive"
+            reasons = (f"spliced resolution of {long_[0]} has length "
+                       f"{lengths[long_[0]]} > rank {spec.rank}",)
+        else:
+            bad_pairs = [(a, b) for a in reps for b in reps
+                         if not _conic_hom(spec, a, b)]
+            verdict = "Inconclusive" if bad_pairs else "NCCR"
+            reasons = tuple(
+                f"hom support {a} -> {b} is not conic" for a, b in bad_pairs
+            ) or ("all resolutions have full length and all hom supports "
+                  "are conic",)
+    return NccrVerdict(verdict=verdict, support=reps, complete=False,
+                       witness=witness, reasons=reasons)

@@ -356,6 +356,15 @@ def test_main_svg_without_out_writes_stdout(quadric_file, capsys):
         build_cone(parse_input(QUADRIC)), ["-2", "2", "-2", "2"])
 
 
+def test_main_svg_refuses_json(quadric_file, capsys):
+    # svg prints an SVG document only, so it takes no --json flag
+    assert main(["svg", "--window=-2,2,-2,2", "--json",
+                 "--input", quadric_file]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unrecognized arguments: --json\n"
+
+
 def test_main_svg_unwritable_out_exits_1(tmp_path, quadric_file, capsys):
     out_file = tmp_path / "missing" / "img.svg"
     assert main(["svg", "--window=-2,2,-2,2", "--input", quadric_file,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -23,7 +25,9 @@ from conic import (
     verify_acyclicity,
 )
 from conic.chambers import canonical_class, nhat
+from conic.cli_io import main
 from conic.complexes import _verify, default_window
+from conic.cone import content_hash
 from conic.errors import InputError, InternalInvariantError, SupportNotClosedError
 from conic.ratgeom import add
 
@@ -463,6 +467,27 @@ def test_nccr_complete_verdict_checks_zero_cells(quadric, cyclic, monkeypatch):
         "simplicial: every class has a zero cell",)
 
 
+def test_nccr_complete_verdict_checks_full_length(square, monkeypatch,
+                                                  tmp_path, capsys):
+    # a non-simplicial cone has a class without a zero cell: with one
+    # appended to every class's pattern the theorem check fails, and the
+    # CLI names the cone
+    real = complexes.class_pattern
+    monkeypatch.setattr(complexes, "class_pattern",
+                        lambda spec, c: (*real(spec, c), ((), spec.rank)))
+    fresh = from_normals(square.rank, square.normals)
+    with pytest.raises(InternalInvariantError,
+                       match="all resolutions of full length"):
+        nccr_verdict(fresh)
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"rank": square.rank, "normals": square.normals}))
+    assert main(["nccr", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal invariant violated: non-simplicial cone with "
+                   f"all resolutions of full length (cone {content_hash(fresh)})\n")
+
+
 def test_nccr_partial_supports(square, cyclic):
     assert nccr_verdict(square, support=[FREE, X]).verdict == "NCCR"
     assert nccr_verdict(square, support=[FREE, Y]).verdict == "NCCR"
@@ -477,3 +502,41 @@ def test_nccr_full_support_passed_as_partial_is_complete(square):
     v = nccr_verdict(square, support=[FREE, X, Y])
     assert v.complete
     assert v.verdict == "NotNCCR"
+
+
+FIXTURES = ("quadric", "square", "cyclic", "orthant2", "orthant3", "pentagon",
+            "hexagon", "octahedron")
+# sha256 of the verdicts below, recorded before the verdict path read its
+# lengths off the spliced complexes
+VERDICTS_DIGEST = (
+    "cf1c86645d4311470696a5f9c2a27d8580d7ee2e0116b0db2a3dd06dcbdeeef8")
+
+
+def _supports_with_free(spec, rng=None, count=0):
+    # every support holding the free class, or count seeded random ones
+    free = (0,) * len(spec.normals)
+    rest = [rep for rep in enumerate_classes(spec).reps if rep != free]
+    if rng is None:
+        for k in range(len(rest) + 1):
+            for sub in combinations(rest, k):
+                yield (free, *sub)
+    for _ in range(count):
+        yield (free, *rng.sample(rest, rng.randint(0, len(rest))))
+
+
+def test_nccr_verdicts_pinned(request, quadric, square, pentagon, hexagon):
+    # complete NCCR and NotNCCR, partial NCCR, partial NotNCCR from a
+    # short resolution, and Inconclusive from an unclosed support or a
+    # spliced resolution past the rank
+    cases = [(request.getfixturevalue(name), None) for name in FIXTURES]
+    for spec in (quadric, square, from_normals(2, [(0, 1), (5, -2)])):
+        cases += [(spec, s) for s in _supports_with_free(spec)]
+    for spec in (pentagon, hexagon):
+        cases += [(spec, s) for s in
+                  _supports_with_free(spec, random.Random(34), 60)]
+    verdicts = [nccr_verdict(spec, support) for spec, support in cases]
+    seen = {(v.verdict, v.complete, v.reasons[0].split()[0]) for v in verdicts}
+    assert len(seen) == 6
+    text = "\n".join(repr((v.verdict, v.support, v.complete, v.witness,
+                           v.reasons)) for v in verdicts)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERDICTS_DIGEST
