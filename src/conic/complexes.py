@@ -4,18 +4,18 @@ The complex of a chamber has one summand per cell, placed by
 codimension, with differential entries given by incidence signs.  Its
 degreewise slices against any other chamber are exact away from a single
 distinguished slot, which is what makes the complexes projective
-resolutions of the graded simples after applying the hom functor.  For
-partial summand supports the excluded summands are spliced out through
-their own complexes, and the entries that the chain map to the chamber
-complex does not fix are solved degree by degree.
+resolutions of the graded simples after applying the hom functor; it
+is checked on windows of lattice points, each slab of a window split
+into regions of one survival mask (``_verify``).  For partial summand
+supports the excluded summands are spliced out through their own
+complexes, and the entries that the chain map to the chamber complex
+does not fix are solved degree by degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import and_, itemgetter, or_
 
 from . import ratgeom
 from .cells import (
@@ -266,56 +266,71 @@ def _window_points(spec: ConeSpec, radius: int) -> int:
 
 
 @per_cone
-def _slab_getters(spec: ConeSpec, radius: int) -> tuple:
-    # One (shift, get) per normal n.  With the masks of n listed by the
-    # pairing plus r * sum |n|, those of the slab x0, in ``product``
-    # order, are get(masks[x0 * n[0] + shift:]), shift = r * |n[0]|: the
-    # point (x0, *t) sits at r * sum_{j>=1} |n_j| + sum_{j>=1} t_j n_j >= 0
-    # of that cut.  The indices depend on n and r alone, so a cone keeps
-    # t * (2r + 1)^(d - 1) of them per radius asked.
-    r = radius
-    steps = range(-r, r + 1)
-    getters = []
+def _tail_sets(spec: ConeSpec, radius: int) -> tuple:
+    # For each normal n, the bitsets of the window's tail points t (last
+    # d - 1 coordinates, bit k the k-th in ``product`` order) with
+    # <t, n[1:]> + reach >= u for u <= 2 reach + 1, reach = r sum |n[1:]|.
+    steps = range(-radius, radius + 1)
+    table = []
     for n in spec.normals:
-        index = [r * sum(map(abs, n[1:]))]
+        reach = radius * sum(map(abs, n[1:]))
+        pairs = [reach]
         for a in n[1:]:
-            index = [i + x * a for i in index for x in steps]
-        # itemgetter of one index returns the item, not a tuple
-        get = (itemgetter(*index) if len(index) > 1
-               else itemgetter(slice(index[0], index[0] + 1)))
-        getters.append((r * abs(n[0]), get))
-    return tuple(getters)
+            pairs = [p + x * a for p in pairs for x in steps]
+        sets = [0] * (2 * reach + 2)
+        for k, p in enumerate(pairs):
+            sets[p] |= 1 << k
+        for u in range(2 * reach, -1, -1):
+            sets[u] |= sets[u + 1]
+        table.append(tuple(sets))
+    return tuple(table)
+
+
+def _levels(cx) -> tuple:
+    # For each normal, the summands' distinct ceilings in ascending order,
+    # each with the bitmask of the summands (along cx.terms) at or below it.
+    return tuple(
+        tuple((top, sum(1 << bit for bit, c in enumerate(ceilings) if c <= top))
+              for top in sorted(set(ceilings)))
+        for ceilings in zip(*(vec for row in cx.terms for vec in row)))
+
+
+@per_cone
+def _chamber_levels(spec: ConeSpec, c: IntVec) -> tuple:
+    # _levels of the complex of a gated chamber, kept per chamber
+    return _levels(_complex(spec, c))
 
 
 def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
-            ranks_of: dict | None = None) -> AcyclicityReport:
+            ranks_of: dict | None = None,
+            levels: tuple | None = None) -> AcyclicityReport:
     """Window acyclicity of a complex against the chamber cp; InputError
     when the window's (2r + 1)^d points are more than WINDOW_BUDGET
     (``_window_points``).
 
     Summand vec survives at m iff h = (<m, n_i>)_i >= vec - cp entrywise,
-    so the survivors are the AND over i of the summands whose gap at i is
-    at most h_i.  For each normal i, one list indexed by the values h_i
-    takes over the window, |h_i| <= radius * sum |n_i|, holds that mask.
-    The slab of points with first coordinate x0 reads it through the
-    per-cone table of the radius (``_slab_getters``): one ``itemgetter``
-    per normal over the pairings of the last d - 1 coordinates with n_i,
-    in ``product`` order, applied to the list cut at x0 * n_i[0].  A
-    slab's masks are the AND across normals of those reads: memory is one
-    slab per normal, O((2r + 1)^(d - 1)), and the table keeps
-    t * (2r + 1)^(d - 1) indices per radius asked.
+    so along normal i the survivors step up at the summands' distinct
+    ceilings, ``levels`` (``_levels``, read off cx.terms by default).  A
+    slab, the points (x0, *t) with one x0, starts as one region of every
+    tail point t and every summand and is split normal by normal: a
+    step's points are two reads of the per-cone table of the radius
+    (``_tail_sets``) and an AND-NOT, a region keeps the summands that
+    survive on it, regions whose mask empties are dropped and equal masks
+    merged; the points left over have the empty mask.  So a slab costs
+    per region, not per point, and the table keeps
+    sum_i (2r * sum_{j>=1} |n_ij| + 2) bitsets of (2r + 1)^(d - 1) bits.
 
     ``graded_piece`` reads m only through the kept index sets, so the
     scalar complex and its homology ranks are a function of the mask;
     ``ranks_of`` maps each mask met to its ranks.  ``verify_acyclicity``
     passes the per-cone table of the chamber's cell pattern
     (``_slice_ranks``), so ranks carry over between chambers with one
-    pattern, other chambers and radii; the default is
-    a table local to the call.  The pairing map is injective, so
-    h == c - cp holds exactly at the witness that ``cells._preimage``
-    reads off the per-cone box seeds, which is then the one point that
-    wants a rank-one degree zero.  A point is visited on its own only if
-    it is the witness or its mask has nonzero homology, so a passing
+    pattern, other chambers and radii; the default is a table local to
+    the call.  The pairing map is injective, so h == c - cp holds exactly
+    at the witness that ``cells._preimage`` reads off the per-cone box
+    seeds, which is then the one point that wants a rank-one degree zero.
+    A point is visited on its own, in ascending order, only if it is the
+    witness or its region's mask has nonzero homology, so a passing
     window costs no per-point work.
     """
     r, side, d = radius, 2 * radius + 1, spec.rank
@@ -324,44 +339,58 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
     witness = _preimage(spec, sub(c, cp))
     if ranks_of is None:
         ranks_of = {}
-    summands = [vec for row in cx.terms for vec in row]
-    columns = []
-    for n, ci, ceilings, (shift, get) in zip(
-            spec.normals, cp, zip(*summands), _slab_getters(spec, r)):
-        # below[v + reach]: bitmask of the summands whose gap here is <= v
-        reach = r * sum(map(abs, n))
-        below = [0] * (2 * reach + 1)
-        for bit, ceiling in enumerate(ceilings):
-            gap = ceiling - ci
-            if gap <= reach:
-                below[max(gap + reach, 0)] |= 1 << bit
-        columns.append((list(accumulate(below, or_)), n[0], shift, get))
+    levels = _levels(cx) if levels is None else levels
+    table = _tail_sets(spec, r)
+    every_point = table[0][0]
+    every_summand = (1 << sum(map(len, cx.terms))) - 1
     w0 = wk = None
     if witness is not None and all(abs(x) <= r for x in witness):
         w0, wk = witness[0], 0
         for x in witness[1:]:
             wk = wk * side + x + r
-    hits = []
-    failures = []
+    hits, failures = [], []
+    # per normal: n[0], its sets, their last index, levels as indices at x0 = 0
+    columns = [(n[0], sets, len(sets) - 1,
+                [(ceiling + (len(sets) - 2) // 2 - ci, below)
+                 for ceiling, below in reversed(steps)])
+               for n, ci, sets, steps in zip(spec.normals, cp, table, levels)]
     for x0 in range(-r, r + 1):
-        masks = None
-        for below, n0, shift, get in columns:
-            col = get(below[x0 * n0 + shift:])
-            masks = col if masks is None else map(and_, masks, col)
-        masks = list(masks)
-        bad = set()
-        for mask in set(masks):
+        regions = {every_summand: every_point}
+        for n0, sets, top, steps in columns:
+            split, above = {}, 0
+            for u, below in steps:
+                u -= x0 * n0
+                here = every_point if u <= 0 else sets[u] if u <= top else 0
+                if here == above:
+                    continue
+                if below == every_summand and here == every_point:
+                    # every point survives the top level: nothing is cut
+                    split = regions
+                    break
+                band = here ^ above
+                for mask, points in regions.items():
+                    if (got := points & band) and (key := mask & below):
+                        split[key] = split.get(key, 0) | got
+                above = here
+            regions = split
+        # the regions are disjoint; the points outside them keep nothing
+        rest = every_point - sum(regions.values())
+        if rest:
+            regions[0] = rest
+        visit = {}
+        for mask, points in regions.items():
             ranks = ranks_of.get(mask)
             if ranks is None:
                 ranks = ranks_of[mask] = _mask_ranks(cx, mask)
-            if any(ranks):
-                bad.add(mask)
-        visit = {wk} if x0 == w0 else set()
-        if bad:
-            visit.update(k for k, mask in enumerate(masks) if mask in bad)
+            if not any(ranks):
+                points = points & 1 << wk if x0 == w0 else 0
+            while points:
+                low = points & -points
+                visit[low.bit_length() - 1] = ranks
+                points ^= low
         for k in sorted(visit):
             hit = x0 == w0 and k == wk
-            ranks = ranks_of[masks[k]]
+            ranks = visit[k]
             tail_point = []
             for _ in range(d - 1):
                 k, x = divmod(k, side)
@@ -397,7 +426,7 @@ def _acyclicity(spec: ConeSpec, c: IntVec, pattern, cp: IntVec, window) -> Acycl
     radius = (default_window(c, cp) if window is None
               else _window_radius(window))
     return _verify(spec, _complex(spec, c), cp, radius,
-                   _slice_ranks(spec, pattern))
+                   _slice_ranks(spec, pattern), _chamber_levels(spec, c))
 
 
 def pdim_simple(spec: ConeSpec, c) -> int:
@@ -591,8 +620,9 @@ def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComple
         if radius is None:
             radius = max(default_window(cc, rep) for rep in reps)
         ranks_of: dict[int, tuple[int, ...]] = {}
+        levels = _levels(cx)
         for rep in reps:
-            rpt = _verify(spec, cx, rep, radius, ranks_of)
+            rpt = _verify(spec, cx, rep, radius, ranks_of, levels)
             if not rpt.passed:
                 raise InternalInvariantError(
                     f"spliced complex fails acyclicity against {rep}: "
