@@ -4,9 +4,9 @@ The complex of a chamber has one summand per cell, placed by
 codimension, with differential entries given by incidence signs.  Its
 degreewise slices against any other chamber are exact away from a single
 distinguished slot, which is what makes the complexes projective
-resolutions of the graded simples after applying the hom functor; it
-is checked on windows of lattice points, each slab of a window split
-into regions of one survival mask (``_verify``).  For partial summand
+resolutions of the graded simples after applying the hom functor.  The
+exactness is checked on windows of lattice points, each slab split into
+regions of one survival mask (``_verify``).  For partial summand
 supports the excluded summands are spliced out through their own
 complexes, and the entries that the chain map to the chamber complex
 does not fix are solved degree by degree.
