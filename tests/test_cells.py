@@ -16,7 +16,6 @@ from conic import (
 )
 from conic import cells as cells_module, complexes
 from conic.cells import Cell, _frame, cell_witnesses, class_pattern
-from conic.cli_io import analyze
 from conic.complexes import conic_complex
 from conic.chambers import (
     chamber_of, chamber_witness, enumerate_classes, is_feasible, nhat, pairings)
@@ -179,7 +178,8 @@ def test_sign_table_holds_one_entry_per_omega_pair(monkeypatch):
         return real(spec, inner, outer)
 
     monkeypatch.setattr(complexes, "_sign", counted)
-    analyze(spec)
+    for rep in enumerate_classes(spec).reps:
+        conic_complex(spec, rep)
     table = spec._store[real]
     assert set(table) == set(calls)
     assert len(table) < len(calls)

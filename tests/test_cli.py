@@ -238,7 +238,7 @@ def test_invariant_error_names_the_cone(square_file, capsys, monkeypatch):
 
     monkeypatch.setattr(complexes, "_check_d2", broken)
     spec = build_cone(parse_input(SQUARE))
-    assert main(["analyze", "--input", square_file]) == 2
+    assert main(["complex", "A0", "--input", square_file]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("internal invariant violated: differential does not "

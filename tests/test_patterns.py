@@ -27,6 +27,7 @@ from conic import (
     from_normals,
     has_zero_cell,
     pdim_simple,
+    ratgeom,
     smith_invariants,
     verify_acyclicity,
 )
@@ -77,10 +78,16 @@ def test_pattern_answers_match_the_complex(request):
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_plain_analyze_builds_no_complex(request, name):
+def test_plain_analyze_builds_no_complex(request, name, monkeypatch):
+    # nor any differential or Smith form: the smith block is a theorem
     fresh = _fresh(request.getfixturevalue(name))
+    calls = []
+    monkeypatch.setattr(ratgeom, "smith_normal_form",
+                        lambda rows: calls.append(rows) or smith_normal_form(rows))
     analyze(fresh)
     assert not fresh._store.get(complexes._complex)
+    assert not fresh._store.get(complexes._differentials)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("cone_a",))
@@ -121,6 +128,15 @@ def test_open_cell_pinning_an_index_is_an_internal_error(square, monkeypatch):
     _with_face_cell(monkeypatch,
                     lambda codim, omega: (codim, omega[1:] if codim == 0 else omega))
     with pytest.raises(InternalInvariantError, match="differs from the chamber"):
+        class_pattern(_fresh(square), (0, 0, 0, 0))
+
+
+def test_census_with_nonzero_euler_characteristic_is_an_internal_error(
+        square, monkeypatch):
+    # every codim-1 cell moved to codim 2 keeps the one open cell
+    _with_face_cell(monkeypatch,
+                    lambda codim, omega: (2 if codim == 1 else codim, omega))
+    with pytest.raises(InternalInvariantError, match="Euler characteristic"):
         class_pattern(_fresh(square), (0, 0, 0, 0))
 
 

@@ -192,4 +192,3 @@ def test_cyclic_classes_share_one_pattern(r, a, monkeypatch):
     assert len(mats) == 1 and len(checked) == 1
     assert len(spec._store[complexes._differentials]) == 1
     assert len({complexes.smith_invariants(spec, rep) for rep in reps}) == 1
-    assert len(spec._store[complexes._smith]) == 1
