@@ -430,7 +430,7 @@ def _cmd_complex(args) -> str:
     spec = _load_spec(args)
     classes = enumerate_classes(spec)
     rep = _parse_class(spec, classes, args.cls)
-    cx = _complex(spec, rep)
+    cx = _complex(spec, rep, class_pattern(spec, class_of(spec, rep)))
     terms = [[{"open_conic": list(vec),
                "class": classes.label_of(class_of(spec, vec))}
               for vec in row] for row in cx.terms]

@@ -36,6 +36,12 @@ regions of one survival mask (``_verify``).  For partial summand
 supports the excluded summands are spliced out through their own
 complexes, and the entries that the chain map to the chamber complex
 does not fix are solved degree by degree.
+
+Lattice translation keeps cells, so a chamber's complex is its class's
+cell pattern placed at the chamber: the terms are the chamber plus a 0/1
+bump per cell, and the differentials, the survival steps and the slice
+ranks are shared.  So every per-cone table here is keyed by cell pattern
+or by radius, never by chamber, and complexes are built on request.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .cells import (
     Cell,
     _preimage,
     _sign,
+    ceiling_vector,
     class_of,
     class_pattern,
     open_conic,
@@ -169,18 +176,16 @@ def conic_complex(spec: ConeSpec, c) -> ConicComplex:
     omega is a proper subset of the outer one; each cell's omega set is
     built once, and the sign comes from the per-cone table.
     """
-    return _complex(spec, require_chamber(spec, c))
+    cc, _, pattern = require_gate(spec, c)
+    return _complex(spec, cc, pattern)
 
 
-@per_cone
-def _complex(spec: ConeSpec, c: IntVec) -> ConicComplex:
-    # conic_complex of a chamber's ceiling vector as a tuple of ints, one
-    # gated by the caller or an open conic of another complex, kept per
-    # chamber: its pattern is its class's (``cells.class_of``), the
-    # differentials are kept per cell pattern (``_differentials``), and
-    # ``cells._pattern`` has checked that the pattern has one open cell,
-    # whose open conic is the chamber
-    pattern = class_pattern(spec, class_of(spec, c))
+def _complex(spec: ConeSpec, c: IntVec, pattern) -> ConicComplex:
+    # The complex of a cell pattern placed at the ceiling vector c, built
+    # on request and kept by no table.  A chamber's complex is its class's
+    # pattern placed at the chamber, whose open cell ``cells._pattern``
+    # has checked to be the one whose open conic is c; the differentials
+    # are kept per pattern (``_differentials``).
     cells = [[] for _ in range(pattern[-1][1] + 1)]
     terms = [[] for _ in cells]
     for omega, codim in pattern:
@@ -241,31 +246,45 @@ def graded_piece(spec: ConeSpec, cx, cp, m) -> ScalarComplex:
     comparison.  Kept columns only ever map to kept rows, so the slice
     really is a complex.
     """
-    target = add(intvec(cp), nhat(spec, m))
+    target = add(ceiling_vector(spec, cp), nhat(spec, m))
     return _slice(cx, [
         tuple(j for j, vec in enumerate(row)
               if all(x >= y for x, y in zip(target, vec)))
         for row in cx.terms])
 
 
-def _mask_ranks(cx, mask: int) -> tuple[int, ...]:
-    # Homology ranks of the slice keeping the summands whose bits are set
-    # in mask, numbered along cx.terms degree by degree.
+def _mask_ranks(full: ScalarComplex, mask: int) -> tuple[int, ...]:
+    # Homology ranks of the slice of a whole complex keeping the summands
+    # whose bits are set in mask, numbered degree by degree.
     keep = []
-    for row in cx.terms:
-        keep.append(tuple(j for j in range(len(row)) if mask >> j & 1))
-        mask >>= len(row)
-    return homology_ranks(_slice(cx, keep))
+    for dim in full.dims:
+        keep.append(tuple(j for j in range(dim) if mask >> j & 1))
+        mask >>= dim
+    return homology_ranks(_slice(full, keep))
+
+
+def _slices_of(cx) -> tuple:
+    # What _verify reads of a complex: the complex whole as a scalar
+    # complex; for each normal, the summands' distinct steps above the
+    # chamber's ceiling in ascending order, each with the bitmask of the
+    # summands (degree by degree) at or below it; and a table survival
+    # mask -> homology ranks, filled by _verify.
+    steps = [sub(vec, cx.chamber) for row in cx.terms for vec in row]
+    levels = tuple(
+        tuple((top, sum(1 << bit for bit, x in enumerate(col) if x <= top))
+              for top in sorted(set(col)))
+        for col in zip(*steps))
+    return ScalarComplex(tuple(map(len, cx.terms)), cx.mats), levels, {}
 
 
 @per_cone
-def _slice_ranks(spec: ConeSpec, pattern) -> dict[int, tuple[int, ...]]:
-    # Survival mask -> homology ranks of that slice of every chamber
-    # complex with this cell pattern, filled by _verify.  A slice reads
-    # only the differentials and the row lengths, both set by the
-    # pattern, and the mask: not the chamber, the other chamber or the
-    # radius.
-    return {}
+def _pattern_slices(spec: ConeSpec, pattern) -> tuple:
+    # _slices_of every chamber complex with this cell pattern: a summand
+    # steps up from the chamber by its cell's 0/1 bumps (``open_conic``),
+    # so the pattern placed at 0 has them all.  A slice reads only the
+    # differentials, the row lengths and the mask: not the chamber, the
+    # other chamber or the radius.
+    return _slices_of(_complex(spec, (0,) * len(spec.normals), pattern))
 
 
 def default_window(c, cp) -> int:
@@ -313,63 +332,47 @@ def _tail_sets(spec: ConeSpec, radius: int) -> tuple:
     return tuple(table)
 
 
-def _levels(cx) -> tuple:
-    # For each normal, the summands' distinct ceilings in ascending order,
-    # each with the bitmask of the summands (along cx.terms) at or below it.
-    return tuple(
-        tuple((top, sum(1 << bit for bit, c in enumerate(ceilings) if c <= top))
-              for top in sorted(set(ceilings)))
-        for ceilings in zip(*(vec for row in cx.terms for vec in row)))
-
-
-@per_cone
-def _chamber_levels(spec: ConeSpec, c: IntVec) -> tuple:
-    # _levels of the complex of a gated chamber, kept per chamber
-    return _levels(_complex(spec, c))
-
-
-def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
-            ranks_of: dict | None = None,
-            levels: tuple | None = None) -> AcyclicityReport:
-    """Window acyclicity of a complex against the chamber cp; InputError
-    when the window's (2r + 1)^d points are more than WINDOW_BUDGET
+def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
+            slices: tuple) -> AcyclicityReport:
+    """Window acyclicity against the chamber cp of the complex of the
+    chamber c whose ``_slices_of`` are given; InputError when the
+    window's (2r + 1)^d points are more than WINDOW_BUDGET
     (``_window_points``).
 
     Summand vec survives at m iff h = (<m, n_i>)_i >= vec - cp entrywise,
-    so along normal i the survivors step up at the summands' distinct
-    ceilings, ``levels`` (``_levels``, read off cx.terms by default).  A
-    slab, the points (x0, *t) with one x0, starts as one region of every
-    tail point t and every summand and is split normal by normal: a
-    step's points are two reads of the per-cone table of the radius
-    (``_tail_sets``) and an AND-NOT, a region keeps the summands that
-    survive on it, regions whose mask empties are dropped and equal masks
-    merged; the points left over have the empty mask.  So a slab costs
-    per region, not per point, and the table keeps
-    sum_i (2r * sum_{j>=1} |n_ij| + 2) bitsets of (2r + 1)^(d - 1) bits.
+    that is h >= (vec - c) - (cp - c): translating both chambers by -c
+    changes no survival mask and no witness, so the slices hold the
+    summands' steps vec - c, and along normal i the survivors step up
+    at their distinct values.  A slab, the points (x0, *t) with one x0,
+    starts as one region of every tail point t and every summand and is
+    split normal by normal: a step's points are two reads of the
+    per-cone table of the radius (``_tail_sets``) and an AND-NOT, a
+    region keeps the summands that survive on it, regions whose mask
+    empties are dropped and equal masks merged; the points left over
+    have the empty mask.  So a slab costs per region, not per point, and
+    the table keeps sum_i (2r * sum_{j>=1} |n_ij| + 2) bitsets of
+    (2r + 1)^(d - 1) bits.
 
     ``graded_piece`` reads m only through the kept index sets, so the
     scalar complex and its homology ranks are a function of the mask;
-    ``ranks_of`` maps each mask met to its ranks.  ``verify_acyclicity``
-    passes the per-cone table of the chamber's cell pattern
-    (``_slice_ranks``), so ranks carry over between chambers with one
-    pattern, other chambers and radii; the default is a table local to
-    the call.  The pairing map is injective, so h == c - cp holds exactly
-    at the witness that ``cells._preimage`` reads off the per-cone box
-    seeds, which is then the one point that wants a rank-one degree zero.
-    A point is visited on its own, in ascending order, only if it is the
-    witness or its region's mask has nonzero homology, so a passing
-    window costs no per-point work.
+    the slices' rank table maps each mask met to its ranks.
+    ``verify_acyclicity`` passes the per-cone slices of the chamber's
+    cell pattern (``_pattern_slices``), so ranks carry over between
+    chambers with one pattern, other chambers and radii.  The pairing
+    map is injective, so h == c - cp holds exactly at the witness that
+    ``cells._preimage`` reads off the per-cone box seeds, which is then
+    the one point that wants a rank-one degree zero.  A point is visited
+    on its own, in ascending order, only if it is the witness or its
+    region's mask has nonzero homology, so a passing window costs no
+    per-point work.
     """
     r, side, d = radius, 2 * radius + 1, spec.rank
     checked = _window_points(spec, r)
-    c = cx.chamber
+    full, levels, ranks_of = slices
     witness = _preimage(spec, sub(c, cp))
-    if ranks_of is None:
-        ranks_of = {}
-    levels = _levels(cx) if levels is None else levels
     table = _tail_sets(spec, r)
     every_point = table[0][0]
-    every_summand = (1 << sum(map(len, cx.terms))) - 1
+    every_summand = (1 << sum(full.dims)) - 1
     w0 = wk = None
     if witness is not None and all(abs(x) <= r for x in witness):
         w0, wk = witness[0], 0
@@ -378,9 +381,9 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
     hits, failures = [], []
     # per normal: n[0], its sets, their last index, levels as indices at x0 = 0
     columns = [(n[0], sets, len(sets) - 1,
-                [(ceiling + (len(sets) - 2) // 2 - ci, below)
-                 for ceiling, below in reversed(steps)])
-               for n, ci, sets, steps in zip(spec.normals, cp, table, levels)]
+                [(step + (len(sets) - 2) // 2 - ci, below)
+                 for step, below in reversed(steps)])
+               for n, ci, sets, steps in zip(spec.normals, sub(cp, c), table, levels)]
     for x0 in range(-r, r + 1):
         regions = {every_summand: every_point}
         for n0, sets, top, steps in columns:
@@ -408,7 +411,7 @@ def _verify(spec: ConeSpec, cx, cp: IntVec, radius: int,
         for mask, points in regions.items():
             ranks = ranks_of.get(mask)
             if ranks is None:
-                ranks = ranks_of[mask] = _mask_ranks(cx, mask)
+                ranks = ranks_of[mask] = _mask_ranks(full, mask)
             if not any(ranks):
                 points = points & 1 << wk if x0 == w0 else 0
             while points:
@@ -452,8 +455,7 @@ def _acyclicity(spec: ConeSpec, c: IntVec, pattern, cp: IntVec, window) -> Acycl
     # verify_acyclicity of gated chambers, c with its class pattern
     radius = (default_window(c, cp) if window is None
               else _window_radius(window))
-    return _verify(spec, _complex(spec, c), cp, radius,
-                   _slice_ranks(spec, pattern), _chamber_levels(spec, c))
+    return _verify(spec, c, cp, radius, _pattern_slices(spec, pattern))
 
 
 def pdim_simple(spec: ConeSpec, c) -> int:
@@ -480,7 +482,8 @@ def ext_dims(spec: ConeSpec, c, cp) -> tuple[int, ...]:
     class of cp: the hom-complex differentials are radical, so they
     vanish on simples and the count is the whole answer.
     """
-    cx = _complex(spec, require_chamber(spec, c))
+    cc, _, pattern = require_gate(spec, c)
+    cx = _complex(spec, cc, pattern)
     rep = canonical_class(spec, cp)
     return tuple(
         sum(1 for vec in row if class_of(spec, vec) == rep)
@@ -554,12 +557,13 @@ def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComple
     # support's sorted representatives, with the radius it was validated
     # at (None when nothing is spliced)
     sup = set(reps)
-    K = _complex(spec, cc)
-    excluded = [
-        (k, pos) for k in range(1, len(K.terms))
-        for pos, vec in enumerate(K.terms[k])
-        if class_of(spec, vec) not in sup]
-    subs = [_complex(spec, K.terms[k][pos]) for k, pos in excluded]
+    K = _complex(spec, cc, class_pattern(spec, class_of(spec, cc)))
+    excluded, subs = [], []
+    for k in range(1, len(K.terms)):
+        for pos, vec in enumerate(K.terms[k]):
+            if (rep := class_of(spec, vec)) not in sup:
+                excluded.append((k, pos))
+                subs.append(_complex(spec, vec, class_pattern(spec, rep)))
     bad_cells = [
         Ks.cells[j][p] for Ks in subs for j in range(1, len(Ks.terms))
         for p, vec in enumerate(Ks.terms[j])
@@ -646,10 +650,9 @@ def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComple
         radius = window
         if radius is None:
             radius = max(default_window(cc, rep) for rep in reps)
-        ranks_of: dict[int, tuple[int, ...]] = {}
-        levels = _levels(cx)
+        slices = _slices_of(cx)
         for rep in reps:
-            rpt = _verify(spec, cx, rep, radius, ranks_of, levels)
+            rpt = _verify(spec, cc, rep, radius, slices)
             if not rpt.passed:
                 raise InternalInvariantError(
                     f"spliced complex fails acyclicity against {rep}: "

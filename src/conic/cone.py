@@ -44,9 +44,11 @@ class ConeSpec:
             raise InputError(f"rank must be an int, got {d!r}")
         if d < 1:
             raise InputError(f"rank must be >= 1, got {d}")
+        _require_tuple(self.normals, "normals")
         if not self.normals:
             raise InputError("at least one facet normal is required")
         for i, n in enumerate(self.normals):
+            _require_tuple(n, f"normal {i}")
             if len(n) != d:
                 raise InputError(f"normal {i} has length {len(n)}, expected {d}")
             if not _ints(n):
@@ -65,7 +67,9 @@ class ConeSpec:
             if i not in kept or self.normals.count(n) > 1:
                 raise InputError(f"normal {i} is redundant: {n}")
         if self.generators is not None:
+            _require_tuple(self.generators, "generators")
             for i, g in enumerate(self.generators):
+                _require_tuple(g, f"generator {i}")
                 if len(g) != d:
                     raise InputError("generator length does not match rank")
                 if not _ints(g):
@@ -81,6 +85,12 @@ class ConeSpec:
 
 
 _MISSING = object()
+
+
+def _require_tuple(value, noun: str) -> None:
+    # the spec is hashed and compared, so its containers must be tuples
+    if not isinstance(value, tuple):
+        raise InputError(f"{noun} must be a tuple, got {type(value).__name__}")
 
 
 def _ints(v) -> bool:

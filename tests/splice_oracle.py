@@ -19,6 +19,7 @@ from conic.complexes import (
     _check_d2,
     _entrywise_geq,
     _report,
+    _slices_of,
     _verify,
     _window_radius,
     conic_complex,
@@ -229,7 +230,7 @@ def oracle_resolution(spec, support, c, window=None):
     if radius is None:
         radius = max(default_window(cc, rep) for rep in reps)
     for rep in reps:
-        rpt = _verify(spec, cx, rep, radius)
+        rpt = _verify(spec, cc, rep, radius, _slices_of(cx))
         if not rpt.passed:
             raise InternalInvariantError(
                 f"spliced complex fails acyclicity against {rep}: "

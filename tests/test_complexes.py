@@ -26,7 +26,7 @@ from conic import (
 )
 from conic.chambers import canonical_class, nhat
 from conic.cli_io import main
-from conic.complexes import _verify, default_window
+from conic.complexes import _slices_of, _verify, default_window
 from conic.cone import content_hash
 from conic.errors import InputError, InternalInvariantError, SupportNotClosedError
 from conic.ratgeom import add
@@ -35,6 +35,11 @@ from acyclicity_oracle import oracle_verify
 from splice_oracle import oracle_resolution
 
 FREE, X, Y = (0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 1)
+
+
+def verify(spec, cx, cp, radius):
+    # the window check of a complex at its own chamber
+    return _verify(spec, cx.chamber, cp, radius, _slices_of(cx))
 
 
 def classes_of_row(spec, row):
@@ -92,6 +97,16 @@ def test_graded_piece_far_translate_is_exact(square):
     assert all(h == 0 for h in homology_ranks(sc))
 
 
+def test_graded_piece_refuses_a_ceiling_vector_of_the_wrong_length(square):
+    # zip would cut the comparison short: (0,) kept summands that (0, 0,
+    # 0, 0) does not, and a fifth entry was ignored
+    cx = conic_complex(square, FREE)
+    for cp, got in (((0,), 1), ((0, 0, 0, 0, 0), 5)):
+        with pytest.raises(InputError,
+                           match=f"ceiling vector has length {got}, expected 4"):
+            graded_piece(square, cx, cp, (0, 0, 0))
+
+
 def test_acyclicity_default_window(square):
     rpt = verify_acyclicity(square, FREE, X)
     assert rpt.passed
@@ -129,7 +144,7 @@ def test_acyclicity_matches_per_point_oracle(request, name):
             if name in ("square", "cyclic") or free in (a, b):
                 radii.append(default_window(a, b))
             for radius in radii:
-                assert _verify(spec, cx, b, radius) == oracle_verify(
+                assert verify(spec, cx, b, radius) == oracle_verify(
                     spec, cx, b, radius), (a, b, radius)
 
 
@@ -149,7 +164,7 @@ def test_failing_acyclicity_matches_per_point_oracle(request, name):
             for b in classes.reps:
                 for radius in radii:
                     want = oracle_verify(spec, cx, b, radius)
-                    assert _verify(spec, cx, b, radius) == want, (a, b, k)
+                    assert verify(spec, cx, b, radius) == want, (a, b, k)
 
 
 def test_moved_summand_acyclicity_matches_per_point_oracle(
@@ -179,10 +194,10 @@ def test_moved_summand_acyclicity_matches_per_point_oracle(
                 want = oracle_verify(spec, cx, b, radius)
             except InternalInvariantError:
                 with pytest.raises(InternalInvariantError):
-                    _verify(spec, cx, b, radius)
+                    verify(spec, cx, b, radius)
                 raised += 1
                 continue
-            assert _verify(spec, cx, b, radius) == want, (a, b, deg, pos, i)
+            assert verify(spec, cx, b, radius) == want, (a, b, deg, pos, i)
             failing += not want.passed
     assert failing >= 50 and raised
 
@@ -195,7 +210,7 @@ def test_spliced_acyclicity_matches_per_point_oracle(square, support):
         assert cx.spliced
         for b in reps:
             for radius in (0, 1, 2, 3, default_window(own, b)):
-                assert _verify(square, cx, b, radius) == oracle_verify(
+                assert verify(square, cx, b, radius) == oracle_verify(
                     square, cx, b, radius), (own, b, radius)
 
 
@@ -299,7 +314,7 @@ def _oracle_cases(spec, cx, cp, radii):
     outside = edge = 0
     for radius in radii:
         want = oracle_verify(spec, cx, cp, radius)
-        assert _verify(spec, cx, cp, radius) == want, (cx.chamber, cp, radius)
+        assert verify(spec, cx, cp, radius) == want, (cx.chamber, cp, radius)
         if want.witness is not None:
             reach = max(map(abs, want.witness))
             outside += reach > radius
@@ -357,9 +372,45 @@ def test_rank_four_acyclicity_matches_oracle_at_radius_two(octahedron):
                               cells=cx.cells[:2], mats=cx.mats[:1])
         for cp in (b, a):
             want = oracle_verify(octahedron, cx, cp, 2)
-            assert _verify(octahedron, cx, cp, 2) == want, (a, cp)
+            assert verify(octahedron, cx, cp, 2) == want, (a, cp)
             passed.append(want.passed)
     assert passed == [True] * 6 + [False] * 2
+
+
+@pytest.mark.parametrize("name", ["square", "hexagon"])
+def test_acyclicity_of_translated_chambers_matches_oracle(request, name):
+    # c and cp off their representatives: the window reads the steps of
+    # c's summands above c, so the report must not depend on c - rep
+    spec = request.getfixturevalue(name)
+    reps = enumerate_classes(spec).reps
+    rng = random.Random(37)
+    for _ in range(30):
+        a, b = rng.choice(reps), rng.choice(reps)
+        m1, m2 = ([rng.randrange(-3, 4) for _ in range(spec.rank)]
+                  for _ in range(2))
+        c, cp = add(a, nhat(spec, m1)), add(b, nhat(spec, m2))
+        cx = conic_complex(spec, c)
+        for radius in (1, 2):
+            got = verify_acyclicity(spec, c, cp, window=radius)
+            assert got == oracle_verify(spec, cx, cp, radius), (c, cp, radius)
+
+
+def test_translates_leave_every_per_cone_table_bounded(hexagon):
+    # 441 translates of one class against one chamber: every table keyed
+    # by pattern or radius keeps the size it had after the first
+    spec = from_primal_rays(hexagon.rank, hexagon.generators)
+    reps = enumerate_classes(spec).reps
+    a, b = reps[5], reps[0]
+
+    def sizes():
+        return {func.__name__: len(table) for func, table in spec._store.items()}
+
+    seen = None
+    for m in product(range(-10, 11), range(-10, 11)):
+        c = add(a, nhat(spec, (*m, 0)))
+        assert verify_acyclicity(spec, c, b, window=1).passed
+        seen = seen or sizes()
+    assert sizes() == seen
 
 
 def test_pdims_and_global_dimension(quadric, square, cyclic, orthant2, orthant3):

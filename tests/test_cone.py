@@ -478,7 +478,15 @@ def test_cone_spec_refusals():
             (2, (), None, "at least one facet normal is required"),
             (2, ((1, 0), (0, 0), (0, 1)), None, "normal 1 is zero"),
             (2, ((1, 0), (0, 1)), ((1, 0), (0, 1, 1)),
-             "generator length does not match rank")):
+             "generator length does not match rank"),
+            # a list would be refused as not primitive, or hashed with a
+            # TypeError once accepted
+            (2, [(1, 0), (0, 1)], None, "normals must be a tuple, got list"),
+            (2, ([1, 0], [0, 1]), None, "normal 0 must be a tuple, got list"),
+            (2, ((1, 0), (0, 1)), [(1, 0), (0, 1)],
+             "generators must be a tuple, got list"),
+            (2, ((1, 0), (0, 1)), ((1, 0), [0, 1]),
+             "generator 1 must be a tuple, got list")):
         with pytest.raises(InputError) as exc:
             ConeSpec(rank, normals, generators=gens)
         assert str(exc.value) == message

@@ -33,7 +33,7 @@ from conic import (
 )
 from conic.cells import class_pattern
 from conic.cli_io import analyze, serialize_report
-from conic.complexes import _slice_ranks
+from conic.complexes import _pattern_slices
 from conic.errors import InternalInvariantError
 from conic.ratgeom import smith_normal_form
 
@@ -66,7 +66,7 @@ def test_pattern_answers_match_the_complex(request):
         got = [(cell_census(fresh, rep), pdim_simple(fresh, rep),
                 has_zero_cell(fresh, rep), smith_invariants(fresh, rep))
                for rep in reps]
-        assert not fresh._store.get(complexes._complex), name
+        assert not fresh._store.get(complexes._differentials), name
         for rep, answers in zip(reps, got):
             cx = conic_complex(fresh, rep)
             want = (
@@ -85,7 +85,6 @@ def test_plain_analyze_builds_no_complex(request, name, monkeypatch):
     monkeypatch.setattr(ratgeom, "smith_normal_form",
                         lambda rows: calls.append(rows) or smith_normal_form(rows))
     analyze(fresh)
-    assert not fresh._store.get(complexes._complex)
     assert not fresh._store.get(complexes._differentials)
     assert calls == []
 
@@ -151,15 +150,15 @@ def test_slice_ranks_are_shared_by_pattern(pentagon):
     shared = [group for group in by_pattern.values() if len(group) > 1]
     assert shared
     for group in shared:
-        table = _slice_ranks(spec, class_pattern(spec, group[0]))
+        slices = _pattern_slices(spec, class_pattern(spec, group[0]))
         for a in group:
-            assert _slice_ranks(spec, class_pattern(spec, a)) is table
+            assert _pattern_slices(spec, class_pattern(spec, a)) is slices
             cx = conic_complex(spec, a)
             for b in reps:
                 for radius in (1, 2):
                     got = verify_acyclicity(spec, a, b, window=radius)
                     assert got == oracle_verify(spec, cx, b, radius), (a, b)
-        assert table
+        assert slices[2]
 
 
 def test_cone_r5_pinned():

@@ -186,7 +186,7 @@ def test_cyclic_classes_share_one_pattern(r, a, monkeypatch):
     reps = chambers.enumerate_classes(spec).reps
     assert len(reps) == r
     assert len({id(class_pattern(spec, rep)) for rep in reps}) == 1
-    assert len({id(complexes._slice_ranks(spec, class_pattern(spec, rep)))
+    assert len({id(complexes._pattern_slices(spec, class_pattern(spec, rep)))
                 for rep in reps}) == 1
     mats = {id(complexes.conic_complex(spec, rep).mats) for rep in reps}
     assert len(mats) == 1 and len(checked) == 1
