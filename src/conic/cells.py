@@ -217,7 +217,9 @@ def class_walk(spec: ConeSpec) -> tuple[IntVec, ...]:
     representative's closed box, reached once; a repeated class is an
     internal error.  The leaf's tight masks give the cell pattern of its
     class: the face closure (``_pattern``) runs once per mask set, which
-    only the walk keeps.
+    only the walk keeps.  A pattern kept before the walk, read off the
+    class's own box, must be the leaf's (both are ``_interned``); one
+    that is not is an internal error too.
     """
     seen = set()
     patterns = {}
@@ -228,7 +230,9 @@ def class_walk(spec: ConeSpec) -> tuple[IntVec, ...]:
         pattern = patterns.get(masks)
         if pattern is None:
             pattern = patterns[masks] = _pattern(spec, masks)
-        class_pattern.keep(spec, (rep,), pattern)
+        if class_pattern.keep(spec, (rep,), pattern) is not pattern:
+            raise InternalInvariantError(
+                f"class {rep} has a kept pattern that its walk leaf does not give")
     if (0,) * len(spec.normals) not in seen:
         raise InternalInvariantError("the free class is not reached")
     return tuple(sorted(seen))

@@ -509,6 +509,8 @@ def _cmd_nccr(args) -> str:
 
 
 def _cmd_frobenius(args) -> str:
+    if args.q is None and not args.minimal and args.dmodule is None:
+        raise InputError("frobenius needs at least one of --q, --minimal, --dmodule")
     spec = _load_spec(args)
     _check_options(spec, q=args.q, prime=args.dmodule)
     body = _frobenius_block(spec, enumerate_classes(spec), args.q,
@@ -646,11 +648,6 @@ def main(argv=None) -> int:
     args = None
     try:
         args = _parser().parse_args(argv)
-        if getattr(args, "command", None) == "frobenius" \
-                and args.q is None and not args.minimal \
-                and args.dmodule is None:
-            raise InputError(
-                "frobenius needs at least one of --q, --minimal, --dmodule")
         out = args.func(args)
     except SupportNotClosedError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -316,6 +316,10 @@ def _tail_sets(spec: ConeSpec, radius: int) -> tuple:
     # For each normal n, the bitsets of the window's tail points t (last
     # d - 1 coordinates, bit k the k-th in ``product`` order) with
     # <t, n[1:]> + reach >= u for u <= 2 reach + 1, reach = r sum |n[1:]|.
+    # A level that no pairing hits holds the object of the level above,
+    # so a normal keeps one bitset per distinct pairing, plus the empty
+    # top: at most min(2 reach + 2, (2r + 1)^(d - 1) + 1) of them, and one
+    # reference per level.
     steps = range(-radius, radius + 1)
     table = []
     for n in spec.normals:
@@ -327,7 +331,7 @@ def _tail_sets(spec: ConeSpec, radius: int) -> tuple:
         for k, p in enumerate(pairs):
             sets[p] |= 1 << k
         for u in range(2 * reach, -1, -1):
-            sets[u] |= sets[u + 1]
+            sets[u] = sets[u] | sets[u + 1] if sets[u] else sets[u + 1]
         table.append(tuple(sets))
     return tuple(table)
 
@@ -349,9 +353,11 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
     per-cone table of the radius (``_tail_sets``) and an AND-NOT, a
     region keeps the summands that survive on it, regions whose mask
     empties are dropped and equal masks merged; the points left over
-    have the empty mask.  So a slab costs per region, not per point, and
-    the table keeps sum_i (2r * sum_{j>=1} |n_ij| + 2) bitsets of
-    (2r + 1)^(d - 1) bits.
+    have the empty mask.  So a slab costs per region, not per point.
+    The table is kept once per radius asked; for normal i it keeps one
+    bitset of at most (2r + 1)^(d - 1) bits per distinct tail pairing,
+    at most min(2r * sum_{j>=1} |n_ij| + 2, (2r + 1)^(d - 1) + 1) of
+    them, and one reference per level.
 
     ``graded_piece`` reads m only through the kept index sets, so the
     scalar complex and its homology ranks are a function of the mask;
@@ -583,8 +589,10 @@ def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComple
             if k + j - 1 == len(origins):
                 origins.append([])
             origins[k + j - 1] += [("sub", s, j, p) for p in range(len(Ks.terms[j]))]
-    while not origins[-1]:
-        origins.pop()
+    # The top row is never empty.  A row of K whose summands are all
+    # excluded gets their complexes' degree-1 summands, and every chamber
+    # complex has one: it is exact, so they map onto its open cell.  A
+    # row past K's top holds the top degree of some spliced complex.
     terms = tuple(
         tuple(K.terms[i][t[1]] if t[0] == "kept" else subs[t[1]].terms[t[2]][t[3]]
               for t in row)

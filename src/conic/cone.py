@@ -319,6 +319,8 @@ def restrict_to_facet(spec: ConeSpec, index: int) -> FacetRestriction:
     d = spec.rank
     if d < 2:
         raise InputError("facet restriction needs rank >= 2")
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise InputError(f"facet index must be an int, got {index!r}")
     if not 0 <= index < len(spec.normals):
         raise InputError(f"facet index {index} out of range")
     basis = ratgeom.functional_kernel_basis(spec.normals[index])

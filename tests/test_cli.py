@@ -229,6 +229,10 @@ def test_main_exit_codes(square_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "outside support" in err
     assert main(["frobenius", "--input", square_file]) == 1
+    # refused before the cone is read, so a missing file is not named
+    assert main(["frobenius", "--input", str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: frobenius needs at least one of --q, --minimal, --dmodule\n" * 2)
     assert main(["nosuchcommand"]) == 1
 
 

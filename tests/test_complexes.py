@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -274,7 +275,7 @@ def test_tail_sets_once_per_radius():
                            if sum(x * a for x, a in zip(t, n[1:])) + reach >= u)
                 assert got == want, (n, radius, u)
             bits += len(by_level) * len(tails)
-        # sum_i (2r * |n_i[1:]|_1 + 2) bitsets of (2r + 1)^(d - 1) bits
+        # sum_i (2r * |n_i[1:]|_1 + 2) levels of (2r + 1)^(d - 1) bits
         assert bits == sum(2 * radius * sum(map(abs, n[1:])) + 2
                            for n in square.normals) * (2 * radius + 1) ** 2
     # a second call at a radius asked before builds nothing
@@ -282,6 +283,68 @@ def test_tail_sets_once_per_radius():
     assert verify_acyclicity(square, FREE, Y, window=2).passed
     assert sorted(table) == [(0,), (1,), (2,)]
     assert table[(2,)] is kept
+
+
+def _dense_tail_sets(spec, radius):
+    # the reference build: a new bitset at every level
+    steps = range(-radius, radius + 1)
+    table = []
+    for n in spec.normals:
+        reach = radius * sum(map(abs, n[1:]))
+        pairs = [reach]
+        for a in n[1:]:
+            pairs = [p + x * a for p in pairs for x in steps]
+        sets = [0] * (2 * reach + 2)
+        for k, p in enumerate(pairs):
+            sets[p] |= 1 << k
+        for u in range(2 * reach, -1, -1):
+            sets[u] |= sets[u + 1]
+        table.append(tuple(sets))
+    return tuple(table)
+
+
+def _skewed(a):
+    # a 3-normal cone whose last normal's entries grow with a
+    return from_normals(3, [(1, 0, 0), (0, 1, 0), (-3 * a, -4 * a, 7)])
+
+
+def test_tail_sets_equal_the_dense_build(request):
+    # equal values at every level; a level that no tail pairing hits
+    # holds the object of the level above, so a normal keeps one bitset
+    # per distinct pairing and the empty top:
+    # min(2r * |n[1:]|_1 + 2, (2r + 1)^(d - 1) + 1) at most
+    rng = random.Random(38)
+    cones = [_skewed(10), _skewed(1000)] + [
+        request.getfixturevalue(name)
+        for name in ("square", "pentagon", "hexagon", "octahedron")]
+    for spec in cones:
+        for radius in sorted(rng.sample(range(11), 3)):
+            if (2 * radius + 1) ** spec.rank > complexes.WINDOW_BUDGET:
+                continue
+            table = complexes._tail_sets(spec, radius)
+            assert table == _dense_tail_sets(spec, radius), (spec.normals, radius)
+            tails = (2 * radius + 1) ** (spec.rank - 1)
+            for n, sets in zip(spec.normals, table):
+                pairings = {sum(x * a for x, a in zip(t, n[1:])) for t in
+                            product(range(-radius, radius + 1), repeat=spec.rank - 1)}
+                held = {id(s) for s in sets}
+                assert len(held) == len(set(sets)) == len(pairings) + 1
+                assert len(held) <= min(len(sets), tails + 1)
+
+
+def test_tail_sets_memory_follows_the_window():
+    # at a = 1000 the levels outnumber the tail points 40 to 1: the
+    # table holds a reference per level and a bitset per tail pairing
+    # (a new bitset per level held 258 MiB)
+    spec = _skewed(1000)
+    tracemalloc.start()
+    try:
+        table = complexes._tail_sets(spec, 49)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table[2]) == 2 * 49 * 4007 + 2
+    assert held < 16 * 2 ** 20
 
 
 def test_window_budget(monkeypatch):

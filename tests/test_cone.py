@@ -306,8 +306,13 @@ def test_restrict_rank_one_unsupported():
 
 
 def test_restrict_bad_index(square):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="out of range"):
         restrict_to_facet(square, 9)
+    # an index that is not an int is refused, a bool included: True is
+    # not facet 1
+    for index in (1.0, "0", True, None):
+        with pytest.raises(InputError, match="facet index must be an int"):
+            restrict_to_facet(square, index)
 
 
 def test_spec_is_hashable_and_frozen(square):

@@ -32,6 +32,8 @@ def test_multiplicities_sum_to_q_to_d(quadric, square, cyclic, orthant2):
 def test_trivial_root_is_the_free_module(square):
     dec = decompose_root(square, 1)
     assert dec.counts == ((FREE, 1),)
+    # a class with no residue counts 0
+    assert (dec.count_of(FREE), dec.count_of(X), dec.count_of(Y)) == (1, 0, 0)
 
 
 def test_quadric_halving(quadric):

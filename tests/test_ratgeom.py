@@ -150,6 +150,8 @@ def test_lattice_solve_round_trip(rows, target):
 @example(rows=[], x=[1, 2, 3])
 def test_linear_solve_consistent_and_inconsistent(rows, x):
     rhs = [dot(r, x) for r in rows]
+    with pytest.raises(InputError, match="right-hand side length"):
+        linear_solve(rows, rhs + [0], 3)
     sol = linear_solve(rows, rhs, 3)
     assert [dot(r, sol) for r in rows] == rhs
     # column j is a pivot exactly when it raises the rank of columns 0..j-1
@@ -164,6 +166,14 @@ def test_lattice_solve_detects_non_integral():
     # 2x = 1 has no integer solution
     assert lattice_solve(((2,),), (1,)) is None
     assert lattice_solve(((2,),), (4,)) == (2,)
+    with pytest.raises(InputError, match="right-hand side length"):
+        lattice_solve(((2,),), (4, 0))
+
+
+def test_dot_refuses_vectors_of_different_lengths():
+    assert dot((1, 2), (3, 4)) == 11
+    with pytest.raises(InputError, match="dimension mismatch: 2 vs 3"):
+        dot((1, 2), (3, 4, 5))
 
 
 @given(st.lists(st.lists(ints, min_size=3, max_size=3), min_size=1, max_size=3))
@@ -257,8 +267,11 @@ def test_inverse_columns_are_scaled_unit_solutions(rows):
 
 
 @given(st.lists(ints, min_size=2, max_size=4))
+@example(n=[0, 0, 0])
 def test_functional_kernel_is_saturated(n):
     if all(x == 0 for x in n):
+        with pytest.raises(InputError, match="kernel of the zero functional"):
+            functional_kernel_basis(n)
         return
     basis = functional_kernel_basis(n)
     d = len(n)

@@ -13,6 +13,7 @@ all.
 """
 
 import math
+import re
 
 import pytest
 
@@ -171,6 +172,19 @@ def test_missing_free_class_is_an_internal_error(square, monkeypatch):
     monkeypatch.setattr(cells, "leaves", lambda spec: leaves)
     with pytest.raises(InternalInvariantError, match="free class is not reached"):
         chambers.enumerate_classes(_fresh(square))
+
+
+def test_foreign_pattern_kept_before_the_walk_is_an_internal_error(square):
+    # another class's pattern kept under a representative before the
+    # walk is an internal error naming the class, not kept silently
+    reps = chambers.enumerate_classes(square).reps
+    rep, other = reps[0], reps[1]
+    assert class_pattern(square, rep) != class_pattern(square, other)
+    fresh = _fresh(square)
+    class_pattern.keep(fresh, (rep,), class_pattern(square, other))
+    with pytest.raises(InternalInvariantError,
+                       match=re.escape(f"class {rep} has a kept pattern")):
+        chambers.enumerate_classes(fresh)
 
 
 @pytest.mark.parametrize("r,a", [(3, 2), (7, 3), (12, 5), (30, 11)])
