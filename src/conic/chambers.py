@@ -83,9 +83,8 @@ def leq(spec: ConeSpec, c, cp) -> bool:
     Containment of shifted-cone modules reverses the entrywise order on
     ceiling vectors.
     """
-    a = require_chamber(spec, c)
-    b = require_chamber(spec, cp)
-    return all(x >= y for x, y in zip(a, b))
+    return all(x >= y for x, y in zip(require_chamber(spec, c),
+                                      require_chamber(spec, cp)))
 
 
 def translation_lattice(spec: ConeSpec) -> tuple[IntVec, ...]:
@@ -101,9 +100,7 @@ def canonical_class(spec: ConeSpec, c) -> IntVec:
 
 def iso_witness(spec: ConeSpec, c, cp) -> IntVec | None:
     """Lattice point m with c = cp + pairing(m), or None."""
-    a = require_chamber(spec, c)
-    b = require_chamber(spec, cp)
-    return _preimage(spec, sub(a, b))
+    return _preimage(spec, sub(require_chamber(spec, c), require_chamber(spec, cp)))
 
 
 def is_adjacent(spec: ConeSpec, c, cp) -> bool:
@@ -153,13 +150,9 @@ def enumerate_classes(spec: ConeSpec) -> ClassList:
     one per leaf of a cut of the base parallelepipeds (``cells.class_walk``
     has the proof that each class is reached once), labeled."""
     reps = class_walk(spec)
-    start = (0,) * len(spec.normals)
-    labels = [""] * len(reps)
-    labels[reps.index(start)] = "A0"
-    k = 1
-    for i, rep in enumerate(reps):
-        if rep != start:
-            labels[i] = f"A{k}"
-            k += 1
-    return ClassList(reps=reps, labels=tuple(labels))
+    # A0 is the free class, and the others are numbered in lex order
+    free = reps.index((0,) * len(spec.normals))
+    labels = tuple("A0" if i == free else f"A{i + 1 if i < free else i}"
+                   for i in range(len(reps)))
+    return ClassList(reps=reps, labels=labels)
 

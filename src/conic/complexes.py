@@ -25,7 +25,7 @@ exact over Z, so its Smith invariants are read off the cell census
   injective, the map from degree k + 1 to degree k has rank
   r_k = census[k + 1] - r_{k + 1}, and degree 0, the open cell alone, is
   hit onto.  Hence sum_k (-1)^k census[k] = chi(P) - chi(L) = 1 - 1 = 0,
-  which ``cells._pattern`` checks on every pattern.
+  which ``cells._interned`` checks once on every distinct pattern.
 
 The degreewise slices of the complex against any other chamber, which
 the proof above does not cover, are exact away from a single
@@ -183,7 +183,7 @@ def conic_complex(spec: ConeSpec, c) -> ConicComplex:
 def _complex(spec: ConeSpec, c: IntVec, pattern) -> ConicComplex:
     # The complex of a cell pattern placed at the ceiling vector c, built
     # on request and kept by no table.  A chamber's complex is its class's
-    # pattern placed at the chamber, whose open cell ``cells._pattern``
+    # pattern placed at the chamber, whose open cell ``cells._interned``
     # has checked to be the one whose open conic is c; the differentials
     # are kept per pattern (``_differentials``).
     cells = [[] for _ in range(pattern[-1][1] + 1)]

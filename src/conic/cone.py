@@ -210,8 +210,8 @@ def _dd_add_row(rays: list, masks: list, vals: list, bit: int,
     adding the row whose pairing with each ray is in vals, tight bit
     ``bit``.  Rays with vals >= 0 stay, and each adjacent pair across the
     row gives a new ray, tight on their common rows and on the new one.
-    The class walk and one chamber's box, ``cells.box_vertices``, cut
-    with it too (``cells._cut``)."""
+    The class walk's cut (``cells._cut``) applies the same adjacency test
+    to a node's edges, once for all of its parallel levels."""
     pos = [k for k, v in enumerate(vals) if v > 0]
     neg = [k for k, v in enumerate(vals) if v < 0]
     kept_rays, kept_masks = [], []

@@ -94,11 +94,9 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def primitive(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the (positive) gcd of its entries."""
-    if not any(v):
+    g = math.gcd(*v)
+    if not g:
         raise InputError("cannot primitivize the zero vector")
-    g = 0
-    for a in v:
-        g = math.gcd(g, a)
     return tuple(a // g for a in v)
 
 
@@ -283,17 +281,12 @@ def solve(sys: LinSystem) -> Optional[RatVec]:
 # the exact elimination kernel and what reads from it
 
 
-def _denominator(row) -> int:
-    """Least common denominator of a row of int or Fraction entries."""
-    return math.lcm(*(x.denominator for x in row))
-
-
 def _integral(row) -> list[int]:
     """The row scaled by its least common denominator, a positive integer;
     a row of ints is its own scaling, and is only copied."""
     if all(type(x) is int for x in row):
         return list(row)
-    den = _denominator(row)
+    den = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]
 
 
@@ -316,14 +309,15 @@ def echelon(rows: Sequence[Sequence],
     mat = [_integral(r) for r in rows]
     nrows = len(mat)
     pivots: list[int] = []
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if mat[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             mat[r], mat[piv] = mat[piv], mat[r]
@@ -378,26 +372,6 @@ def linear_solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optiona
         return None
     d, y = _back_substitute(ech, pivots, [row[ncols] for row in ech], ncols)
     return tuple(Fraction(v, d) for v in y)
-
-
-def rref_kernel_basis(rows: Sequence[Sequence], ncols: int) -> tuple[IntVec, ...]:
-    """Kernel basis from the reduced row echelon form, scaled to integers.
-
-    One basis vector per free column (ascending), each scaled to a primitive
-    integer vector whose free coordinate is positive and whose other free
-    coordinates are zero.  This is a deterministic basis of the rational
-    kernel; it is not in general a basis of the integer kernel lattice.
-    """
-    ech, pivots, _ = echelon(rows, ncols)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        d, vec = _back_substitute(ech, pivots, [-row[fc] for row in ech], ncols)
-        vec[fc] = d
-        vec = primitive(vec)
-        basis.append(vec if d > 0 else neg(vec))
-    return tuple(basis)
 
 
 def base_inverse(rows: Sequence[IntVec],

@@ -8,7 +8,10 @@ face reading of ``conic.cells`` and is only fit for small t.  The
 incidence sign is read the same way, from a Fourier-Motzkin point of
 each cell of a facet pair, and again as the determinant of the two
 orientation frames (``frame_det_sign``), against which the parity of
-``conic.cells.incidence_sign`` is checked.
+``conic.cells.incidence_sign`` is checked.  A frame (``_frame``) is the
+RREF kernel basis of the pinned normals, from the reference
+back-substitution of ``lattice_oracle``; ``conic.cells`` builds no frame
+and reads the parity off one echelon per strip set.
 """
 
 import math
@@ -16,10 +19,21 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from conic.cells import _frame, ceiling_vector
+from conic.cells import ceiling_vector
 from conic.errors import InputError, InternalInvariantError
 from conic.ratgeom import (
     EQ, LE, LT, dot, echelon, feasible, rank, solve, sub, system)
+
+from lattice_oracle import rref_kernel_basis
+
+
+@lru_cache(maxsize=None)
+def _frame(spec, omega):
+    """Canonical orientation frame of the direction space cut out by the
+    normals pinned outside omega: RREF kernel basis, primitive, one
+    vector per free column, ascending."""
+    rows = [n for i, n in enumerate(spec.normals) if i not in omega]
+    return rref_kernel_basis(rows, spec.rank)
 
 
 def det(rows):

@@ -15,14 +15,14 @@ from conic import (
     open_conic,
 )
 from conic import cells as cells_module, complexes
-from conic.cells import Cell, _frame, cell_witnesses, class_pattern
+from conic.cells import Cell, cell_witnesses, class_pattern
 from conic.complexes import conic_complex
 from conic.chambers import (
     chamber_of, chamber_witness, enumerate_classes, is_feasible, nhat, pairings)
 from conic.errors import InputError
 from conic.ratgeom import add, dot, rank
 
-from cell_oracle import frame_det_sign, oracle_cells, oracle_sign
+from cell_oracle import _frame, frame_det_sign, oracle_cells, oracle_sign
 from test_walk import _cones
 
 

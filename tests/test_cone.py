@@ -25,10 +25,11 @@ from conic.cells import box_vertices
 from conic.cone import content_hash, double_description
 from conic.errors import InputError
 from conic.ratgeom import (
-    EQ, LE, dot, feasible, neg, primitive, rank, rref_kernel_basis, system)
+    EQ, LE, dot, feasible, neg, primitive, rank, system)
 
 import dd_oracle
 from dd_oracle import tight_set
+from lattice_oracle import rref_kernel_basis
 
 # a rank-4 cone with five extreme rays and six facets
 FIVE_RAYS = ((1, -1, -3, 2), (-2, 1, 0, 2), (0, -1, 3, 1), (-1, 2, -2, 3),

@@ -12,6 +12,7 @@ wrong on purpose.
 """
 
 import hashlib
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -168,3 +169,19 @@ def test_cone_r5_pinned():
     assert len({class_pattern(spec, rep) for rep in reps}) == R5_PATTERNS
     report = serialize_report(analyze(spec))
     assert hashlib.sha256(report.encode()).hexdigest() == R5_REPORT
+
+
+@pytest.mark.slow
+def test_walk_peak_is_bounded_by_what_it_keeps():
+    # the walk's own memo holds one packed int per mask set, so on R5 its
+    # traced peak stays within half again of what the cone keeps after
+    # it (frozensets of masks peaked at 3.3 times)
+    spec = from_normals(*CONE_R5)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        chambers.enumerate_classes(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.5 * (kept - start)
