@@ -226,13 +226,13 @@ def _nccr_block(spec: ConeSpec, classes, support=None) -> dict:
 
 def _acyclicity_rows(spec: ConeSpec, classes, window) -> list:
     rows = []
-    for a in classes.reps:
+    for a, label in zip(classes.reps, classes.labels):
         pattern = class_pattern(spec, class_of(spec, a))
-        for b in classes.reps:
+        for b, other in zip(classes.reps, classes.labels):
             rpt = _acyclicity(spec, a, pattern, b, window)
             rows.append({
-                "chamber": classes.label_of(a),
-                "other": classes.label_of(b),
+                "chamber": label,
+                "other": other,
                 "radius": rpt.radius,
                 "checked": rpt.checked,
                 "hits": len(rpt.hits),

@@ -40,8 +40,9 @@ does not fix are solved degree by degree.
 Lattice translation keeps cells, so a chamber's complex is its class's
 cell pattern placed at the chamber: the terms are the chamber plus a 0/1
 bump per cell, and the differentials, the survival steps and the slice
-ranks are shared.  So every per-cone table here is keyed by cell pattern
-or by radius, never by chamber, and complexes are built on request.
+ranks are shared.  So every per-cone table of chamber complexes is keyed
+by cell pattern or by radius, never by chamber, and complexes are built
+on request.  Spliced resolutions are kept per support and chamber asked.
 """
 
 from __future__ import annotations
@@ -267,14 +268,16 @@ def _slices_of(cx) -> tuple:
     # What _verify reads of a complex: the complex whole as a scalar
     # complex; for each normal, the summands' distinct steps above the
     # chamber's ceiling in ascending order, each with the bitmask of the
-    # summands (degree by degree) at or below it; and a table survival
-    # mask -> homology ranks, filled by _verify.
+    # summands (degree by degree) at or below it; a table survival mask
+    # -> homology ranks; and a table offset cp - c -> (largest radius
+    # whose window passed, witness), one entry per offset that passed.
+    # _verify alone reads and fills both tables.
     steps = [sub(vec, cx.chamber) for row in cx.terms for vec in row]
     levels = tuple(
         tuple((top, sum(1 << bit for bit, x in enumerate(col) if x <= top))
               for top in sorted(set(col)))
         for col in zip(*steps))
-    return ScalarComplex(tuple(map(len, cx.terms)), cx.mats), levels, {}
+    return ScalarComplex(tuple(map(len, cx.terms)), cx.mats), levels, {}, {}
 
 
 @per_cone
@@ -371,16 +374,35 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
     on its own, in ascending order, only if it is the witness or its
     region's mask has nonzero homology, so a passing window costs no
     per-point work.
+
+    The report is thus a function of the slices, the offset cp - c and
+    the radius, and the slices keep, per offset whose window passed, the
+    largest such radius R and the witness: one entry per offset that
+    passed, never one for a failing window.  A radius r <= R is then
+    answered with no pass.  The r-window's points are among the
+    R-window's, none of which failed there, and a witness inside it was
+    the R-window's one hit, with ranks (1, 0, ...).  So it passes, with
+    hits (witness,) if the witness lies in it and () if not.
     """
     r, side, d = radius, 2 * radius + 1, spec.rank
     checked = _window_points(spec, r)
-    full, levels, ranks_of = slices
-    witness = _preimage(spec, sub(c, cp))
+    full, levels, ranks_of, passes = slices
+    offset = sub(cp, c)
+    largest, witness = passes.get(offset, (-1, None))
+    if largest < r:
+        witness = _preimage(spec, sub(c, cp))
+    inside = witness is not None and all(abs(x) <= r for x in witness)
+    if largest >= r:
+        # the r-window lies in a window that passed at this offset
+        return AcyclicityReport(
+            chamber=c, other=cp, radius=radius, checked=checked,
+            hits=(witness,) if inside else (), failures=(),
+            witness=witness, passed=True)
     table = _tail_sets(spec, r)
     every_point = table[0][0]
     every_summand = (1 << sum(full.dims)) - 1
     w0 = wk = None
-    if witness is not None and all(abs(x) <= r for x in witness):
+    if inside:
         w0, wk = witness[0], 0
         for x in witness[1:]:
             wk = wk * side + x + r
@@ -389,7 +411,7 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
     columns = [(n[0], sets, len(sets) - 1,
                 [(step + (len(sets) - 2) // 2 - ci, below)
                  for step, below in reversed(steps)])
-               for n, ci, sets, steps in zip(spec.normals, sub(cp, c), table, levels)]
+               for n, ci, sets, steps in zip(spec.normals, offset, table, levels)]
     for x0 in range(-r, r + 1):
         regions = {every_summand: every_point}
         for n0, sets, top, steps in columns:
@@ -439,6 +461,8 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
             if hit and ranks[0] == 1:
                 hits.append(m)
     passed = not failures and len(hits) == (0 if w0 is None else 1)
+    if passed:
+        passes[offset] = radius, witness
     return AcyclicityReport(
         chamber=c, other=cp, radius=radius, checked=checked,
         hits=tuple(hits), failures=tuple(failures),
@@ -558,10 +582,12 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
     return _report(spec, cx, reps, validated_radius=radius)
 
 
+@per_cone
 def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComplex, int | None]:
     # the spliced complex of a gated chamber whose class is in its
     # support's sorted representatives, with the radius it was validated
-    # at (None when nothing is spliced)
+    # at (None when nothing is spliced); kept per (support, chamber,
+    # window) asked, one complex each, and nothing for a call that raises
     sup = set(reps)
     K = _complex(spec, cc, class_pattern(spec, class_of(spec, cc)))
     excluded, subs = [], []

@@ -306,6 +306,42 @@ def test_analyze_report_bytes_pinned(name, request, tmp_path, capsys):
     assert _sha(capsys.readouterr().out) == PINNED_REPORTS[name]
 
 
+# sha256 of windowed reports: `conic analyze --window 2 --json` and
+# `conic acyclicity --json` with default windows, recorded before passed
+# windows were kept per cell pattern and offset; c37 is 1/37(1,10)
+C37 = (2, [(0, 1), (37, -10)])
+PINNED_WINDOWED = [
+    ("pentagon", "analyze --window 2 --json",
+     "bb77dbd481fc57e0e80fc08c16cc2a044b6c992c11f049a61e818a31210b0b13"),
+    ("hexagon", "analyze --window 2 --json",
+     "978486dd81c19d0833fb2525bdbe400f878a5a331d61045021d0f4338d265b55"),
+    ("c37", "analyze --window 2 --json",
+     "1833962a5b0c7f3c1f52008ebdbb56984bcd3ef0a800df74c45b910f2a68cb44"),
+    pytest.param(
+        "octahedron", "analyze --window 2 --json",
+        "8b122ad12e1d15ee8c429effb7667637cfc7f1be073f4f634d468937a7fc3c77",
+        marks=pytest.mark.slow),
+    ("c37", "acyclicity --json",
+     "223b19b5190a5242e59cb48538d274560e41387bb26fd4d05315fba84072bcad"),
+    ("square", "acyclicity --json",
+     "5428edf8a0b46ae0703e4e60b1cf23f1b2d3163f874a64fb103c39519f168eca"),
+]
+
+
+@pytest.mark.parametrize("name,args,digest", PINNED_WINDOWED)
+def test_windowed_report_bytes_pinned(name, args, digest, request, tmp_path,
+                                      capsys):
+    if name == "c37":
+        rank, normals = C37
+    else:
+        spec = request.getfixturevalue(name)
+        rank, normals = spec.rank, spec.normals
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rank": rank, "normals": normals}))
+    assert main(shlex.split(args) + ["--input", str(path)]) == 0
+    assert _sha(capsys.readouterr().out) == digest
+
+
 # sha256 of partial-support reports on the square and on a trapezoid,
 # recorded before the spliced lifts were solved on dense matrices
 TRAPEZOID = '{"rank":3,"primal_rays":[[0,0,1],[2,0,1],[1,1,1],[0,1,1]]}'

@@ -25,12 +25,13 @@ from conic import (
     smith_invariants,
     verify_acyclicity,
 )
+from conic.cells import class_pattern
 from conic.chambers import canonical_class, nhat
 from conic.cli_io import main
 from conic.complexes import _slices_of, _verify, default_window
 from conic.cone import content_hash
 from conic.errors import InputError, InternalInvariantError, SupportNotClosedError
-from conic.ratgeom import add
+from conic.ratgeom import add, sub
 
 from acyclicity_oracle import oracle_verify
 from splice_oracle import oracle_resolution
@@ -149,23 +150,96 @@ def test_acyclicity_matches_per_point_oracle(request, name):
                     spec, cx, b, radius), (a, b, radius)
 
 
+def _both_orders(spec, c, cp, slices, wants):
+    # _verify on one slices object at radii 0, 1, ..., then back down,
+    # against wants[radius]: a radius is asked first with at most smaller
+    # windows kept for its offset, then again after larger ones
+    radii = range(len(wants))
+    for radius in (*radii, *reversed(radii)):
+        got = _verify(spec, c, cp, radius, slices)
+        assert got == wants[radius], (c, cp, radius)
+
+
 @pytest.mark.parametrize("name", ["square", "cyclic", "pentagon"])
 def test_failing_acyclicity_matches_per_point_oracle(request, name):
     # A truncated complex is not exact, so its reports carry failures and
     # hits that are not the chamber's own: the hit must be decided per
-    # point even where its survival mask recurs.
+    # point even where its survival mask recurs.  One slices object per
+    # complex serves every other chamber, in both orders of radii, so a
+    # window kept for one offset, a failing window or a smaller window
+    # that passed must answer nothing it should not.
     spec = request.getfixturevalue(name)
     classes = enumerate_classes(spec)
     radii = (0, 1, 2) if name == "pentagon" else (0, 1, 2, 3)
+    fails_above_a_pass = 0
     for a in classes.reps:
         full = conic_complex(spec, a)
         for k in range(1, len(full.terms)):
             cx = ConicComplex(chamber=a, terms=full.terms[:k],
                               cells=full.cells[:k], mats=full.mats[:k - 1])
+            slices = _slices_of(cx)
             for b in classes.reps:
-                for radius in radii:
-                    want = oracle_verify(spec, cx, b, radius)
-                    assert verify(spec, cx, b, radius) == want, (a, b, k)
+                wants = [oracle_verify(spec, cx, b, radius) for radius in radii]
+                _both_orders(spec, a, b, slices, wants)
+                fails_above_a_pass += any(
+                    x.passed and not y.passed for x, y in zip(wants, wants[1:]))
+    assert fails_above_a_pass
+
+
+@pytest.mark.parametrize("name", ["square", "cyclic"])
+def test_kept_windows_match_oracle_on_every_pair(request, name):
+    # one slices object per chamber complex, every ordered class pair at
+    # radii 0-3 in both orders; then lattice translates of both chambers,
+    # whose offset is the pair's, on the same slices object
+    spec = request.getfixturevalue(name)
+    reps = enumerate_classes(spec).reps
+    m = (1, -2, 1)[:spec.rank]
+    for a in reps:
+        cx = conic_complex(spec, a)
+        slices = _slices_of(cx)
+        c = add(a, nhat(spec, m))
+        moved = conic_complex(spec, c)
+        for b in reps:
+            _both_orders(spec, a, b, slices,
+                         [oracle_verify(spec, cx, b, r) for r in range(4)])
+            cp = add(b, nhat(spec, m))
+            _both_orders(spec, c, cp, slices,
+                         [oracle_verify(spec, moved, cp, r) for r in range(4)])
+
+
+def _is_chamber(spec, c):
+    try:
+        canonical_class(spec, c)
+    except InputError:
+        return False
+    return True
+
+
+def test_kept_windows_shared_by_the_classes_of_one_pattern(cyclic, monkeypatch):
+    # the per-pattern slices answer a second class of the pattern at the
+    # same offset with no pass: classes a1, a2 of one pattern and chambers
+    # b1, b2 with b2 - a2 = b1 - a1, on cones built here; the pentagon's
+    # pairs on a seeded sample
+    pentagon = from_primal_rays(
+        3, [(-2, -1, 1), (-1, -1, 1), (1, 0, 1), (1, 1, 1), (-1, 0, 1)])
+    rng = random.Random(41)
+    for spec, count in ((from_normals(2, cyclic.normals), None), (pentagon, 12)):
+        reps = enumerate_classes(spec).reps
+        cases = [(a1, b1, a2, add(a2, sub(b1, a1)))
+                 for a1, a2 in combinations(reps, 2)
+                 if class_pattern(spec, a1) == class_pattern(spec, a2)
+                 for b1 in reps if _is_chamber(spec, add(a2, sub(b1, a1)))]
+        assert len(cases) >= 9
+        for a1, b1, a2, b2 in cases if count is None else rng.sample(cases, count):
+            first = verify_acyclicity(spec, a1, b1, window=2)
+            assert first == oracle_verify(spec, conic_complex(spec, a1), b1, 2)
+            for radius in (2, 1):
+                with monkeypatch.context() as patched:
+                    # a pass would read the radius's tail sets
+                    patched.setattr(complexes, "_tail_sets", None)
+                    second = verify_acyclicity(spec, a2, b2, window=radius)
+                assert second == oracle_verify(
+                    spec, conic_complex(spec, a2), b2, radius), (a2, b2, radius)
 
 
 def test_moved_summand_acyclicity_matches_per_point_oracle(
@@ -256,10 +330,12 @@ def test_homology_once_per_survival_mask(monkeypatch):
 
 
 def test_tail_sets_once_per_radius():
-    # a square built here, so that no earlier test has filled its table
+    # a square built here, so that no earlier test has filled its table;
+    # the radius-1 window takes another offset than the radius-2 one,
+    # which would answer it with no pass
     square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
-    for radius in (0, 2, 1):
-        assert verify_acyclicity(square, FREE, X, window=radius).passed
+    for radius, other in ((0, X), (2, X), (1, Y)):
+        assert verify_acyclicity(square, FREE, other, window=radius).passed
     table = square._store[complexes._tail_sets]
     assert sorted(table) == [(0,), (1,), (2,)]
     for (radius,), sets in table.items():
@@ -283,6 +359,11 @@ def test_tail_sets_once_per_radius():
     assert verify_acyclicity(square, FREE, Y, window=2).passed
     assert sorted(table) == [(0,), (1,), (2,)]
     assert table[(2,)] is kept
+    # the same pair at a radius below one that passed builds no table
+    square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
+    for radius in (2, 1):
+        assert verify_acyclicity(square, FREE, X, window=radius).passed
+    assert sorted(square._store[complexes._tail_sets]) == [(2,)]
 
 
 def _dense_tail_sets(spec, radius):
@@ -646,6 +727,26 @@ def test_nccr_partial_supports(square, cyclic):
     assert "not closed" in v.reasons[0]
     with pytest.raises(InputError):
         nccr_verdict(square, support=[X, Y])
+
+
+def test_repeated_partial_verdict_reuses_its_resolutions(monkeypatch):
+    # a square built here, so that no earlier test has kept its spliced
+    # resolutions; the repeat solves no splice and checks no window
+    square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
+    first = nccr_verdict(square, support=[FREE, X])
+    kept = dict(square._store[complexes._resolution])
+
+    def refuse(*args):
+        raise AssertionError("repeated verdict redid a spliced resolution")
+
+    monkeypatch.setattr(complexes.ratgeom, "linear_solve", refuse)
+    monkeypatch.setattr(complexes, "_verify", refuse)
+    assert nccr_verdict(square, support=[FREE, X]) == first
+    assert square._store[complexes._resolution] == kept
+    # a call that raises keeps nothing
+    with pytest.raises(SupportNotClosedError):
+        resolution(square, [FREE, FREE], FREE)
+    assert square._store[complexes._resolution] == kept
 
 
 def test_nccr_full_support_passed_as_partial_is_complete(square):

@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from conic import from_normals, render_svg_2d
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_examples.py"
@@ -76,3 +78,33 @@ class C:
     assert src_lines.count(tmp_path) == {"a.py": 8, "b.py": 1}
     assert src_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["9", "total"]
+
+
+def load_frontier():
+    spec = importlib.util.spec_from_file_location(
+        "frontier", SCRIPT.parent / "frontier.py")
+    frontier = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(frontier)
+    return frontier
+
+
+def test_frontier_cones_are_the_census_draws():
+    from test_census import RANK5_CONES
+
+    frontier = load_frontier()
+    for name, draw in (("draw7", 7), ("draw14", 14), ("draw15", 15)):
+        assert frontier.ROWS[name][2] == RANK5_CONES[draw].normals
+
+
+@pytest.mark.slow
+def test_frontier_octahedron_row_matches_its_pin(capsys):
+    frontier = load_frontier()
+    assert frontier.main(["octahedron_w2"]) == 0
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith("octahedron_w2: exit 0, ")
+    assert line.endswith(f"sha256 {frontier.ROWS['octahedron_w2'][3]} ok")
+    # a row whose pin differs exits 1
+    frontier.ROWS["octahedron_w2"] = (["chambers", "--json"],
+                                      *frontier.ROWS["octahedron_w2"][1:])
+    assert frontier.main(["octahedron_w2"]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("MISMATCH")
