@@ -227,9 +227,10 @@ def _nccr_block(spec: ConeSpec, classes, support=None) -> dict:
 def _acyclicity_rows(spec: ConeSpec, classes, window) -> list:
     rows = []
     for a, label in zip(classes.reps, classes.labels):
-        pattern = class_pattern(spec, class_of(spec, a))
+        rep = class_of(spec, a)
+        gate = a, rep, class_pattern(spec, rep)
         for b, other in zip(classes.reps, classes.labels):
-            rpt = _acyclicity(spec, a, pattern, b, window)
+            rpt = _acyclicity(spec, gate, b, window)
             rows.append({
                 "chamber": label,
                 "other": other,

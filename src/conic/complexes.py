@@ -31,11 +31,48 @@ The degreewise slices of the complex against any other chamber, which
 the proof above does not cover, are exact away from a single
 distinguished slot, which is what makes the complexes projective
 resolutions of the graded simples after applying the hom functor.  That
-exactness is checked on windows of lattice points, each slab split into
-regions of one survival mask (``_verify``).  For partial summand
-supports the excluded summands are spliced out through their own
-complexes, and the entries that the chain map to the chamber complex
-does not fix are solved degree by degree.
+is one question per class, asked once (``_certified``):
+
+- Write h(m) = (<m, n_i>)_i.  At lattice point m the slice against the
+  chamber cp keeps summand k, the chamber c plus the 0/1 bumps of the
+  set P_k of indices its cell pins, iff y = cp + h(m) >= c entrywise
+  and P_k lies in S = {i : y_i > c_i}.  y is itself a chamber, and
+  every chamber is such a y (cp = y, m = 0).  If y is not >= c nothing
+  survives, and S is empty iff y = c, where the open cell alone has
+  ranks (1, 0, ...), the distinguished slot.  So every window of c,
+  against every cp and at every radius, passes iff no chamber y >= c
+  other than c gives a slice with homology.
+- Let T be the union of the P_k; the slice reads only A = S & T.  A
+  chamber y >= c with S & T = A is the ceiling vector of a point of the
+  region R_A: <x, n_i> > c_i - 1 for every i, > c_i on A and <= c_i on
+  T - A.  So c is certified iff the slice of every nonempty A whose
+  region has a point is exact and no point of R_{} has <x, n_j> > c_j
+  for a j outside T: there the open cell alone survives, of rank one,
+  at some y != c.  A refused class thus has a chamber y whose window of
+  radius 0 fails.
+- A region has a point iff its closure, homogenised by s >= 0 to a
+  pointed cone in rank + 1 dimensions, is full-dimensional.  A closure
+  with interior has a point where every bound is strict; from a point x
+  of the region, x - e u with u inside the cone (<u, n_i> > 0) and
+  e > 0 small makes every upper bound strict and keeps the strict ones,
+  so the closure holds a ball.  The regions with a point are those of
+  the hyperplanes <x, n_i> = c_i, i in T, inside the open convex set of
+  the lower bounds, so a walk across their facets from R_{}, which
+  holds the chamber's box, finds them all (``_regions``), with one
+  double description per region and no Fourier-Motzkin elimination.
+- Work: at most 2^|T| regions, so at most 2^|T| double descriptions per
+  class and 2^|T| masks ranked per cell pattern, into the rank table
+  its windows share; the walk stops at the first region that refuses,
+  and a class keeps one bool.  A lattice translate of c moves every
+  region by a lattice point, so the bool is kept per class.
+
+A certified class answers its windows with no pass (``_verify``), once
+its pattern has had one.  The windows of a refused class and of a
+spliced resolution are checked on lattice points, each slab split into
+regions of one survival mask.  For partial summand supports the
+excluded summands are spliced out through their own complexes, and the
+entries that the chain map to the chamber complex does not fix are
+solved degree by degree.
 
 Lattice translation keeps cells, so a chamber's complex is its class's
 cell pattern placed at the chamber: the terms are the chamber plus a 0/1
@@ -47,6 +84,7 @@ on request.  Spliced resolutions are kept per support and chamber asked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,14 +106,14 @@ from .chambers import (
     nhat,
     require_chamber,
 )
-from .cone import ConeSpec, per_cone
+from .cone import ConeSpec, double_description, per_cone
 from .errors import (
     InputError,
     InternalInvariantError,
     SupportNotClosedError,
 )
 from .homs import _conic_hom
-from .ratgeom import IntVec, add, intvec, sub
+from .ratgeom import IntVec, add, dot, intvec, sub
 
 # Most lattice points one acyclicity window may hold; (2r + 1)^d for
 # radius r at rank d.
@@ -271,7 +309,8 @@ def _slices_of(cx) -> tuple:
     # summands (degree by degree) at or below it; a table survival mask
     # -> homology ranks; and a table offset cp - c -> (largest radius
     # whose window passed, witness), one entry per offset that passed.
-    # _verify alone reads and fills both tables.
+    # _verify alone fills the passes table; the certificate (``_exact``)
+    # reads and fills the rank table too.
     steps = [sub(vec, cx.chamber) for row in cx.terms for vec in row]
     levels = tuple(
         tuple((top, sum(1 << bit for bit, x in enumerate(col) if x <= top))
@@ -288,6 +327,96 @@ def _pattern_slices(spec: ConeSpec, pattern) -> tuple:
     # differentials, the row lengths and the mask: not the chamber, the
     # other chamber or the radius.
     return _slices_of(_complex(spec, (0,) * len(spec.normals), pattern))
+
+
+@per_cone
+def _certified(spec: ConeSpec, rep: IntVec) -> bool:
+    # The certificate of the module docstring for a class representative,
+    # one bool per class asked: every window of every chamber of the
+    # class passes.  It ranks masks into its pattern's slices.
+    return _exact(spec, rep, _pattern_slices(spec, class_pattern(spec, rep)))
+
+
+def _exact(spec: ConeSpec, c: IntVec, slices) -> bool:
+    """Whether no chamber y >= c other than c gives a slice with homology,
+    for a complex at the chamber c whose summands step 0 or 1 above c,
+    given by its ``_slices_of``: the certificate of the module docstring,
+    over the regions that ``_regions`` finds, up to the first that gives
+    a slice with homology."""
+    full, levels, ranks_of, _ = slices
+    every = (1 << sum(full.dims)) - 1
+    # the summands one step above c at each normal, from its lowest level
+    pinned = [every ^ below if top == 0 else every
+              for (top, below), *_ in levels]
+    tee = sum(1 << i for i, bits in enumerate(pinned) if bits)
+    for above, rays in _regions(spec, c, tee):
+        if not above:
+            # y_i = c_i on T: only the open cell survives, so no point of
+            # the region may lie above c_j for a j outside T
+            if any(dot(ray, (*n, -cj)) > 0 for ray, _ in rays
+                   for j, (n, cj) in enumerate(zip(spec.normals, c))
+                   if not tee >> j & 1):
+                return False
+            continue
+        # the slice keeps the summands pinned inside A alone
+        mask = every
+        for i, bits in enumerate(pinned):
+            if not above >> i & 1:
+                mask &= ~bits
+        ranks = ranks_of.get(mask)
+        if ranks is None:
+            ranks = ranks_of[mask] = _mask_ranks(full, mask)
+        if any(ranks):
+            return False
+    return True
+
+
+def _regions(spec: ConeSpec, c: IntVec, tee: int):
+    """Yield (A, rays) for each subset A of the normals of the bitmask tee
+    such that some x has <x, n_i> > c_i - 1 for every i, > c_i on A and
+    <= c_i on tee - A, with the ``cone.double_description`` of that
+    system's closure homogenised by s >= 0 (row 0 is s >= 0).
+
+    These are the regions of the hyperplanes <x, n_i> = c_i of tee in
+    the open polyhedron of the lower bounds, which is convex, so they
+    are connected across the facets they have on those hyperplanes.  The
+    walk starts at A = {}, which holds the chamber's box, and does one
+    double description per region.  A region's homogenised closure is a
+    full-dimensional pointed cone (module docstring), so a row bounds a
+    facet iff the set of rays tight on it is nonempty and strictly
+    inside no other row's; the relative interior of a facet on
+    <x, n_i> = c_i lies on no other row and keeps the strict bounds, so
+    A with i toggled is a region too.
+    """
+    d = spec.rank
+    seen, todo = {0}, [0]
+    while todo:
+        above = todo.pop()
+        rows, cross = [(0,) * d + (1,)], []
+        for i, (n, ci) in enumerate(zip(spec.normals, c)):
+            if above >> i & 1:
+                cross.append((len(rows), i))
+                rows.append((*n, -ci))
+            else:
+                rows.append((*n, 1 - ci))
+                if tee >> i & 1:
+                    cross.append((len(rows), i))
+                    rows.append((*(-x for x in n), ci))
+        rays = double_description(tuple(rows), d + 1)
+        yield above, rays
+        # zero[k]: the rays tight on row k, bit r for ray r
+        zero = [0] * len(rows)
+        for r, (_, tight) in enumerate(rays):
+            for k in range(len(rows)):
+                if tight >> k & 1:
+                    zero[k] |= 1 << r
+        for k, i in cross:
+            z = zero[k]
+            if z and not any(o != z and o & z == z for o in zero):
+                nb = above ^ 1 << i
+                if nb not in seen:
+                    seen.add(nb)
+                    todo.append(nb)
 
 
 def default_window(c, cp) -> int:
@@ -340,11 +469,13 @@ def _tail_sets(spec: ConeSpec, radius: int) -> tuple:
 
 
 def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
-            slices: tuple) -> AcyclicityReport:
+            slices: tuple, c_class: IntVec | None = None) -> AcyclicityReport:
     """Window acyclicity against the chamber cp of the complex of the
     chamber c whose ``_slices_of`` are given; InputError when the
     window's (2r + 1)^d points are more than WINDOW_BUDGET
-    (``_window_points``).
+    (``_window_points``).  c_class is the class representative of c
+    when the slices are its class pattern's (``_pattern_slices``), and
+    None for any other complex.
 
     Summand vec survives at m iff h = (<m, n_i>)_i >= vec - cp entrywise,
     that is h >= (vec - c) - (cp - c): translating both chambers by -c
@@ -383,6 +514,15 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
     R-window's, none of which failed there, and a witness inside it was
     the R-window's one hit, with ranks (1, 0, ...).  So it passes, with
     hits (witness,) if the witness lies in it and () if not.
+
+    A window of a chamber complex that misses the passes table, at a
+    pattern that has passed a window before, asks its class's
+    certificate (``_certified``).  A certified class passes every
+    window, so the offset is kept as passed at every radius and answered
+    as above.  A refused class, and every other complex, takes the pass.
+    So does the first window of a pattern: it costs a pass over 2r + 1
+    slabs, where a certificate may cost 2^|T| double descriptions, so a
+    certificate is asked only once the pattern's windows recur.
     """
     r, side, d = radius, 2 * radius + 1, spec.rank
     checked = _window_points(spec, r)
@@ -391,9 +531,13 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
     largest, witness = passes.get(offset, (-1, None))
     if largest < r:
         witness = _preimage(spec, sub(c, cp))
+        if c_class is not None and passes and _certified(spec, c_class):
+            largest = math.inf
+            passes[offset] = largest, witness
     inside = witness is not None and all(abs(x) <= r for x in witness)
     if largest >= r:
-        # the r-window lies in a window that passed at this offset
+        # the r-window lies in a window that passed at this offset, or
+        # the class is certified
         return AcyclicityReport(
             chamber=c, other=cp, radius=radius, checked=checked,
             hits=(witness,) if inside else (), failures=(),
@@ -477,15 +621,16 @@ def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> Acycl
     onto c, when that point exists and lies inside the window.  InputError
     unless both are chambers; package code calls ``_acyclicity``.
     """
-    cc, _, pattern = require_gate(spec, c)
-    return _acyclicity(spec, cc, pattern, require_chamber(spec, cp), window)
+    return _acyclicity(spec, require_gate(spec, c), require_chamber(spec, cp),
+                       window)
 
 
-def _acyclicity(spec: ConeSpec, c: IntVec, pattern, cp: IntVec, window) -> AcyclicityReport:
-    # verify_acyclicity of gated chambers, c with its class pattern
+def _acyclicity(spec: ConeSpec, gate, cp: IntVec, window) -> AcyclicityReport:
+    # verify_acyclicity of gated chambers, c given by its chamber_gate
+    c, rep, pattern = gate
     radius = (default_window(c, cp) if window is None
               else _window_radius(window))
-    return _verify(spec, c, cp, radius, _pattern_slices(spec, pattern))
+    return _verify(spec, c, cp, radius, _pattern_slices(spec, pattern), rep)
 
 
 def pdim_simple(spec: ConeSpec, c) -> int:

@@ -1,0 +1,249 @@
+"""The class certificate (``complexes._certified``) against its oracles.
+
+A certified class answers its acyclicity windows with no window pass
+once its pattern has had one, so the certificate must never certify a
+class whose windows fail:
+
+- every class of 1/37(1,10), the reflexive polygons and the octahedron
+  is certified, and its reports at radii 0-3 against every chamber (a
+  seeded sample on the octahedron) equal the per-point reference
+  ``acyclicity_oracle``; the square, the cyclic quotient, the pentagon
+  and the hexagon are checked with their window passes in
+  ``test_complexes.test_acyclicity_matches_per_point_oracle``;
+- the regions ``complexes._regions`` walks are exactly the systems
+  that Fourier-Motzkin elimination (``certificate_oracle.has_point``)
+  finds a point of, over every subset A of T of every class of those
+  cones, and the whole certificate equals
+  ``certificate_oracle.certified``;
+- on pattern complexes with one differential sign flipped, one summand
+  dropped or every degree past some k dropped, the certificate refuses
+  exactly the complexes some window fails (or cannot rank), and a
+  refused class gets the window pass's report, failures included;
+- on the seeded random cones of ``test_walk_contract`` every class is
+  certified, as the theorem says it must be: a refusal there is an
+  engine bug.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from conic import (
+    ConicComplex,
+    complexes,
+    conic_complex,
+    enumerate_classes,
+    from_normals,
+    from_primal_rays,
+    verify_acyclicity,
+)
+from conic.complexes import _exact, _regions, _slices_of, _verify
+from conic.errors import InternalInvariantError
+
+import certificate_oracle
+from acyclicity_oracle import oracle_windows
+from test_cli import C37
+from test_walk import REFLEXIVE
+from test_walk_contract import RANDOM_CONES
+
+RADII = (0, 1, 2, 3)
+# REFLEXIVE[14] is the pentagon fixture
+POLYGONS = {f"reflexive_{i}": (3, [(x, y, 1) for x, y in poly])
+            for i, poly in enumerate(REFLEXIVE) if i != 14}
+
+
+def _cone(name):
+    # a cone built here, so that no window of an earlier test is kept
+    if name == "c37":
+        return from_normals(*C37)
+    return from_primal_rays(*POLYGONS[name])
+
+
+def _bits(indices):
+    return sum(1 << i for i in indices)
+
+
+def _certified_reports(spec, a, cps, radii):
+    # every report of a against cps at radii; past the first window of
+    # its pattern, through the certificate
+    cx = conic_complex(spec, a)
+    assert complexes._certified(spec, a), a
+    for b in cps:
+        wants = oracle_windows(spec, cx, b, radii)
+        for radius, want in zip(radii, wants):
+            got = verify_acyclicity(spec, a, b, window=radius)
+            assert got == want, (a, b, radius)
+
+
+@pytest.mark.parametrize("name", ["c37", *POLYGONS])
+def test_certified_reports_match_oracle(name):
+    spec = _cone(name)
+    reps = enumerate_classes(spec).reps
+    for a in reps:
+        _certified_reports(spec, a, reps, RADII)
+    # the only window passes were the patterns' first, at radius 0
+    assert sorted(spec._store[complexes._tail_sets]) == [(0,)]
+
+
+def test_certified_octahedron_reports_match_oracle_on_a_sample(octahedron):
+    spec = from_normals(octahedron.rank, octahedron.normals)
+    reps = enumerate_classes(spec).reps
+    assert all(complexes._certified(spec, rep) for rep in reps)
+    rng = random.Random(43)
+    for a in rng.sample(reps, 6):
+        _certified_reports(spec, a, [a, *rng.sample(reps, 2)], RADII)
+    assert sorted(spec._store[complexes._tail_sets]) == [(0,)]
+
+
+def _fixture_cones(request):
+    cones = {name: request.getfixturevalue(name)
+             for name in ("square", "pentagon", "hexagon", "octahedron")}
+    cones.update((name, _cone(name)) for name in ("c37", *POLYGONS))
+    return cones
+
+
+def test_regions_match_fourier_motzkin(request):
+    # the region walk finds exactly the subsets A of T whose system has a
+    # point, and R_{} reaches above c_j, j outside T, exactly when the
+    # system with <x, n_j> > c_j has one
+    points = empty = 0
+    for name, spec in _fixture_cones(request).items():
+        for rep in enumerate_classes(spec).reps:
+            cx = conic_complex(spec, rep)
+            tee = certificate_oracle.pinned(cx)
+            walked = dict(_regions(spec, rep, _bits(tee)))
+            assert len(walked) <= 2 ** len(tee)
+            for size in range(len(tee) + 1):
+                for a in combinations(sorted(tee), size):
+                    want = certificate_oracle.has_point(
+                        spec, rep, set(a), tee - set(a))
+                    assert (_bits(a) in walked) == want, (name, rep, a)
+                    points += want
+                    empty += not want
+            for j, (n, cj) in enumerate(zip(spec.normals, rep)):
+                if j not in tee:
+                    want = certificate_oracle.has_point(spec, rep, {j}, tee)
+                    got = any(sum(x * y for x, y in zip(ray, (*n, -cj))) > 0
+                              for ray, _ in walked[0])
+                    assert got == want, (name, rep, j)
+                    points += want
+                    empty += not want
+    assert points > 1000 and empty > 1000
+
+
+def test_certificate_matches_oracle(request):
+    for name, spec in _fixture_cones(request).items():
+        for rep in enumerate_classes(spec).reps:
+            cx = conic_complex(spec, rep)
+            assert _exact(spec, rep, _slices_of(cx)) is True
+            assert certificate_oracle.certified(spec, cx), (name, rep)
+
+
+def _flips(cx):
+    # the complex with one nonzero differential entry negated, each entry
+    for i, mat in enumerate(cx.mats):
+        for r, row in enumerate(mat):
+            for col, x in enumerate(row):
+                if x:
+                    rows = list(mat)
+                    rows[r] = row[:col] + (-x,) + row[col + 1:]
+                    mats = cx.mats[:i] + (tuple(rows),) + cx.mats[i + 1:]
+                    yield ConicComplex(cx.chamber, cx.terms, cx.cells, mats)
+
+
+def _drops(cx):
+    # the complex with one summand removed, its row and column with it
+    for deg, row in enumerate(cx.terms):
+        for pos in range(len(row)):
+            terms, cells, mats = list(cx.terms), list(cx.cells), list(cx.mats)
+            terms[deg] = row[:pos] + row[pos + 1:]
+            cells[deg] = cells[deg][:pos] + cells[deg][pos + 1:]
+            if deg < len(mats):
+                mats[deg] = mats[deg][:pos] + mats[deg][pos + 1:]
+            if deg:
+                mats[deg - 1] = tuple(r[:pos] + r[pos + 1:] for r in mats[deg - 1])
+            yield ConicComplex(cx.chamber, tuple(terms), tuple(cells), tuple(mats))
+
+
+def _truncations(cx):
+    # the complex cut after each degree but the last: the open cell alone
+    # first, where T is empty and R_{} reaches above every c_j
+    for k in range(1, len(cx.terms)):
+        yield ConicComplex(cx.chamber, cx.terms[:k], cx.cells[:k], cx.mats[:k - 1])
+
+
+def _outcome(call):
+    # the call's value, or None when it cannot rank a slice
+    try:
+        return call()
+    except InternalInvariantError:
+        return None
+
+
+def _windows_pass(spec, a, reps, slices, radius):
+    # whether every window at radius passes, None when one cannot rank
+    reports = [_outcome(lambda: _verify(spec, a, b, radius, slices)) for b in reps]
+    return None if None in reports else all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("mutate,counts", [
+    (_flips, {(True, True, True): 104, (None, None, None): 68}),
+    (_drops, {(False, False, False): 38, (False, False, None): 37,
+              (None, False, None): 49}),
+    (_truncations, {(False, False, False): 48}),
+], ids=["flip", "drop", "truncate"])
+def test_mutated_complexes_refused_iff_a_window_fails(
+        pentagon, monkeypatch, mutate, counts):
+    reps = enumerate_classes(pentagon).reps
+    seen = {}
+    refused = []
+    for a in reps:
+        for cx in mutate(conic_complex(pentagon, a)):
+            cert = _outcome(lambda: _exact(pentagon, a, _slices_of(cx)))
+            oracle = _outcome(lambda: certificate_oracle.certified(pentagon, cx))
+            at_two = _windows_pass(pentagon, a, reps, _slices_of(cx), 2)
+            seen[cert, oracle, at_two] = seen.get((cert, oracle, at_two), 0) + 1
+            assert (cert is True) == (at_two is True), a
+            if cert:
+                assert all(_windows_pass(pentagon, a, reps, _slices_of(cx), r)
+                           for r in RADII)
+            elif cert is False:
+                refused.append((a, cx))
+            else:
+                continue
+            # _verify asks this certificate for the class: a certified one
+            # answers with the passing report, a refused one gets the
+            # window pass's report
+            monkeypatch.setattr(complexes, "_certified",
+                                lambda spec, rep, cert=cert: cert)
+            slices, plain = _slices_of(cx), _slices_of(cx)
+            for b in reps:
+                for radius in RADII:
+                    assert (_outcome(lambda: _verify(pentagon, a, b, radius, slices, a))
+                            == _outcome(lambda: _verify(pentagon, a, b, radius, plain)))
+    # (certificate, oracle certificate, every window at r = 2 passes),
+    # None where a slice cannot be ranked: certified iff every window
+    # passes, and refused where a window fails
+    assert seen == counts
+    # a refused class's reports, failures included, against the oracle,
+    # on every fourth refused complex
+    monkeypatch.setattr(complexes, "_certified", lambda spec, rep: False)
+    failures = 0
+    for a, cx in refused[::4]:
+        slices = _slices_of(cx)
+        for b in reps:
+            wants = _outcome(lambda: oracle_windows(pentagon, cx, b, (1, 2)))
+            for radius, want in zip((1, 2), wants or ()):
+                got = _verify(pentagon, a, b, radius, slices, a)
+                assert got == want, (a, b, radius)
+                failures += len(got.failures)
+    assert bool(failures) == bool(refused)
+
+
+@pytest.mark.parametrize("index", range(len(RANDOM_CONES)))
+def test_every_class_of_a_random_cone_is_certified(index):
+    spec = from_normals(RANDOM_CONES[index].rank, RANDOM_CONES[index].normals)
+    refused = [rep for rep in enumerate_classes(spec).reps
+               if not complexes._certified(spec, rep)]
+    assert refused == [], (spec.normals, refused)

@@ -33,6 +33,7 @@ from conic.cone import content_hash
 from conic.errors import InputError, InternalInvariantError, SupportNotClosedError
 from conic.ratgeom import add, sub
 
+import certificate_oracle
 from acyclicity_oracle import oracle_verify
 from splice_oracle import oracle_resolution
 
@@ -135,8 +136,12 @@ def test_window_must_be_a_nonnegative_int(square, window):
 @pytest.mark.parametrize("name", ["square", "cyclic", "pentagon", "hexagon"])
 def test_acyclicity_matches_per_point_oracle(request, name):
     # Default windows of every pair cost minutes on the polygons; there
-    # they are checked against the free class only.
+    # they are checked against the free class only.  Each report is
+    # asked of the window pass, on slices local to the call, and of
+    # verify_acyclicity on a cone built here, where the class
+    # certificate answers it with no pass.
     spec = request.getfixturevalue(name)
+    fresh = from_normals(spec.rank, spec.normals)
     classes = enumerate_classes(spec)
     free = classes.rep_of("A0")
     for a in classes.reps:
@@ -146,8 +151,13 @@ def test_acyclicity_matches_per_point_oracle(request, name):
             if name in ("square", "cyclic") or free in (a, b):
                 radii.append(default_window(a, b))
             for radius in radii:
-                assert verify(spec, cx, b, radius) == oracle_verify(
-                    spec, cx, b, radius), (a, b, radius)
+                want = oracle_verify(spec, cx, b, radius)
+                assert verify(spec, cx, b, radius) == want, (a, b, radius)
+                assert verify_acyclicity(fresh, a, b, window=radius) == want
+    # the first window of each pattern is a pass, at radius 0
+    assert fresh._store[complexes._certified] == {
+        (a,): True for a in classes.reps}
+    assert sorted(fresh._store[complexes._tail_sets]) == [(0,)]
 
 
 def _both_orders(spec, c, cp, slices, wants):
@@ -299,16 +309,8 @@ def _survival_masks(spec, cx, cp, radius):
     return masks
 
 
-def test_homology_once_per_survival_mask(monkeypatch):
-    # a pentagon built here, so that no earlier test has filled its
-    # per-cone table of slice ranks
-    pentagon = from_primal_rays(
-        3, [(-2, -1, 1), (-1, -1, 1), (1, 0, 1), (1, 1, 1), (-1, 0, 1)])
-    reps = enumerate_classes(pentagon).reps
-    a, b, b2, radius = reps[1], reps[2], reps[3], 2
-    cx = conic_complex(pentagon, a)
-    seen = _survival_masks(pentagon, cx, b, radius)
-    fresh = _survival_masks(pentagon, cx, b2, radius) - seen
+def _counting_ranks(monkeypatch):
+    # the scalar complexes complexes.homology_ranks is called on, in order
     calls = []
     real = complexes.homology_ranks
 
@@ -317,25 +319,85 @@ def test_homology_once_per_survival_mask(monkeypatch):
         return real(sc)
 
     monkeypatch.setattr(complexes, "homology_ranks", counting)
-    rpt = verify_acyclicity(pentagon, a, b, window=radius)
+    return calls
+
+
+def test_homology_once_per_survival_mask(pentagon, monkeypatch):
+    # the window pass, on slices local to the test: past its pattern's
+    # first window, a chamber complex asks its class's certificate
+    reps = enumerate_classes(pentagon).reps
+    a, b, b2, radius = reps[1], reps[2], reps[3], 2
+    cx = conic_complex(pentagon, a)
+    slices = _slices_of(cx)
+    seen = _survival_masks(pentagon, cx, b, radius)
+    fresh = _survival_masks(pentagon, cx, b2, radius) - seen
+    calls = _counting_ranks(monkeypatch)
+    rpt = _verify(pentagon, a, b, radius, slices)
     assert rpt.checked == (2 * radius + 1) ** pentagon.rank
     assert len(calls) == len(seen) < rpt.checked
     # the same chamber against another one: only masks not met before
     del calls[:]
-    assert verify_acyclicity(pentagon, a, b2, window=radius).passed
+    assert _verify(pentagon, a, b2, radius, slices).passed
     assert len(calls) == len(fresh) < len(seen)
     del calls[:]
-    assert verify_acyclicity(pentagon, a, b, window=radius) == rpt
+    assert _verify(pentagon, a, b, radius, slices) == rpt
     assert calls == []
+
+
+def _region_masks(spec, cx):
+    # the survival mask of each nonempty subset A of T whose system has a
+    # point by Fourier-Motzkin elimination: the summands stepping up only
+    # inside A, bit k for the k-th summand degree by degree
+    c = cx.chamber
+    pins = [{i for i, (x, ci) in enumerate(zip(vec, c)) if x > ci}
+            for row in cx.terms for vec in row]
+    return {sum(1 << k for k, pin in enumerate(pins) if pin <= above)
+            for above, at in certificate_oracle.systems(cx)
+            if above <= certificate_oracle.pinned(cx)
+            and certificate_oracle.has_point(spec, c, above, at)}
+
+
+def test_certificate_ranks_once_per_mask(monkeypatch):
+    # a pentagon built here, so that no earlier test has filled its
+    # per-pattern rank tables: a class's certificate ranks each mask of
+    # its regions once, a second class of the pattern only masks not met
+    # before, and a certified class's windows none once the pattern has
+    # had its first window
+    pentagon = from_primal_rays(
+        3, [(-2, -1, 1), (-1, -1, 1), (1, 0, 1), (1, 1, 1), (-1, 0, 1)])
+    reps = enumerate_classes(pentagon).reps
+    by_pattern = {}
+    for rep in reps:
+        by_pattern.setdefault(class_pattern(pentagon, rep), []).append(rep)
+    pattern, (a1, a2, *_) = max(by_pattern.items(), key=lambda kv: len(kv[1]))
+    calls = _counting_ranks(monkeypatch)
+    met = set()
+    for a in (a1, a2):
+        masks = _region_masks(pentagon, conic_complex(pentagon, a))
+        assert complexes._certified(pentagon, a)
+        assert len(calls) == len(masks - met)
+        met |= masks
+        del calls[:]
+    assert set(complexes._pattern_slices(pentagon, pattern)[2]) == met
+    assert len(met) < 2 ** len(pentagon.normals)
+    verify_acyclicity(pentagon, a2, reps[0], window=2)
+    del calls[:]
+    for b in reps:
+        assert verify_acyclicity(pentagon, a2, b, window=2).passed
+    assert calls == []
+    assert pentagon._store[complexes._certified] == {(a1,): True, (a2,): True}
 
 
 def test_tail_sets_once_per_radius():
     # a square built here, so that no earlier test has filled its table;
-    # the radius-1 window takes another offset than the radius-2 one,
-    # which would answer it with no pass
+    # the window pass on slices local to the test, since a certified
+    # chamber complex asks none past its pattern's first window.  The
+    # radius-1 window takes another offset than the radius-2 one, which
+    # would answer it with no pass.
     square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
+    slices = _slices_of(conic_complex(square, FREE))
     for radius, other in ((0, X), (2, X), (1, Y)):
-        assert verify_acyclicity(square, FREE, other, window=radius).passed
+        assert _verify(square, FREE, other, radius, slices).passed
     table = square._store[complexes._tail_sets]
     assert sorted(table) == [(0,), (1,), (2,)]
     for (radius,), sets in table.items():
@@ -356,14 +418,21 @@ def test_tail_sets_once_per_radius():
                            for n in square.normals) * (2 * radius + 1) ** 2
     # a second call at a radius asked before builds nothing
     kept = table[(2,)]
-    assert verify_acyclicity(square, FREE, Y, window=2).passed
+    assert _verify(square, FREE, Y, 2, slices).passed
     assert sorted(table) == [(0,), (1,), (2,)]
     assert table[(2,)] is kept
     # the same pair at a radius below one that passed builds no table
     square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
+    slices = _slices_of(conic_complex(square, FREE))
     for radius in (2, 1):
-        assert verify_acyclicity(square, FREE, X, window=radius).passed
+        assert _verify(square, FREE, X, radius, slices).passed
     assert sorted(square._store[complexes._tail_sets]) == [(2,)]
+    # a certified class's windows build none at any radius once the
+    # pattern's first window has passed
+    square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
+    for radius, other in ((0, X), (2, X), (1, Y), (3, FREE)):
+        assert verify_acyclicity(square, FREE, other, window=radius).passed
+    assert sorted(square._store[complexes._tail_sets]) == [(0,)]
 
 
 def _dense_tail_sets(spec, radius):
@@ -541,7 +610,9 @@ def test_acyclicity_of_translated_chambers_matches_oracle(request, name):
 
 def test_translates_leave_every_per_cone_table_bounded(hexagon):
     # 441 translates of one class against one chamber: every table keyed
-    # by pattern or radius keeps the size it had after the first
+    # by pattern, class or radius keeps the size it had after the first
+    # two, the pattern's first window being a pass and the second asking
+    # the class's certificate
     spec = from_primal_rays(hexagon.rank, hexagon.generators)
     reps = enumerate_classes(spec).reps
     a, b = reps[5], reps[0]
@@ -550,11 +621,13 @@ def test_translates_leave_every_per_cone_table_bounded(hexagon):
         return {func.__name__: len(table) for func, table in spec._store.items()}
 
     seen = None
-    for m in product(range(-10, 11), range(-10, 11)):
+    for k, m in enumerate(product(range(-10, 11), range(-10, 11))):
         c = add(a, nhat(spec, (*m, 0)))
         assert verify_acyclicity(spec, c, b, window=1).passed
-        seen = seen or sizes()
+        if k == 1:
+            seen = sizes()
     assert sizes() == seen
+    assert len(spec._store[complexes._certified]) == 1
 
 
 def test_pdims_and_global_dimension(quadric, square, cyclic, orthant2, orthant3):
