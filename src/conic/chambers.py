@@ -123,12 +123,13 @@ class ClassList:
     """All isomorphism classes.
 
     reps are lex sorted canonical representatives; labels align with
-    reps, the free class is always labeled A0 and the rest are numbered
-    in lex order.
+    reps, the free class, at index free, is always labeled A0 and the
+    rest are numbered in lex order.
     """
 
     reps: tuple[IntVec, ...]
     labels: tuple[str, ...]
+    free: int
 
     def label_of(self, rep: IntVec) -> str:
         """Label of a representative: a binary search of the sorted reps;
@@ -139,9 +140,16 @@ class ClassList:
         return self.labels[i]
 
     def rep_of(self, label: str) -> IntVec:
-        if label not in self.labels:
+        """Representative of a label, the labelling inverted: A0 is the
+        free class, and Ak is index k - 1 for k <= free and k past it;
+        InputError for any other string, such as "A01", "A-1" or "B1"."""
+        try:
+            k = int(label[1:])
+        except ValueError:
+            k = -1
+        if not 0 <= k < len(self.reps) or label != f"A{k}":
             raise InputError(f"unknown class label {label!r}")
-        return self.reps[self.labels.index(label)]
+        return self.reps[self.free if k == 0 else k - 1 if k <= self.free else k]
 
 
 @per_cone
@@ -154,5 +162,5 @@ def enumerate_classes(spec: ConeSpec) -> ClassList:
     free = reps.index((0,) * len(spec.normals))
     labels = tuple("A0" if i == free else f"A{i + 1 if i < free else i}"
                    for i in range(len(reps)))
-    return ClassList(reps=reps, labels=labels)
+    return ClassList(reps=reps, labels=labels, free=free)
 

@@ -230,7 +230,7 @@ def _acyclicity_rows(spec: ConeSpec, classes, window) -> list:
         rep = class_of(spec, a)
         gate = a, rep, class_pattern(spec, rep)
         for b, other in zip(classes.reps, classes.labels):
-            rpt = _acyclicity(spec, gate, b, window)
+            rpt = _acyclicity(spec, gate, (b, b), window)
             rows.append({
                 "chamber": label,
                 "other": other,
@@ -278,7 +278,7 @@ def serialize_report(report: dict) -> str:
 def _parse_class(spec: ConeSpec, classes, text: str):
     """A class argument: a label like A1, or a comma-separated ceiling."""
     s = text.strip()
-    if s in classes.labels:
+    if s.startswith("A"):
         return classes.rep_of(s)
     try:
         vec = intvec(int(p) for p in s.split(","))

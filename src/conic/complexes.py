@@ -66,25 +66,27 @@ is one question per class, asked once (``_certified``):
   and a class keeps one bool.  A lattice translate of c moves every
   region by a lattice point, so the bool is kept per class.
 
-A certified class answers its windows with no pass (``_verify``), once
-its pattern has had one.  The windows of a refused class and of a
-spliced resolution are checked on lattice points, each slab split into
-regions of one survival mask.  For partial summand supports the
-excluded summands are spliced out through their own complexes, and the
-entries that the chain map to the chamber complex does not fix are
-solved degree by degree.
+Every window of a chamber complex is answered in one place
+(``_acyclicity``): a certified class with its passing report and no
+pass, a refused class by a window pass (``_verify``), which checks the
+window on lattice points, each slab split into regions of one survival
+mask.  The windows of a spliced resolution take the same pass.  For
+partial summand supports the excluded summands are spliced out through
+their own complexes, and the entries that the chain map to the chamber
+complex does not fix are solved degree by degree.
 
 Lattice translation keeps cells, so a chamber's complex is its class's
 cell pattern placed at the chamber: the terms are the chamber plus a 0/1
 bump per cell, and the differentials, the survival steps and the slice
 ranks are shared.  So every per-cone table of chamber complexes is keyed
-by cell pattern or by radius, never by chamber, and complexes are built
-on request.  Spliced resolutions are kept per support and chamber asked.
+by cell pattern or by class, never by chamber, offset or radius, and
+complexes are built on request.  A window pass's tail table lives for
+that pass, or for one ``_resolution`` call.  Spliced resolutions are
+kept per support and chamber asked.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -306,17 +308,15 @@ def _slices_of(cx) -> tuple:
     # What _verify reads of a complex: the complex whole as a scalar
     # complex; for each normal, the summands' distinct steps above the
     # chamber's ceiling in ascending order, each with the bitmask of the
-    # summands (degree by degree) at or below it; a table survival mask
-    # -> homology ranks; and a table offset cp - c -> (largest radius
-    # whose window passed, witness), one entry per offset that passed.
-    # _verify alone fills the passes table; the certificate (``_exact``)
-    # reads and fills the rank table too.
+    # summands (degree by degree) at or below it; and a table survival
+    # mask -> homology ranks, which the certificate (``_exact``) fills
+    # too.
     steps = [sub(vec, cx.chamber) for row in cx.terms for vec in row]
     levels = tuple(
         tuple((top, sum(1 << bit for bit, x in enumerate(col) if x <= top))
               for top in sorted(set(col)))
         for col in zip(*steps))
-    return ScalarComplex(tuple(map(len, cx.terms)), cx.mats), levels, {}, {}
+    return ScalarComplex(tuple(map(len, cx.terms)), cx.mats), levels, {}
 
 
 @per_cone
@@ -343,7 +343,7 @@ def _exact(spec: ConeSpec, c: IntVec, slices) -> bool:
     given by its ``_slices_of``: the certificate of the module docstring,
     over the regions that ``_regions`` finds, up to the first that gives
     a slice with homology."""
-    full, levels, ranks_of, _ = slices
+    full, levels, ranks_of = slices
     every = (1 << sum(full.dims)) - 1
     # the summands one step above c at each normal, from its lowest level
     pinned = [every ^ below if top == 0 else every
@@ -443,7 +443,6 @@ def _window_points(spec: ConeSpec, radius: int) -> int:
     return points
 
 
-@per_cone
 def _tail_sets(spec: ConeSpec, radius: int) -> tuple:
     # For each normal n, the bitsets of the window's tail points t (last
     # d - 1 coordinates, bit k the k-th in ``product`` order) with
@@ -451,7 +450,8 @@ def _tail_sets(spec: ConeSpec, radius: int) -> tuple:
     # A level that no pairing hits holds the object of the level above,
     # so a normal keeps one bitset per distinct pairing, plus the empty
     # top: at most min(2 reach + 2, (2r + 1)^(d - 1) + 1) of them, and one
-    # reference per level.
+    # reference per level.  Built for one window pass, or one
+    # ``_resolution`` call, and kept by no table.
     steps = range(-radius, radius + 1)
     table = []
     for n in spec.normals:
@@ -469,13 +469,16 @@ def _tail_sets(spec: ConeSpec, radius: int) -> tuple:
 
 
 def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
-            slices: tuple, c_class: IntVec | None = None) -> AcyclicityReport:
+            slices: tuple, table: tuple) -> AcyclicityReport:
     """Window acyclicity against the chamber cp of the complex of the
-    chamber c whose ``_slices_of`` are given; InputError when the
-    window's (2r + 1)^d points are more than WINDOW_BUDGET
-    (``_window_points``).  c_class is the class representative of c
-    when the slices are its class pattern's (``_pattern_slices``), and
-    None for any other complex.
+    chamber c whose ``_slices_of`` are given, by a pass over the window
+    of the radius, given its tail table (``_tail_sets``), which the
+    caller builds after checking the window against WINDOW_BUDGET
+    (``_window_points``).  ``_acyclicity`` takes it for a refused class
+    and builds one table per pass; ``_resolution`` takes it for a
+    spliced resolution and shares one table across its
+    representatives.  No table outlives its caller, and nothing is kept
+    per radius.
 
     Summand vec survives at m iff h = (<m, n_i>)_i >= vec - cp entrywise,
     that is h >= (vec - c) - (cp - c): translating both chambers by -c
@@ -483,70 +486,36 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
     summands' steps vec - c, and along normal i the survivors step up
     at their distinct values.  A slab, the points (x0, *t) with one x0,
     starts as one region of every tail point t and every summand and is
-    split normal by normal: a step's points are two reads of the
-    per-cone table of the radius (``_tail_sets``) and an AND-NOT, a
-    region keeps the summands that survive on it, regions whose mask
-    empties are dropped and equal masks merged; the points left over
-    have the empty mask.  So a slab costs per region, not per point.
-    The table is kept once per radius asked; for normal i it keeps one
-    bitset of at most (2r + 1)^(d - 1) bits per distinct tail pairing,
-    at most min(2r * sum_{j>=1} |n_ij| + 2, (2r + 1)^(d - 1) + 1) of
-    them, and one reference per level.
+    split normal by normal: a step's points are two reads of the tail
+    table and an AND-NOT, a region keeps the summands that survive on
+    it, regions whose mask empties are dropped and equal masks merged;
+    the points left over have the empty mask.  So a slab costs per
+    region, not per point.  For normal i the table keeps one bitset of
+    at most (2r + 1)^(d - 1) bits per distinct tail pairing, at most
+    min(2r * sum_{j>=1} |n_ij| + 2, (2r + 1)^(d - 1) + 1) of them, and
+    one reference per level.
 
     ``graded_piece`` reads m only through the kept index sets, so the
     scalar complex and its homology ranks are a function of the mask;
     the slices' rank table maps each mask met to its ranks.
-    ``verify_acyclicity`` passes the per-cone slices of the chamber's
-    cell pattern (``_pattern_slices``), so ranks carry over between
-    chambers with one pattern, other chambers and radii.  The pairing
-    map is injective, so h == c - cp holds exactly at the witness that
+    ``_acyclicity`` passes the per-cone slices of the chamber's cell
+    pattern (``_pattern_slices``), so ranks carry over between chambers
+    with one pattern, other chambers and radii.  The pairing map is
+    injective, so h == c - cp holds exactly at the witness that
     ``cells._preimage`` reads off the per-cone box seeds, which is then
     the one point that wants a rank-one degree zero.  A point is visited
     on its own, in ascending order, only if it is the witness or its
     region's mask has nonzero homology, so a passing window costs no
     per-point work.
-
-    The report is thus a function of the slices, the offset cp - c and
-    the radius, and the slices keep, per offset whose window passed, the
-    largest such radius R and the witness: one entry per offset that
-    passed, never one for a failing window.  A radius r <= R is then
-    answered with no pass.  The r-window's points are among the
-    R-window's, none of which failed there, and a witness inside it was
-    the R-window's one hit, with ranks (1, 0, ...).  So it passes, with
-    hits (witness,) if the witness lies in it and () if not.
-
-    A window of a chamber complex that misses the passes table, at a
-    pattern that has passed a window before, asks its class's
-    certificate (``_certified``).  A certified class passes every
-    window, so the offset is kept as passed at every radius and answered
-    as above.  A refused class, and every other complex, takes the pass.
-    So does the first window of a pattern: it costs a pass over 2r + 1
-    slabs, where a certificate may cost 2^|T| double descriptions, so a
-    certificate is asked only once the pattern's windows recur.
     """
     r, side, d = radius, 2 * radius + 1, spec.rank
-    checked = _window_points(spec, r)
-    full, levels, ranks_of, passes = slices
+    full, levels, ranks_of = slices
     offset = sub(cp, c)
-    largest, witness = passes.get(offset, (-1, None))
-    if largest < r:
-        witness = _preimage(spec, sub(c, cp))
-        if c_class is not None and passes and _certified(spec, c_class):
-            largest = math.inf
-            passes[offset] = largest, witness
-    inside = witness is not None and all(abs(x) <= r for x in witness)
-    if largest >= r:
-        # the r-window lies in a window that passed at this offset, or
-        # the class is certified
-        return AcyclicityReport(
-            chamber=c, other=cp, radius=radius, checked=checked,
-            hits=(witness,) if inside else (), failures=(),
-            witness=witness, passed=True)
-    table = _tail_sets(spec, r)
+    witness = _preimage(spec, sub(c, cp))
     every_point = table[0][0]
     every_summand = (1 << sum(full.dims)) - 1
     w0 = wk = None
-    if inside:
+    if witness is not None and all(abs(x) <= r for x in witness):
         w0, wk = witness[0], 0
         for x in witness[1:]:
             wk = wk * side + x + r
@@ -604,13 +573,10 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
                     failures.append((m, deg, got, want))
             if hit and ranks[0] == 1:
                 hits.append(m)
-    passed = not failures and len(hits) == (0 if w0 is None else 1)
-    if passed:
-        passes[offset] = radius, witness
     return AcyclicityReport(
-        chamber=c, other=cp, radius=radius, checked=checked,
-        hits=tuple(hits), failures=tuple(failures),
-        witness=witness, passed=passed)
+        chamber=c, other=cp, radius=radius, checked=side ** d,
+        hits=tuple(hits), failures=tuple(failures), witness=witness,
+        passed=not failures and len(hits) == (0 if w0 is None else 1))
 
 
 def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> AcyclicityReport:
@@ -621,16 +587,48 @@ def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> Acycl
     onto c, when that point exists and lies inside the window.  InputError
     unless both are chambers; package code calls ``_acyclicity``.
     """
-    return _acyclicity(spec, require_gate(spec, c), require_chamber(spec, cp),
+    return _acyclicity(spec, require_gate(spec, c), require_gate(spec, cp)[:2],
                        window)
 
 
-def _acyclicity(spec: ConeSpec, gate, cp: IntVec, window) -> AcyclicityReport:
-    # verify_acyclicity of gated chambers, c given by its chamber_gate
+def _acyclicity(spec: ConeSpec, gate, other, window) -> AcyclicityReport:
+    """verify_acyclicity of gated chambers, c given by its chamber_gate
+    and cp by (cp, its class representative): the one place that answers
+    a chamber-complex window.  InputError when the window's (2r + 1)^d
+    points are more than WINDOW_BUDGET (``_window_points``).
+
+    A certified class (``_certified``) passes every window of each of its
+    chambers, so the report is the passing one, with no pass.  Its
+    witness is the lattice point m with h(m) = c - cp (``cells._preimage``)
+    when c and cp have one class representative, and None otherwise:
+    c - cp is a pairing vector exactly when the classes agree.  Its hits
+    are (witness,) when the witness lies in the window and () if not.  A
+    refused class takes the window pass (``_verify``) on its pattern's
+    slices, with a tail table built for that pass alone.
+
+    So a window keeps nothing per offset or per radius; what it leaves
+    in the store is the class's bool and its pattern's slices, whose
+    rank table is bounded per pattern.  A single window on a fresh cone
+    pays its class's certificate rather than one pass: for the free
+    class of cone R5 of ROADMAP.md, 357 ms against 8.7 ms of CPU (one
+    2-vCPU VM), and 1-3 ms for a typical class.  Every pair of classes,
+    as ``conic acyclicity`` and ``analyze --window`` ask, pays each
+    certificate once.
+    """
     c, rep, pattern = gate
+    cp, cp_rep = other
     radius = (default_window(c, cp) if window is None
               else _window_radius(window))
-    return _verify(spec, c, cp, radius, _pattern_slices(spec, pattern), rep)
+    checked = _window_points(spec, radius)
+    if not _certified(spec, rep):
+        return _verify(spec, c, cp, radius, _pattern_slices(spec, pattern),
+                       _tail_sets(spec, radius))
+    witness = _preimage(spec, sub(c, cp)) if cp_rep == rep else None
+    inside = witness is not None and all(abs(x) <= radius for x in witness)
+    return AcyclicityReport(
+        chamber=c, other=cp, radius=radius, checked=checked,
+        hits=(witness,) if inside else (), failures=(), witness=witness,
+        passed=True)
 
 
 def pdim_simple(spec: ConeSpec, c) -> int:
@@ -829,9 +827,10 @@ def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComple
         radius = window
         if radius is None:
             radius = max(default_window(cc, rep) for rep in reps)
-        slices = _slices_of(cx)
+        _window_points(spec, radius)
+        slices, table = _slices_of(cx), _tail_sets(spec, radius)
         for rep in reps:
-            rpt = _verify(spec, cc, rep, radius, slices)
+            rpt = _verify(spec, cc, rep, radius, slices, table)
             if not rpt.passed:
                 raise InternalInvariantError(
                     f"spliced complex fails acyclicity against {rep}: "

@@ -20,7 +20,9 @@ from conic.complexes import (
     _entrywise_geq,
     _report,
     _slices_of,
+    _tail_sets,
     _verify,
+    _window_points,
     _window_radius,
     conic_complex,
     default_window,
@@ -229,8 +231,10 @@ def oracle_resolution(spec, support, c, window=None):
     radius = window
     if radius is None:
         radius = max(default_window(cc, rep) for rep in reps)
+    _window_points(spec, radius)
     for rep in reps:
-        rpt = _verify(spec, cc, rep, radius, _slices_of(cx))
+        rpt = _verify(spec, cc, rep, radius, _slices_of(cx),
+                      _tail_sets(spec, radius))
         if not rpt.passed:
             raise InternalInvariantError(
                 f"spliced complex fails acyclicity against {rep}: "

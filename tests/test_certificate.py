@@ -1,7 +1,7 @@
 """The class certificate (``complexes._certified``) against its oracles.
 
 A certified class answers its acyclicity windows with no window pass
-once its pattern has had one, so the certificate must never certify a
+(``complexes._acyclicity``), so the certificate must never certify a
 class whose windows fail:
 
 - every class of 1/37(1,10), the reflexive polygons and the octahedron
@@ -18,7 +18,8 @@ class whose windows fail:
 - on pattern complexes with one differential sign flipped, one summand
   dropped or every degree past some k dropped, the certificate refuses
   exactly the complexes some window fails (or cannot rank), and a
-  refused class gets the window pass's report, failures included;
+  refused class gets the window pass's report, failures included, and a
+  certified one a report equal to the window pass's;
 - on the seeded random cones of ``test_walk_contract`` every class is
   certified, as the theorem says it must be: a refusal there is an
   engine bug.
@@ -38,7 +39,8 @@ from conic import (
     from_primal_rays,
     verify_acyclicity,
 )
-from conic.complexes import _exact, _regions, _slices_of, _verify
+from conic.cells import class_pattern
+from conic.complexes import _exact, _regions, _slices_of, _tail_sets, _verify
 from conic.errors import InternalInvariantError
 
 import certificate_oracle
@@ -65,8 +67,7 @@ def _bits(indices):
 
 
 def _certified_reports(spec, a, cps, radii):
-    # every report of a against cps at radii; past the first window of
-    # its pattern, through the certificate
+    # every report of a against cps at radii, through the certificate
     cx = conic_complex(spec, a)
     assert complexes._certified(spec, a), a
     for b in cps:
@@ -82,8 +83,9 @@ def test_certified_reports_match_oracle(name):
     reps = enumerate_classes(spec).reps
     for a in reps:
         _certified_reports(spec, a, reps, RADII)
-    # the only window passes were the patterns' first, at radius 0
-    assert sorted(spec._store[complexes._tail_sets]) == [(0,)]
+    # every class is certified, and no window kept a tail table
+    assert spec._store[complexes._certified] == {(a,): True for a in reps}
+    assert complexes._tail_sets not in spec._store
 
 
 def test_certified_octahedron_reports_match_oracle_on_a_sample(octahedron):
@@ -93,7 +95,7 @@ def test_certified_octahedron_reports_match_oracle_on_a_sample(octahedron):
     rng = random.Random(43)
     for a in rng.sample(reps, 6):
         _certified_reports(spec, a, [a, *rng.sample(reps, 2)], RADII)
-    assert sorted(spec._store[complexes._tail_sets]) == [(0,)]
+    assert complexes._tail_sets not in spec._store
 
 
 def _fixture_cones(request):
@@ -183,8 +185,25 @@ def _outcome(call):
 
 def _windows_pass(spec, a, reps, slices, radius):
     # whether every window at radius passes, None when one cannot rank
-    reports = [_outcome(lambda: _verify(spec, a, b, radius, slices)) for b in reps]
+    table = _tail_sets(spec, radius)
+    reports = [_outcome(lambda: _verify(spec, a, b, radius, slices, table))
+               for b in reps]
     return None if None in reports else all(r.passed for r in reports)
+
+
+def _pattern_is(monkeypatch, cx, cert):
+    # every pattern's slices are those of cx, and every class's
+    # certificate is cert
+    slices = _slices_of(cx)
+    monkeypatch.setattr(complexes, "_pattern_slices", lambda spec, pattern: slices)
+    monkeypatch.setattr(complexes, "_certified", lambda spec, rep: cert)
+
+
+def _window(spec, a, b, radius):
+    # the window of representative a against representative b, as the
+    # CLI asks it
+    gate = a, a, class_pattern(spec, a)
+    return complexes._acyclicity(spec, gate, (b, b), radius)
 
 
 @pytest.mark.parametrize("mutate,counts", [
@@ -212,30 +231,30 @@ def test_mutated_complexes_refused_iff_a_window_fails(
                 refused.append((a, cx))
             else:
                 continue
-            # _verify asks this certificate for the class: a certified one
-            # answers with the passing report, a refused one gets the
-            # window pass's report
-            monkeypatch.setattr(complexes, "_certified",
-                                lambda spec, rep, cert=cert: cert)
-            slices, plain = _slices_of(cx), _slices_of(cx)
+            # _acyclicity asks this certificate for the class: a certified
+            # one answers with the passing report, a refused one takes the
+            # window pass on its pattern's slices, here the mutated ones
+            _pattern_is(monkeypatch, cx, cert)
+            plain = _slices_of(cx)
             for b in reps:
                 for radius in RADII:
-                    assert (_outcome(lambda: _verify(pentagon, a, b, radius, slices, a))
-                            == _outcome(lambda: _verify(pentagon, a, b, radius, plain)))
+                    assert (_outcome(lambda: _window(pentagon, a, b, radius))
+                            == _outcome(lambda: _verify(
+                                pentagon, a, b, radius, plain,
+                                _tail_sets(pentagon, radius))))
     # (certificate, oracle certificate, every window at r = 2 passes),
     # None where a slice cannot be ranked: certified iff every window
     # passes, and refused where a window fails
     assert seen == counts
     # a refused class's reports, failures included, against the oracle,
     # on every fourth refused complex
-    monkeypatch.setattr(complexes, "_certified", lambda spec, rep: False)
     failures = 0
     for a, cx in refused[::4]:
-        slices = _slices_of(cx)
+        _pattern_is(monkeypatch, cx, False)
         for b in reps:
             wants = _outcome(lambda: oracle_windows(pentagon, cx, b, (1, 2)))
             for radius, want in zip((1, 2), wants or ()):
-                got = _verify(pentagon, a, b, radius, slices, a)
+                got = _window(pentagon, a, b, radius)
                 assert got == want, (a, b, radius)
                 failures += len(got.failures)
     assert bool(failures) == bool(refused)

@@ -234,6 +234,22 @@ def test_label_of_inverts_labels(request, name):
                 cl.label_of(unknown)
 
 
+@pytest.mark.parametrize("name", ["quadric", "square", "cyclic", "orthant2",
+                                  "orthant3", "pentagon", "hexagon",
+                                  "octahedron"])
+def test_rep_of_round_trips_every_label(request, name):
+    # rep_of inverts the labelling without a scan, and parses strictly
+    cl = enumerate_classes(request.getfixturevalue(name))
+    assert [cl.rep_of(label) for label in cl.labels] == list(cl.reps)
+    assert cl.labels[cl.free] == "A0"
+    assert cl.reps[cl.free] == (0,) * len(cl.reps[0])
+    for bad in ("A01", "A00", "A-1", "B1", "A", "a1", "A1 ", " A1", "A+1",
+                "A1.0", "A1_0", "A\u0661", "A" + "1" * 5000, f"A{len(cl.reps)}",
+                f"A{len(cl.reps) + 5}"):
+        with pytest.raises(InputError, match="unknown class label"):
+            cl.rep_of(bad)
+
+
 def test_translation_lattices(quadric, square, cyclic):
     assert translation_lattice(quadric) == ((1, 1), (0, 2))
     assert translation_lattice(cyclic) == ((1, 1), (0, 3))

@@ -28,7 +28,7 @@ from conic import (
 from conic.cells import class_pattern
 from conic.chambers import canonical_class, nhat
 from conic.cli_io import main
-from conic.complexes import _slices_of, _verify, default_window
+from conic.complexes import _slices_of, _tail_sets, _verify, default_window
 from conic.cone import content_hash
 from conic.errors import InputError, InternalInvariantError, SupportNotClosedError
 from conic.ratgeom import add, sub
@@ -41,8 +41,9 @@ FREE, X, Y = (0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 1)
 
 
 def verify(spec, cx, cp, radius):
-    # the window check of a complex at its own chamber
-    return _verify(spec, cx.chamber, cp, radius, _slices_of(cx))
+    # the window pass of a complex at its own chamber
+    return _verify(spec, cx.chamber, cp, radius, _slices_of(cx),
+                   _tail_sets(spec, radius))
 
 
 def classes_of_row(spec, row):
@@ -139,7 +140,7 @@ def test_acyclicity_matches_per_point_oracle(request, name):
     # they are checked against the free class only.  Each report is
     # asked of the window pass, on slices local to the call, and of
     # verify_acyclicity on a cone built here, where the class
-    # certificate answers it with no pass.
+    # certificate answers it with no pass and no tail table.
     spec = request.getfixturevalue(name)
     fresh = from_normals(spec.rank, spec.normals)
     classes = enumerate_classes(spec)
@@ -154,19 +155,19 @@ def test_acyclicity_matches_per_point_oracle(request, name):
                 want = oracle_verify(spec, cx, b, radius)
                 assert verify(spec, cx, b, radius) == want, (a, b, radius)
                 assert verify_acyclicity(fresh, a, b, window=radius) == want
-    # the first window of each pattern is a pass, at radius 0
+    # every class is certified, and no window kept a tail table
     assert fresh._store[complexes._certified] == {
         (a,): True for a in classes.reps}
-    assert sorted(fresh._store[complexes._tail_sets]) == [(0,)]
+    assert complexes._tail_sets not in fresh._store
 
 
 def _both_orders(spec, c, cp, slices, wants):
     # _verify on one slices object at radii 0, 1, ..., then back down,
-    # against wants[radius]: a radius is asked first with at most smaller
-    # windows kept for its offset, then again after larger ones
+    # against wants[radius]: a radius is asked first with the rank table
+    # filled by smaller windows, then again after larger ones
     radii = range(len(wants))
     for radius in (*radii, *reversed(radii)):
-        got = _verify(spec, c, cp, radius, slices)
+        got = _verify(spec, c, cp, radius, slices, _tail_sets(spec, radius))
         assert got == wants[radius], (c, cp, radius)
 
 
@@ -175,9 +176,9 @@ def test_failing_acyclicity_matches_per_point_oracle(request, name):
     # A truncated complex is not exact, so its reports carry failures and
     # hits that are not the chamber's own: the hit must be decided per
     # point even where its survival mask recurs.  One slices object per
-    # complex serves every other chamber, in both orders of radii, so a
-    # window kept for one offset, a failing window or a smaller window
-    # that passed must answer nothing it should not.
+    # complex serves every other chamber, in both orders of radii, so
+    # ranks met by a failing window or by another offset or radius must
+    # answer nothing they should not.
     spec = request.getfixturevalue(name)
     classes = enumerate_classes(spec)
     radii = (0, 1, 2) if name == "pentagon" else (0, 1, 2, 3)
@@ -226,10 +227,10 @@ def _is_chamber(spec, c):
 
 
 def test_kept_windows_shared_by_the_classes_of_one_pattern(cyclic, monkeypatch):
-    # the per-pattern slices answer a second class of the pattern at the
-    # same offset with no pass: classes a1, a2 of one pattern and chambers
-    # b1, b2 with b2 - a2 = b1 - a1, on cones built here; the pentagon's
-    # pairs on a seeded sample
+    # a second class of a pattern at the offset of the first is answered
+    # with no pass, its class being certified: classes a1, a2 of one
+    # pattern and chambers b1, b2 with b2 - a2 = b1 - a1, on cones built
+    # here; the pentagon's pairs on a seeded sample
     pentagon = from_primal_rays(
         3, [(-2, -1, 1), (-1, -1, 1), (1, 0, 1), (1, 1, 1), (-1, 0, 1)])
     rng = random.Random(41)
@@ -245,7 +246,7 @@ def test_kept_windows_shared_by_the_classes_of_one_pattern(cyclic, monkeypatch):
             assert first == oracle_verify(spec, conic_complex(spec, a1), b1, 2)
             for radius in (2, 1):
                 with monkeypatch.context() as patched:
-                    # a pass would read the radius's tail sets
+                    # a pass would build the radius's tail sets
                     patched.setattr(complexes, "_tail_sets", None)
                     second = verify_acyclicity(spec, a2, b2, window=radius)
                 assert second == oracle_verify(
@@ -323,8 +324,8 @@ def _counting_ranks(monkeypatch):
 
 
 def test_homology_once_per_survival_mask(pentagon, monkeypatch):
-    # the window pass, on slices local to the test: past its pattern's
-    # first window, a chamber complex asks its class's certificate
+    # the window pass, on slices local to the test: a certified chamber
+    # complex takes none
     reps = enumerate_classes(pentagon).reps
     a, b, b2, radius = reps[1], reps[2], reps[3], 2
     cx = conic_complex(pentagon, a)
@@ -332,15 +333,16 @@ def test_homology_once_per_survival_mask(pentagon, monkeypatch):
     seen = _survival_masks(pentagon, cx, b, radius)
     fresh = _survival_masks(pentagon, cx, b2, radius) - seen
     calls = _counting_ranks(monkeypatch)
-    rpt = _verify(pentagon, a, b, radius, slices)
+    table = _tail_sets(pentagon, radius)
+    rpt = _verify(pentagon, a, b, radius, slices, table)
     assert rpt.checked == (2 * radius + 1) ** pentagon.rank
     assert len(calls) == len(seen) < rpt.checked
     # the same chamber against another one: only masks not met before
     del calls[:]
-    assert _verify(pentagon, a, b2, radius, slices).passed
+    assert _verify(pentagon, a, b2, radius, slices, table).passed
     assert len(calls) == len(fresh) < len(seen)
     del calls[:]
-    assert _verify(pentagon, a, b, radius, slices) == rpt
+    assert _verify(pentagon, a, b, radius, slices, table) == rpt
     assert calls == []
 
 
@@ -361,8 +363,7 @@ def test_certificate_ranks_once_per_mask(monkeypatch):
     # a pentagon built here, so that no earlier test has filled its
     # per-pattern rank tables: a class's certificate ranks each mask of
     # its regions once, a second class of the pattern only masks not met
-    # before, and a certified class's windows none once the pattern has
-    # had its first window
+    # before, and a certified class's windows none
     pentagon = from_primal_rays(
         3, [(-2, -1, 1), (-1, -1, 1), (1, 0, 1), (1, 1, 1), (-1, 0, 1)])
     reps = enumerate_classes(pentagon).reps
@@ -380,31 +381,39 @@ def test_certificate_ranks_once_per_mask(monkeypatch):
         del calls[:]
     assert set(complexes._pattern_slices(pentagon, pattern)[2]) == met
     assert len(met) < 2 ** len(pentagon.normals)
-    verify_acyclicity(pentagon, a2, reps[0], window=2)
-    del calls[:]
     for b in reps:
         assert verify_acyclicity(pentagon, a2, b, window=2).passed
     assert calls == []
     assert pentagon._store[complexes._certified] == {(a1,): True, (a2,): True}
 
 
-def test_tail_sets_once_per_radius():
-    # a square built here, so that no earlier test has filled its table;
-    # the window pass on slices local to the test, since a certified
-    # chamber complex asks none past its pattern's first window.  The
-    # radius-1 window takes another offset than the radius-2 one, which
-    # would answer it with no pass.
+def _counting_tails(monkeypatch):
+    # the radii complexes._tail_sets builds a table for, in order
+    built = []
+
+    def counting(spec, radius):
+        built.append(radius)
+        return _tail_sets(spec, radius)
+
+    monkeypatch.setattr(complexes, "_tail_sets", counting)
+    return built
+
+
+def test_tail_sets_once_per_radius(monkeypatch):
+    # a square built here.  The table of each radius against its
+    # definition; then a tail table lives for one pass or one spliced
+    # resolution, and none is kept in the store: a refused class builds
+    # one per window, a spliced resolution one for all its validation
+    # windows, and a certified class none.
     square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
     slices = _slices_of(conic_complex(square, FREE))
     for radius, other in ((0, X), (2, X), (1, Y)):
-        assert _verify(square, FREE, other, radius, slices).passed
-    table = square._store[complexes._tail_sets]
-    assert sorted(table) == [(0,), (1,), (2,)]
-    for (radius,), sets in table.items():
-        assert len(sets) == len(square.normals)
+        table = _tail_sets(square, radius)
+        assert _verify(square, FREE, other, radius, slices, table).passed
+        assert len(table) == len(square.normals)
         tails = list(product(range(-radius, radius + 1), repeat=square.rank - 1))
         bits = 0
-        for n, by_level in zip(square.normals, sets):
+        for n, by_level in zip(square.normals, table):
             reach = radius * sum(map(abs, n[1:]))
             assert len(by_level) == 2 * reach + 2
             # bit k is the k-th tail point in product order
@@ -416,23 +425,20 @@ def test_tail_sets_once_per_radius():
         # sum_i (2r * |n_i[1:]|_1 + 2) levels of (2r + 1)^(d - 1) bits
         assert bits == sum(2 * radius * sum(map(abs, n[1:])) + 2
                            for n in square.normals) * (2 * radius + 1) ** 2
-    # a second call at a radius asked before builds nothing
-    kept = table[(2,)]
-    assert _verify(square, FREE, Y, 2, slices).passed
-    assert sorted(table) == [(0,), (1,), (2,)]
-    assert table[(2,)] is kept
-    # the same pair at a radius below one that passed builds no table
-    square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
-    slices = _slices_of(conic_complex(square, FREE))
-    for radius in (2, 1):
-        assert _verify(square, FREE, X, radius, slices).passed
-    assert sorted(square._store[complexes._tail_sets]) == [(2,)]
-    # a certified class's windows build none at any radius once the
-    # pattern's first window has passed
-    square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
+    built = _counting_tails(monkeypatch)
     for radius, other in ((0, X), (2, X), (1, Y), (3, FREE)):
         assert verify_acyclicity(square, FREE, other, window=radius).passed
-    assert sorted(square._store[complexes._tail_sets]) == [(0,)]
+    assert built == []
+    # the two spliced resolutions of a verdict each validate against both
+    # classes of the support at the default radius 4, on one table
+    assert nccr_verdict(square, support=[FREE, X]).verdict == "NCCR"
+    assert built == [4, 4]
+    with monkeypatch.context() as patched:
+        patched.setattr(complexes, "_certified", lambda spec, rep: False)
+        for radius in (1, 1, 2):
+            assert verify_acyclicity(square, X, FREE, window=radius).passed
+    assert built == [4, 4, 1, 1, 2]
+    assert complexes._tail_sets not in square._store
 
 
 def _dense_tail_sets(spec, radius):
@@ -500,11 +506,16 @@ def test_tail_sets_memory_follows_the_window():
 def test_window_budget(monkeypatch):
     square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
     assert complexes.WINDOW_BUDGET == 10 ** 6
-    # 101^3 points: refused at once, before any tail set is built
+    # 101^3 points: refused at once, before any tail set is built, for a
+    # refused class too
+    built = _counting_tails(monkeypatch)
     with pytest.raises(InputError, match="radius 50 has 1030301 points, "
                                          "past the budget of 1000000"):
         verify_acyclicity(square, FREE, X, window=50)
-    assert complexes._tail_sets not in square._store
+    with monkeypatch.context() as patched:
+        patched.setattr(complexes, "_certified", lambda spec, rep: False)
+        with pytest.raises(InputError, match="radius 50 has 1030301 points"):
+            verify_acyclicity(square, FREE, X, window=50)
     monkeypatch.setattr(complexes, "WINDOW_BUDGET", 26)
     assert verify_acyclicity(square, FREE, X, window=0).checked == 1
     with pytest.raises(InputError, match="has 27 points, past the budget of 26"):
@@ -518,7 +529,8 @@ def test_window_budget(monkeypatch):
     # a window given is refused even where nothing is spliced
     with pytest.raises(InputError, match="has 27 points, past the budget of 26"):
         resolution(square, enumerate_classes(square).reps, X, window=1)
-    assert sorted(square._store[complexes._tail_sets]) == [(0,)]
+    assert built == []
+    assert complexes._tail_sets not in square._store
 
 
 def _oracle_cases(spec, cx, cp, radii):
@@ -609,22 +621,25 @@ def test_acyclicity_of_translated_chambers_matches_oracle(request, name):
 
 
 def test_translates_leave_every_per_cone_table_bounded(hexagon):
-    # 441 translates of one class against one chamber: every table keyed
-    # by pattern, class or radius keeps the size it had after the first
-    # two, the pattern's first window being a pass and the second asking
-    # the class's certificate
+    # 441 translates of one class against one chamber: every per-cone
+    # table, and every table nested in a pattern's slices, keeps the size
+    # it had after the first, which asked the class's certificate
     spec = from_primal_rays(hexagon.rank, hexagon.generators)
     reps = enumerate_classes(spec).reps
     a, b = reps[5], reps[0]
 
     def sizes():
-        return {func.__name__: len(table) for func, table in spec._store.items()}
+        got = {func.__name__: len(table) for func, table in spec._store.items()}
+        for key, slices in spec._store[complexes._pattern_slices].items():
+            got.update(((key, i), len(part)) for i, part in enumerate(slices)
+                       if isinstance(part, dict))
+        return got
 
     seen = None
     for k, m in enumerate(product(range(-10, 11), range(-10, 11))):
         c = add(a, nhat(spec, (*m, 0)))
         assert verify_acyclicity(spec, c, b, window=1).passed
-        if k == 1:
+        if k == 0:
             seen = sizes()
     assert sizes() == seen
     assert len(spec._store[complexes._certified]) == 1
