@@ -20,14 +20,16 @@ the pivots of the pairing lattice's HNF (``_lattice_pivots``) and reads
 the cell pattern of the representative, the (omega, codim) of its cells.
 A ceiling vector the engine derives (a root residue, a map piece, an
 open conic) takes the same reduction and lookup through ``class_of``,
-where a miss is a bug, not bad input.  Both pairing-lattice tables
-live here, and so does the class walk (``class_walk``): one base cube
-per level in that HNF's box, each node cut into all its child slabs in
-one sweep (``_cut``), and the same cut held to one chamber's levels
-gives its box (``box_vertices``).  The cells read only the tight masks
-of the box vertices: the face closure (``_pattern``) runs once per mask
-set of a walk, which fills the pattern table (``class_pattern``) for
-every class, and once per class asked for before it, on its own box.
+where a miss is a bug, not bad input.  The pairing-lattice tables live
+here: the HNF pivots and the lattice point pairing to each HNF row,
+from which the same reduction of a pairing vector gives its lattice
+preimage (``_preimage``).  So does the class walk (``class_walk``): one
+base cube per level in that HNF's box, each node cut into all its child
+slabs in one sweep (``_cut``), and the same cut held to one chamber's
+levels gives its box (``box_vertices``).  The cells read only the tight
+masks of the box vertices: the face closure (``_pattern``) runs once per
+mask set of a walk, which fills the pattern table (``class_pattern``)
+for every class, and once per class asked for before it, on its own box.
 Each cone keeps one object per distinct pattern (``_interned``), which
 every class with that pattern holds, and checks each pattern once.
 ``Cell`` objects are made only on request.
@@ -274,9 +276,21 @@ def class_walk(spec: ConeSpec) -> tuple[IntVec, ...]:
 
 
 def _preimage(spec: ConeSpec, h: IntVec) -> IntVec | None:
-    """The lattice point m with ``nhat(spec, m) == h``, or None, read off
-    the inverse kept with the base cube (``ratgeom.lattice_witness``)."""
-    return ratgeom.lattice_witness(spec.normals, _base_cube(spec)[:3], h)
+    """The lattice point m with ``nhat(spec, m) == h``, or None: h is
+    reduced by the pairing lattice's HNF rows b_k, the reduction of
+    ``class_of``, and m is the same combination sum q_k g_k of their
+    kept preimages (``_pivot_preimages``).  h is a pairing vector exactly
+    when each pivot divides its entry and nothing remains, and the
+    pairing map is injective, so m is exact with no solve."""
+    m = [0] * spec.rank
+    for col, piv, row, g in _pivot_preimages(spec):
+        q, r = divmod(h[col], piv)
+        if r:
+            return None
+        if q:
+            h = [x - q * y for x, y in zip(h, row)]
+            m = [x + q * y for x, y in zip(m, g)]
+    return None if any(h) else tuple(m)
 
 
 @per_cone
@@ -285,6 +299,19 @@ def _lattice_pivots(spec: ConeSpec):
     # image of m |-> (<m, n_i>)_i: one (column, pivot, row) per HNF row.
     cols = [tuple(n[j] for n in spec.normals) for j in range(spec.rank)]
     return ratgeom.hnf_pivots(ratgeom.hermite_normal_form(cols))
+
+
+@per_cone
+def _pivot_preimages(spec: ConeSpec):
+    # (column, pivot, row, g) per ``_lattice_pivots`` row, g the lattice
+    # point pairing to the row, solved once through the base cube's
+    # inverse; ``ratgeom.lattice_witness`` re-pairs g with every normal
+    # and gives None unless all match.  One entry of d rows.
+    out = tuple((*p, ratgeom.lattice_witness(spec.normals, _base_cube(spec)[:3], p[2]))
+                for p in _lattice_pivots(spec))
+    if any(p[3] is None for p in out):
+        raise InternalInvariantError("an HNF row of the pairing lattice has no preimage")
+    return out
 
 
 def vertex_barycenter(spec: ConeSpec, vertices) -> RatVec:

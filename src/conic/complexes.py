@@ -502,11 +502,11 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
     pattern (``_pattern_slices``), so ranks carry over between chambers
     with one pattern, other chambers and radii.  The pairing map is
     injective, so h == c - cp holds exactly at the witness that
-    ``cells._preimage`` reads off the per-cone box seeds, which is then
-    the one point that wants a rank-one degree zero.  A point is visited
-    on its own, in ascending order, only if it is the witness or its
-    region's mask has nonzero homology, so a passing window costs no
-    per-point work.
+    ``cells._preimage`` reads off the class reduction of c - cp and the
+    kept preimages of the HNF rows, which is then the one point that
+    wants a rank-one degree zero.  A point is visited on its own, in
+    ascending order, only if it is the witness or its region's mask has
+    nonzero homology, so a passing window costs no per-point work.
     """
     r, side, d = radius, 2 * radius + 1, spec.rank
     full, levels, ranks_of = slices

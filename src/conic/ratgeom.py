@@ -11,9 +11,10 @@ use it as the exact reference, and nothing in the package calls it.
 Ranks, linear solves, kernels and the inverse of a greedy base of rows
 (``base_inverse``) all read from one fraction-free (Bareiss) elimination,
 ``echelon``, and one integer back-substitution.  That inverse seeds every
-double-description pass and gives every lattice preimage
-(``lattice_witness``).  Smith normal form alternates Hermite forms of the
-rows and of the columns.
+double-description pass and solves for a lattice preimage
+(``lattice_witness``), which ``cells`` asks once per cone for each HNF
+row of the pairing lattice.  Smith normal form alternates Hermite forms
+of the rows and of the columns.
 """
 
 from __future__ import annotations

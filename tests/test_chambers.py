@@ -37,6 +37,7 @@ from conic.ratgeom import add, dot, feasible, sub
 import lattice_oracle as oracle
 from box_census import box_census
 from cell_oracle import region_system
+from test_walk_contract import RANDOM_CONES
 
 ceil2 = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 
@@ -305,14 +306,17 @@ def test_reduce_matches_reduce_mod_hnf(request, name):
 
 
 @pytest.mark.parametrize("name, box", [
-    ("square", 2), ("pentagon", 2), ("octahedron", 1)])
+    ("square", 2), ("cyclic", 2), ("pentagon", 2), ("octahedron", 1)])
 def test_preimage_matches_lattice_solve(request, name, box):
-    # against the Fraction back-substitution of the lattice oracle, as
-    # ratgeom.lattice_solve shares cells._preimage's lattice_witness: every
-    # ordered class pair, then every vector of a small box, which has
-    # integral witnesses, rational non-integral solutions (the
-    # octahedron's (1/2, 1/2, 0, 0)) and no solution at all
+    # an independent check: cells._preimage reduces by the HNF rows and
+    # the lattice oracle back-substitutes in Fractions.  Every ordered
+    # class pair, then every vector of a small box, which has integral
+    # witnesses, rational non-integral solutions (the octahedron's
+    # (1/2, 1/2, 0, 0), and the cyclic cone's, whose HNF has a pivot of 3)
+    # and no solution at all
     spec = request.getfixturevalue(name)
+    if name == "cyclic":
+        assert translation_lattice(spec) == ((1, 1), (0, 3))
     reps = enumerate_classes(spec).reps
     for h in (sub(a, b) for a in reps for b in reps):
         assert cells_module._preimage(spec, h) == oracle.lattice_solve(spec.normals, h)
@@ -324,9 +328,51 @@ def test_preimage_matches_lattice_solve(request, name, box):
                   else "rational" if ratgeom.linear_solve(
                       spec.normals, h, spec.rank) is not None
                   else "none")
-    assert {"integral", "none"} <= kinds
+    # the cyclic cone's two normals are a basis over Q: every h solves
+    assert {"integral", "rational" if name == "cyclic" else "none"} <= kinds
     if name == "octahedron":
         assert "rational" in kinds
+
+
+@pytest.mark.parametrize("index", range(len(RANDOM_CONES)))
+def test_preimage_on_random_cones(index):
+    # each kept preimage pairs to its HNF row; then _preimage against the
+    # lattice oracle on seeded random vectors, most of them outside the
+    # pairing lattice, and on translates of class representatives
+    spec = from_normals(RANDOM_CONES[index].rank, RANDOM_CONES[index].normals)
+    kept = cells_module._pivot_preimages(spec)
+    assert [row for _, _, row in cells_module._lattice_pivots(spec)] == [
+        row for _, _, row, _ in kept]
+    for _, _, row, g in kept:
+        assert nhat(spec, g) == row
+    rng = random.Random(index)
+    hs = [tuple(rng.randint(-9, 9) for _ in spec.normals) for _ in range(40)]
+    reps = enumerate_classes(spec).reps
+    for rep in rng.sample(reps, min(len(reps), 10)):
+        m = tuple(rng.randint(-4, 4) for _ in range(spec.rank))
+        hs += [add(rep, nhat(spec, m)), nhat(spec, m)]
+    for h in hs:
+        assert cells_module._preimage(spec, h) == oracle.lattice_solve(spec.normals, h)
+
+
+@pytest.mark.parametrize("name", ["square", "cyclic", "pentagon", "hexagon"])
+def test_translated_witnesses_match_lattice_solve(request, name):
+    # verify_acyclicity's witness and iso_witness on chambers c, cp of one
+    # class moved by different lattice points, and on a pair of classes
+    spec = request.getfixturevalue(name)
+    reps = enumerate_classes(spec).reps
+    rng = random.Random(name)
+    for a in rng.sample(reps, min(len(reps), 6)):
+        b = rng.choice(reps)
+        for _ in range(3):
+            m, mp = (tuple(rng.randint(-2, 2) for _ in range(spec.rank))
+                     for _ in range(2))
+            c, cp = add(a, nhat(spec, m)), add(a, nhat(spec, mp))
+            for pair in (c, cp), (c, add(b, nhat(spec, mp))):
+                want = oracle.lattice_solve(spec.normals, sub(*pair))
+                assert iso_witness(spec, *pair) == want
+                assert verify_acyclicity(spec, *pair, window=1).witness == want
+            assert iso_witness(spec, c, cp) == sub(m, mp)
 
 
 def test_iso_witness_round_trip(square):

@@ -198,7 +198,7 @@ def test_failing_acyclicity_matches_per_point_oracle(request, name):
 
 
 @pytest.mark.parametrize("name", ["square", "cyclic"])
-def test_kept_windows_match_oracle_on_every_pair(request, name):
+def test_rank_table_reused_across_offsets_and_translates(request, name):
     # one slices object per chamber complex, every ordered class pair at
     # radii 0-3 in both orders; then lattice translates of both chambers,
     # whose offset is the pair's, on the same slices object
@@ -226,7 +226,7 @@ def _is_chamber(spec, c):
     return True
 
 
-def test_kept_windows_shared_by_the_classes_of_one_pattern(cyclic, monkeypatch):
+def test_certified_class_builds_no_tail_table(cyclic, monkeypatch):
     # a second class of a pattern at the offset of the first is answered
     # with no pass, its class being certified: classes a1, a2 of one
     # pattern and chambers b1, b2 with b2 - a2 = b1 - a1, on cones built

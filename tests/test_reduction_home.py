@@ -5,7 +5,10 @@ vector a user gives, ``cells.class_of`` for one the engine derives.  Both
 reduce by the pairing lattice's HNF pivots through
 ``ratgeom.reduce_by_pivots``, so no other module of ``src/conic`` calls
 or imports it; ``ratgeom`` defines it, and its ``reduce_mod_hnf`` wraps
-it.
+it.  Lattice witnesses come from the same home: ``cells._preimage``
+reduces a pairing vector by the same pivots, with the quotients it needs
+to combine the kept preimages of the HNF rows, so ``class_of`` keeps a
+reduction that tracks no quotient.
 """
 
 import ast
