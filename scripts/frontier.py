@@ -12,7 +12,9 @@ script exit 1.  Row names given as arguments select those rows:
 
 The rank-5 cones are draws 7, 14 and 15 of ``RANK5_CONES`` in
 ``tests/test_census.py``, given by their normals.  Draw 15 takes about
-30 s of CPU and 1.2 GiB of RSS.
+30 s of CPU and 1.2 GiB of RSS.  Row ``cone_a_w1`` asks every ordered
+class pair of cone A (``CONE_A`` in ``tests/test_cli.py``) at window
+radius 1: 280,900 pair rows, a 50,060,399-byte report.
 """
 
 import argparse
@@ -36,13 +38,17 @@ DRAW_14 = ((-3, -2, -3, 1, 2), (-3, -1, -2, 0, 2), (-1, -3, 2, -8, 6),
 DRAW_15 = ((-7, 4, -2, -6, -1), (-2, 2, -1, 0, 1), (-1, -4, 2, -2, 1),
            (-1, 1, 0, -1, 0), (0, 0, 0, 1, 1), (2, -2, 6, -1, 3),
            (2, 3, -4, 10, 9), (3, -4, -6, -2, 5), (7, 2, 3, 1, 6))
+# cone A of ROADMAP.md, 530 classes
+CONE_A = ((-1, -2, 4, 3), (-1, 0, 0, 1), (0, -1, -2, 1), (0, -1, 1, 1),
+          (0, 1, 0, 1), (1, 0, -2, 1), (1, 0, 0, 1), (1, 2, 2, 3))
 # the cone over the octahedron, the rank-4 test fixture
 OCTAHEDRON = ((-1, -1, -1, 1), (-1, -1, 1, 1), (-1, 1, -1, 1),
               (-1, 1, 1, 1), (1, -1, -1, 1), (1, -1, 1, 1), (1, 1, -1, 1),
               (1, 1, 1, 1))
 
 # name -> (command arguments, rank, normals, sha256 of standard output);
-# the sha256 values were recorded before windows were kept per offset
+# the sha256 values were recorded before windows were kept per offset,
+# and cone_a_w1's while each class's windows still took a certificate
 ROWS = {
     "draw7": (["analyze", "--json"], 5, DRAW_7,
               "12199a1878422db745fac5979d7027fb6d59e12a9858b3e26b3171bd9e38c057"),
@@ -52,6 +58,8 @@ ROWS = {
                "892dd8a3f23ca86e2c4365a34cab12470d5c1b9ca6fe6d5a7660cc7f200a346a"),
     "octahedron_w2": (["analyze", "--window", "2", "--json"], 4, OCTAHEDRON,
                       "8b122ad12e1d15ee8c429effb7667637cfc7f1be073f4f634d468937a7fc3c77"),
+    "cone_a_w1": (["analyze", "--window", "1", "--json"], 4, CONE_A,
+                  "68a82a9f28956dcda8c6b49a4e73ef1d762da74a034bfdbd7f1646f0ffa3b594"),
 }
 
 CHILD = ("import sys; from conic.cli_io import main; "

@@ -227,8 +227,7 @@ def _nccr_block(spec: ConeSpec, classes, support=None) -> dict:
 def _acyclicity_rows(spec: ConeSpec, classes, window) -> list:
     rows = []
     for a, label in zip(classes.reps, classes.labels):
-        rep = class_of(spec, a)
-        gate = a, rep, class_pattern(spec, rep)
+        gate = a, class_of(spec, a)
         for b, other in zip(classes.reps, classes.labels):
             rpt = _acyclicity(spec, gate, (b, b), window)
             rows.append({
@@ -323,10 +322,6 @@ def _load_spec(args) -> ConeSpec:
     return args.spec
 
 
-def _emit(args, report: dict, text: str) -> str:
-    return serialize_report(report) if args.json else text
-
-
 def _cmd_analyze(args) -> str:
     spec = _load_spec(args)
     supports = tuple(_support_parts(s) for s in args.support or ())
@@ -338,6 +333,8 @@ def _cmd_analyze(args) -> str:
         supports=supports,
     )
     report = analyze(spec, options)
+    if args.json:
+        return serialize_report(report)
     lines = []
     cone = report["cone"]
     lines.append(f"rank {cone['rank']} cone, "
@@ -380,7 +377,7 @@ def _cmd_analyze(args) -> str:
     for row in report.get("partial_supports", ()):
         lines.append(
             f"support {{{', '.join(row['support'])}}}: {row['verdict']}")
-    return _emit(args, report, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _counts_text(counts: dict) -> str:
@@ -395,11 +392,12 @@ def _cmd_chambers(args) -> str:
         "ceiling": list(rep),
         "degree": degree(rep),
     } for rep in classes.reps]
-    report = _wrap(spec, {"classes": rows, "class_count": len(rows)})
-    text = "".join(
+    if args.json:
+        return serialize_report(
+            _wrap(spec, {"classes": rows, "class_count": len(rows)}))
+    return "".join(
         f"{r['label']} ceiling {tuple(r['ceiling'])} degree {r['degree']}\n"
         for r in rows)
-    return _emit(args, report, text)
 
 
 def _cmd_cells(args) -> str:
@@ -415,16 +413,16 @@ def _cmd_cells(args) -> str:
             "open_conic": list(open_conic(cell)),
             "class": classes.label_of(class_of(spec, open_conic(cell))),
         })
-    census = {str(k): v for k, v in sorted(cell_census(spec, rep).items())}
-    report = _wrap(spec, {"chamber": list(rep),
-                          "label": classes.label_of(rep),
-                          "cells": rows, "census": census})
-    text = "".join(
+    if args.json:
+        census = {str(k): v for k, v in sorted(cell_census(spec, rep).items())}
+        return serialize_report(_wrap(spec, {"chamber": list(rep),
+                                             "label": classes.label_of(rep),
+                                             "cells": rows, "census": census}))
+    return "".join(
         f"codim {r['codim']} omega {tuple(r['omega'])} "
         f"open_conic {tuple(r['open_conic'])} class {r['class']} "
         f"witness ({', '.join(str(w) for w in r['witness'])})\n"
         for r in rows)
-    return _emit(args, report, text)
 
 
 def _cmd_complex(args) -> str:
@@ -436,9 +434,11 @@ def _cmd_complex(args) -> str:
                "class": classes.label_of(class_of(spec, vec))}
               for vec in row] for row in cx.terms]
     mats = [[list(r) for r in m] for m in cx.mats]
-    report = _wrap(spec, {"chamber": list(rep),
-                          "label": classes.label_of(rep),
-                          "terms": terms, "differentials": mats})
+    if args.json:
+        return serialize_report(_wrap(spec, {"chamber": list(rep),
+                                             "label": classes.label_of(rep),
+                                             "terms": terms,
+                                             "differentials": mats}))
     lines = []
     for i, row in enumerate(terms):
         summands = ", ".join(
@@ -446,7 +446,7 @@ def _cmd_complex(args) -> str:
         lines.append(f"degree {i}: {summands}")
     for i, m in enumerate(mats):
         lines.append(f"d[{i + 1} -> {i}] = {m}")
-    return _emit(args, report, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_resolution(args) -> str:
@@ -458,15 +458,16 @@ def _cmd_resolution(args) -> str:
     rpt = resolution(spec, support, rep, window=args.window)
     terms = [[{"class": classes.label_of(r), "multiplicity": n}
               for r, n in row] for row in rpt.terms]
-    report = _wrap(spec, {
-        "chamber": list(rep),
-        "label": classes.label_of(rep),
-        "support": [classes.label_of(r) for r in rpt.support],
-        "terms": terms,
-        "length": rpt.length,
-        "spliced": rpt.spliced,
-        "validated_radius": rpt.validated_radius,
-    })
+    if args.json:
+        return serialize_report(_wrap(spec, {
+            "chamber": list(rep),
+            "label": classes.label_of(rep),
+            "support": [classes.label_of(r) for r in rpt.support],
+            "terms": terms,
+            "length": rpt.length,
+            "spliced": rpt.spliced,
+            "validated_radius": rpt.validated_radius,
+        }))
     lines = [f"resolution of {classes.label_of(rep)} over "
              f"{{{', '.join(classes.label_of(r) for r in rpt.support)}}}: "
              f"length {rpt.length}"
@@ -478,21 +479,21 @@ def _cmd_resolution(args) -> str:
     if rpt.validated_radius is not None:
         lines.append(f"validated by acyclicity up to radius "
                      f"{rpt.validated_radius}")
-    return _emit(args, report, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_acyclicity(args) -> str:
     spec = _load_spec(args)
     _check_options(spec, window=args.window)
     rows = _acyclicity_rows(spec, enumerate_classes(spec), args.window)
-    report = _wrap(spec, {
-        "pairs": rows, "all_passed": all(r["passed"] for r in rows)})
-    text = "".join(
+    if args.json:
+        return serialize_report(_wrap(spec, {
+            "pairs": rows, "all_passed": all(r["passed"] for r in rows)}))
+    return "".join(
         f"{r['chamber']} vs {r['other']}: radius {r['radius']}, "
         f"{r['checked']} points, {r['failures']} failures, "
         f"{'passed' if r['passed'] else 'FAILED'}\n"
         for r in rows)
-    return _emit(args, report, text)
 
 
 def _cmd_nccr(args) -> str:
@@ -501,12 +502,13 @@ def _cmd_nccr(args) -> str:
     support = (None if args.support is None
                else _parse_support(spec, classes, args.support))
     body = _nccr_block(spec, classes, support)
-    report = _wrap(spec, body)
+    if args.json:
+        return serialize_report(_wrap(spec, body))
     lines = [f"verdict: {body['verdict']}"]
     if body["witness"] is not None:
         lines.append(f"witness: {body['witness']}")
     lines.extend(f"  {r}" for r in body["reasons"])
-    return _emit(args, report, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_frobenius(args) -> str:
@@ -516,6 +518,8 @@ def _cmd_frobenius(args) -> str:
     _check_options(spec, q=args.q, prime=args.dmodule)
     body = _frobenius_block(spec, enumerate_classes(spec), args.q,
                             args.minimal, args.dmodule)
+    if args.json:
+        return serialize_report(_wrap(spec, body))
     lines = []
     if "q" in body:
         lines.append(f"q={body['q']['q']}: "
@@ -531,8 +535,7 @@ def _cmd_frobenius(args) -> str:
             f"(q={dm['q_at_e']}); differential operator global dimension "
             f"in [{dm['bounds'][0]}, {dm['bounds'][1]}]")
         lines.append(dm["note"])
-    report = _wrap(spec, body)
-    return _emit(args, report, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_svg(args) -> str:

@@ -27,61 +27,62 @@ exact over Z, so its Smith invariants are read off the cell census
   hit onto.  Hence sum_k (-1)^k census[k] = chi(P) - chi(L) = 1 - 1 = 0,
   which ``cells._interned`` checks once on every distinct pattern.
 
-The degreewise slices of the complex against any other chamber, which
-the proof above does not cover, are exact away from a single
-distinguished slot, which is what makes the complexes projective
-resolutions of the graded simples after applying the hom functor.  That
-is one question per class, asked once (``_certified``):
+The degreewise slices of the complex against any other chamber are
+exact away from a single distinguished slot, which is what makes the
+complexes projective resolutions of the graded simples after applying
+the hom functor.  The same tools prove it:
 
 - Write h(m) = (<m, n_i>)_i.  At lattice point m the slice against the
   chamber cp keeps summand k, the chamber c plus the 0/1 bumps of the
   set P_k of indices its cell pins, iff y = cp + h(m) >= c entrywise
-  and P_k lies in S = {i : y_i > c_i}.  y is itself a chamber, and
-  every chamber is such a y (cp = y, m = 0).  If y is not >= c nothing
-  survives, and S is empty iff y = c, where the open cell alone has
-  ranks (1, 0, ...), the distinguished slot.  So every window of c,
-  against every cp and at every radius, passes iff no chamber y >= c
-  other than c gives a slice with homology.
-- Let T be the union of the P_k; the slice reads only A = S & T.  A
-  chamber y >= c with S & T = A is the ceiling vector of a point of the
-  region R_A: <x, n_i> > c_i - 1 for every i, > c_i on A and <= c_i on
-  T - A.  So c is certified iff the slice of every nonempty A whose
-  region has a point is exact and no point of R_{} has <x, n_j> > c_j
-  for a j outside T: there the open cell alone survives, of rank one,
-  at some y != c.  A refused class thus has a chamber y whose window of
-  radius 0 fails.
-- A region has a point iff its closure, homogenised by s >= 0 to a
-  pointed cone in rank + 1 dimensions, is full-dimensional.  A closure
-  with interior has a point where every bound is strict; from a point x
-  of the region, x - e u with u inside the cone (<u, n_i> > 0) and
-  e > 0 small makes every upper bound strict and keeps the strict ones,
-  so the closure holds a ball.  The regions with a point are those of
-  the hyperplanes <x, n_i> = c_i, i in T, inside the open convex set of
-  the lower bounds, so a walk across their facets from R_{}, which
-  holds the chamber's box, finds them all (``_regions``), with one
-  double description per region and no Fourier-Motzkin elimination.
-- Work: at most 2^|T| regions, so at most 2^|T| double descriptions per
-  class and 2^|T| masks ranked per cell pattern, into the rank table
-  its windows share; the walk stops at the first region that refuses,
-  and a class keeps one bool.  A lattice translate of c moves every
-  region by a lattice point, so the bool is kept per class.
+  and P_k lies in S = {i : y_i > c_i}.  y is itself a chamber.  If y is
+  not >= c nothing survives, and S is empty iff y = c, where the open
+  cell alone survives, with ranks (1, 0, ...): the distinguished slot.
+- Let y >= c be a chamber other than c, so S is not empty, and pick z
+  in the open box of y, y_i - 1 < <z, n_i> < y_i for every i (from a
+  point x of y's chamber, x - e u with u as above and e > 0 small is
+  one).  Then <z, n_i> > c_i for i in S and c_i - 1 < <z, n_i> < c_i
+  for every other i: z lies on none of P's bounding hyperplanes, and it
+  is outside P, beyond exactly the upper facets with index in S.
+- Let W be the union of the facets of P that are not visible from z.
+  It holds every lower facet, and z, being outside P, is beyond at
+  least one facet, which is then outside W.  The facets visible from z
+  come first in a line shelling of the boundary of P, and a line
+  shelling read backwards is one too, so W is a shellable (d - 1)-ball
+  (Bruggesser-Mani; Ziegler, Lectures on Polytopes, section 8.2).
+- A face F of P lies in W iff one of its tight bounds has z strictly
+  beneath it, that is iff it has a tight lower bound or a tight upper
+  bound outside S.  One way, F lies in a facet whose bound is one.  The
+  other way, the outer normal a of such a bound, <a, x> <= b on P, lies
+  in the normal cone of P at F, so a = sum l_j a_j with l_j >= 0 over
+  the facets <a_j, x> <= b_j through F, and b = sum l_j b_j on F; then
+  <a, z> < b gives <a_j, z> < b_j for some j, a facet through F that
+  is not visible from z.
+- So the faces of P outside W are the cells whose pinned set P_k lies
+  in S, and the slice at y keeps exactly those.  It is the cellular
+  cochain complex of the pair (P, W), with the signs of
+  ``cells.incidence_sign`` as above.  P and W are both contractible,
+  so H*(P, W; Z) = 0 and the slice is exact.
 
-Every window of a chamber complex is answered in one place
-(``_acyclicity``): a certified class with its passing report and no
-pass, a refused class by a window pass (``_verify``), which checks the
-window on lattice points, each slab split into regions of one survival
-mask.  The windows of a spliced resolution take the same pass.  For
-partial summand supports the excluded summands are spliced out through
-their own complexes, and the entries that the chain map to the chamber
-complex does not fix are solved degree by degree.
+So every window of c, against every cp and at every radius, has
+homology only at the lattice point m with h(m) = c - cp, which exists
+iff c and cp have one class (c - cp is then a pairing vector) and is
+unique (the pairing map is injective): rank one in degree zero.  Every
+window of a chamber complex is answered in one place
+(``_acyclicity``), from this alone, with no pass and nothing kept.
+Spliced resolutions, which the proof does not cover, are validated by
+a window pass (``_verify``), which checks the window on lattice points,
+each slab split into regions of one survival mask.  For partial summand
+supports the excluded summands are spliced out through their own
+complexes, and the entries that the chain map to the chamber complex
+does not fix are solved degree by degree.
 
 Lattice translation keeps cells, so a chamber's complex is its class's
 cell pattern placed at the chamber: the terms are the chamber plus a 0/1
-bump per cell, and the differentials, the survival steps and the slice
-ranks are shared.  So every per-cone table of chamber complexes is keyed
-by cell pattern or by class, never by chamber, offset or radius, and
-complexes are built on request.  A window pass's tail table lives for
-that pass, or for one ``_resolution`` call.  Spliced resolutions are
+bump per cell, and the differentials are shared.  So every per-cone
+table of chamber complexes is keyed by cell pattern, never by chamber,
+offset or radius, and complexes are built on request.  A window pass's
+tail table lives for one ``_resolution`` call.  Spliced resolutions are
 kept per support and chamber asked.
 """
 
@@ -108,14 +109,14 @@ from .chambers import (
     nhat,
     require_chamber,
 )
-from .cone import ConeSpec, double_description, per_cone
+from .cone import ConeSpec, per_cone
 from .errors import (
     InputError,
     InternalInvariantError,
     SupportNotClosedError,
 )
 from .homs import _conic_hom
-from .ratgeom import IntVec, add, dot, intvec, sub
+from .ratgeom import IntVec, add, intvec, sub
 
 # Most lattice points one acyclicity window may hold; (2r + 1)^d for
 # radius r at rank d.
@@ -309,114 +310,13 @@ def _slices_of(cx) -> tuple:
     # complex; for each normal, the summands' distinct steps above the
     # chamber's ceiling in ascending order, each with the bitmask of the
     # summands (degree by degree) at or below it; and a table survival
-    # mask -> homology ranks, which the certificate (``_exact``) fills
-    # too.
+    # mask -> homology ranks, which the passes on it fill.
     steps = [sub(vec, cx.chamber) for row in cx.terms for vec in row]
     levels = tuple(
         tuple((top, sum(1 << bit for bit, x in enumerate(col) if x <= top))
               for top in sorted(set(col)))
         for col in zip(*steps))
     return ScalarComplex(tuple(map(len, cx.terms)), cx.mats), levels, {}
-
-
-@per_cone
-def _pattern_slices(spec: ConeSpec, pattern) -> tuple:
-    # _slices_of every chamber complex with this cell pattern: a summand
-    # steps up from the chamber by its cell's 0/1 bumps (``open_conic``),
-    # so the pattern placed at 0 has them all.  A slice reads only the
-    # differentials, the row lengths and the mask: not the chamber, the
-    # other chamber or the radius.
-    return _slices_of(_complex(spec, (0,) * len(spec.normals), pattern))
-
-
-@per_cone
-def _certified(spec: ConeSpec, rep: IntVec) -> bool:
-    # The certificate of the module docstring for a class representative,
-    # one bool per class asked: every window of every chamber of the
-    # class passes.  It ranks masks into its pattern's slices.
-    return _exact(spec, rep, _pattern_slices(spec, class_pattern(spec, rep)))
-
-
-def _exact(spec: ConeSpec, c: IntVec, slices) -> bool:
-    """Whether no chamber y >= c other than c gives a slice with homology,
-    for a complex at the chamber c whose summands step 0 or 1 above c,
-    given by its ``_slices_of``: the certificate of the module docstring,
-    over the regions that ``_regions`` finds, up to the first that gives
-    a slice with homology."""
-    full, levels, ranks_of = slices
-    every = (1 << sum(full.dims)) - 1
-    # the summands one step above c at each normal, from its lowest level
-    pinned = [every ^ below if top == 0 else every
-              for (top, below), *_ in levels]
-    tee = sum(1 << i for i, bits in enumerate(pinned) if bits)
-    for above, rays in _regions(spec, c, tee):
-        if not above:
-            # y_i = c_i on T: only the open cell survives, so no point of
-            # the region may lie above c_j for a j outside T
-            if any(dot(ray, (*n, -cj)) > 0 for ray, _ in rays
-                   for j, (n, cj) in enumerate(zip(spec.normals, c))
-                   if not tee >> j & 1):
-                return False
-            continue
-        # the slice keeps the summands pinned inside A alone
-        mask = every
-        for i, bits in enumerate(pinned):
-            if not above >> i & 1:
-                mask &= ~bits
-        ranks = ranks_of.get(mask)
-        if ranks is None:
-            ranks = ranks_of[mask] = _mask_ranks(full, mask)
-        if any(ranks):
-            return False
-    return True
-
-
-def _regions(spec: ConeSpec, c: IntVec, tee: int):
-    """Yield (A, rays) for each subset A of the normals of the bitmask tee
-    such that some x has <x, n_i> > c_i - 1 for every i, > c_i on A and
-    <= c_i on tee - A, with the ``cone.double_description`` of that
-    system's closure homogenised by s >= 0 (row 0 is s >= 0).
-
-    These are the regions of the hyperplanes <x, n_i> = c_i of tee in
-    the open polyhedron of the lower bounds, which is convex, so they
-    are connected across the facets they have on those hyperplanes.  The
-    walk starts at A = {}, which holds the chamber's box, and does one
-    double description per region.  A region's homogenised closure is a
-    full-dimensional pointed cone (module docstring), so a row bounds a
-    facet iff the set of rays tight on it is nonempty and strictly
-    inside no other row's; the relative interior of a facet on
-    <x, n_i> = c_i lies on no other row and keeps the strict bounds, so
-    A with i toggled is a region too.
-    """
-    d = spec.rank
-    seen, todo = {0}, [0]
-    while todo:
-        above = todo.pop()
-        rows, cross = [(0,) * d + (1,)], []
-        for i, (n, ci) in enumerate(zip(spec.normals, c)):
-            if above >> i & 1:
-                cross.append((len(rows), i))
-                rows.append((*n, -ci))
-            else:
-                rows.append((*n, 1 - ci))
-                if tee >> i & 1:
-                    cross.append((len(rows), i))
-                    rows.append((*(-x for x in n), ci))
-        rays = double_description(tuple(rows), d + 1)
-        yield above, rays
-        # zero[k]: the rays tight on row k, bit r for ray r
-        zero = [0] * len(rows)
-        for r, (_, tight) in enumerate(rays):
-            for k in range(len(rows)):
-                if tight >> k & 1:
-                    zero[k] |= 1 << r
-        for k, i in cross:
-            z = zero[k]
-            if z and not any(o != z and o & z == z for o in zero):
-                nb = above ^ 1 << i
-                if nb not in seen:
-                    seen.add(nb)
-                    todo.append(nb)
 
 
 def default_window(c, cp) -> int:
@@ -474,11 +374,11 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
     chamber c whose ``_slices_of`` are given, by a pass over the window
     of the radius, given its tail table (``_tail_sets``), which the
     caller builds after checking the window against WINDOW_BUDGET
-    (``_window_points``).  ``_acyclicity`` takes it for a refused class
-    and builds one table per pass; ``_resolution`` takes it for a
-    spliced resolution and shares one table across its
-    representatives.  No table outlives its caller, and nothing is kept
-    per radius.
+    (``_window_points``).  ``_resolution`` takes it to validate a
+    spliced resolution, which the module docstring's proof does not
+    cover, and shares one table and one slices object across the
+    support's representatives.  No table outlives its caller, and
+    nothing is kept per radius.
 
     Summand vec survives at m iff h = (<m, n_i>)_i >= vec - cp entrywise,
     that is h >= (vec - c) - (cp - c): translating both chambers by -c
@@ -497,16 +397,15 @@ def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
 
     ``graded_piece`` reads m only through the kept index sets, so the
     scalar complex and its homology ranks are a function of the mask;
-    the slices' rank table maps each mask met to its ranks.
-    ``_acyclicity`` passes the per-cone slices of the chamber's cell
-    pattern (``_pattern_slices``), so ranks carry over between chambers
-    with one pattern, other chambers and radii.  The pairing map is
-    injective, so h == c - cp holds exactly at the witness that
-    ``cells._preimage`` reads off the class reduction of c - cp and the
-    kept preimages of the HNF rows, which is then the one point that
-    wants a rank-one degree zero.  A point is visited on its own, in
-    ascending order, only if it is the witness or its region's mask has
-    nonzero homology, so a passing window costs no per-point work.
+    the slices' rank table maps each mask met to its ranks, so ranks
+    carry over between the windows that share one slices object.  The
+    pairing map is injective, so h == c - cp holds exactly at the
+    witness that ``cells._preimage`` reads off the class reduction of
+    c - cp and the kept preimages of the HNF rows, which is then the one
+    point that wants a rank-one degree zero.  A point is visited on its
+    own, in ascending order, only if it is the witness or its region's
+    mask has nonzero homology, so a passing window costs no per-point
+    work.
     """
     r, side, d = radius, 2 * radius + 1, spec.rank
     full, levels, ranks_of = slices
@@ -587,42 +486,30 @@ def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> Acycl
     onto c, when that point exists and lies inside the window.  InputError
     unless both are chambers; package code calls ``_acyclicity``.
     """
-    return _acyclicity(spec, require_gate(spec, c), require_gate(spec, cp)[:2],
-                       window)
+    return _acyclicity(spec, require_gate(spec, c)[:2],
+                       require_gate(spec, cp)[:2], window)
 
 
 def _acyclicity(spec: ConeSpec, gate, other, window) -> AcyclicityReport:
-    """verify_acyclicity of gated chambers, c given by its chamber_gate
-    and cp by (cp, its class representative): the one place that answers
-    a chamber-complex window.  InputError when the window's (2r + 1)^d
-    points are more than WINDOW_BUDGET (``_window_points``).
+    """verify_acyclicity of gated chambers, c and cp each given with its
+    class representative: the one place that answers a chamber-complex
+    window.  InputError when the window's (2r + 1)^d points are more
+    than WINDOW_BUDGET (``_window_points``).
 
-    A certified class (``_certified``) passes every window of each of its
-    chambers, so the report is the passing one, with no pass.  Its
-    witness is the lattice point m with h(m) = c - cp (``cells._preimage``)
-    when c and cp have one class representative, and None otherwise:
-    c - cp is a pairing vector exactly when the classes agree.  Its hits
-    are (witness,) when the witness lies in the window and () if not.  A
-    refused class takes the window pass (``_verify``) on its pattern's
-    slices, with a tail table built for that pass alone.
-
-    So a window keeps nothing per offset or per radius; what it leaves
-    in the store is the class's bool and its pattern's slices, whose
-    rank table is bounded per pattern.  A single window on a fresh cone
-    pays its class's certificate rather than one pass: for the free
-    class of cone R5 of ROADMAP.md, 357 ms against 8.7 ms of CPU (one
-    2-vCPU VM), and 1-3 ms for a typical class.  Every pair of classes,
-    as ``conic acyclicity`` and ``analyze --window`` ask, pays each
-    certificate once.
+    By the module docstring's proof every window of every chamber
+    complex passes, so the report is the passing one, read with no pass.
+    Its witness is the lattice point m with h(m) = c - cp
+    (``cells._preimage``) when c and cp have one class representative,
+    and None otherwise: c - cp is a pairing vector exactly when the
+    classes agree.  Its hits are (witness,) when the witness lies in the
+    window and () if not.  So a window costs its two gates and at most
+    one ``_preimage``, and keeps no table of its own in the store.
     """
-    c, rep, pattern = gate
+    c, rep = gate
     cp, cp_rep = other
     radius = (default_window(c, cp) if window is None
               else _window_radius(window))
     checked = _window_points(spec, radius)
-    if not _certified(spec, rep):
-        return _verify(spec, c, cp, radius, _pattern_slices(spec, pattern),
-                       _tail_sets(spec, radius))
     witness = _preimage(spec, sub(c, cp)) if cp_rep == rep else None
     inside = witness is not None and all(abs(x) <= radius for x in witness)
     return AcyclicityReport(

@@ -1,28 +1,34 @@
-"""The class certificate (``complexes._certified``) against its oracles.
+"""The slice-exactness proof of the ``complexes`` docstring against its
+oracles.
 
-A certified class answers its acyclicity windows with no window pass
-(``complexes._acyclicity``), so the certificate must never certify a
-class whose windows fail:
+Every chamber-complex window is answered by that proof
+(``complexes._acyclicity``) with no window pass, so its premise is
+checked class by class by two certificates kept in the tests
+(``certificate_oracle``), and its answers point by point:
 
 - every class of 1/37(1,10), the reflexive polygons and the octahedron
-  is certified, and its reports at radii 0-3 against every chamber (a
-  seeded sample on the octahedron) equal the per-point reference
-  ``acyclicity_oracle``; the square, the cyclic quotient, the pentagon
-  and the hexagon are checked with their window passes in
+  is certified by the double-description certificate
+  (``certificate_oracle.exact``), its reports at radii 0-3 against every
+  chamber (a seeded sample on the octahedron) equal the per-point
+  reference ``acyclicity_oracle``, and its windows leave no
+  ``complexes`` table in the store; the square, the cyclic quotient, the
+  pentagon and the hexagon are checked in
   ``test_complexes.test_acyclicity_matches_per_point_oracle``;
-- the regions ``complexes._regions`` walks are exactly the systems
-  that Fourier-Motzkin elimination (``certificate_oracle.has_point``)
-  finds a point of, over every subset A of T of every class of those
-  cones, and the whole certificate equals
-  ``certificate_oracle.certified``;
+- the regions ``certificate_oracle.regions`` walks are exactly the
+  systems that Fourier-Motzkin elimination
+  (``certificate_oracle.has_point``) finds a point of, over every subset
+  A of T of every class of those cones, and both certificates certify
+  every class;
 - on pattern complexes with one differential sign flipped, one summand
   dropped or every degree past some k dropped, the certificate refuses
-  exactly the complexes some window fails (or cannot rank), and a
-  refused class gets the window pass's report, failures included, and a
-  certified one a report equal to the window pass's;
+  exactly the complexes some window pass (``complexes._verify``) fails
+  (or cannot rank); a certified one's passes give the reports that
+  ``_acyclicity`` reads off the proof, and a refused one's the per-point
+  reference's, failures included;
 - on the seeded random cones of ``test_walk_contract`` every class is
-  certified, as the theorem says it must be: a refusal there is an
-  engine bug.
+  certified, as the proof says it must be, and the reports of class
+  pairs and of their lattice translates at radii 0 and 1 equal the
+  per-point reference's.
 """
 
 import random
@@ -40,12 +46,15 @@ from conic import (
     verify_acyclicity,
 )
 from conic.cells import class_pattern
-from conic.complexes import _exact, _regions, _slices_of, _tail_sets, _verify
+from conic.chambers import nhat
+from conic.complexes import _slices_of, _tail_sets, _verify
 from conic.errors import InternalInvariantError
+from conic.ratgeom import add
 
 import certificate_oracle
 from acyclicity_oracle import oracle_windows
 from test_cli import C37
+from test_complexes import complexes_tables
 from test_walk import REFLEXIVE
 from test_walk_contract import RANDOM_CONES
 
@@ -67,9 +76,10 @@ def _bits(indices):
 
 
 def _certified_reports(spec, a, cps, radii):
-    # every report of a against cps at radii, through the certificate
+    # a is certified, and every report of a against cps at radii, read
+    # off the proof, is the per-point reference's
     cx = conic_complex(spec, a)
-    assert complexes._certified(spec, a), a
+    assert certificate_oracle.exact(spec, a, _slices_of(cx)), a
     for b in cps:
         wants = oracle_windows(spec, cx, b, radii)
         for radius, want in zip(radii, wants):
@@ -83,19 +93,19 @@ def test_certified_reports_match_oracle(name):
     reps = enumerate_classes(spec).reps
     for a in reps:
         _certified_reports(spec, a, reps, RADII)
-    # every class is certified, and no window kept a tail table
-    assert spec._store[complexes._certified] == {(a,): True for a in reps}
-    assert complexes._tail_sets not in spec._store
+    # the windows kept nothing: the differentials are conic_complex's
+    assert complexes_tables(spec) == {complexes._differentials}
 
 
 def test_certified_octahedron_reports_match_oracle_on_a_sample(octahedron):
     spec = from_normals(octahedron.rank, octahedron.normals)
     reps = enumerate_classes(spec).reps
-    assert all(complexes._certified(spec, rep) for rep in reps)
+    assert all(certificate_oracle.exact(
+        spec, rep, _slices_of(conic_complex(spec, rep))) for rep in reps)
     rng = random.Random(43)
     for a in rng.sample(reps, 6):
         _certified_reports(spec, a, [a, *rng.sample(reps, 2)], RADII)
-    assert complexes._tail_sets not in spec._store
+    assert complexes_tables(spec) == {complexes._differentials}
 
 
 def _fixture_cones(request):
@@ -114,7 +124,7 @@ def test_regions_match_fourier_motzkin(request):
         for rep in enumerate_classes(spec).reps:
             cx = conic_complex(spec, rep)
             tee = certificate_oracle.pinned(cx)
-            walked = dict(_regions(spec, rep, _bits(tee)))
+            walked = dict(certificate_oracle.regions(spec, rep, _bits(tee)))
             assert len(walked) <= 2 ** len(tee)
             for size in range(len(tee) + 1):
                 for a in combinations(sorted(tee), size):
@@ -138,7 +148,7 @@ def test_certificate_matches_oracle(request):
     for name, spec in _fixture_cones(request).items():
         for rep in enumerate_classes(spec).reps:
             cx = conic_complex(spec, rep)
-            assert _exact(spec, rep, _slices_of(cx)) is True
+            assert certificate_oracle.exact(spec, rep, _slices_of(cx)) is True
             assert certificate_oracle.certified(spec, cx), (name, rep)
 
 
@@ -191,19 +201,10 @@ def _windows_pass(spec, a, reps, slices, radius):
     return None if None in reports else all(r.passed for r in reports)
 
 
-def _pattern_is(monkeypatch, cx, cert):
-    # every pattern's slices are those of cx, and every class's
-    # certificate is cert
-    slices = _slices_of(cx)
-    monkeypatch.setattr(complexes, "_pattern_slices", lambda spec, pattern: slices)
-    monkeypatch.setattr(complexes, "_certified", lambda spec, rep: cert)
-
-
 def _window(spec, a, b, radius):
-    # the window of representative a against representative b, as the
-    # CLI asks it
-    gate = a, a, class_pattern(spec, a)
-    return complexes._acyclicity(spec, gate, (b, b), radius)
+    # the window of representative a against representative b, read off
+    # the proof, as the CLI asks it
+    return complexes._acyclicity(spec, (a, a), (b, b), radius)
 
 
 @pytest.mark.parametrize("mutate,counts", [
@@ -212,14 +213,14 @@ def _window(spec, a, b, radius):
               (None, False, None): 49}),
     (_truncations, {(False, False, False): 48}),
 ], ids=["flip", "drop", "truncate"])
-def test_mutated_complexes_refused_iff_a_window_fails(
-        pentagon, monkeypatch, mutate, counts):
+def test_mutated_complexes_refused_iff_a_window_fails(pentagon, mutate, counts):
     reps = enumerate_classes(pentagon).reps
     seen = {}
     refused = []
     for a in reps:
         for cx in mutate(conic_complex(pentagon, a)):
-            cert = _outcome(lambda: _exact(pentagon, a, _slices_of(cx)))
+            cert = _outcome(
+                lambda: certificate_oracle.exact(pentagon, a, _slices_of(cx)))
             oracle = _outcome(lambda: certificate_oracle.certified(pentagon, cx))
             at_two = _windows_pass(pentagon, a, reps, _slices_of(cx), 2)
             seen[cert, oracle, at_two] = seen.get((cert, oracle, at_two), 0) + 1
@@ -227,34 +228,29 @@ def test_mutated_complexes_refused_iff_a_window_fails(
             if cert:
                 assert all(_windows_pass(pentagon, a, reps, _slices_of(cx), r)
                            for r in RADII)
+                # an exact complex's passes give the proof's reports
+                slices = _slices_of(cx)
+                for b in reps:
+                    for radius in RADII:
+                        assert (_verify(pentagon, a, b, radius, slices,
+                                        _tail_sets(pentagon, radius))
+                                == _window(pentagon, a, b, radius))
             elif cert is False:
                 refused.append((a, cx))
-            else:
-                continue
-            # _acyclicity asks this certificate for the class: a certified
-            # one answers with the passing report, a refused one takes the
-            # window pass on its pattern's slices, here the mutated ones
-            _pattern_is(monkeypatch, cx, cert)
-            plain = _slices_of(cx)
-            for b in reps:
-                for radius in RADII:
-                    assert (_outcome(lambda: _window(pentagon, a, b, radius))
-                            == _outcome(lambda: _verify(
-                                pentagon, a, b, radius, plain,
-                                _tail_sets(pentagon, radius))))
     # (certificate, oracle certificate, every window at r = 2 passes),
     # None where a slice cannot be ranked: certified iff every window
     # passes, and refused where a window fails
     assert seen == counts
-    # a refused class's reports, failures included, against the oracle,
-    # on every fourth refused complex
+    # a refused complex's window passes, failures included, against the
+    # per-point reference, on every fourth refused complex
     failures = 0
     for a, cx in refused[::4]:
-        _pattern_is(monkeypatch, cx, False)
+        slices = _slices_of(cx)
         for b in reps:
             wants = _outcome(lambda: oracle_windows(pentagon, cx, b, (1, 2)))
             for radius, want in zip((1, 2), wants or ()):
-                got = _window(pentagon, a, b, radius)
+                got = _verify(pentagon, a, b, radius, slices,
+                              _tail_sets(pentagon, radius))
                 assert got == want, (a, b, radius)
                 failures += len(got.failures)
     assert bool(failures) == bool(refused)
@@ -262,7 +258,37 @@ def test_mutated_complexes_refused_iff_a_window_fails(
 
 @pytest.mark.parametrize("index", range(len(RANDOM_CONES)))
 def test_every_class_of_a_random_cone_is_certified(index):
+    # the classes of one pattern share one slices object and its ranks
     spec = from_normals(RANDOM_CONES[index].rank, RANDOM_CONES[index].normals)
-    refused = [rep for rep in enumerate_classes(spec).reps
-               if not complexes._certified(spec, rep)]
+    slices, refused = {}, []
+    for rep in enumerate_classes(spec).reps:
+        pattern = class_pattern(spec, rep)
+        if pattern not in slices:
+            slices[pattern] = _slices_of(conic_complex(spec, rep))
+        if not certificate_oracle.exact(spec, rep, slices[pattern]):
+            refused.append(rep)
     assert refused == [], (spec.normals, refused)
+
+
+def test_reports_match_oracle_on_random_cones():
+    # a few pairs per cone: two classes, a class and itself, and lattice
+    # translates of one class, whose witness m1 - m2 falls inside and
+    # outside the window; radii 0 and 1 from one per-point walk
+    rng = random.Random(46)
+    hits = outside = other_class = 0
+    for cone in RANDOM_CONES:
+        spec = from_normals(cone.rank, cone.normals)
+        reps = enumerate_classes(spec).reps
+        a, b = rng.choice(reps), rng.choice(reps)
+        m1, m2 = ([rng.randrange(-1, 2) for _ in range(spec.rank)]
+                  for _ in range(2))
+        c = add(a, nhat(spec, m1))
+        for ch, cp in ((a, b), (b, b), (c, add(a, nhat(spec, m2))), (c, b)):
+            wants = oracle_windows(spec, conic_complex(spec, ch), cp, (0, 1))
+            for radius, want in zip((0, 1), wants):
+                got = verify_acyclicity(spec, ch, cp, window=radius)
+                assert got == want, (spec.normals, ch, cp, radius)
+                hits += bool(got.hits)
+                outside += got.witness is not None and not got.hits
+                other_class += got.witness is None
+    assert hits and outside and other_class

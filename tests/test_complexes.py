@@ -50,6 +50,11 @@ def classes_of_row(spec, row):
     return sorted(canonical_class(spec, vec) for vec in row)
 
 
+def complexes_tables(spec):
+    # the per-cone tables of conic.complexes in the cone's store
+    return {func for func in spec._store if func.__module__ == "conic.complexes"}
+
+
 def test_octahedral_complex_shape(square):
     cx = conic_complex(square, FREE)
     assert [len(row) for row in cx.terms] == [1, 4, 4, 1]
@@ -139,8 +144,8 @@ def test_acyclicity_matches_per_point_oracle(request, name):
     # Default windows of every pair cost minutes on the polygons; there
     # they are checked against the free class only.  Each report is
     # asked of the window pass, on slices local to the call, and of
-    # verify_acyclicity on a cone built here, where the class
-    # certificate answers it with no pass and no tail table.
+    # verify_acyclicity on a cone built here, which reads it off the
+    # exactness proof and keeps nothing.
     spec = request.getfixturevalue(name)
     fresh = from_normals(spec.rank, spec.normals)
     classes = enumerate_classes(spec)
@@ -155,10 +160,7 @@ def test_acyclicity_matches_per_point_oracle(request, name):
                 want = oracle_verify(spec, cx, b, radius)
                 assert verify(spec, cx, b, radius) == want, (a, b, radius)
                 assert verify_acyclicity(fresh, a, b, window=radius) == want
-    # every class is certified, and no window kept a tail table
-    assert fresh._store[complexes._certified] == {
-        (a,): True for a in classes.reps}
-    assert complexes._tail_sets not in fresh._store
+    assert complexes_tables(fresh) == set()
 
 
 def _both_orders(spec, c, cp, slices, wants):
@@ -227,10 +229,10 @@ def _is_chamber(spec, c):
 
 
 def test_certified_class_builds_no_tail_table(cyclic, monkeypatch):
-    # a second class of a pattern at the offset of the first is answered
-    # with no pass, its class being certified: classes a1, a2 of one
-    # pattern and chambers b1, b2 with b2 - a2 = b1 - a1, on cones built
-    # here; the pentagon's pairs on a seeded sample
+    # no window takes a pass, a first window on a fresh cone included:
+    # classes a1, a2 of one pattern and chambers b1, b2 with
+    # b2 - a2 = b1 - a1, on cones built here; the pentagon's pairs on a
+    # seeded sample
     pentagon = from_primal_rays(
         3, [(-2, -1, 1), (-1, -1, 1), (1, 0, 1), (1, 1, 1), (-1, 0, 1)])
     rng = random.Random(41)
@@ -360,31 +362,33 @@ def _region_masks(spec, cx):
 
 
 def test_certificate_ranks_once_per_mask(monkeypatch):
-    # a pentagon built here, so that no earlier test has filled its
-    # per-pattern rank tables: a class's certificate ranks each mask of
-    # its regions once, a second class of the pattern only masks not met
-    # before, and a certified class's windows none
+    # a pentagon built here, so that no earlier test has ranked anything:
+    # the test-side certificate (certificate_oracle.exact) ranks each
+    # mask of a class's regions once into its slices, a second class of
+    # the pattern on the same slices only masks not met before, and the
+    # windows, read off the proof, rank none and keep nothing
     pentagon = from_primal_rays(
         3, [(-2, -1, 1), (-1, -1, 1), (1, 0, 1), (1, 1, 1), (-1, 0, 1)])
     reps = enumerate_classes(pentagon).reps
     by_pattern = {}
     for rep in reps:
         by_pattern.setdefault(class_pattern(pentagon, rep), []).append(rep)
-    pattern, (a1, a2, *_) = max(by_pattern.items(), key=lambda kv: len(kv[1]))
+    _, (a1, a2, *_) = max(by_pattern.items(), key=lambda kv: len(kv[1]))
+    slices = _slices_of(conic_complex(pentagon, a1))
     calls = _counting_ranks(monkeypatch)
     met = set()
     for a in (a1, a2):
         masks = _region_masks(pentagon, conic_complex(pentagon, a))
-        assert complexes._certified(pentagon, a)
+        assert certificate_oracle.exact(pentagon, a, slices)
         assert len(calls) == len(masks - met)
         met |= masks
         del calls[:]
-    assert set(complexes._pattern_slices(pentagon, pattern)[2]) == met
+    assert set(slices[2]) == met
     assert len(met) < 2 ** len(pentagon.normals)
     for b in reps:
         assert verify_acyclicity(pentagon, a2, b, window=2).passed
     assert calls == []
-    assert pentagon._store[complexes._certified] == {(a1,): True, (a2,): True}
+    assert complexes_tables(pentagon) == {complexes._differentials}
 
 
 def _counting_tails(monkeypatch):
@@ -401,10 +405,9 @@ def _counting_tails(monkeypatch):
 
 def test_tail_sets_once_per_radius(monkeypatch):
     # a square built here.  The table of each radius against its
-    # definition; then a tail table lives for one pass or one spliced
-    # resolution, and none is kept in the store: a refused class builds
-    # one per window, a spliced resolution one for all its validation
-    # windows, and a certified class none.
+    # definition; then a tail table lives for one spliced resolution, and
+    # none is kept in the store: a spliced resolution builds one for all
+    # its validation windows, and a chamber-complex window none.
     square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
     slices = _slices_of(conic_complex(square, FREE))
     for radius, other in ((0, X), (2, X), (1, Y)):
@@ -433,11 +436,9 @@ def test_tail_sets_once_per_radius(monkeypatch):
     # classes of the support at the default radius 4, on one table
     assert nccr_verdict(square, support=[FREE, X]).verdict == "NCCR"
     assert built == [4, 4]
-    with monkeypatch.context() as patched:
-        patched.setattr(complexes, "_certified", lambda spec, rep: False)
-        for radius in (1, 1, 2):
-            assert verify_acyclicity(square, X, FREE, window=radius).passed
-    assert built == [4, 4, 1, 1, 2]
+    for radius in (1, 1, 2):
+        assert verify_acyclicity(square, X, FREE, window=radius).passed
+    assert built == [4, 4]
     assert complexes._tail_sets not in square._store
 
 
@@ -506,16 +507,11 @@ def test_tail_sets_memory_follows_the_window():
 def test_window_budget(monkeypatch):
     square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
     assert complexes.WINDOW_BUDGET == 10 ** 6
-    # 101^3 points: refused at once, before any tail set is built, for a
-    # refused class too
+    # 101^3 points: refused at once, before any tail set is built
     built = _counting_tails(monkeypatch)
     with pytest.raises(InputError, match="radius 50 has 1030301 points, "
                                          "past the budget of 1000000"):
         verify_acyclicity(square, FREE, X, window=50)
-    with monkeypatch.context() as patched:
-        patched.setattr(complexes, "_certified", lambda spec, rep: False)
-        with pytest.raises(InputError, match="radius 50 has 1030301 points"):
-            verify_acyclicity(square, FREE, X, window=50)
     monkeypatch.setattr(complexes, "WINDOW_BUDGET", 26)
     assert verify_acyclicity(square, FREE, X, window=0).checked == 1
     with pytest.raises(InputError, match="has 27 points, past the budget of 26"):
@@ -622,18 +618,14 @@ def test_acyclicity_of_translated_chambers_matches_oracle(request, name):
 
 def test_translates_leave_every_per_cone_table_bounded(hexagon):
     # 441 translates of one class against one chamber: every per-cone
-    # table, and every table nested in a pattern's slices, keeps the size
-    # it had after the first, which asked the class's certificate
+    # table keeps the size it had after the first, and no window adds a
+    # complexes table
     spec = from_primal_rays(hexagon.rank, hexagon.generators)
     reps = enumerate_classes(spec).reps
     a, b = reps[5], reps[0]
 
     def sizes():
-        got = {func.__name__: len(table) for func, table in spec._store.items()}
-        for key, slices in spec._store[complexes._pattern_slices].items():
-            got.update(((key, i), len(part)) for i, part in enumerate(slices)
-                       if isinstance(part, dict))
-        return got
+        return {func.__name__: len(table) for func, table in spec._store.items()}
 
     seen = None
     for k, m in enumerate(product(range(-10, 11), range(-10, 11))):
@@ -642,7 +634,7 @@ def test_translates_leave_every_per_cone_table_bounded(hexagon):
         if k == 0:
             seen = sizes()
     assert sizes() == seen
-    assert len(spec._store[complexes._certified]) == 1
+    assert complexes_tables(spec) == set()
 
 
 def test_pdims_and_global_dimension(quadric, square, cyclic, orthant2, orthant3):

@@ -3,9 +3,10 @@
 A class representative's entry in ``cells.class_pattern`` is its cell
 pattern, the (omega, codim) of each cell, and every class with one set
 of box vertex tight masks holds the same pattern object
-(``cells._pattern``).  The census, ``pdim_simple``, ``has_zero_cell``,
-``smith_invariants`` and the window rank tables read the pattern, so a
-plain ``analyze`` builds no chamber complex.  Here those answers are
+(``cells._pattern``).  The census, ``pdim_simple``, ``has_zero_cell``
+and ``smith_invariants`` read the pattern, and a window pass reads the
+same slices for every chamber of one pattern, so a plain ``analyze``
+builds no chamber complex.  Here those answers are
 checked against the complexes themselves and the Smith forms of their
 differentials, and the pattern's own self-checks against patterns made
 wrong on purpose.
@@ -34,7 +35,7 @@ from conic import (
 )
 from conic.cells import class_pattern
 from conic.cli_io import analyze, serialize_report
-from conic.complexes import _pattern_slices
+from conic.complexes import _slices_of, _tail_sets, _verify
 from conic.errors import InternalInvariantError
 from conic.ratgeom import smith_normal_form
 
@@ -141,8 +142,9 @@ def test_census_with_nonzero_euler_characteristic_is_an_internal_error(
 
 
 def test_slice_ranks_are_shared_by_pattern(pentagon):
-    # chambers with one pattern read and fill one rank table, and their
-    # reports still agree with the per-point oracle
+    # chambers with one pattern have equal slices, so their window passes
+    # read and fill one rank table; the passes and the reports read off
+    # the exactness proof agree with the per-point oracle
     spec = _fresh(pentagon)
     reps = enumerate_classes(spec).reps
     by_pattern = defaultdict(list)
@@ -151,14 +153,17 @@ def test_slice_ranks_are_shared_by_pattern(pentagon):
     shared = [group for group in by_pattern.values() if len(group) > 1]
     assert shared
     for group in shared:
-        slices = _pattern_slices(spec, class_pattern(spec, group[0]))
+        slices = _slices_of(conic_complex(spec, group[0]))
         for a in group:
-            assert _pattern_slices(spec, class_pattern(spec, a)) is slices
             cx = conic_complex(spec, a)
+            assert _slices_of(cx)[:2] == slices[:2]
             for b in reps:
                 for radius in (1, 2):
-                    got = verify_acyclicity(spec, a, b, window=radius)
-                    assert got == oracle_verify(spec, cx, b, radius), (a, b)
+                    want = oracle_verify(spec, cx, b, radius)
+                    got = _verify(spec, a, b, radius, slices,
+                                  _tail_sets(spec, radius))
+                    assert got == want, (a, b)
+                    assert verify_acyclicity(spec, a, b, window=radius) == want
         assert slices[2]
 
 

@@ -96,6 +96,13 @@ def test_frontier_cones_are_the_census_draws():
         assert frontier.ROWS[name][2] == RANK5_CONES[draw].normals
 
 
+def test_frontier_cone_a_row_is_cone_a():
+    from test_cli import CONE_A
+
+    rank, normals = CONE_A
+    assert load_frontier().ROWS["cone_a_w1"][1:3] == (rank, tuple(normals))
+
+
 @pytest.mark.slow
 def test_frontier_octahedron_row_matches_its_pin(capsys):
     frontier = load_frontier()

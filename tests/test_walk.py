@@ -190,8 +190,7 @@ def test_foreign_pattern_kept_before_the_walk_is_an_internal_error(square):
 @pytest.mark.parametrize("r,a", [(3, 2), (7, 3), (12, 5), (30, 11)])
 def test_cyclic_classes_share_one_pattern(r, a, monkeypatch):
     # 1/r(1, a) is r uncut root cubes, all with one cell pattern, held
-    # as one object: one differential, checked once, and one rank table
-    # for every class
+    # as one object: one differential, checked once, for every class
     checked = []
     check = complexes._check_d2
     monkeypatch.setattr(complexes, "_check_d2",
@@ -200,8 +199,6 @@ def test_cyclic_classes_share_one_pattern(r, a, monkeypatch):
     reps = chambers.enumerate_classes(spec).reps
     assert len(reps) == r
     assert len({id(class_pattern(spec, rep)) for rep in reps}) == 1
-    assert len({id(complexes._pattern_slices(spec, class_pattern(spec, rep)))
-                for rep in reps}) == 1
     mats = {id(complexes.conic_complex(spec, rep).mats) for rep in reps}
     assert len(mats) == 1 and len(checked) == 1
     assert len(spec._store[complexes._differentials]) == 1
