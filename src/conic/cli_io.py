@@ -612,7 +612,9 @@ def _parser() -> _Parser:
     p.add_argument("--support", required=True, metavar="CLASSES",
                    help="comma-separated class labels, e.g. A0,A1")
     p.add_argument("--window", type=int, default=None,
-                   help="validation radius for spliced complexes")
+                   help="window radius, checked against the window budget "
+                        "and reported as validated_radius of a spliced "
+                        "complex (exact by proof at every radius)")
     p.add_argument("cls", metavar="CLASS")
     p.set_defaults(func=_cmd_resolution)
 

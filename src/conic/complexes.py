@@ -70,20 +70,45 @@ iff c and cp have one class (c - cp is then a pairing vector) and is
 unique (the pairing map is injective): rank one in degree zero.  Every
 window of a chamber complex is answered in one place
 (``_acyclicity``), from this alone, with no pass and nothing kept.
-Spliced resolutions, which the proof does not cover, are validated by
-a window pass (``_verify``), which checks the window on lattice points,
-each slab split into regions of one survival mask.  For partial summand
-supports the excluded summands are spliced out through their own
-complexes, and the entries that the chain map to the chamber complex
-does not fix are solved degree by degree.
+
+A resolution over a partial summand support (``resolution``) has the
+same windows against the support's chambers.  Let K be the complex of
+c.  Each summand s of K whose class is outside the support, of degree
+k_s in K (its K-degree), is spliced out: the positive degrees of its
+own chamber complex Ks take its place, degree j at degree k_s + j - 1,
+as block s of the spliced complex F.  The chain map phi: F -> K is 1 on
+the kept summands, the augmentation eps_s of Ks onto s on block s's
+degree-1 summands, and 0 deeper: F's kept rows are d_K phi, and
+``_resolution`` solves phi D = d_K phi at every excluded position, in
+every column.  Inside block s, D is Ks's own differential, and an entry
+from block s' into another block s is solved only when k_s' > k_s.  Take
+the slice at a lattice point m against a chamber cp of the support:
+
+- The slice of Ks is exact in every degree, degree 0 included: its only
+  homology is at cp + h(m) = s, and s's class is not cp's.  So eps_s is
+  onto s's slice, and phi, which is 1 on the kept summands, is onto.
+- The kernel of phi has no kept part, and its part on block s is the
+  truncation of Ks's slice: ker eps_s in degree 1, then Ks's degrees 2,
+  3, ...  Each truncation is exact, as Ks's slice is.
+- The blocks of K-degree at most p span a subcomplex N_p of the kernel,
+  since D only sends a block to itself, to kept rows (which the kernel
+  has not) and to blocks of lower K-degree.  N_p / N_(p - 1) is the
+  direct sum of the truncations with k_s = p, each with Ks's own
+  differential, so it is exact, and by induction on p so is the kernel.
+- So phi is a quasi-isomorphism on the slice (the long exact sequence
+  of 0 -> ker phi -> F -> K -> 0), and F's slice has K's homology.
+
+So F's windows against the support's chambers report exactly what K's
+do.  ``_resolution`` checks that D's entries are eligible and that D
+squares to zero, and no window pass is left in the package:
+``WINDOW_BUDGET`` refuses a window by its size alone.
 
 Lattice translation keeps cells, so a chamber's complex is its class's
 cell pattern placed at the chamber: the terms are the chamber plus a 0/1
 bump per cell, and the differentials are shared.  So every per-cone
 table of chamber complexes is keyed by cell pattern, never by chamber,
-offset or radius, and complexes are built on request.  A window pass's
-tail table lives for one ``_resolution`` call.  Spliced resolutions are
-kept per support and chamber asked.
+offset or radius, and complexes are built on request.  Spliced
+resolutions are kept per support and chamber asked.
 """
 
 from __future__ import annotations
@@ -180,7 +205,12 @@ class AcyclicityReport:
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    """Shape of the projective resolution of one graded simple."""
+    """Shape of the projective resolution of one graded simple.
+
+    validated_radius is the window given to ``resolution``, or its
+    default radius, when the resolution is spliced, and None when it is
+    not; the module docstring's proof covers every radius.
+    """
 
     chamber: IntVec
     support: tuple[IntVec, ...]
@@ -295,30 +325,6 @@ def graded_piece(spec: ConeSpec, cx, cp, m) -> ScalarComplex:
         for row in cx.terms])
 
 
-def _mask_ranks(full: ScalarComplex, mask: int) -> tuple[int, ...]:
-    # Homology ranks of the slice of a whole complex keeping the summands
-    # whose bits are set in mask, numbered degree by degree.
-    keep = []
-    for dim in full.dims:
-        keep.append(tuple(j for j in range(dim) if mask >> j & 1))
-        mask >>= dim
-    return homology_ranks(_slice(full, keep))
-
-
-def _slices_of(cx) -> tuple:
-    # What _verify reads of a complex: the complex whole as a scalar
-    # complex; for each normal, the summands' distinct steps above the
-    # chamber's ceiling in ascending order, each with the bitmask of the
-    # summands (degree by degree) at or below it; and a table survival
-    # mask -> homology ranks, which the passes on it fill.
-    steps = [sub(vec, cx.chamber) for row in cx.terms for vec in row]
-    levels = tuple(
-        tuple((top, sum(1 << bit for bit, x in enumerate(col) if x <= top))
-              for top in sorted(set(col)))
-        for col in zip(*steps))
-    return ScalarComplex(tuple(map(len, cx.terms)), cx.mats), levels, {}
-
-
 def default_window(c, cp) -> int:
     """Default acyclicity window radius for a chamber pair."""
     return 2 * (1 + max(abs(a - b) for a, b in zip(intvec(c), intvec(cp))))
@@ -341,141 +347,6 @@ def _window_points(spec: ConeSpec, radius: int) -> int:
             f"the window of radius {radius} has {points} points, past the "
             f"budget of {WINDOW_BUDGET}")
     return points
-
-
-def _tail_sets(spec: ConeSpec, radius: int) -> tuple:
-    # For each normal n, the bitsets of the window's tail points t (last
-    # d - 1 coordinates, bit k the k-th in ``product`` order) with
-    # <t, n[1:]> + reach >= u for u <= 2 reach + 1, reach = r sum |n[1:]|.
-    # A level that no pairing hits holds the object of the level above,
-    # so a normal keeps one bitset per distinct pairing, plus the empty
-    # top: at most min(2 reach + 2, (2r + 1)^(d - 1) + 1) of them, and one
-    # reference per level.  Built for one window pass, or one
-    # ``_resolution`` call, and kept by no table.
-    steps = range(-radius, radius + 1)
-    table = []
-    for n in spec.normals:
-        reach = radius * sum(map(abs, n[1:]))
-        pairs = [reach]
-        for a in n[1:]:
-            pairs = [p + x * a for p in pairs for x in steps]
-        sets = [0] * (2 * reach + 2)
-        for k, p in enumerate(pairs):
-            sets[p] |= 1 << k
-        for u in range(2 * reach, -1, -1):
-            sets[u] = sets[u] | sets[u + 1] if sets[u] else sets[u + 1]
-        table.append(tuple(sets))
-    return tuple(table)
-
-
-def _verify(spec: ConeSpec, c: IntVec, cp: IntVec, radius: int,
-            slices: tuple, table: tuple) -> AcyclicityReport:
-    """Window acyclicity against the chamber cp of the complex of the
-    chamber c whose ``_slices_of`` are given, by a pass over the window
-    of the radius, given its tail table (``_tail_sets``), which the
-    caller builds after checking the window against WINDOW_BUDGET
-    (``_window_points``).  ``_resolution`` takes it to validate a
-    spliced resolution, which the module docstring's proof does not
-    cover, and shares one table and one slices object across the
-    support's representatives.  No table outlives its caller, and
-    nothing is kept per radius.
-
-    Summand vec survives at m iff h = (<m, n_i>)_i >= vec - cp entrywise,
-    that is h >= (vec - c) - (cp - c): translating both chambers by -c
-    changes no survival mask and no witness, so the slices hold the
-    summands' steps vec - c, and along normal i the survivors step up
-    at their distinct values.  A slab, the points (x0, *t) with one x0,
-    starts as one region of every tail point t and every summand and is
-    split normal by normal: a step's points are two reads of the tail
-    table and an AND-NOT, a region keeps the summands that survive on
-    it, regions whose mask empties are dropped and equal masks merged;
-    the points left over have the empty mask.  So a slab costs per
-    region, not per point.  For normal i the table keeps one bitset of
-    at most (2r + 1)^(d - 1) bits per distinct tail pairing, at most
-    min(2r * sum_{j>=1} |n_ij| + 2, (2r + 1)^(d - 1) + 1) of them, and
-    one reference per level.
-
-    ``graded_piece`` reads m only through the kept index sets, so the
-    scalar complex and its homology ranks are a function of the mask;
-    the slices' rank table maps each mask met to its ranks, so ranks
-    carry over between the windows that share one slices object.  The
-    pairing map is injective, so h == c - cp holds exactly at the
-    witness that ``cells._preimage`` reads off the class reduction of
-    c - cp and the kept preimages of the HNF rows, which is then the one
-    point that wants a rank-one degree zero.  A point is visited on its
-    own, in ascending order, only if it is the witness or its region's
-    mask has nonzero homology, so a passing window costs no per-point
-    work.
-    """
-    r, side, d = radius, 2 * radius + 1, spec.rank
-    full, levels, ranks_of = slices
-    offset = sub(cp, c)
-    witness = _preimage(spec, sub(c, cp))
-    every_point = table[0][0]
-    every_summand = (1 << sum(full.dims)) - 1
-    w0 = wk = None
-    if witness is not None and all(abs(x) <= r for x in witness):
-        w0, wk = witness[0], 0
-        for x in witness[1:]:
-            wk = wk * side + x + r
-    hits, failures = [], []
-    # per normal: n[0], its sets, their last index, levels as indices at x0 = 0
-    columns = [(n[0], sets, len(sets) - 1,
-                [(step + (len(sets) - 2) // 2 - ci, below)
-                 for step, below in reversed(steps)])
-               for n, ci, sets, steps in zip(spec.normals, offset, table, levels)]
-    for x0 in range(-r, r + 1):
-        regions = {every_summand: every_point}
-        for n0, sets, top, steps in columns:
-            split, above = {}, 0
-            for u, below in steps:
-                u -= x0 * n0
-                here = every_point if u <= 0 else sets[u] if u <= top else 0
-                if here == above:
-                    continue
-                if below == every_summand and here == every_point:
-                    # every point survives the top level: nothing is cut
-                    split = regions
-                    break
-                band = here ^ above
-                for mask, points in regions.items():
-                    if (got := points & band) and (key := mask & below):
-                        split[key] = split.get(key, 0) | got
-                above = here
-            regions = split
-        # the regions are disjoint; the points outside them keep nothing
-        rest = every_point - sum(regions.values())
-        if rest:
-            regions[0] = rest
-        visit = {}
-        for mask, points in regions.items():
-            ranks = ranks_of.get(mask)
-            if ranks is None:
-                ranks = ranks_of[mask] = _mask_ranks(full, mask)
-            if not any(ranks):
-                points = points & 1 << wk if x0 == w0 else 0
-            while points:
-                low = points & -points
-                visit[low.bit_length() - 1] = ranks
-                points ^= low
-        for k in sorted(visit):
-            hit = x0 == w0 and k == wk
-            ranks = visit[k]
-            tail_point = []
-            for _ in range(d - 1):
-                k, x = divmod(k, side)
-                tail_point.append(x - r)
-            m = (x0, *reversed(tail_point))
-            for deg, got in enumerate(ranks):
-                want = 1 if hit and deg == 0 else 0
-                if got != want:
-                    failures.append((m, deg, got, want))
-            if hit and ranks[0] == 1:
-                hits.append(m)
-    return AcyclicityReport(
-        chamber=c, other=cp, radius=radius, checked=side ** d,
-        hits=tuple(hits), failures=tuple(failures), witness=witness,
-        passed=not failures and len(hits) == (0 if w0 is None else 1))
 
 
 def verify_acyclicity(spec: ConeSpec, c, cp, window: int | None = None) -> AcyclicityReport:
@@ -593,14 +464,18 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
     d_K phi_{i+1} and, inside one spliced complex, that complex's own
     differential; every other entry is 0 unless eligible, and eligible
     ones solve phi_i D_i = d_K phi_{i+1} at the excluded positions of
-    K_i and D_{i-1} D_i = 0.  A complete support excludes nothing, so F
-    is K.  Every spliced resolution is validated by window acyclicity
-    before it is returned; a window given is checked first, against
-    WINDOW_BUDGET too, whether or not anything is spliced.  InputError
+    K_i and D_{i-1} D_i = 0.  A spliced row takes an entry in another
+    spliced complex's column only when that complex replaces a summand
+    of higher degree in K.  A complete support excludes nothing, so F is
+    K.  By the module docstring's proof every window of F against the
+    support's chambers reports what K's does, so no window is checked:
+    validated_radius is the window given, or the default radius
+    2(1 + max |c - rep|) over the support's representatives, and None
+    when nothing is spliced.  A window given is checked against
+    WINDOW_BUDGET, whether or not anything is spliced.  InputError
     unless the chamber's own class belongs to the support.  The split:
-    ``resolution`` gates and reports, ``_resolution`` builds and
-    validates; package code calls ``_resolution`` on class
-    representatives.
+    ``resolution`` gates and reports, ``_resolution`` builds and checks;
+    package code calls ``_resolution`` on class representatives.
     """
     cc = require_chamber(spec, c)
     if window is not None:
@@ -608,16 +483,17 @@ def resolution(spec: ConeSpec, support, c, window: int | None = None) -> Resolut
     reps = _canonical_support(spec, support)
     if class_of(spec, cc) not in reps:
         raise InputError("the chamber's own class must belong to the support")
-    cx, radius = _resolution(spec, reps, cc, window)
-    return _report(spec, cx, reps, validated_radius=radius)
+    cx = _resolution(spec, reps, cc)
+    radius = (max(default_window(cc, rep) for rep in reps) if window is None
+              else window)
+    return _report(spec, cx, reps, radius if cx.spliced else None)
 
 
 @per_cone
-def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComplex, int | None]:
+def _resolution(spec: ConeSpec, reps, cc: IntVec) -> SplicedComplex:
     # the spliced complex of a gated chamber whose class is in its
-    # support's sorted representatives, with the radius it was validated
-    # at (None when nothing is spliced); kept per (support, chamber,
-    # window) asked, one complex each, and nothing for a call that raises
+    # support's sorted representatives; kept per (support, chamber)
+    # asked, one complex each, and nothing for a call that raises
     sup = set(reps)
     K = _complex(spec, cc, class_pattern(spec, class_of(spec, cc)))
     excluded, subs = [], []
@@ -669,23 +545,30 @@ def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComple
               if i < len(K.mats) else [[0] * len(cols)] * kdims[i])
         # D_i: kept rows from dk and each spliced block's own differential;
         # a spliced row is free (and 0 until solved) where it is eligible
-        # outside its block
+        # in a kept column or in the column of a block whose excluded
+        # summand has the higher degree in K, so that the blocks of K-degree
+        # at most p span a subcomplex (module docstring)
         D = [[Fraction(x) for x in dk[t[1]]] if t[0] == "kept" else
              [Fraction(subs[t[1]].mats[t[2]][t[3]][ct[3]] if ct[:2] == t[:2] else 0)
               for ct in cols] for t in rows]
-        free = [[r for r, t in enumerate(rows) if t[0] == "sub" and ct[:2] != t[:2]
+        free = [[r for r, t in enumerate(rows) if t[0] == "sub"
+                 and (ct[0] == "kept" or excluded[ct[1]][0] > excluded[t[1]][0])
                  and _entrywise_geq(terms[i + 1][col], terms[i][r])]
                 for col, ct in enumerate(cols)]
         # phi_i D_i = d_K phi_{i+1} at the excluded positions of K_i, and
         # D_{i-1} D_i = 0 on the nonzero rows of D_{i-1}
         lhs = [phi[i][pos] for k, pos in excluded if k == i]
         rhs = [dk[pos] for k, pos in excluded if k == i]
+        chain_rows = bool(lhs)
         if i:
             nonzero = [row for row in mats[i - 1] if any(row)]
             lhs += nonzero
             rhs += [[0] * len(cols)] * len(nonzero)
         for col, vars_ in enumerate(free):
-            if not vars_:
+            # a column with no free entry is solved too where degree i has
+            # chain-map rows, so phi is a chain map in every column or the
+            # splice raises; D_{i-1} D_i = 0 alone is left to _check_d2
+            if not (vars_ or chain_rows):
                 continue
             # free entries of D are still 0, so a row's whole product is
             # the constant part
@@ -698,12 +581,6 @@ def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComple
             for r, x in zip(vars_, sol):
                 D[r][col] = x
         mats.append(tuple(map(tuple, D)))
-    cx = SplicedComplex(
-        chamber=cc, support=reps, terms=terms,
-        origins=tuple(map(tuple, origins)), mats=tuple(mats),
-        spliced=bool(excluded))
-
-    radius = None
     if excluded:
         if any(x and not _entrywise_geq(terms[i + 1][ci], terms[i][ri])
                for i, mat in enumerate(mats) for ri, row in enumerate(mat)
@@ -711,18 +588,10 @@ def _resolution(spec: ConeSpec, reps, cc: IntVec, window) -> tuple[SplicedComple
             raise InternalInvariantError(
                 "ineligible nonzero entry in spliced differential")
         _check_d2(mats)
-        radius = window
-        if radius is None:
-            radius = max(default_window(cc, rep) for rep in reps)
-        _window_points(spec, radius)
-        slices, table = _slices_of(cx), _tail_sets(spec, radius)
-        for rep in reps:
-            rpt = _verify(spec, cc, rep, radius, slices, table)
-            if not rpt.passed:
-                raise InternalInvariantError(
-                    f"spliced complex fails acyclicity against {rep}: "
-                    f"{rpt.failures[:3]}")
-    return cx, radius
+    return SplicedComplex(
+        chamber=cc, support=reps, terms=terms,
+        origins=tuple(map(tuple, origins)), mats=tuple(mats),
+        spliced=bool(excluded))
 
 
 def _report(spec: ConeSpec, cx: SplicedComplex, reps, validated_radius) -> ResolutionReport:
@@ -779,7 +648,7 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
     lengths = {}
     for rep in reps:
         try:
-            cx, _ = _resolution(spec, reps, rep, None)
+            cx = _resolution(spec, reps, rep)
         except SupportNotClosedError as err:
             verdict = "Inconclusive"
             reasons = (f"support not closed while resolving {rep}: "

@@ -18,8 +18,8 @@ mask and no shared table.
 ``exact`` is a second certificate, by double description: ``regions``
 walks the regions with a point across their facets, one double
 description each, and ``exact`` ranks each region's survival mask into
-the rank table of the complex's ``_slices_of``.  The tests compare the
-regions it walks with ``has_point``.
+the rank table of the complex's ``acyclicity_oracle.slices_of``.  The
+tests compare the regions it walks with ``has_point``.
 
 Why the certificate decides every window: at window point m the slice
 against cp keeps summand k, c plus the 0/1 bumps of the set P_k its
@@ -39,9 +39,11 @@ x - e u with u inside the cone and e > 0 small makes every bound strict.
 
 from itertools import combinations
 
-from conic.complexes import _mask_ranks, graded_piece, homology_ranks
+from conic.complexes import graded_piece, homology_ranks
 from conic.cone import double_description
 from conic.ratgeom import LE, LT, dot, feasible, system
+
+from acyclicity_oracle import mask_ranks
 
 
 def has_point(spec, c, above, at) -> bool:
@@ -91,7 +93,7 @@ def certified(spec, cx) -> bool:
 def exact(spec, c, slices) -> bool:
     """Whether no chamber y >= c other than c gives a slice with homology,
     for a complex at the chamber c whose summands step 0 or 1 above c,
-    given by its ``complexes._slices_of``: over the regions that
+    given by its ``acyclicity_oracle.slices_of``: over the regions that
     ``regions`` finds, up to the first that gives a slice with homology.
     Each mask is ranked once into the slices' rank table."""
     full, levels, ranks_of = slices
@@ -116,7 +118,7 @@ def exact(spec, c, slices) -> bool:
                 mask &= ~bits
         ranks = ranks_of.get(mask)
         if ranks is None:
-            ranks = ranks_of[mask] = _mask_ranks(full, mask)
+            ranks = ranks_of[mask] = mask_ranks(full, mask)
         if any(ranks):
             return False
     return True

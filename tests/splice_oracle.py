@@ -19,15 +19,14 @@ from conic.complexes import (
     _check_d2,
     _entrywise_geq,
     _report,
-    _slices_of,
-    _tail_sets,
-    _verify,
     _window_points,
     _window_radius,
     conic_complex,
     default_window,
 )
 from conic.errors import InputError, InternalInvariantError, SupportNotClosedError
+
+from acyclicity_oracle import slices_of, tail_sets, window_pass
 
 
 def _solve_columns(nrows, ncols, prescribed, unknown, equations):
@@ -233,8 +232,8 @@ def oracle_resolution(spec, support, c, window=None):
         radius = max(default_window(cc, rep) for rep in reps)
     _window_points(spec, radius)
     for rep in reps:
-        rpt = _verify(spec, cc, rep, radius, _slices_of(cx),
-                      _tail_sets(spec, radius))
+        rpt = window_pass(spec, cc, rep, radius, slices_of(cx),
+                          tail_sets(spec, radius))
         if not rpt.passed:
             raise InternalInvariantError(
                 f"spliced complex fails acyclicity against {rep}: "

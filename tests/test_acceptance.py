@@ -34,6 +34,7 @@ from conic import (
 from conic.cli_io import analyze
 from conic.ratgeom import EQ, LE, LT, feasible, rank, smith_normal_form, system
 
+from acyclicity_oracle import oracle_verify
 from box_census import box_census
 from conftest import make_orthant
 
@@ -86,13 +87,19 @@ def test_criterion_2_cone_over_square(square):
             ((X, 1),), ((FREE, 2),), ((FREE, 2),), ((X, 1),))
         # corrected shape: the middle degrees carry six summands, not
         # five; five fails the per-class Euler count (see the decisions
-        # ledger) while six passes the window validation checked below
+        # ledger) while six gives the exact resolution checked below
         r_0 = resolution(square, [FREE, X], FREE)
         assert r_0.terms == (
             ((FREE, 1),), ((X, 2), (FREE, 4)), ((X, 2), (FREE, 4)),
             ((FREE, 1),))
         assert r_x.validated_radius is not None
         assert r_0.validated_radius is not None
+        # point by point, both spliced resolutions have the windows of
+        # their chamber complexes against the support's classes
+        for own, rpt in ((X, r_x), (FREE, r_0)):
+            for cp in (FREE, X):
+                assert oracle_verify(square, rpt.complex, cp, 2) == \
+                    verify_acyclicity(square, own, cp, window=2)
 
     _run(2, "cone over the square (middle shape corrected, see ledger)",
          body, 10.0)

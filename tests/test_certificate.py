@@ -21,8 +21,8 @@ checked class by class by two certificates kept in the tests
   every class;
 - on pattern complexes with one differential sign flipped, one summand
   dropped or every degree past some k dropped, the certificate refuses
-  exactly the complexes some window pass (``complexes._verify``) fails
-  (or cannot rank); a certified one's passes give the reports that
+  exactly the complexes some window pass
+  (``acyclicity_oracle.window_pass``) fails (or cannot rank); a certified one's passes give the reports that
   ``_acyclicity`` reads off the proof, and a refused one's the per-point
   reference's, failures included;
 - on the seeded random cones of ``test_walk_contract`` every class is
@@ -47,12 +47,11 @@ from conic import (
 )
 from conic.cells import class_pattern
 from conic.chambers import nhat
-from conic.complexes import _slices_of, _tail_sets, _verify
 from conic.errors import InternalInvariantError
 from conic.ratgeom import add
 
 import certificate_oracle
-from acyclicity_oracle import oracle_windows
+from acyclicity_oracle import oracle_windows, slices_of, tail_sets, window_pass
 from test_cli import C37
 from test_complexes import complexes_tables
 from test_walk import REFLEXIVE
@@ -79,7 +78,7 @@ def _certified_reports(spec, a, cps, radii):
     # a is certified, and every report of a against cps at radii, read
     # off the proof, is the per-point reference's
     cx = conic_complex(spec, a)
-    assert certificate_oracle.exact(spec, a, _slices_of(cx)), a
+    assert certificate_oracle.exact(spec, a, slices_of(cx)), a
     for b in cps:
         wants = oracle_windows(spec, cx, b, radii)
         for radius, want in zip(radii, wants):
@@ -101,7 +100,7 @@ def test_certified_octahedron_reports_match_oracle_on_a_sample(octahedron):
     spec = from_normals(octahedron.rank, octahedron.normals)
     reps = enumerate_classes(spec).reps
     assert all(certificate_oracle.exact(
-        spec, rep, _slices_of(conic_complex(spec, rep))) for rep in reps)
+        spec, rep, slices_of(conic_complex(spec, rep))) for rep in reps)
     rng = random.Random(43)
     for a in rng.sample(reps, 6):
         _certified_reports(spec, a, [a, *rng.sample(reps, 2)], RADII)
@@ -148,7 +147,7 @@ def test_certificate_matches_oracle(request):
     for name, spec in _fixture_cones(request).items():
         for rep in enumerate_classes(spec).reps:
             cx = conic_complex(spec, rep)
-            assert certificate_oracle.exact(spec, rep, _slices_of(cx)) is True
+            assert certificate_oracle.exact(spec, rep, slices_of(cx)) is True
             assert certificate_oracle.certified(spec, cx), (name, rep)
 
 
@@ -195,8 +194,8 @@ def _outcome(call):
 
 def _windows_pass(spec, a, reps, slices, radius):
     # whether every window at radius passes, None when one cannot rank
-    table = _tail_sets(spec, radius)
-    reports = [_outcome(lambda: _verify(spec, a, b, radius, slices, table))
+    table = tail_sets(spec, radius)
+    reports = [_outcome(lambda: window_pass(spec, a, b, radius, slices, table))
                for b in reps]
     return None if None in reports else all(r.passed for r in reports)
 
@@ -220,20 +219,20 @@ def test_mutated_complexes_refused_iff_a_window_fails(pentagon, mutate, counts):
     for a in reps:
         for cx in mutate(conic_complex(pentagon, a)):
             cert = _outcome(
-                lambda: certificate_oracle.exact(pentagon, a, _slices_of(cx)))
+                lambda: certificate_oracle.exact(pentagon, a, slices_of(cx)))
             oracle = _outcome(lambda: certificate_oracle.certified(pentagon, cx))
-            at_two = _windows_pass(pentagon, a, reps, _slices_of(cx), 2)
+            at_two = _windows_pass(pentagon, a, reps, slices_of(cx), 2)
             seen[cert, oracle, at_two] = seen.get((cert, oracle, at_two), 0) + 1
             assert (cert is True) == (at_two is True), a
             if cert:
-                assert all(_windows_pass(pentagon, a, reps, _slices_of(cx), r)
+                assert all(_windows_pass(pentagon, a, reps, slices_of(cx), r)
                            for r in RADII)
                 # an exact complex's passes give the proof's reports
-                slices = _slices_of(cx)
+                slices = slices_of(cx)
                 for b in reps:
                     for radius in RADII:
-                        assert (_verify(pentagon, a, b, radius, slices,
-                                        _tail_sets(pentagon, radius))
+                        assert (window_pass(pentagon, a, b, radius, slices,
+                                            tail_sets(pentagon, radius))
                                 == _window(pentagon, a, b, radius))
             elif cert is False:
                 refused.append((a, cx))
@@ -245,12 +244,12 @@ def test_mutated_complexes_refused_iff_a_window_fails(pentagon, mutate, counts):
     # per-point reference, on every fourth refused complex
     failures = 0
     for a, cx in refused[::4]:
-        slices = _slices_of(cx)
+        slices = slices_of(cx)
         for b in reps:
             wants = _outcome(lambda: oracle_windows(pentagon, cx, b, (1, 2)))
             for radius, want in zip((1, 2), wants or ()):
-                got = _verify(pentagon, a, b, radius, slices,
-                              _tail_sets(pentagon, radius))
+                got = window_pass(pentagon, a, b, radius, slices,
+                                  tail_sets(pentagon, radius))
                 assert got == want, (a, b, radius)
                 failures += len(got.failures)
     assert bool(failures) == bool(refused)
@@ -264,7 +263,7 @@ def test_every_class_of_a_random_cone_is_certified(index):
     for rep in enumerate_classes(spec).reps:
         pattern = class_pattern(spec, rep)
         if pattern not in slices:
-            slices[pattern] = _slices_of(conic_complex(spec, rep))
+            slices[pattern] = slices_of(conic_complex(spec, rep))
         if not certificate_oracle.exact(spec, rep, slices[pattern]):
             refused.append(rep)
     assert refused == [], (spec.normals, refused)

@@ -28,13 +28,20 @@ from conic import (
 from conic.cells import class_pattern
 from conic.chambers import canonical_class, nhat
 from conic.cli_io import main
-from conic.complexes import _slices_of, _tail_sets, _verify, default_window
+from conic.complexes import default_window
 from conic.cone import content_hash
 from conic.errors import InputError, InternalInvariantError, SupportNotClosedError
 from conic.ratgeom import add, sub
 
+import acyclicity_oracle
 import certificate_oracle
-from acyclicity_oracle import oracle_verify
+from acyclicity_oracle import (
+    oracle_verify,
+    oracle_windows,
+    slices_of,
+    tail_sets,
+    window_pass,
+)
 from splice_oracle import oracle_resolution
 
 FREE, X, Y = (0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 1)
@@ -42,8 +49,8 @@ FREE, X, Y = (0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 1)
 
 def verify(spec, cx, cp, radius):
     # the window pass of a complex at its own chamber
-    return _verify(spec, cx.chamber, cp, radius, _slices_of(cx),
-                   _tail_sets(spec, radius))
+    return window_pass(spec, cx.chamber, cp, radius, slices_of(cx),
+                       tail_sets(spec, radius))
 
 
 def classes_of_row(spec, row):
@@ -164,12 +171,12 @@ def test_acyclicity_matches_per_point_oracle(request, name):
 
 
 def _both_orders(spec, c, cp, slices, wants):
-    # _verify on one slices object at radii 0, 1, ..., then back down,
+    # window_pass on one slices object at radii 0, 1, ..., then back down,
     # against wants[radius]: a radius is asked first with the rank table
     # filled by smaller windows, then again after larger ones
     radii = range(len(wants))
     for radius in (*radii, *reversed(radii)):
-        got = _verify(spec, c, cp, radius, slices, _tail_sets(spec, radius))
+        got = window_pass(spec, c, cp, radius, slices, tail_sets(spec, radius))
         assert got == wants[radius], (c, cp, radius)
 
 
@@ -190,7 +197,7 @@ def test_failing_acyclicity_matches_per_point_oracle(request, name):
         for k in range(1, len(full.terms)):
             cx = ConicComplex(chamber=a, terms=full.terms[:k],
                               cells=full.cells[:k], mats=full.mats[:k - 1])
-            slices = _slices_of(cx)
+            slices = slices_of(cx)
             for b in classes.reps:
                 wants = [oracle_verify(spec, cx, b, radius) for radius in radii]
                 _both_orders(spec, a, b, slices, wants)
@@ -209,7 +216,7 @@ def test_rank_table_reused_across_offsets_and_translates(request, name):
     m = (1, -2, 1)[:spec.rank]
     for a in reps:
         cx = conic_complex(spec, a)
-        slices = _slices_of(cx)
+        slices = slices_of(cx)
         c = add(a, nhat(spec, m))
         moved = conic_complex(spec, c)
         for b in reps:
@@ -228,8 +235,8 @@ def _is_chamber(spec, c):
     return True
 
 
-def test_certified_class_builds_no_tail_table(cyclic, monkeypatch):
-    # no window takes a pass, a first window on a fresh cone included:
+def test_windows_of_one_pattern_rank_no_slice(cyclic, monkeypatch):
+    # no window ranks a slice, a first window on a fresh cone included:
     # classes a1, a2 of one pattern and chambers b1, b2 with
     # b2 - a2 = b1 - a1, on cones built here; the pentagon's pairs on a
     # seeded sample
@@ -248,8 +255,8 @@ def test_certified_class_builds_no_tail_table(cyclic, monkeypatch):
             assert first == oracle_verify(spec, conic_complex(spec, a1), b1, 2)
             for radius in (2, 1):
                 with monkeypatch.context() as patched:
-                    # a pass would build the radius's tail sets
-                    patched.setattr(complexes, "_tail_sets", None)
+                    # a window pass would rank its survival masks
+                    patched.setattr(complexes, "homology_ranks", None)
                     second = verify_acyclicity(spec, a2, b2, window=radius)
                 assert second == oracle_verify(
                     spec, conic_complex(spec, a2), b2, radius), (a2, b2, radius)
@@ -313,7 +320,8 @@ def _survival_masks(spec, cx, cp, radius):
 
 
 def _counting_ranks(monkeypatch):
-    # the scalar complexes complexes.homology_ranks is called on, in order
+    # the scalar complexes homology_ranks is called on, in order, by the
+    # package and by the window pass of acyclicity_oracle
     calls = []
     real = complexes.homology_ranks
 
@@ -322,29 +330,29 @@ def _counting_ranks(monkeypatch):
         return real(sc)
 
     monkeypatch.setattr(complexes, "homology_ranks", counting)
+    monkeypatch.setattr(acyclicity_oracle, "homology_ranks", counting)
     return calls
 
 
 def test_homology_once_per_survival_mask(pentagon, monkeypatch):
-    # the window pass, on slices local to the test: a certified chamber
-    # complex takes none
+    # the window pass of acyclicity_oracle, on slices local to the test
     reps = enumerate_classes(pentagon).reps
     a, b, b2, radius = reps[1], reps[2], reps[3], 2
     cx = conic_complex(pentagon, a)
-    slices = _slices_of(cx)
+    slices = slices_of(cx)
     seen = _survival_masks(pentagon, cx, b, radius)
     fresh = _survival_masks(pentagon, cx, b2, radius) - seen
     calls = _counting_ranks(monkeypatch)
-    table = _tail_sets(pentagon, radius)
-    rpt = _verify(pentagon, a, b, radius, slices, table)
+    table = tail_sets(pentagon, radius)
+    rpt = window_pass(pentagon, a, b, radius, slices, table)
     assert rpt.checked == (2 * radius + 1) ** pentagon.rank
     assert len(calls) == len(seen) < rpt.checked
     # the same chamber against another one: only masks not met before
     del calls[:]
-    assert _verify(pentagon, a, b2, radius, slices, table).passed
+    assert window_pass(pentagon, a, b2, radius, slices, table).passed
     assert len(calls) == len(fresh) < len(seen)
     del calls[:]
-    assert _verify(pentagon, a, b, radius, slices, table) == rpt
+    assert window_pass(pentagon, a, b, radius, slices, table) == rpt
     assert calls == []
 
 
@@ -374,7 +382,7 @@ def test_certificate_ranks_once_per_mask(monkeypatch):
     for rep in reps:
         by_pattern.setdefault(class_pattern(pentagon, rep), []).append(rep)
     _, (a1, a2, *_) = max(by_pattern.items(), key=lambda kv: len(kv[1]))
-    slices = _slices_of(conic_complex(pentagon, a1))
+    slices = slices_of(conic_complex(pentagon, a1))
     calls = _counting_ranks(monkeypatch)
     met = set()
     for a in (a1, a2):
@@ -391,28 +399,16 @@ def test_certificate_ranks_once_per_mask(monkeypatch):
     assert complexes_tables(pentagon) == {complexes._differentials}
 
 
-def _counting_tails(monkeypatch):
-    # the radii complexes._tail_sets builds a table for, in order
-    built = []
-
-    def counting(spec, radius):
-        built.append(radius)
-        return _tail_sets(spec, radius)
-
-    monkeypatch.setattr(complexes, "_tail_sets", counting)
-    return built
-
-
-def test_tail_sets_once_per_radius(monkeypatch):
-    # a square built here.  The table of each radius against its
-    # definition; then a tail table lives for one spliced resolution, and
-    # none is kept in the store: a spliced resolution builds one for all
-    # its validation windows, and a chamber-complex window none.
+def test_tail_sets_match_their_definition(monkeypatch):
+    # a square built here.  The window pass's table of each radius
+    # against its definition; then the package ranks no slice: a window
+    # is read off the exactness proof, and a verdict's spliced
+    # resolutions off the proof that they have their complexes' windows.
     square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
-    slices = _slices_of(conic_complex(square, FREE))
+    slices = slices_of(conic_complex(square, FREE))
     for radius, other in ((0, X), (2, X), (1, Y)):
-        table = _tail_sets(square, radius)
-        assert _verify(square, FREE, other, radius, slices, table).passed
+        table = tail_sets(square, radius)
+        assert window_pass(square, FREE, other, radius, slices, table).passed
         assert len(table) == len(square.normals)
         tails = list(product(range(-radius, radius + 1), repeat=square.rank - 1))
         bits = 0
@@ -428,18 +424,13 @@ def test_tail_sets_once_per_radius(monkeypatch):
         # sum_i (2r * |n_i[1:]|_1 + 2) levels of (2r + 1)^(d - 1) bits
         assert bits == sum(2 * radius * sum(map(abs, n[1:])) + 2
                            for n in square.normals) * (2 * radius + 1) ** 2
-    built = _counting_tails(monkeypatch)
+    calls = _counting_ranks(monkeypatch)
     for radius, other in ((0, X), (2, X), (1, Y), (3, FREE)):
         assert verify_acyclicity(square, FREE, other, window=radius).passed
-    assert built == []
-    # the two spliced resolutions of a verdict each validate against both
-    # classes of the support at the default radius 4, on one table
     assert nccr_verdict(square, support=[FREE, X]).verdict == "NCCR"
-    assert built == [4, 4]
-    for radius in (1, 1, 2):
-        assert verify_acyclicity(square, X, FREE, window=radius).passed
-    assert built == [4, 4]
-    assert complexes._tail_sets not in square._store
+    assert calls == []
+    assert complexes_tables(square) == {complexes._differentials,
+                                        complexes._resolution}
 
 
 def _dense_tail_sets(spec, radius):
@@ -478,7 +469,7 @@ def test_tail_sets_equal_the_dense_build(request):
         for radius in sorted(rng.sample(range(11), 3)):
             if (2 * radius + 1) ** spec.rank > complexes.WINDOW_BUDGET:
                 continue
-            table = complexes._tail_sets(spec, radius)
+            table = tail_sets(spec, radius)
             assert table == _dense_tail_sets(spec, radius), (spec.normals, radius)
             tails = (2 * radius + 1) ** (spec.rank - 1)
             for n, sets in zip(spec.normals, table):
@@ -496,7 +487,7 @@ def test_tail_sets_memory_follows_the_window():
     spec = _skewed(1000)
     tracemalloc.start()
     try:
-        table = complexes._tail_sets(spec, 49)
+        table = tail_sets(spec, 49)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -507,8 +498,8 @@ def test_tail_sets_memory_follows_the_window():
 def test_window_budget(monkeypatch):
     square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
     assert complexes.WINDOW_BUDGET == 10 ** 6
-    # 101^3 points: refused at once, before any tail set is built
-    built = _counting_tails(monkeypatch)
+    # 101^3 points: refused at once, before anything is built
+    calls = _counting_ranks(monkeypatch)
     with pytest.raises(InputError, match="radius 50 has 1030301 points, "
                                          "past the budget of 1000000"):
         verify_acyclicity(square, FREE, X, window=50)
@@ -516,17 +507,17 @@ def test_window_budget(monkeypatch):
     assert verify_acyclicity(square, FREE, X, window=0).checked == 1
     with pytest.raises(InputError, match="has 27 points, past the budget of 26"):
         verify_acyclicity(square, FREE, X, window=1)
-    # a spliced resolution is refused at its validation window, the
-    # default one included; the default here is 4, 9^3 points
+    # a window given to a resolution is refused, spliced or not; the
+    # default radius, 4 here (9^3 points), is only reported: no window
+    # is checked on a spliced resolution, so its size refuses nothing
     with pytest.raises(InputError, match="has 27 points, past the budget of 26"):
         resolution(square, [FREE, X], X, window=1)
-    with pytest.raises(InputError, match="has 729 points, past the budget of 26"):
-        resolution(square, [FREE, X], X)
-    # a window given is refused even where nothing is spliced
     with pytest.raises(InputError, match="has 27 points, past the budget of 26"):
         resolution(square, enumerate_classes(square).reps, X, window=1)
-    assert built == []
-    assert complexes._tail_sets not in square._store
+    assert resolution(square, [FREE, X], X).validated_radius == 4
+    assert calls == []
+    assert complexes_tables(square) == {complexes._differentials,
+                                        complexes._resolution}
 
 
 def _oracle_cases(spec, cx, cp, radii):
@@ -811,7 +802,7 @@ def test_nccr_partial_supports(square, cyclic):
 
 def test_repeated_partial_verdict_reuses_its_resolutions(monkeypatch):
     # a square built here, so that no earlier test has kept its spliced
-    # resolutions; the repeat solves no splice and checks no window
+    # resolutions; the repeat solves no splice
     square = from_normals(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
     first = nccr_verdict(square, support=[FREE, X])
     kept = dict(square._store[complexes._resolution])
@@ -820,7 +811,6 @@ def test_repeated_partial_verdict_reuses_its_resolutions(monkeypatch):
         raise AssertionError("repeated verdict redid a spliced resolution")
 
     monkeypatch.setattr(complexes.ratgeom, "linear_solve", refuse)
-    monkeypatch.setattr(complexes, "_verify", refuse)
     assert nccr_verdict(square, support=[FREE, X]) == first
     assert square._store[complexes._resolution] == kept
     # a call that raises keeps nothing
@@ -878,9 +868,14 @@ def test_nccr_verdicts_pinned(request, quadric, square, pentagon, hexagon):
 # 90 s of CPU
 OCTAHEDRON_BUT_A199 = (
     "cdecb235cdbe87d49d541b55acd5e1e1a3c9ba707bfc049519595d0ef9b4cfaa")
+# the same with every class but A2, recorded once the spliced resolutions
+# were exact by proof; until then its validation window, of radius 16
+# (1,185,921 points), was refused past the window budget
+OCTAHEDRON_BUT_A2 = (
+    "51b501455a5c0380c716f80664f0969dc6e379ce3765888f89b75c9a87395542")
 
 
-def test_octahedron_partial_verdict_pinned(octahedron):
+def test_octahedron_partial_verdict_pinned(octahedron, tmp_path, capsys):
     classes = enumerate_classes(octahedron)
 
     def all_but(name):
@@ -889,6 +884,30 @@ def test_octahedron_partial_verdict_pinned(octahedron):
     v = nccr_verdict(octahedron, all_but("A199"))
     assert v.verdict == "NotNCCR"
     assert hashlib.sha256(repr(v).encode()).hexdigest() == OCTAHEDRON_BUT_A199
-    with pytest.raises(InputError, match="the window of radius 16 has 1185921 "
-                                         "points, past the budget of 1000000"):
-        nccr_verdict(octahedron, all_but("A2"))
+    support = all_but("A2")
+    v = nccr_verdict(octahedron, support)
+    assert (v.verdict, v.witness, v.reasons) == (
+        "NotNCCR", (0, 0, 0, -1, 0, -1, 0, -1),
+        ("resolution of (0, 0, 0, -1, 0, -1, 0, -1) has length 3 < rank 4",))
+    assert hashlib.sha256(repr(v).encode()).hexdigest() == OCTAHEDRON_BUT_A2
+    # The witness's resolution splices nothing, so the verdict's first
+    # spliced resolution is checked too: both against every chamber of
+    # the support at radii 0 and 1, per point, and their reports are
+    # those read off the chamber complexes' exactness proof.
+    spliced = next(rep for rep in support
+                   if resolution(octahedron, support, rep).spliced)
+    for own in (v.witness, spliced):
+        cx = resolution(octahedron, support, own).complex
+        for cp in support:
+            wants = oracle_windows(octahedron, cx, cp, (0, 1))
+            assert wants == [verify_acyclicity(octahedron, own, cp, window=r)
+                             for r in (0, 1)], (own, cp)
+    # and from the CLI, which exits 0
+    path = tmp_path / "octahedron.json"
+    path.write_text(json.dumps({"rank": 4, "normals": octahedron.normals}))
+    labels = ",".join(classes.label_of(rep) for rep in support)
+    assert main(["nccr", "--support", labels, "--json",
+                 "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["witness"]) == (
+        "NotNCCR", classes.label_of(v.witness))

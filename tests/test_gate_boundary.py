@@ -56,7 +56,7 @@ def test_a_public_call_inside_the_package_is_found():
               "    from .homs import hom_is_conic\n"
               "    return resolution(spec, [a], a), homs.hom_is_conic(spec, a, b)\n"
               "def g(spec, a):\n"
-              "    return _resolution(spec, (a,), a, None)\n")
+              "    return _resolution(spec, (a,), a)\n")
     assert _calls(source) == [4, 5, 5]
 
 

@@ -35,11 +35,10 @@ from conic import (
 )
 from conic.cells import class_pattern
 from conic.cli_io import analyze, serialize_report
-from conic.complexes import _slices_of, _tail_sets, _verify
 from conic.errors import InternalInvariantError
 from conic.ratgeom import smith_normal_form
 
-from acyclicity_oracle import oracle_verify
+from acyclicity_oracle import oracle_verify, slices_of, tail_sets, window_pass
 from test_cli import CONE_A
 from test_census import RANK5_CONES
 from test_cone import FIXTURES
@@ -153,15 +152,15 @@ def test_slice_ranks_are_shared_by_pattern(pentagon):
     shared = [group for group in by_pattern.values() if len(group) > 1]
     assert shared
     for group in shared:
-        slices = _slices_of(conic_complex(spec, group[0]))
+        slices = slices_of(conic_complex(spec, group[0]))
         for a in group:
             cx = conic_complex(spec, a)
-            assert _slices_of(cx)[:2] == slices[:2]
+            assert slices_of(cx)[:2] == slices[:2]
             for b in reps:
                 for radius in (1, 2):
                     want = oracle_verify(spec, cx, b, radius)
-                    got = _verify(spec, a, b, radius, slices,
-                                  _tail_sets(spec, radius))
+                    got = window_pass(spec, a, b, radius, slices,
+                                      tail_sets(spec, radius))
                     assert got == want, (a, b)
                     assert verify_acyclicity(spec, a, b, window=radius) == want
         assert slices[2]

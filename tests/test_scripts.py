@@ -103,6 +103,23 @@ def test_frontier_cone_a_row_is_cone_a():
     assert load_frontier().ROWS["cone_a_w1"][1:3] == (rank, tuple(normals))
 
 
+def test_frontier_octahedron_nccr_row_is_the_fixture(octahedron, capsys):
+    # the fixture's normals in its order, so the labels name the same
+    # classes: every one but A2; the row exits 0 with its pinned bytes
+    from conic import enumerate_classes
+
+    frontier = load_frontier()
+    args, rank, normals, _ = frontier.ROWS["octahedron_nccr"]
+    assert (rank, normals) == (octahedron.rank, octahedron.normals)
+    labels = set(enumerate_classes(octahedron).labels)
+    command, flag, support, json_flag = args
+    assert (command, flag, json_flag) == ("nccr", "--support", "--json")
+    assert len(support.split(",")) == 199
+    assert set(support.split(",")) == labels - {"A2"}
+    assert frontier.main(["octahedron_nccr"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" ok")
+
+
 @pytest.mark.slow
 def test_frontier_octahedron_row_matches_its_pin(capsys):
     frontier = load_frontier()
