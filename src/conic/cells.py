@@ -41,7 +41,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import pairwise, product
 from operator import mul
 
 from . import ratgeom
@@ -250,19 +250,18 @@ def class_walk(spec: ConeSpec) -> tuple[IntVec, ...]:
     the combinatorial test of ``cone._dd_add_row`` finds adjacent (Fukuda
     & Prodon, 1996), so the node's edges are sought once, only among
     pairs whose values straddle a level.  Every leaf is one
-    representative's closed box, reached once; a repeated class is an
-    internal error.  The leaf's tight masks give the cell pattern of its
-    class: the face closure (``_pattern``) runs once per mask set, which
-    only the walk keeps, keyed on one int packing the sorted masks.  A
-    pattern kept before the walk, read off the class's own box, must be
-    the leaf's (both are ``_interned``); one that is not is an internal
-    error too.
+    representative's closed box, reached once: the representatives are
+    listed in walk order and sorted once at the end, where a class
+    reached twice would be two equal neighbours, an internal error.  The
+    leaf's tight masks give the cell pattern of its class: the face
+    closure (``_pattern``) runs once per mask set, which only the walk
+    keeps, keyed on one int packing the sorted masks.  A pattern kept
+    before the walk, read off the class's own box, must be the leaf's
+    (both are ``_interned``); one that is not is an internal error too.
     """
-    seen, patterns, width = set(), {}, 2 * len(spec.normals)
+    reps, patterns, width = [], {}, 2 * len(spec.normals)
     for rep, masks in leaves(spec):
-        if rep in seen:
-            raise InternalInvariantError(f"class {rep} is reached twice")
-        seen.add(rep)
+        reps.append(rep)
         key = sum(m << width * k for k, m in enumerate(masks))
         pattern = patterns.get(key)
         if pattern is None:
@@ -270,9 +269,15 @@ def class_walk(spec: ConeSpec) -> tuple[IntVec, ...]:
         if class_pattern.keep(spec, (rep,), pattern) is not pattern:
             raise InternalInvariantError(
                 f"class {rep} has a kept pattern that its walk leaf does not give")
-    if (0,) * len(spec.normals) not in seen:
+    reps.sort()
+    for a, b in pairwise(reps):
+        if a == b:
+            raise InternalInvariantError(f"class {a} is reached twice")
+    free = (0,) * len(spec.normals)
+    i = bisect_left(reps, free)
+    if i == len(reps) or reps[i] != free:
         raise InternalInvariantError("the free class is not reached")
-    return tuple(sorted(seen))
+    return tuple(reps)
 
 
 def _preimage(spec: ConeSpec, h: IntVec) -> IntVec | None:

@@ -120,27 +120,31 @@ def is_adjacent(spec: ConeSpec, c, cp) -> bool:
 
 @dataclass(frozen=True)
 class ClassList:
-    """All isomorphism classes.
+    """All isomorphism classes: reps, the lex sorted canonical
+    representatives of the class walk, and free, the index of the free
+    class, the zero vector.
 
-    reps are lex sorted canonical representatives; labels align with
-    reps, the free class, at index free, is always labeled A0 and the
-    rest are numbered in lex order.
+    No label is stored.  One rule (``label_at``) labels reps[i] from its
+    index: the free class is A0 and the rest are A1, A2, ... in lex
+    order.  ``rep_of`` inverts it, and ``label_of`` finds a
+    representative's index by binary search.
     """
 
     reps: tuple[IntVec, ...]
-    labels: tuple[str, ...]
     free: int
 
-    def label_of(self, rep: IntVec) -> str:
-        """Label of a representative: a binary search of the sorted reps;
-        ValueError when rep is none of them."""
-        i = bisect_left(self.reps, rep)
-        if i == len(self.reps) or self.reps[i] != rep:
-            raise ValueError(f"{rep!r} is not a class representative")
-        return self.labels[i]
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Every label, aligned with reps."""
+        return tuple(map(self.label_at, range(len(self.reps))))
+
+    def label_at(self, i: int) -> str:
+        """Label of reps[i]: A0 for the free class, else Ak with k = i + 1
+        before it and k = i past it."""
+        return "A0" if i == self.free else f"A{i + 1 if i < self.free else i}"
 
     def rep_of(self, label: str) -> IntVec:
-        """Representative of a label, the labelling inverted: A0 is the
+        """Representative of a label, ``label_at`` inverted: A0 is the
         free class, and Ak is index k - 1 for k <= free and k past it;
         InputError for any other string, such as "A01", "A-1" or "B1"."""
         try:
@@ -151,16 +155,21 @@ class ClassList:
             raise InputError(f"unknown class label {label!r}")
         return self.reps[self.free if k == 0 else k - 1 if k <= self.free else k]
 
+    def label_of(self, rep: IntVec) -> str:
+        """Label of a representative: a binary search of the sorted reps;
+        ValueError when rep is none of them."""
+        i = bisect_left(self.reps, rep)
+        if i == len(self.reps) or self.reps[i] != rep:
+            raise ValueError(f"{rep!r} is not a class representative")
+        return self.label_at(i)
+
 
 @per_cone
 def enumerate_classes(spec: ConeSpec) -> ClassList:
-    """All isomorphism classes: the representatives of the class walk,
-    one per leaf of a cut of the base parallelepipeds (``cells.class_walk``
-    has the proof that each class is reached once), labeled."""
+    """All isomorphism classes: the sorted representatives of the class
+    walk, one per leaf of a cut of the base parallelepipeds
+    (``cells.class_walk`` has the proof that each class is reached once
+    and checks it on the sorted list), and the free class's index, found
+    by binary search; labels are read off the index (``ClassList``)."""
     reps = class_walk(spec)
-    # A0 is the free class, and the others are numbered in lex order
-    free = reps.index((0,) * len(spec.normals))
-    labels = tuple("A0" if i == free else f"A{i + 1 if i < free else i}"
-                   for i in range(len(reps)))
-    return ClassList(reps=reps, labels=labels, free=free)
-
+    return ClassList(reps=reps, free=bisect_left(reps, (0,) * len(spec.normals)))

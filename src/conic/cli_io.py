@@ -149,16 +149,15 @@ def analyze(spec: ConeSpec, options: AnalyzeOptions = AnalyzeOptions()) -> dict:
                    options.dmodule_prime)
     classes = enumerate_classes(spec)
     class_rows = []
-    for rep in classes.reps:
+    for i, rep in enumerate(classes.reps):
         # The representatives are chambers, so each class's answers are
         # read off its pattern with no gate: the census, pdim (the last
         # codim) and a zero cell (last codim == rank).
         pattern = class_pattern(spec, rep)
         census = pattern_census(pattern)
-        label = classes.label_of(rep)
         top = pattern[-1][1]
         class_rows.append({
-            "label": label,
+            "label": classes.label_at(i),
             "ceiling": list(rep),
             "degree": degree(rep),
             "cell_census": {str(k): v for k, v in sorted(census.items())},
@@ -225,10 +224,10 @@ def _nccr_block(spec: ConeSpec, classes, support=None) -> dict:
 
 
 def _acyclicity_rows(spec: ConeSpec, classes, window) -> list:
-    rows = []
-    for a, label in zip(classes.reps, classes.labels):
+    rows, labels = [], classes.labels
+    for a, label in zip(classes.reps, labels):
         gate = a, class_of(spec, a)
-        for b, other in zip(classes.reps, classes.labels):
+        for b, other in zip(classes.reps, labels):
             rpt = _acyclicity(spec, gate, (b, b), window)
             rows.append({
                 "chamber": label,
@@ -264,9 +263,9 @@ def _frobenius_block(spec: ConeSpec, classes, q, minimal: bool, prime) -> dict:
 
 def _root_block(spec: ConeSpec, classes, q: int) -> dict:
     dec = decompose_root(spec, q)
-    counts = {classes.label_of(rep): n for rep, n in dec.counts}
-    for rep in classes.reps:
-        counts.setdefault(classes.label_of(rep), 0)
+    got = dict(dec.counts)
+    counts = {classes.label_at(i): got.get(rep, 0)
+              for i, rep in enumerate(classes.reps)}
     return {"q": dec.q, "total": dec.total, "counts": counts}
 
 
@@ -388,10 +387,10 @@ def _cmd_chambers(args) -> str:
     spec = _load_spec(args)
     classes = enumerate_classes(spec)
     rows = [{
-        "label": classes.label_of(rep),
+        "label": classes.label_at(i),
         "ceiling": list(rep),
         "degree": degree(rep),
-    } for rep in classes.reps]
+    } for i, rep in enumerate(classes.reps)]
     if args.json:
         return serialize_report(
             _wrap(spec, {"classes": rows, "class_count": len(rows)}))

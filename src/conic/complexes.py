@@ -438,12 +438,7 @@ def smith_invariants(spec: ConeSpec, c) -> tuple[tuple[int, ...], ...]:
 
 
 def _canonical_support(spec: ConeSpec, support) -> tuple[IntVec, ...]:
-    reps = []
-    for c in support:
-        rep = canonical_class(spec, intvec(c))
-        if rep not in reps:
-            reps.append(rep)
-    return tuple(sorted(reps))
+    return tuple(sorted({canonical_class(spec, intvec(c)) for c in support}))
 
 
 def _entrywise_geq(a, b) -> bool:
@@ -621,7 +616,7 @@ def nccr_verdict(spec: ConeSpec, support=None) -> NccrVerdict:
     """
     all_reps = enumerate_classes(spec).reps
     reps = all_reps if support is None else _canonical_support(spec, support)
-    if set(reps) == set(all_reps):
+    if reps == all_reps:
         # The pattern's last codim is the class's pdim, and it has a zero
         # cell iff that is the rank: one pattern lookup per class, up to
         # the first class without one.

@@ -155,16 +155,30 @@ def _minimal_generators(rays: Sequence[IntVec]) -> tuple[tuple[int, ...], tuple[
     rays, and the dual extreme rays.
 
     The rays generate a pointed cone exactly when the dual extreme rays
-    span too.  A ray is then kept at its first occurrence when the facets
-    through it, the dual extreme rays vanishing on it, have rank d - 1;
+    span too; every caller refuses the rays otherwise (``restrict_to_facet``
+    through the ConeSpec it builds), and the proof below needs it.  Ray
+    i is kept iff no ray's set T of tight facets, the dual extreme rays
+    vanishing on it, strictly contains T_i, and no earlier ray has T_i;
     survivors keep their input order.
+
+    Proof: both cones are pointed, so the cone C of the rays is cut out
+    by the dual extreme rays, and the smallest face of C holding ray r
+    is F_r = {x in C : <x, f> = 0 for f in T_r}, on whose relative
+    interior exactly T_r vanishes.  So a face is determined by its tight
+    facets, and F_s is a proper face of F_r iff T_s strictly contains
+    T_r.  Ray r is extremal iff F_r is a ray.  If it is, its only proper
+    face is 0, which is no F_s.  If it is not, F_r has dimension at
+    least 2 and holds an extreme ray of C, which holds some ray s, as
+    the rays span C; F_s is that extreme ray.  Two extremal rays with
+    one T span one face, so they are equal primitive vectors and the
+    first is kept.
     """
     d = len(rays[0])
     facets = double_description(tuple(rays), d)
-    idx = tuple(
-        i for i, r in enumerate(rays)
-        if rays.index(r) == i
-        and ratgeom.rank([f for f, tight in facets if tight >> i & 1]) == d - 1)
+    tight = [sum(1 << k for k, (_, m) in enumerate(facets) if m >> i & 1)
+             for i in range(len(rays))]
+    idx = tuple(i for i, t in enumerate(tight) if tight.index(t) == i
+                and not any(u & t == t != u for u in tight))
     return idx, tuple(rays[i] for i in idx), tuple(f for f, _ in facets)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -30,7 +31,7 @@ from conic import (
     verify_acyclicity,
 )
 from conic.cells import class_pattern
-from conic.chambers import nhat, pairings, require_chamber
+from conic.chambers import ClassList, nhat, pairings, require_chamber
 from conic.errors import InputError
 from conic.ratgeom import add, dot, feasible, sub
 
@@ -219,6 +220,30 @@ def test_labels_free_class_is_a0(square):
     assert cl.label_of((0, 0, 0, -1)) == "A1"
     with pytest.raises(InputError):
         cl.rep_of("A9")
+
+
+def test_class_list_stores_reps_and_free_only(square):
+    # labels are computed from the index, so no string is kept per class
+    assert [f.name for f in dataclasses.fields(ClassList)] == ["reps", "free"]
+    assert isinstance(ClassList.labels, property)
+    cl = enumerate_classes(square)
+    assert vars(cl) == {"reps": cl.reps, "free": cl.free}
+
+
+@pytest.mark.parametrize("name, free, labels", [
+    # the free class first: every other class is numbered by its index + 1
+    ("cyclic", 0, ("A0", "A1", "A2")),
+    # the free class inside: the classes before it keep index + 1, those
+    # after it their index
+    ("pentagon", 5, ("A1", "A2", "A3", "A4", "A5", "A0")
+     + tuple(f"A{k}" for k in range(6, 19)))])
+def test_labels_label_of_and_rep_of_agree(request, name, free, labels):
+    cl = enumerate_classes(request.getfixturevalue(name))
+    assert cl.free == free and cl.reps[free] == (0,) * len(cl.reps[0])
+    assert cl.labels == labels
+    assert [cl.label_at(i) for i in range(len(cl.reps))] == list(labels)
+    assert [cl.label_of(rep) for rep in cl.reps] == list(labels)
+    assert [cl.rep_of(label) for label in labels] == list(cl.reps)
 
 
 @pytest.mark.parametrize("name", ["quadric", "square", "cyclic", "orthant2",

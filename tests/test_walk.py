@@ -160,10 +160,18 @@ def test_one_object_per_cell_pattern(cone):
     assert cells._pattern not in spec._store
 
 
-def test_repeated_leaf_is_an_internal_error(square, monkeypatch):
+@pytest.mark.parametrize("repeat, at", [(0, 0), (-1, None), (0, None)],
+                         ids=["first", "last", "out_of_walk_order"])
+def test_repeated_leaf_is_an_internal_error(square, monkeypatch, repeat, at):
+    # the walk checks neighbours after its sort, so a repeat is found
+    # wherever it sits: at either end of the walk, or far from the leaf
+    # it repeats
     leaves = list(cells.leaves(square))
-    monkeypatch.setattr(cells, "leaves", lambda spec: leaves + leaves[:1])
-    with pytest.raises(InternalInvariantError, match="reached twice"):
+    walked = leaves[:]
+    walked.insert(len(leaves) if at is None else at, leaves[repeat])
+    monkeypatch.setattr(cells, "leaves", lambda spec: walked)
+    with pytest.raises(InternalInvariantError, match=re.escape(
+            f"class {leaves[repeat][0]} is reached twice")):
         chambers.enumerate_classes(_fresh(square))
 
 
